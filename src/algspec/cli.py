@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -161,10 +162,13 @@ def _read_csv(path: str) -> SampledSignal:
         if len(row) != 2:
             raise ValueError(f"csv line {lineno}: expected two columns")
         try:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
+            t, x = float(row[0]), float(row[1])
         except ValueError:
             raise ValueError(f"csv line {lineno}: non-numeric value") from None
+        if not (math.isfinite(t) and math.isfinite(x)):
+            raise ValueError(f"csv line {lineno}: non-finite value")
+        times.append(t)
+        values.append(x)
     return SampledSignal(tuple(times), tuple(values))
 
 

@@ -30,7 +30,7 @@ _IMAG_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Real samples on strictly increasing times."""
+    """Finite real samples on strictly increasing times."""
 
     times: tuple
     values: tuple
@@ -40,6 +40,8 @@ class SampledSignal:
         values = tuple(float(v) for v in self.values)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
+        if not all(map(math.isfinite, times + values)):
+            raise ValueError("times and values must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)

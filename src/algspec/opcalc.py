@@ -17,13 +17,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfield import CPoly, Qi, RatFunc, partial_fractions
+from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
+                       _location_key, partial_fractions)
 from .sigexpr import (Add, Const, Cos, Dirac, Exp, Mul, Pow, Sin, SignalClass,
                       SignalExpr, TimeVar, ExpressionError, classify,
                       diff_time, evaluate)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
-           "dirac_image", "mult_by_minus_t", "taylor_truncate"]
+           "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
+           "taylor_truncate"]
 
 
 @dataclass(frozen=True)
@@ -178,15 +180,43 @@ def from_signal(e: SignalExpr) -> ExpPoly:
 
 
 def to_rational(x: ExpPoly) -> RatFunc:
-    """Operational image in C(s): c*t^k at rate a -> c*k!/(s-a)^(k+1)."""
-    acc = RatFunc.ZERO
+    """Operational image in C(s): c*t^k at rate a -> c*k!/(s-a)^(k+1).
+
+    The terms are summed over their common denominator prod (s-a)^m_a with
+    m_a = deg P_a + 1: the rate a contributes
+    L_a = sum_k c_k k! (s-a)^(m_a-1-k) times the other factors.  The sum
+    needs no gcd.  At s = a it equals L_a(a) = (m_a-1)! times the leading
+    coefficient of P_a, which is nonzero, times the other factors at a,
+    which are nonzero because the rates are distinct; so numerator and
+    denominator are coprime, and the denominator is monic.
+    """
+    num, den = CPoly.ZERO, CPoly.ONE     # the sum so far, over its poles
     for rate, poly in x.terms:
-        base = RatFunc(CPoly.ONE, CPoly([-rate, 1]))
-        for k, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            acc = acc + RatFunc(c * Qi(math.factorial(k))) * base ** (k + 1)
-    return acc
+        lin = CPoly([-rate, 1])
+        local = CPoly.ZERO
+        for k, c in enumerate(poly.coeffs):  # Horner in (s - a)
+            local = local * lin + CPoly([c * Qi(math.factorial(k))])
+        factor = lin ** len(poly.coeffs)
+        num = num * factor + local * den
+        den = den * factor
+    return RatFunc._from_reduced(num, den)
+
+
+def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:
+    """Spectrum read off the exact rates, with no root finding.
+
+    The poles of the image are the rates themselves, a rate whose
+    polynomial has degree m being a pole of order m + 1; the frequencies
+    are the distinct nonzero imaginary parts of the rates.
+    """
+    sources = sorted((SingularitySource(complex(rate), "pole",
+                                        len(poly.coeffs))
+                      for rate, poly in x.terms),
+                     key=lambda src: _location_key(src.location))
+    # Zeros are dropped after rounding: a rate such as 1e-400*i is exact
+    # and nonzero, but its float is 0, which a Spectrum never lists.
+    freqs = sorted({float(rate.im) for rate, _ in x.terms} - {0.0})
+    return Spectrum(tuple(freqs), tuple(sources))
 
 
 def to_exppoly(r: RatFunc) -> ExpPoly:

@@ -1,9 +1,10 @@
 """Routing from a parsed expression to its spectrum.
 
-Exponential polynomials go through the rational image and its poles; the
-Dirac impulse maps to the constant 1; catalog atoms go through their
-defining operational equation and its singular points.  Anything else is
-refused rather than approximated.
+Exponential polynomials read their spectrum off their exact rates, which
+are the poles of their rational image; the Dirac impulse maps to the
+constant 1; catalog atoms go through their defining operational equation
+and its singular points.  Anything else is refused rather than
+approximated.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class SpectrumAnalysis:
     expression: SignalExpr
     signal_class: SignalClass
     spectrum: Spectrum
-    rational: RatFunc | None = None           # rational-image route
+    rational: RatFunc | None = None           # operational image
     system: OdeSystem | None = None           # equation route
     finite_points: tuple = ()
     infinity: SingularPoint | None = None
@@ -36,8 +37,9 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
     """Compute the spectrum of a supported expression."""
     kind = classify(e)
     if kind == SignalClass.EXP_POLYNOMIAL:
-        r = opcalc.to_rational(opcalc.from_signal(e))
-        return SpectrumAnalysis(e, kind, spectrum_of_rational(r), rational=r)
+        x = opcalc.from_signal(e)
+        return SpectrumAnalysis(e, kind, opcalc.spectrum_of_exppoly(x),
+                                rational=opcalc.to_rational(x))
     if kind == SignalClass.DIRAC:
         scale, _ = split_scale(e)
         r = opcalc.dirac_image() * RatFunc(scale)

@@ -450,10 +450,16 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num, r.den = -self.num, self.den
+    @classmethod
+    def _from_reduced(cls, num: CPoly, den: CPoly) -> "RatFunc":
+        """num/den taken as is, with no gcd: the caller guarantees that they
+        are coprime and den is monic (den is 1 when num is zero)."""
+        r = cls.__new__(cls)
+        r.num, r.den = num, den
         return r
+
+    def __neg__(self):
+        return RatFunc._from_reduced(-self.num, self.den)
 
     def __add__(self, other):
         other = _coerce_rat(other)
@@ -546,21 +552,27 @@ def alg_deriv(r: RatFunc) -> RatFunc:
 # Root finding
 
 
+_ABERTH_TOL = 1e-12
+
+
 def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
     """Roots of a square-free polynomial: eigenvalue estimates refined by
-    simultaneous (Aberth-style) iteration to residual <= 1e-12 * ||coeffs||."""
+    simultaneous (Aberth-style) iteration until each root z has backward
+    error |p(z)| / sum |c_k| |z|^k <= 1e-12 (Bini, Numer. Algorithms 1996).
+    The bound scales with |z|^k, so large and small roots meet it alike."""
     c = np.asarray(coeffs, dtype=complex)
     deg = len(c) - 1
     if deg == 1:
         return [complex(-c[0] / c[1])]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(c))))
+    polyval = np.polynomial.polynomial.polyval
+    abs_c = np.abs(c)
     dc = c[1:] * np.arange(1, deg + 1)
     z = np.roots(c[::-1]).astype(complex)
     for _ in range(max_iter):
-        p = np.polynomial.polynomial.polyval(z, c)
-        if float(np.max(np.abs(p))) <= tol:
+        p = polyval(z, c)
+        if np.all(np.abs(p) <= _ABERTH_TOL * polyval(np.abs(z), abs_c)):
             return [complex(v) for v in z]
-        dp = np.polynomial.polynomial.polyval(z, dc)
+        dp = polyval(z, dc)
         stale = np.abs(dp) == 0.0
         if np.any(stale):
             z[stale] += 1e-8 * (1.0 + np.abs(z[stale]))
@@ -573,10 +585,14 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
         denom = 1.0 - w * coupling
         denom[np.abs(denom) < 1e-300] = 1.0
         z = z - w / denom
-    p = np.polynomial.polynomial.polyval(z, c)
+    # An exact root 0 of a polynomial with c_0 = 0 has scale 0 and
+    # residual 0; it counts as backward error 0, not 0/0.
+    scale = polyval(np.abs(z), abs_c)
+    backward = float(np.max(np.divide(np.abs(polyval(z, c)), scale,
+                                      out=np.zeros(deg), where=scale > 0)))
     raise RootFindingError(
-        f"root iteration stalled: residual {float(np.max(np.abs(p))):.3e} "
-        f"above tolerance {tol:.3e} after {max_iter} iterations")
+        f"root iteration stalled: backward error {backward:.3e} "
+        f"above {_ABERTH_TOL:.0e} after {max_iter} iterations")
 
 
 @dataclass(frozen=True)
@@ -597,12 +613,15 @@ def poly_roots(p: CPoly) -> list[Pole]:
         else:
             for root in _aberth(factor.to_complex()):
                 out.append(Pole(root, mult))
-    # Rounded leading key so conjugate pairs with 1e-16 real-part noise
-    # still order deterministically; raw parts break genuine near-ties.
-    out.sort(key=lambda q: (round(q.location.real, 9),
-                            round(q.location.imag, 9),
-                            q.location.real, q.location.imag))
+    out.sort(key=lambda q: _location_key(q.location))
     return out
+
+
+def _location_key(z: complex) -> tuple:
+    """Sort key of reported pole locations.  The rounded leading parts let
+    conjugate pairs with 1e-16 real-part noise order deterministically; the
+    raw parts break genuine near-ties."""
+    return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
 
 
 def poles(r: RatFunc) -> list[Pole]:

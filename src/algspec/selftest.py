@@ -15,8 +15,8 @@ import math
 
 from .fouriercontrast import contrast_report, dft, sinc_fourier_closed_form
 from .instfreq import SampledSignal, phi_symbolic, phi_vs_ville_note
-from .opcalc import dirac_image, from_signal, taylor_truncate, to_exppoly, \
-    to_rational
+from .opcalc import dirac_image, from_signal, spectrum_of_exppoly, \
+    taylor_truncate, to_exppoly, to_rational
 from .pipeline import analyze
 from .ratfield import CPoly, Qi, RatFunc, poles, spectrum_of_rational
 from .sigexpr import ParameterError, SignalClass, classify, parse
@@ -117,6 +117,20 @@ def _sine_inverse():
     got = to_exppoly(RatFunc(CPoly([3]), CPoly([9, 0, 1])))
     want = from_signal(parse("sin(3*t)"))
     assert got.isclose(want), f"inverse image {got.format()!r}"
+
+
+@_check("the rates of (t+1)*exp(-t)*sin(2*t) are the poles of its image")
+def _rates_are_poles():
+    x = from_signal(parse("(t+1)*exp(-t)*sin(2*t)"))
+    exact = spectrum_of_exppoly(x)
+    numeric = spectrum_of_rational(to_rational(x))
+    assert exact.frequencies == (-2.0, 2.0), \
+        f"frequencies {exact.frequencies!r}"
+    _assert_freqs(numeric, exact.frequencies)
+    assert len(numeric.sources) == 2, f"{len(numeric.sources)} poles"
+    for got, want in zip(numeric.sources, exact.sources):
+        _assert_close(got.location, want.location, label="pole")
+        assert got.order == want.order == 2, f"pole order {got.order}"
 
 
 @_check("the impulse maps to the constant image 1")

@@ -823,11 +823,16 @@ def _build_call(name: str, args: list) -> SignalExpr:
 def parse(text: str) -> SignalExpr:
     """Parse expression text to a canonical AST.
 
-    Raises SignalSyntaxError (with byte offset) for malformed input and
+    Raises SignalSyntaxError (with byte offset) for malformed input,
+    including nesting deeper than the interpreter's recursion limit, and
     ParameterError for arity or parameter-domain violations.
     """
     parser = _Parser(text, _tokenize(text))
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise SignalSyntaxError("expression nested too deeply",
+                                parser._offset(parser._peek())) from None
     parser.done()
     return node
 

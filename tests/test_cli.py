@@ -63,6 +63,39 @@ def test_spectrum_explained_for_image_route():
     assert lines[5] == "infinite singularity: no"
 
 
+def test_spectrum_explained_poles_sit_on_the_exact_rates():
+    status, out, _ = run(CliConfig("spectrum", expr="sin(t)", explain=True))
+    assert status == 0
+    assert out.splitlines()[2:4] == ["pole -i: order 1", "pole i: order 1"]
+
+
+@pytest.mark.parametrize("expr, freqs", [
+    ("sin(t)^12", "-12 -10 -8 -6 -4 -2 2 4 6 8 10 12"),
+    ("sin(1000*t)+sin(1/1000*t)", "-1000 -0.001 0.001 1000"),
+    ("sin(1e-9*t)", "-1e-09 1e-09"),
+])
+def test_spectrum_reads_exact_rates(expr, freqs):
+    status, out, err = run(CliConfig("spectrum", expr=expr))
+    assert (status, err) == (0, "")
+    assert out.splitlines()[0] == "frequencies: " + freqs
+
+
+def test_spectrum_omits_rates_whose_float_is_zero():
+    # 1e-400 is exact and nonzero, but it rounds to the float 0.
+    status, out, err = run(CliConfig("spectrum", expr="sin(1e-400*t)"))
+    assert (status, err) == (0, "")
+    assert out.splitlines()[0] == "frequencies: (none)"
+
+
+def test_spectrum_rejects_deep_nesting(capsys):
+    status = main(["spectrum", "(" * 2000 + "t" + ")" * 2000])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err.startswith("error: input: expression nested too "
+                                   "deeply")
+    assert captured.err.count("\n") == 1
+
+
 def test_spectrum_rejects_bad_expressions():
     status, out, err = run(CliConfig("spectrum", expr="sin(2*t"))
     assert status == 1 and out == ""
@@ -84,6 +117,14 @@ def test_opform_text_and_json():
                    '"strictly_proper":true}')
     status, out, _ = run(CliConfig("opform", expr="dirac()"))
     assert (status, out) == (0, "1")
+
+
+def test_opform_of_a_power_of_a_mixture():
+    status, out, err = run(CliConfig("opform", expr="(sin(t)+cos(2*t))^4"))
+    assert (status, err) == (0, "")
+    assert out.endswith("/ (s^17 + 204s^15 + 16422s^13 + 669188s^11 + "
+                        "14739153s^9 + 173721912s^7 + 1017067024s^5 + "
+                        "2483133696s^3 + 1625702400s)")
 
 
 def test_opform_requires_an_image():
@@ -148,6 +189,20 @@ def test_instfreq_csv_errors(tmp_path):
     assert err.startswith("error: input:")
 
 
+@pytest.mark.parametrize("content, line", [
+    ("t,x\n0.0,1.0\nnan,2.0\n", 3),
+    ("t,x\n-inf,1.0\n0.0,2.0\n", 2),
+    ("t,x\n0.0,nan\n0.1,2.0\n", 2),
+    ("t,x\n0.0,1.0\n0.1,inf\n", 3),
+])
+def test_instfreq_csv_rejects_non_finite_values(tmp_path, content, line):
+    p = tmp_path / "bad.csv"
+    p.write_text(content)
+    status, out, err = run(CliConfig("instfreq", csv_path=str(p)))
+    assert (status, out) == (1, "")
+    assert err == f"error: input: csv line {line}: non-finite value"
+
+
 def test_instfreq_error_names_the_offending_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("t,x\n0.0,1.0\n0.1,oops\n")
@@ -167,6 +222,13 @@ def test_contrast_json_tone():
     assert data["algebraic_frequencies"] == [-3, 3]
     assert data["fourier"] == "line pair at -3 and 3"
     assert len(data["dft_dominant_bins"]) == 2
+
+
+def test_contrast_keeps_a_tiny_frequency():
+    status, out, _ = run(CliConfig("contrast", expr="sin(1e-9*t)",
+                                   output="json"))
+    assert status == 0
+    assert json.loads(out)["algebraic_frequencies"] == [-1e-9, 1e-9]
 
 
 def test_contrast_text_impulse():

@@ -113,6 +113,10 @@ def test_sample_validation():
         SampledSignal((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError):
         SampledSignal((0.0, 1.0, 1.0), (1.0, 2.0, 3.0))
+    for times, values in [((0.0, math.nan, 2.0), (1.0, 2.0, 3.0)),
+                          ((0.0, 1.0, 2.0), (1.0, -math.inf, 3.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            SampledSignal(times, values)
     with pytest.raises(ValueError):
         PhiTrace((0.0,), (1.0, 2.0), "fitted")
 

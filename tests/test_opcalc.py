@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from algspec.opcalc import (ExpPoly, dirac_image, from_signal,
-                            mult_by_minus_t, taylor_truncate, to_exppoly,
-                            to_rational)
-from algspec.ratfield import CPoly, Qi, RatFunc, alg_deriv, poles, \
-    spectrum_of_rational
+                            mult_by_minus_t, spectrum_of_exppoly,
+                            taylor_truncate, to_exppoly, to_rational)
+from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
+    alg_deriv, poles, spectrum_of_rational
 from algspec.sigexpr import ExpressionError, evaluate, parse
 
 _S = CPoly([0, 1])
@@ -35,6 +35,37 @@ def _rand_exppoly(rng, max_rates=4, max_deg=4):
             poly = CPoly.ONE
         terms.append((rate, poly))
     return ExpPoly(tuple(terms))
+
+
+def _rand_mixture(rng, max_rates=9, max_mult=4):
+    """Distinct rates with decay and frequency in quarters, each with a
+    polynomial of degree below max_mult and a nonzero leading coefficient."""
+    rates = set()
+    while len(rates) < rng.randint(1, max_rates):
+        rates.add(Qi(Fraction(rng.randint(-8, 0), 4),
+                     Fraction(rng.randint(-8, 8), 4)))
+    terms = []
+    for rate in sorted(rates, key=lambda q: (q.re, q.im)):
+        coeffs = [Qi(Fraction(rng.randint(-5, 5), 2),
+                     Fraction(rng.randint(-5, 5), 2))
+                  for _ in range(rng.randint(1, max_mult))]
+        if not coeffs[-1]:
+            coeffs[-1] = Qi(1)
+        terms.append((rate, CPoly(coeffs)))
+    return ExpPoly(tuple(terms))
+
+
+def _image_term_by_term(x: ExpPoly) -> RatFunc:
+    """The image summed one monomial at a time in C(s), with the gcd of
+    every sum: the reference for the gcd-free to_rational."""
+    acc = RatFunc.ZERO
+    for rate, poly in x.terms:
+        base = RatFunc(CPoly.ONE, CPoly([-rate, 1]))
+        for k, c in enumerate(poly.coeffs):
+            if c:
+                term = RatFunc(c * Qi(math.factorial(k))) * base ** (k + 1)
+                acc = acc + term
+    return acc
 
 
 def _rand_strictly_proper(rng, max_den_deg=5):
@@ -140,6 +171,22 @@ def test_image_is_always_strictly_proper():
         assert to_rational(x).is_strictly_proper
 
 
+def test_gcd_free_image_equals_term_by_term_sum():
+    rng = random.Random(2311)
+    for _ in range(12):
+        x = _rand_mixture(rng)
+        r = to_rational(x)
+        assert r == _image_term_by_term(x), x.format()
+        assert r == RatFunc(r.num, r.den), x.format()   # reduced, monic
+        assert r.den.degree == sum(len(p.coeffs) for _, p in x.terms)
+
+
+def test_gcd_free_image_of_zero_and_of_real_rates():
+    assert to_rational(ExpPoly()) == RatFunc.ZERO
+    x = from_signal(parse("(t^2 + 1)*exp(-t) + 3*t + exp(2*t)"))
+    assert to_rational(x) == _image_term_by_term(x)
+
+
 def test_spectrum_from_rates_equals_spectrum_of_image():
     rng = random.Random(2304)
     for _ in range(25):
@@ -150,6 +197,32 @@ def test_spectrum_from_rates_equals_spectrum_of_image():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-9
+
+
+def test_exact_rate_spectrum_equals_spectrum_of_image():
+    # Larger mixtures than above; spectrum_of_rational is the oracle
+    # wherever its root iteration converges.
+    rng = random.Random(2304)
+    checked = 0
+    for _ in range(25):
+        x = _rand_mixture(rng)
+        got = spectrum_of_exppoly(x)
+        assert got.frequencies == tuple(sorted(
+            {float(rate.im) for rate, _ in x.terms if rate.im != 0}))
+        try:
+            want = spectrum_of_rational(to_rational(x))
+        except RootFindingError:
+            continue
+        checked += 1
+        assert len(got.frequencies) == len(want.frequencies)
+        for g, w in zip(got.frequencies, want.frequencies):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+        assert len(got.sources) == len(want.sources)
+        for g, w in zip(got.sources, want.sources):
+            assert (g.kind, g.order) == (w.kind, w.order)
+            assert abs(g.location - w.location) <= 1e-9 * max(
+                1.0, abs(w.location))
+    assert checked >= 20
 
 
 # --- inverse map -----------------------------------------------------------------
@@ -189,6 +262,14 @@ def test_round_trip_from_signal_side():
         x = _rand_exppoly(rng)
         back = to_exppoly(to_rational(x))
         assert back.isclose(x), x.format()
+
+
+@pytest.mark.parametrize("text", [
+    "sin(t)^12", "sin(1000*t)+sin(1/1000*t)", "(sin(t)+cos(2*t))^4",
+    "sin(t)^30"])
+def test_round_trip_with_roots_of_wide_moduli(text):
+    x = from_signal(parse(text))
+    assert to_exppoly(to_rational(x)).isclose(x)
 
 
 def test_round_trip_from_rational_side():

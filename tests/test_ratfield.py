@@ -3,12 +3,13 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from algspec.ratfield import (CPoly, Qi, RatFunc, alg_deriv,
-                              clean_frequencies, partial_fractions, poles,
+from algspec.ratfield import (CPoly, Qi, RatFunc, RootFindingError,
+                              _aberth, alg_deriv, clean_frequencies, partial_fractions, poles,
                               poly_gcd, poly_roots, reduce, snap_axes,
                               spectrum_of_rational, square_free_factors)
 
@@ -204,6 +205,16 @@ def test_roots_of_random_products_have_small_residuals():
             assert abs(p(q.location)) <= 1e-10 * max(
                 abs(complex(c)) for c in p.coeffs)
             assert min(abs(q.location - r) for r in roots) <= 1e-7
+
+
+def test_stall_message_reads_zero_backward_error_at_an_exact_zero_root():
+    # z + z^5 has the root 0 exactly, where residual and scale are both 0;
+    # with no iteration allowed the stall message must still read a number.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError) as info:
+            _aberth([0, 1, 0, 0, 0, 1], max_iter=0)
+    assert "nan" not in str(info.value)
 
 
 # --- spectra ------------------------------------------------------------------

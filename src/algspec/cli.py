@@ -152,7 +152,11 @@ def _cmd_opform(cfg: CliConfig) -> str:
 
 def _read_csv(path: str) -> SampledSignal:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"csv line {reader.line_num}: {exc}") from None
     if not rows or [c.strip() for c in rows[0]] != ["t", "x"]:
         raise ValueError("csv must start with a 't,x' header row")
     times, values = [], []

@@ -8,7 +8,11 @@ tone.  No normalization is applied.
 
 Two paths: exact evaluation through the symbolic derivatives of an
 expression, and a sliding least-squares polynomial fit for sampled data
-(uniform weights, centered windows; edge points are not estimated).
+(uniform weights, centered windows; edge points are not estimated).  On
+uniform samples every window shares one set of fit weights, the
+Savitzky-Golay construction (Savitzky and Golay, Anal. Chem. 1964), applied
+to the whole signal by correlation.  Non-uniform samples are fit window by
+window; that loop is also the reference the uniform route is tested against.
 """
 
 from __future__ import annotations
@@ -86,6 +90,16 @@ def phi_symbolic(e: SignalExpr, t: float) -> float:
     return x2 / math.sqrt(1.0 + x1 * x1)
 
 
+def _uniform_step(times: np.ndarray) -> float | None:
+    """The sampling step if every step is within 1e-9 of the first one,
+    else None."""
+    steps = np.diff(times)
+    dt = float(steps[0])
+    if np.any(np.abs(steps - dt) > 1e-9 * dt):
+        return None
+    return dt
+
+
 def phi_fitted(sig: SampledSignal, window: int = 11,
                degree: int = 3) -> PhiTrace:
     """Sliding-window least-squares fit; Phi from the fitted derivatives.
@@ -94,6 +108,14 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
     polynomial of the given degree (2 to 4) is fit with uniform weights in
     local time, and its first two derivatives at the center feed the Phi
     formula.  Points whose fit is rank deficient report None.
+
+    On uniform samples the fit is linear in the window's values with the
+    same weights everywhere: the rows of the pseudo-inverse of the window's
+    Vandermonde matrix, taken here on the grid k/half (k = -half..half) so
+    that it stays well conditioned at any width.  Rank deficiency is then
+    one decision for all windows, made as lstsq makes it: on the singular
+    values of the Vandermonde matrix in local time k*dt, with lstsq's
+    default cutoff.  Non-uniform samples are fit window by window.
     """
     if window % 2 == 0 or window < 5:
         raise ValueError("window must be an odd integer >= 5")
@@ -103,6 +125,31 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
         raise ValueError("degree must be smaller than the window")
     if window > len(sig):
         raise ValueError("window exceeds the number of samples")
+    dt = _uniform_step(np.asarray(sig.times))
+    if dt is None:
+        return _phi_fitted_per_window(sig, window, degree)
+    half = window // 2
+    times = sig.times[half:len(sig) - half]
+    k = np.arange(-half, half + 1)
+    sv = np.linalg.svd(np.vander(k * dt, degree + 1, increasing=True),
+                       compute_uv=False)
+    if sv[-1] <= np.finfo(float).eps * max(window, degree + 1) * sv[0]:
+        return PhiTrace(times, (None,) * len(times), "fitted")
+    weights = np.linalg.pinv(np.vander(k / half, degree + 1, increasing=True))
+    values = np.asarray(sig.values)
+    scale = half * dt
+    # samples near the float limit overflow to inf or nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1 = np.correlate(values, weights[1], "valid") / scale
+        x2 = 2.0 * np.correlate(values, weights[2], "valid") / (scale * scale)
+        phi = x2 / np.sqrt(1.0 + x1 * x1)
+    return PhiTrace(times, tuple(phi.tolist()), "fitted")
+
+
+def _phi_fitted_per_window(sig: SampledSignal, window: int,
+                           degree: int) -> PhiTrace:
+    """phi_fitted by one lstsq solve per window: the route for non-uniform
+    samples, and the reference for the uniform one."""
     times = np.asarray(sig.times)
     values = np.asarray(sig.values)
     half = window // 2

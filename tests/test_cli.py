@@ -211,6 +211,16 @@ def test_instfreq_error_names_the_offending_line(tmp_path):
     assert "line 3" in err
 
 
+def test_instfreq_csv_field_over_the_csv_limit(tmp_path, capsys):
+    p = tmp_path / "long.csv"
+    p.write_text("t,x\n0.0,1.0\n0.1," + "1" * 140_000 + "\n0.2,3.0\n")
+    status = main(["instfreq", "--csv", str(p)])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err.startswith("error: input: csv line 3: field larger")
+    assert captured.err.count("\n") == 1
+
+
 # --- contrast and selftest -----------------------------------------------------
 
 

@@ -28,7 +28,7 @@ def _close_seq(got, want, tol=1e-9):
 
 def test_both_routes_agree_with_reference():
     rng = random.Random(2601)
-    for n in (64, 48):   # power of two takes the fast path, 48 the direct one
+    for n in (64, 48, 255, 1023):   # np.fft at powers of two and other n
         values = [rng.uniform(-1, 1) for _ in range(n)]
         mine = dft(_uniform(values)).magnitudes
         direct = np.abs(dft_direct(values))

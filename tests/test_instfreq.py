@@ -2,11 +2,13 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from algspec.instfreq import (PhiTrace, SampledSignal, phi_fitted,
-                              phi_symbolic, phi_vs_ville_note)
+from algspec.instfreq import (PhiTrace, SampledSignal, _phi_fitted_per_window,
+                              phi_fitted, phi_symbolic, phi_vs_ville_note)
 from algspec.sigexpr import (EvaluationError, ExpressionError, ParameterError,
                              diff_time, evaluate, parse)
 
@@ -164,6 +166,87 @@ def test_fit_error_shrinks_with_sampling_step():
 
     coarse, fine = worst(100), worst(200)
     assert fine <= coarse / 2.0
+
+
+def _cubic_samples(rng, t):
+    a = [rng.uniform(-2, 2) for _ in range(4)]
+    x = a[0] + t * (a[1] + t * (a[2] + t * a[3]))
+    x1 = a[1] + t * (2 * a[2] + 3 * a[3] * t)
+    x2 = 2 * a[2] + 6 * a[3] * t
+    sig = SampledSignal(tuple(t.tolist()), tuple(x.tolist()))
+    return sig, x, x2 / np.sqrt(1.0 + x1 * x1)
+
+
+def _rounding_bound(x, dt, window, degree, phi):
+    """Rounding of a window-sized dot product of the samples with the fit
+    weights of x' and x'' (gamma_window * max|x| * |w_k|_1 / dt^k), taken
+    for both routes, and carried through Phi = x''/sqrt(1 + x'^2), whose
+    sensitivity to x' is at most |Phi|/2."""
+    half = window // 2
+    w = np.linalg.pinv(np.vander(np.arange(-half, half + 1), degree + 1,
+                                 increasing=True))
+    scale = 2 * window * np.finfo(float).eps * np.max(np.abs(x))
+    d1 = scale * np.sum(np.abs(w[1])) / dt
+    d2 = scale * 2 * np.sum(np.abs(w[2])) / dt ** 2
+    return d2 + np.abs(phi) * d1 / 2
+
+
+@pytest.mark.parametrize("n, window, degree", [
+    (600, 7, 2), (601, 11, 3), (2001, 15, 4), (5000, 11, 4), (7001, 7, 3),
+    (20000, 11, 3), (15, 15, 3), (601, 601, 4),
+])
+def test_fixed_weights_match_the_per_window_fit(n, window, degree):
+    rng = random.Random(2504 + n + window)
+    t = np.linspace(-1.0, 1.0, n)
+    sig, x, exact = _cubic_samples(rng, t)
+    got = phi_fitted(sig, window=window, degree=degree)
+    want = _phi_fitted_per_window(sig, window, degree)
+    assert got.times == want.times
+    half = window // 2
+    exact = exact[half:n - half]
+    bound = _rounding_bound(x, t[1] - t[0], window, degree, exact)
+    assert np.all(np.abs(np.array(got.phi) - want.phi) <= bound)
+    if degree >= 3:
+        # a cubic is fit exactly up to rounding
+        assert np.all(np.abs(np.array(got.phi) - exact) <= bound)
+
+
+def test_jittered_samples_take_the_per_window_fit():
+    rng = random.Random(2505)
+    t = np.linspace(-1.0, 1.0, 800)
+    t[1:-1] += np.array([rng.uniform(-1e-4, 1e-4) for _ in range(798)])
+    sig, _, exact = _cubic_samples(rng, t)
+    got = phi_fitted(sig, window=11, degree=3)
+    assert got == _phi_fitted_per_window(sig, 11, 3)
+    assert np.max(np.abs(np.array(got.phi) - exact[5:-5])) <= 1e-6
+
+
+def test_overflowing_slope_reads_zero_without_a_warning():
+    times = tuple(0.001 * k for k in range(10))
+    sig = SampledSignal(times, tuple(k * 1.7e307 for k in range(10)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phi_fitted(sig, window=5, degree=2)
+    assert got == _phi_fitted_per_window(sig, 5, 2)
+    assert got.phi == (0.0,) * 6
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3])
+def test_rank_deficient_windows_read_none(jitter):
+    # degree 4 in local time: tau^4 falls below lstsq's cutoff as dt shrinks
+    rng = random.Random(2506)
+    steps = np.logspace(-6, -4, 41)
+    for j, dt in enumerate(steps):
+        times = [dt * (k + rng.uniform(-jitter, jitter)) for k in range(60)]
+        sig = SampledSignal(tuple(times),
+                            tuple(math.sin(1e3 * t) for t in times))
+        got = [p is None for p in phi_fitted(sig, window=11, degree=4).phi]
+        want = _phi_fitted_per_window(sig, 11, 4)
+        assert got == [p is None for p in want.phi]
+        if j == 0:
+            assert got == [True] * 50
+        if j == len(steps) - 1:
+            assert got == [False] * 50
 
 
 # --- tone comparison table ---------------------------------------------------

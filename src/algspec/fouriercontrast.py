@@ -58,7 +58,7 @@ def dft(sig: SampledSignal) -> DftResult:
     n = len(sig)
     if n < 2:
         raise ValueError("need at least two samples")
-    dt = _uniform_step(np.asarray(sig.times))
+    dt = _uniform_step(sig)
     if dt is None:
         raise ValueError("sampling must be uniform")
     coeffs = np.fft.fft(np.asarray(sig.values, dtype=float))

@@ -90,10 +90,10 @@ def phi_symbolic(e: SignalExpr, t: float) -> float:
     return x2 / math.sqrt(1.0 + x1 * x1)
 
 
-def _uniform_step(times: np.ndarray) -> float | None:
+def _uniform_step(sig: SampledSignal) -> float | None:
     """The sampling step if every step is within 1e-9 of the first one,
     else None."""
-    steps = np.diff(times)
+    steps = np.diff(np.asarray(sig.times))
     dt = float(steps[0])
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
         return None
@@ -125,7 +125,7 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
         raise ValueError("degree must be smaller than the window")
     if window > len(sig):
         raise ValueError("window exceeds the number of samples")
-    dt = _uniform_step(np.asarray(sig.times))
+    dt = _uniform_step(sig)
     if dt is None:
         return _phi_fitted_per_window(sig, window, degree)
     half = window // 2

@@ -40,7 +40,7 @@ def main() -> None:
         if analysis.finite_points:
             for p in analysis.finite_points:
                 print(f"  finite singular point {_c(p.location)}: "
-                      f"{p.kind}, {p.refinement}")
+                      f"{p.kind}, {p.label}")
         else:
             print("  no finite singular points")
         inf = singularity_at_infinity(sys)

@@ -3,9 +3,10 @@ operational-form, instantaneous-frequency, or contrast machinery, and render
 text or JSON.
 
 Exit codes: 0 success, 1 input error (syntax, unsupported signal, bad
-parameters, unreadable CSV), 2 numerical failure (root finding or partial
-fractions did not converge).  All output is deterministic: floats are
-rendered with 12 significant digits and JSON keys are fixed.
+parameters, unreadable CSV) or standard output closed before the output was
+written, 2 numerical failure (root finding or partial fractions did not
+converge).  All output is deterministic: floats are rendered with 12
+significant digits and JSON keys are fixed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -108,12 +110,12 @@ def _spectrum_text(a: SpectrumAnalysis, explain: bool) -> str:
             lines.append(f"equation: {format_equation(a.system)}")
             for pt in a.finite_points:
                 lines.append(f"singular point {_c12(pt.location)}: "
-                             f"{pt.kind}, {pt.refinement}")
+                             f"{pt.kind}, {pt.label}")
             if a.infinity is None:
                 lines.append("point at infinity: ordinary")
             else:
                 lines.append(f"point at infinity: {a.infinity.kind}, "
-                             f"{a.infinity.refinement}")
+                             f"{a.infinity.label}")
         elif a.rational is not None:
             lines.append(f"operational image: {a.rational.format()}")
             if a.spectrum.sources:
@@ -301,7 +303,14 @@ def main(argv=None) -> int:
         return 1
     status, out, err = run(config)
     if out:
-        print(out)
+        try:
+            print(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (e.g. `| head`): send the rest of the
+            # output, including the flush at exit, to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if err:
         print(err, file=sys.stderr)
     return status

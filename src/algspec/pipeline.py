@@ -3,8 +3,9 @@
 Exponential polynomials read their spectrum off their exact rates, which
 are the poles of their rational image; the Dirac impulse maps to the
 constant 1; catalog atoms go through their defining operational equation
-and its singular points.  Anything else is refused rather than
-approximated.
+and its singular points, each classified once: the same pass fills the
+explanation and yields the spectrum.  Anything else is refused rather
+than approximated.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
         return SpectrumAnalysis(e, kind, spectrum_of_rational(r), rational=r)
     if kind == SignalClass.ODE_DEFINED:
         sys = weylode.catalog_equation(e)
+        finite = tuple(weylode.finite_singularities(sys))
+        infinity = weylode.singularity_at_infinity(sys)
         return SpectrumAnalysis(
-            e, kind, weylode.spectrum_of_ode(sys), system=sys,
-            finite_points=tuple(weylode.finite_singularities(sys)),
-            infinity=weylode.singularity_at_infinity(sys))
+            e, kind, weylode.spectrum_of_points(sys, finite, infinity),
+            system=sys, finite_points=finite, infinity=infinity)
     raise ExpressionError(
         "no spectrum method for this expression; supported classes are "
         "exponential polynomials, the impulse, and the catalog atoms")

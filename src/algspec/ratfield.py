@@ -2,10 +2,14 @@
 
 Polynomials and rational functions carry exact coefficients: each scalar is
 a pair of `fractions.Fraction` values (real and imaginary part), so gcd
-cancellation and reduction are exact and no spurious poles appear.  Floats
-enter only at root finding, which runs a square-free decomposition first
-(restoring multiplicities exactly) and then an Aberth-style simultaneous
-iteration on each square-free factor.
+cancellation and reduction are exact and no spurious poles appear.  Most
+gcds are 1; `poly_gcd` certifies that modulo one fixed prime P = 1 (mod 4),
+sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
+Euclidean algorithm runs only when the certificate does not apply: the
+images share a factor, a denominator is divisible by P, or a leading
+coefficient vanishes mod P.  Floats enter only at root finding, which runs
+a square-free decomposition first (restoring multiplicities exactly) and
+then an Aberth-style simultaneous iteration on each square-free factor.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "Qi", "CPoly", "RatFunc", "Pole", "SingularitySource", "Spectrum",
-    "RootFindingError", "reduce", "poles", "spectrum_of_rational",
+    "RootFindingError", "poles", "spectrum_of_rational",
     "partial_fractions", "PartialFractions", "alg_deriv", "snap_axes",
 ]
 
@@ -373,12 +377,73 @@ CPoly.ONE = CPoly([1])
 CPoly.S = CPoly([0, 1])
 
 
-def poly_gcd(a: CPoly, b: CPoly) -> CPoly:
+# The coprimality certificate works in GF(P) for a prime P = 1 (mod 4), so
+# that -1 has a square root there and i can map to it; 2 is a quadratic
+# non-residue mod P, hence 2^((P-1)/4) squares to -1.
+_P = 2305843009213693973
+_I_MOD = pow(2, (_P - 1) // 4, _P)
+
+
+def _image_mod_p(p: CPoly) -> list[int] | None:
+    """Coefficients of p in GF(P) under i -> _I_MOD, or None when a
+    denominator is divisible by P."""
+    out = []
+    for c in p.coeffs:
+        v = 0
+        for part, unit in ((c.re, 1), (c.im, _I_MOD)):
+            if part:
+                d = part.denominator
+                if d % _P == 0:
+                    return None
+                v += part.numerator * unit * (pow(d, -1, _P) if d > 1 else 1)
+        out.append(v % _P)
+    return out
+
+
+def _coprime_mod_p(a: CPoly, b: CPoly) -> bool:
+    """True only if a and b are certainly coprime over Q(i).
+
+    Clearing denominators puts a and b in Z[i][s], and i -> _I_MOD reduces
+    Z[i] modulo a prime above P.  A common factor of positive degree can be
+    taken primitive in Z[i][s] (Gauss's lemma); when neither leading
+    coefficient vanishes mod P, its leading coefficient does not either, so
+    its image keeps its degree and divides both images.  A constant gcd of
+    the images therefore certifies a constant gcd of a and b.  False means
+    only that the certificate does not apply.
+    """
+    x, y = _image_mod_p(a), _image_mod_p(b)
+    if x is None or y is None or not x[-1] or not y[-1]:
+        return False
+    while y:
+        inv = pow(y[-1], -1, _P)
+        shift = len(x) - len(y)
+        while shift >= 0:
+            q = x[-1] * inv % _P
+            if q:
+                for j, c in enumerate(y):
+                    x[shift + j] = (x[shift + j] - q * c) % _P
+            x.pop()
+            shift -= 1
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, x
+    return len(x) == 1
+
+
+def _euclid_gcd(a: CPoly, b: CPoly) -> CPoly:
     """Monic gcd by the Euclidean algorithm on exact coefficients."""
     while not b.is_zero:
         r = a % b
         a, b = b, r.monic()
     return a.monic() if not a.is_zero else a
+
+
+def poly_gcd(a: CPoly, b: CPoly) -> CPoly:
+    """Monic gcd: 1 when a prime certifies coprimality (`_coprime_mod_p`),
+    else the Euclidean algorithm on exact coefficients."""
+    if a and b and _coprime_mod_p(a, b):
+        return CPoly.ONE
+    return _euclid_gcd(a, b)
 
 
 def square_free_factors(p: CPoly) -> list[tuple[CPoly, int]]:
@@ -424,8 +489,10 @@ class RatFunc:
         if g.degree > 0:
             num, den = num // g, den // g
         lead = den.leading()
-        self.num = num * (_QI_ONE / lead)
-        self.den = den * (_QI_ONE / lead)
+        if lead != _QI_ONE:
+            inv = _QI_ONE / lead
+            num, den = num * inv, den * inv
+        self.num, self.den = num, den
 
     @property
     def is_zero(self) -> bool:
@@ -536,11 +603,6 @@ def _coerce_rat(x) -> RatFunc:
 RatFunc.ZERO = RatFunc(CPoly.ZERO)
 RatFunc.ONE = RatFunc(CPoly.ONE)
 RatFunc.S = RatFunc(CPoly.S)
-
-
-def reduce(num: CPoly, den: CPoly) -> RatFunc:
-    """Exact gcd cancellation and monic-denominator normalization."""
-    return RatFunc(num, den)
 
 
 def alg_deriv(r: RatFunc) -> RatFunc:

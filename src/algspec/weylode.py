@@ -12,6 +12,7 @@ through the substitution s = 1/z, d/ds = -z^2 d/dz.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
@@ -23,7 +24,8 @@ from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
 __all__ = [
     "WeylOp", "OdeSystem", "SingularPoint", "apply", "mul_ops",
     "catalog_equation", "finite_singularities", "singularity_at_infinity",
-    "spectrum_of_ode", "format_weylop", "format_equation",
+    "spectrum_of_points", "spectrum_of_ode", "format_weylop",
+    "format_equation",
 ]
 
 
@@ -96,11 +98,19 @@ class SingularPoint:
 
     location: complex | None
     kind: str           # "regular" | "irregular"
-    refinement: str     # "logarithmic" | "pole(m)" | "unclassified"
+    refinement: str     # "logarithmic" | "pole" | "unclassified"
+    order: int = 0      # pole order of the solution when refinement is "pole"
 
     @property
     def is_infinite(self) -> bool:
         return self.location is None
+
+    @property
+    def label(self) -> str:
+        """Display form of the refinement: "pole(m)" for a pole."""
+        if self.refinement == "pole":
+            return f"pole({self.order})"
+        return self.refinement
 
 
 def apply(op: WeylOp, r: RatFunc) -> RatFunc:
@@ -213,21 +223,21 @@ def _pole_order_at_zero(r: RatFunc) -> int:
     return k
 
 
-def _classify_candidate(n: int, orders_q: list[int], order_g: int,
-                        quadrature: bool) -> tuple[str, str] | None:
+def _classify_candidate(location: complex | None, n: int,
+                        orders_q: list[int], order_g: int,
+                        quadrature: bool) -> SingularPoint | None:
     if not any(orders_q) and order_g == 0:
         return None   # ordinary point: every normalized coefficient analytic
     regular = all(o <= n - k for k, o in enumerate(orders_q))
     kind = "regular" if regular else "irregular"
-    refinement = "unclassified"
     if quadrature:
         # x' = g: a simple pole integrates to a logarithm, higher orders to
         # a pole one order lower (possibly with a log part)
         if order_g == 1:
-            refinement = "logarithmic"
-        elif order_g >= 2:
-            refinement = f"pole({order_g - 1})"
-    return kind, refinement
+            return SingularPoint(location, kind, "logarithmic")
+        if order_g >= 2:
+            return SingularPoint(location, kind, "pole", order_g - 1)
+    return SingularPoint(location, kind, "unclassified")
 
 
 def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
@@ -249,11 +259,10 @@ def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
         p = cand.location
         orders_q = [_pole_order_near(q, p) for q in qs]
         order_g = _pole_order_near(g, p)
-        verdict = _classify_candidate(n, orders_q, order_g, quadrature)
-        if verdict is None:
-            continue
-        kind, refinement = verdict
-        out.append(SingularPoint(snap_axes(p), kind, refinement))
+        point = _classify_candidate(snap_axes(p), n, orders_q, order_g,
+                                    quadrature)
+        if point is not None:
+            out.append(point)
     return out
 
 
@@ -286,14 +295,10 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     orders_q = [_pole_order_at_zero(q) for q in qs]
     order_g = _pole_order_at_zero(g)
     quadrature = n == 1 and qs[0].is_zero
-    verdict = _classify_candidate(n, orders_q, order_g, quadrature)
-    if verdict is None:
-        return None
-    kind, refinement = verdict
-    return SingularPoint(None, kind, refinement)
+    return _classify_candidate(None, n, orders_q, order_g, quadrature)
 
 
-def _chirp_like(sys: OdeSystem, finite: list[SingularPoint],
+def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],
                 infinity: SingularPoint | None) -> bool:
     # untagged systems: flag the infinite singularity only for the pattern
     # the catalog associates with it: an irregular point at infinity, no
@@ -312,23 +317,20 @@ def _chirp_like(sys: OdeSystem, finite: list[SingularPoint],
 
 
 def _source_of(point: SingularPoint) -> SingularitySource:
-    if point.refinement == "logarithmic":
-        return SingularitySource(point.location, "logarithmic", 0)
-    if point.refinement.startswith("pole("):
-        order = int(point.refinement[5:-1])
-        return SingularitySource(point.location, "pole", order)
-    return SingularitySource(point.location, "none", 0)
+    if point.refinement == "unclassified":
+        return SingularitySource(point.location, "none", 0)
+    return SingularitySource(point.location, point.refinement, point.order)
 
 
-def spectrum_of_ode(sys: OdeSystem) -> Spectrum:
-    """Frequencies = nonzero imaginary parts of finite singular points.
+def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
+                       infinity: SingularPoint | None) -> Spectrum:
+    """Spectrum of a system from its classified singular points.
 
-    The infinite-singularity flag is raised for the chirp catalog family;
-    the other catalog families keep it off even when the reciprocal chart
-    shows an irregular point, matching the scope the catalog gives it.
+    Frequencies are the nonzero imaginary parts of the finite points.  The
+    infinite-singularity flag is raised for the chirp catalog family; the
+    other catalog families keep it off even when the reciprocal chart shows
+    an irregular point, matching the scope the catalog gives it.
     """
-    finite = finite_singularities(sys)
-    infinity = singularity_at_infinity(sys)
     if sys.family is not None:
         flag = sys.family == "chirp"
     else:
@@ -336,6 +338,13 @@ def spectrum_of_ode(sys: OdeSystem) -> Spectrum:
     sources = tuple(_source_of(p) for p in finite)
     freqs = clean_frequencies(p.location.imag for p in finite)
     return Spectrum(freqs, sources, infinite_singularity=flag)
+
+
+def spectrum_of_ode(sys: OdeSystem) -> Spectrum:
+    """Frequencies = nonzero imaginary parts of finite singular points
+    (`spectrum_of_points` over both classification passes)."""
+    return spectrum_of_points(sys, finite_singularities(sys),
+                              singularity_at_infinity(sys))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,27 @@ def test_instfreq_csv_fit(tmp_path):
     worst = max(abs(p - phi_symbolic(e, t))
                 for t, p in zip(data["times"], data["phi"]))
     assert worst <= 1e-3
+
+
+def test_closed_stdout_exits_without_a_traceback(tmp_path):
+    # the reader is gone before the program writes, as when `| head` has
+    # already exited: the write fails with EPIPE
+    csv_path = tmp_path / "tone.csv"
+    _write_tone_csv(csv_path, rate_hz=20, t_end=0.95)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "algspec.cli", "instfreq", "--csv",
+         str(csv_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == ""
 
 
 def test_instfreq_csv_errors(tmp_path):

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from algspec.ratfield import (CPoly, Qi, RatFunc, RootFindingError,
-                              _aberth, alg_deriv, clean_frequencies, partial_fractions, poles,
-                              poly_gcd, poly_roots, reduce, snap_axes,
+from algspec.ratfield import (CPoly, Qi, RatFunc, RootFindingError, _I_MOD,
+                              _P, _aberth, _coprime_mod_p, _euclid_gcd,
+                              alg_deriv, clean_frequencies, partial_fractions,
+                              poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
 
 
@@ -86,6 +87,73 @@ def test_poly_gcd_examples():
     assert poly_gcd(CPoly([0, 2]), CPoly([2])) == CPoly([1])
 
 
+def _is_prime(n):
+    # Miller-Rabin with the first twelve primes as bases: deterministic
+    # below 3.3e24
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_certificate_prime_has_a_square_root_of_minus_one():
+    assert _is_prime(_P) and _P % 4 == 1
+    assert _I_MOD * _I_MOD % _P == _P - 1
+
+
+def test_certified_gcd_matches_euclid_on_random_pairs():
+    rng = random.Random(2110)
+    certified = 0
+    for trial in range(120):
+        a = _rand_nonzero_poly(rng, 8, span=6)
+        b = _rand_nonzero_poly(rng, 8, span=6)
+        if trial % 2:
+            common = _rand_nonzero_poly(rng, 3, span=6)
+            a, b = a * common, b * common
+        want = _euclid_gcd(a, b)
+        assert poly_gcd(a, b) == want
+        if _coprime_mod_p(a, b):
+            certified += 1
+            assert want == CPoly.ONE
+    assert certified >= 40
+
+
+def test_certificate_falls_back_to_euclid():
+    s = CPoly.S
+    # coprime over Q(i) but equal mod P
+    shifted = CPoly([_P, 1])
+    # a coefficient that has no image mod P
+    tiny = CPoly([Fraction(1, _P), 1])
+    # leading coefficient (P - _I_MOD) + i, which maps to 0 mod P
+    vanishing = CPoly([1, Qi(_P - _I_MOD, 1)])
+    cases = [
+        (s, shifted),
+        (tiny, s + CPoly.ONE),
+        (tiny * (s + CPoly.ONE), s + CPoly.ONE),
+        (vanishing, s + CPoly.ONE),
+        (vanishing * (s - CPoly.ONE), vanishing * s),
+    ]
+    for a, b in cases:
+        assert not _coprime_mod_p(a, b)
+        assert not _coprime_mod_p(b, a)
+        assert poly_gcd(a, b) == _euclid_gcd(a, b)
+    assert poly_gcd(s, shifted) == CPoly.ONE
+    assert poly_gcd(tiny * (s + CPoly.ONE), s + CPoly.ONE) \
+        == s + CPoly.ONE
+    assert poly_gcd(vanishing * (s - CPoly.ONE), vanishing * s) \
+        == vanishing.monic()
+
+
 def test_square_free_factors_recover_multiplicities():
     rng = random.Random(2103)
     s = CPoly([0, 1])
@@ -125,10 +193,10 @@ def test_division_by_zero_rejected():
 
 
 def test_reduce_examples():
-    assert reduce(CPoly([-1, 0, 1]), CPoly([-1, 1])) == RatFunc(CPoly([1, 1]))
-    assert reduce(CPoly([0, 2]), CPoly([2])) == RatFunc.S
+    assert RatFunc(CPoly([-1, 0, 1]), CPoly([-1, 1])) == RatFunc(CPoly([1, 1]))
+    assert RatFunc(CPoly([0, 2]), CPoly([2])) == RatFunc.S
     p = CPoly([9, 0, 1])
-    assert reduce(p, p) == RatFunc.ONE
+    assert RatFunc(p, p) == RatFunc.ONE
 
 
 def test_reduced_form_is_canonical():

@@ -210,6 +210,17 @@ def test_untagged_systems_use_shape_of_coefficients():
     assert spectrum_of_ode(sinc_like).infinite_singularity is False
 
 
+def test_quadrature_poles_carry_their_order():
+    # x' = 1/(s^2+1)^3: x has poles of order 2 at -i and i
+    sys = OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, CPoly([1, 0, 1]) ** 3))
+    pts = finite_singularities(sys)
+    assert [(p.refinement, p.order, p.label) for p in pts] \
+        == [("pole", 2, "pole(2)")] * 2
+    spec = spectrum_of_ode(sys)
+    assert [(s.kind, s.order) for s in spec.sources] == [("pole", 2)] * 2
+    assert spec.frequencies == pytest.approx((-1.0, 1.0), abs=1e-9)
+
+
 # --- rendering --------------------------------------------------------------------
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratfield import Qi
-from .sigexpr import (Const, Mul, Sin, SignalExpr, EvaluationError,
-                      ParameterError, canonical, diff_time, evaluate)
+from .sigexpr import (Const, Mul, Sin, Sinc, SignalExpr, EvaluationError,
+                      ParameterError, canonical, diff_time, evaluate,
+                      split_scale)
 
 __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
            "phi_fitted", "phi_vs_ville_note"]
@@ -81,9 +82,15 @@ def _real_part(label: str, value: complex) -> float:
 
 
 def phi_symbolic(e: SignalExpr, t: float) -> float:
-    """Exact Phi(t) via symbolic first and second time derivatives."""
-    d1 = diff_time(e)
-    d2 = diff_time(d1)
+    """Exact Phi(t) via symbolic first and second time derivatives; a
+    scaled sinc at t = 0 takes the limits of its series."""
+    scale, atom = split_scale(e)
+    if t == 0 and isinstance(atom, Sinc):
+        # c*sin(wt)/t = c*(w - w^3 t^2/6 + ...): x'(0) = 0, x''(0) = -c w^3/3
+        d1, d2 = Const(Qi(0)), Const(-scale * Qi(atom.omega ** 3 / 3))
+    else:
+        d1 = diff_time(e)
+        d2 = diff_time(d1)
     _real_part("signal", evaluate(e, t))
     x1 = _real_part("first derivative", evaluate(d1, t))
     x2 = _real_part("second derivative", evaluate(d2, t))

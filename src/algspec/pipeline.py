@@ -1,11 +1,11 @@
 """Routing from a parsed expression to its spectrum.
 
 Exponential polynomials read their spectrum off their exact rates, which
-are the poles of their rational image; the Dirac impulse maps to the
-constant 1; catalog atoms go through their defining operational equation
-and its singular points, each classified once: the same pass fills the
-explanation and yields the spectrum.  Anything else is refused rather
-than approximated.
+are the poles of their rational image; the Dirac impulse maps to a
+constant, which has no poles, so its spectrum is empty; catalog atoms go
+through their defining operational equation and its singular points, each
+classified once: the same pass fills the explanation and yields the
+spectrum.  Anything else is refused rather than approximated.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import opcalc, weylode
-from .ratfield import RatFunc, Spectrum, spectrum_of_rational
+from .ratfield import RatFunc, Spectrum
 from .sigexpr import (SignalClass, SignalExpr, ExpressionError, classify,
                       split_scale)
 from .weylode import OdeSystem, SingularPoint
@@ -43,8 +43,8 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
                                 rational=opcalc.to_rational(x))
     if kind == SignalClass.DIRAC:
         scale, _ = split_scale(e)
-        r = opcalc.dirac_image() * RatFunc(scale)
-        return SpectrumAnalysis(e, kind, spectrum_of_rational(r), rational=r)
+        return SpectrumAnalysis(e, kind, Spectrum((), ()),
+                                rational=opcalc.dirac_image() * RatFunc(scale))
     if kind == SignalClass.ODE_DEFINED:
         sys = weylode.catalog_equation(e)
         finite = tuple(weylode.finite_singularities(sys))

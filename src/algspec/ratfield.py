@@ -715,22 +715,6 @@ class Spectrum:
     sources: tuple[SingularitySource, ...]
     infinite_singularity: bool = False
 
-    def to_json(self) -> str:
-        freqs = ",".join(_g15(f) for f in self.frequencies)
-        srcs = ",".join(
-            '{"re":%s,"im":%s,"kind":"%s","order":%d}'
-            % (_g15(s.location.real), _g15(s.location.imag), s.kind, s.order)
-            for s in self.sources)
-        flag = "true" if self.infinite_singularity else "false"
-        return ('{"frequencies":[%s],"sources":[%s],"infinite_singularity":%s}'
-                % (freqs, srcs, flag))
-
-
-def _g15(x: float) -> str:
-    if x == 0:
-        return "0"
-    return format(float(x), ".15g")
-
 
 def snap_axes(z: complex, tol: float = FREQ_TOL) -> complex:
     """Zero a real or imaginary part that is pure roundoff at the point's

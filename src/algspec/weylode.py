@@ -4,9 +4,11 @@ Signals outside the exponential-polynomial class have no rational image,
 but each catalog atom satisfies a linear operational equation L x = rhs
 with L in the noncommutative ring C(s)[d/ds].  Frequencies are then the
 nonzero imaginary parts of the singular points of the equation's solution:
-candidates come from the zeros of the cleared leading coefficient, each is
-classified by the Fuchs criterion, and the point at infinity is examined
-through the substitution s = 1/z, d/ds = -z^2 d/dz.
+candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
+each is classified by the Fuchs criterion, and the point at infinity is the
+point z = 0 of the reciprocal chart s = 1/z, d/ds = -z^2 d/dz, written in
+closed form with Lah numbers.  Operator products and actions collect the
+terms of each coefficient and sum them once over a common denominator.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class OdeSystem:
 
     op: WeylOp
     rhs: RatFunc
-    family: str | None = None   # catalog tag: sinc, rcos, delay, chirp
 
     def __post_init__(self):
         if self.op.order < 1:
@@ -113,39 +114,61 @@ class SingularPoint:
         return self.refinement
 
 
-def apply(op: WeylOp, r: RatFunc) -> RatFunc:
-    """Act on a rational function: sum of r_k times the k-th d/ds of r."""
-    acc = RatFunc.ZERO
-    d = r
-    for k, c in enumerate(op.coeffs):
-        if not c.is_zero:
-            acc = acc + c * d
-        if k < op.order:
-            d = d.deriv()
+def _lcm(polys) -> CPoly:
+    """Monic least common multiple of monic polynomials."""
+    acc = CPoly.ONE
+    # largest first: the later ones then mostly divide acc, a cheap gcd
+    for p in sorted(set(polys), key=lambda p: -p.degree):
+        if p.degree > 0:
+            acc = acc * (p // poly_gcd(acc, p))
     return acc
 
 
+def _sum(terms) -> RatFunc:
+    """Sum of rational functions over the lcm of their denominators,
+    reduced once."""
+    terms = [t for t in terms if not t.is_zero]
+    if len(terms) == 1:
+        return terms[0]
+    m = _lcm(t.den for t in terms)
+    num = CPoly.ZERO
+    for t in terms:
+        num = num + t.num * (m // t.den)
+    return RatFunc(num, m)
+
+
+def _scaled(r: RatFunc, c, shift: int = 0) -> RatFunc:
+    """c * s^shift * r for a nonzero scalar c, reduced."""
+    return RatFunc(CPoly((0,) * shift + r.num.coeffs) * Qi(c), r.den)
+
+
+def apply(op: WeylOp, r: RatFunc) -> RatFunc:
+    """Act on a rational function: sum of r_k times the k-th d/ds of r."""
+    terms = []
+    d = r
+    for k, c in enumerate(op.coeffs):
+        if not c.is_zero:
+            terms.append(c * d)
+        if k < op.order:
+            d = d.deriv()
+    return _sum(terms)
+
+
 def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
-    """Noncommutative composition, using (d/ds) r = r (d/ds) + r'."""
-    out: dict[int, RatFunc] = {}
+    """Noncommutative composition: (d/ds)^k r = sum_l C(k,l) r^(l) (d/ds)^(k-l)
+    puts r_k * C(k,l) * b_j^(l) on (d/ds)^(k-l+j)."""
+    derivs = [b.coeffs]   # derivs[l][j]: the l-th derivative of b_j
+    while len(derivs) <= a.order:
+        derivs.append(tuple(d.deriv() for d in derivs[-1]))
+    terms: dict[int, list[RatFunc]] = {}
     for k, ak in enumerate(a.coeffs):
-        if ak.is_zero:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if bj.is_zero:
-                continue
-            d = bj
-            for l in range(k + 1):
-                if not d.is_zero:
-                    idx = k - l + j
-                    term = ak * Qi(math.comb(k, l)) * d
-                    out[idx] = out.get(idx, RatFunc.ZERO) + term
-                if l < k:
-                    d = d.deriv()
-    if not out:
-        return WeylOp((RatFunc.ZERO,))
-    coeffs = [out.get(k, RatFunc.ZERO) for k in range(max(out) + 1)]
-    return WeylOp(tuple(coeffs))
+        for l in range(k + 1):
+            for j, d in enumerate(derivs[l]):
+                if not (ak.is_zero or d.is_zero):
+                    terms.setdefault(k - l + j, []).append(
+                        _scaled(ak * d, math.comb(k, l)))
+    order = max(terms, default=0)
+    return WeylOp(tuple(_sum(terms.get(k, ())) for k in range(order + 1)))
 
 
 def catalog_equation(e: SignalExpr) -> OdeSystem:
@@ -158,16 +181,16 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
         w = atom.omega
         den = CPoly([Qi(w * w), Qi(0), Qi(1)])
         rhs = RatFunc(CPoly([Qi(-w)]), den) * scale_rf
-        return OdeSystem(WeylOp.D, rhs, family="sinc")
+        return OdeSystem(WeylOp.D, rhs)
     if isinstance(atom, RaisedCos):
         w = atom.omega
         op = WeylOp((RatFunc.ONE, RatFunc.ZERO, RatFunc.ONE))
         den = CPoly([Qi(w * w), Qi(0), Qi(1)])
         rhs = RatFunc(CPoly.S, den) * scale_rf
-        return OdeSystem(op, rhs, family="rcos")
+        return OdeSystem(op, rhs)
     if isinstance(atom, Delay):
         op = WeylOp((RatFunc(Qi(atom.lag)), RatFunc.ONE))
-        return OdeSystem(op, RatFunc.ZERO, family="delay")
+        return OdeSystem(op, RatFunc.ZERO)
     if isinstance(atom, Chirp):
         r0 = RatFunc(CPoly([Qi(0, -atom.b), Qi(1)]))
         r1 = RatFunc(Qi(0, 2 * atom.a))
@@ -177,26 +200,12 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
         else:
             rhs_scalar = Qi.coerce(complex(math.cos(f), math.sin(f)))
         rhs = RatFunc(rhs_scalar) * scale_rf
-        return OdeSystem(WeylOp((r0, r1)), rhs, family="chirp")
+        return OdeSystem(WeylOp((r0, r1)), rhs)
     raise ExpressionError("expression has no catalog equation")
 
 
 # ---------------------------------------------------------------------------
 # Singularity analysis
-
-
-def _den_lcm(parts: list[RatFunc]) -> CPoly:
-    acc = CPoly.ONE
-    for r in parts:
-        g = poly_gcd(acc, r.den)
-        acc = (acc * r.den) // g
-    return acc
-
-
-def _cleared_leading(sys: OdeSystem) -> CPoly:
-    m = _den_lcm(list(sys.op.coeffs) + [sys.rhs])
-    lead = sys.op.coeffs[sys.op.order] * RatFunc(m)
-    return lead.num   # the product clears to a polynomial
 
 
 def _pole_order_near(r: RatFunc, p: complex) -> int:
@@ -213,26 +222,29 @@ def _pole_order_near(r: RatFunc, p: complex) -> int:
 
 def _pole_order_at_zero(r: RatFunc) -> int:
     """Exact multiplicity of 0 as a pole of r (reduced form)."""
-    if r.is_zero:
-        return 0
-    k = 0
-    for c in r.den.coeffs:
-        if c:
-            break
-        k += 1
-    return k
+    return next(k for k, c in enumerate(r.den.coeffs) if c)
 
 
-def _classify_candidate(location: complex | None, n: int,
-                        orders_q: list[int], order_g: int,
-                        quadrature: bool) -> SingularPoint | None:
+def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
+    """The coefficients r_k/r_n for k < n, and rhs/r_n."""
+    rn = sys.op.coeffs[sys.op.order]
+    return [c / rn for c in sys.op.coeffs[:-1]], sys.rhs / rn
+
+
+def _classify(location: complex | None, qs: list[RatFunc], g: RatFunc,
+              pole_order) -> SingularPoint | None:
+    """Fuchs classification of one point from the normalized coefficients,
+    pole_order(r) giving the pole order of r there; None if ordinary."""
+    n = len(qs)
+    orders_q = [pole_order(q) for q in qs]
+    order_g = pole_order(g)
     if not any(orders_q) and order_g == 0:
         return None   # ordinary point: every normalized coefficient analytic
     regular = all(o <= n - k for k, o in enumerate(orders_q))
     kind = "regular" if regular else "irregular"
-    if quadrature:
-        # x' = g: a simple pole integrates to a logarithm, higher orders to
-        # a pole one order lower (possibly with a log part)
+    if n == 1 and qs[0].is_zero:
+        # quadrature x' = g: a simple pole integrates to a logarithm, higher
+        # orders to a pole one order lower (possibly with a log part)
         if order_g == 1:
             return SingularPoint(location, kind, "logarithmic")
         if order_g >= 2:
@@ -243,77 +255,53 @@ def _classify_candidate(location: complex | None, n: int,
 def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
     """Classified finite singular points of the defining equation.
 
-    Candidates are the roots of the cleared leading coefficient; each is
-    kept only if some normalized coefficient r_k/r_n or rhs/r_n actually has
-    a pole there, and classified regular iff the pole order of r_k/r_n stays
-    within n-k (Fuchs criterion; a rational right-hand side is always
-    compatible).
+    Candidates are the roots of the lcm of the denominators of the
+    normalized coefficients r_k/r_n and rhs/r_n, that is, the points where
+    one of them has a pole.  Each is classified regular iff the pole order
+    of r_k/r_n stays within n-k (Fuchs criterion; a rational right-hand
+    side is always compatible).
     """
-    n = sys.op.order
-    rn = sys.op.coeffs[n]
-    qs = [sys.op.coeffs[k] / rn for k in range(n)]
-    g = sys.rhs / rn
-    quadrature = n == 1 and qs[0].is_zero
+    qs, g = _normalized(sys)
     out = []
-    for cand in poly_roots(_cleared_leading(sys)):
+    for cand in poly_roots(_lcm(r.den for r in qs + [g])):
         p = cand.location
-        orders_q = [_pole_order_near(q, p) for q in qs]
-        order_g = _pole_order_near(g, p)
-        point = _classify_candidate(snap_axes(p), n, orders_q, order_g,
-                                    quadrature)
+        point = _classify(snap_axes(p), qs, g,
+                          lambda r: _pole_order_near(r, p))
         if point is not None:
             out.append(point)
     return out
 
 
-_MINUS_Z2 = RatFunc(CPoly([0, 0, -1]))
-
-
 def transform_to_infinity(sys: OdeSystem) -> OdeSystem:
-    """Rewrite the system in the chart z = 1/s, where d/ds = -z^2 d/dz."""
-    w = WeylOp((RatFunc.ZERO, _MINUS_Z2))
-    acc = WeylOp((RatFunc.ZERO,))
-    wk = WeylOp.IDENTITY
-    for k, rk in enumerate(sys.op.coeffs):
-        if not rk.is_zero:
-            acc = acc + mul_ops(WeylOp((rk.subst_reciprocal(),)), wk)
-        if k < sys.op.order:
-            wk = mul_ops(w, wk)
-    return OdeSystem(acc, sys.rhs.subst_reciprocal(), family=sys.family)
+    """Rewrite the system in the chart z = 1/s, where d/ds = -z^2 d/dz.
+
+    (-z^2 d/dz)^k = (-1)^k sum_j L(k,j) z^(k+j) (d/dz)^j, with the Lah
+    numbers L(k,j) = C(k-1, j-1) k!/j! and L(0,0) = 1 (Comtet, Advanced
+    Combinatorics, 1974).
+    """
+    n = sys.op.order
+    recip = [r.subst_reciprocal() for r in sys.op.coeffs]
+    coeffs = [recip[0]] + [_sum(
+        _scaled(recip[k], (-1) ** k * math.comb(k - 1, j - 1)
+                * math.factorial(k) // math.factorial(j), k + j)
+        for k in range(j, n + 1))
+        for j in range(1, n + 1)]
+    return OdeSystem(WeylOp(tuple(coeffs)), sys.rhs.subst_reciprocal())
 
 
 def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     """Classification of z = 0 in the reciprocal chart, None if ordinary."""
-    tsys = transform_to_infinity(sys)
-    n = tsys.op.order
-    lead = _cleared_leading(tsys)
-    if lead.coeffs and lead.coeffs[0]:
-        return None   # leading coefficient does not vanish at z = 0
-    rn = tsys.op.coeffs[n]
-    qs = [tsys.op.coeffs[k] / rn for k in range(n)]
-    g = tsys.rhs / rn
-    orders_q = [_pole_order_at_zero(q) for q in qs]
-    order_g = _pole_order_at_zero(g)
-    quadrature = n == 1 and qs[0].is_zero
-    return _classify_candidate(None, n, orders_q, order_g, quadrature)
+    qs, g = _normalized(transform_to_infinity(sys))
+    return _classify(None, qs, g, _pole_order_at_zero)
 
 
 def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],
                 infinity: SingularPoint | None) -> bool:
-    # untagged systems: flag the infinite singularity only for the pattern
-    # the catalog associates with it: an irregular point at infinity, no
-    # finite singularities, and polynomial normalized coefficients of
-    # positive degree (a delay-style constant coefficient stays unflagged)
     if finite or infinity is None or infinity.kind != "irregular":
         return False
-    rn = sys.op.coeffs[sys.op.order]
-    degrees = []
-    for k in range(sys.op.order):
-        q = sys.op.coeffs[k] / rn
-        if not q.is_polynomial:
-            return False
-        degrees.append(q.num.degree)
-    return bool(degrees) and max(degrees) >= 1
+    qs = _normalized(sys)[0]
+    return (all(q.is_polynomial for q in qs)
+            and max(q.num.degree for q in qs) >= 1)
 
 
 def _source_of(point: SingularPoint) -> SingularitySource:
@@ -327,14 +315,13 @@ def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
     """Spectrum of a system from its classified singular points.
 
     Frequencies are the nonzero imaginary parts of the finite points.  The
-    infinite-singularity flag is raised for the chirp catalog family; the
-    other catalog families keep it off even when the reciprocal chart shows
-    an irregular point, matching the scope the catalog gives it.
+    infinite-singularity flag is raised for one pattern, on catalog and
+    hand-built systems alike: an irregular point at infinity, no finite
+    point, and polynomial normalized coefficients of positive degree.  Of
+    the catalog families only the chirp has it: sinc and rcos have finite
+    points, and a delay's normalized coefficient is constant.
     """
-    if sys.family is not None:
-        flag = sys.family == "chirp"
-    else:
-        flag = _chirp_like(sys, finite, infinity)
+    flag = _chirp_like(sys, finite, infinity)
     sources = tuple(_source_of(p) for p in finite)
     freqs = clean_frequencies(p.location.imag for p in finite)
     return Spectrum(freqs, sources, infinite_singularity=flag)

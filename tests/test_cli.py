@@ -151,6 +151,25 @@ def test_instfreq_symbolic_point():
     assert abs(data["phi"][0] - (-4.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("expr, phi", [
+    ("sinc(2)", "-2.66666666667"),          # -w^3/3
+    ("-3/2*sinc(1/2)", "0.0625"),           # -c w^3/3
+])
+def test_instfreq_sinc_at_zero_takes_the_series_limit(expr, phi, capsys):
+    status = main(["instfreq", "--at", "0", "--", expr])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out == f"method: symbolic\nt phi\n0 {phi}\n"
+
+
+def test_instfreq_complex_sinc_at_zero_is_refused(capsys):
+    status = main(["instfreq", "i*sinc(2)", "--at", "0"])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err == ("error: input: signal is complex-valued; "
+                            "the formula needs a real signal\n")
+
+
 def _write_tone_csv(path, rate_hz=200, t_end=3.0):
     rows = ["t,x"]
     n = int(round(rate_hz * t_end)) + 1

@@ -1,6 +1,5 @@
 """Exact arithmetic in C(s), root finding, poles, and pole-based spectra."""
 
-import json
 import math
 import random
 import warnings
@@ -335,18 +334,6 @@ def test_zero_frequency_never_listed():
     # real poles only on the axis: a pole at 0 and at 5
     r = RatFunc(CPoly.ONE, CPoly([0, -5, 1]))
     assert spectrum_of_rational(r).frequencies == ()
-
-
-def test_spectrum_json_rendering():
-    spec = spectrum_of_rational(RatFunc(CPoly([3]), CPoly([9, 0, 1])))
-    text = spec.to_json()
-    assert text == ('{"frequencies":[-3,3],"sources":['
-                    '{"re":0,"im":-3,"kind":"pole","order":1},'
-                    '{"re":0,"im":3,"kind":"pole","order":1}],'
-                    '"infinite_singularity":false}')
-    data = json.loads(text)
-    assert data["frequencies"] == [-3, 3]
-    assert data["infinite_singularity"] is False
 
 
 def test_clean_frequencies_merges_and_symmetrizes():

@@ -11,7 +11,7 @@ from algspec.sigexpr import ExpressionError, parse
 from algspec.weylode import (OdeSystem, WeylOp, apply, catalog_equation,
                              finite_singularities, format_equation,
                              format_weylop, mul_ops, singularity_at_infinity,
-                             spectrum_of_ode)
+                             spectrum_of_ode, transform_to_infinity)
 
 _S = CPoly([0, 1])
 
@@ -74,6 +74,101 @@ def test_composition_is_associative():
         assert mul_ops(mul_ops(a, b), c) == mul_ops(a, mul_ops(b, c))
 
 
+# --- oracles: one `+` per term, and the chart as repeated products ---------
+
+
+def _mul_ops_by_terms(a, b):
+    out = {}
+    for k, ak in enumerate(a.coeffs):
+        if ak.is_zero:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if bj.is_zero:
+                continue
+            d = bj
+            for l in range(k + 1):
+                if not d.is_zero:
+                    term = ak * Qi(math.comb(k, l)) * d
+                    out[k - l + j] = out.get(k - l + j, RatFunc.ZERO) + term
+                if l < k:
+                    d = d.deriv()
+    if not out:
+        return WeylOp((RatFunc.ZERO,))
+    return WeylOp(tuple(out.get(k, RatFunc.ZERO) for k in range(max(out) + 1)))
+
+
+def _apply_by_terms(op, r):
+    acc, d = RatFunc.ZERO, r
+    for k, c in enumerate(op.coeffs):
+        if not c.is_zero:
+            acc = acc + c * d
+        if k < op.order:
+            d = d.deriv()
+    return acc
+
+
+def _chart_by_products(sys):
+    # sum of r_k(1/z) (-z^2 d/dz)^k, each power built by composition
+    w = WeylOp((RatFunc.ZERO, RatFunc(CPoly([0, 0, -1]))))
+    acc, wk = WeylOp((RatFunc.ZERO,)), WeylOp.IDENTITY
+    for k, rk in enumerate(sys.op.coeffs):
+        if not rk.is_zero:
+            acc = acc + _mul_ops_by_terms(WeylOp((rk.subst_reciprocal(),)), wk)
+        if k < sys.op.order:
+            wk = _mul_ops_by_terms(w, wk)
+    return OdeSystem(acc, sys.rhs.subst_reciprocal())
+
+
+# a few denominators shared among the coefficients, so that the terms of a
+# sum have equal or overlapping denominators
+_SHARED_DENS = (CPoly.ONE, CPoly([0, 1]), CPoly([1, 1]), CPoly([-2, 1]))
+
+
+def _shared_den_ratfunc(rng):
+    if rng.random() < 0.25:
+        return RatFunc.ZERO
+    num = CPoly([Qi(rng.randint(-2, 2), rng.randint(-1, 1)),
+                 Qi(rng.randint(-1, 1))])
+    return RatFunc(num or CPoly.ONE, rng.choice(_SHARED_DENS))
+
+
+def _shared_den_op(rng, order):
+    coeffs = [_shared_den_ratfunc(rng) for _ in range(order)]
+    return WeylOp(tuple(coeffs) + (_shared_den_ratfunc(rng) or RatFunc.ONE,))
+
+
+def _oracle_cases():
+    """100 seeded (a, b, r, system): a of order 1 to 4 in turn, b of order
+    1, and a system on a whose right side is zero in half the cases of
+    each order."""
+    rng = random.Random(2404)
+    for case in range(100):
+        a = _shared_den_op(rng, case % 4 + 1)
+        b = _shared_den_op(rng, 1)
+        r = _shared_den_ratfunc(rng) or RatFunc.ONE
+        rhs = RatFunc.ZERO if case // 4 % 2 else _shared_den_ratfunc(rng) or r
+        yield a, b, r, OdeSystem(a, rhs)
+
+
+def test_mul_ops_equals_the_term_by_term_sum():
+    for a, b, _, _ in _oracle_cases():
+        assert mul_ops(a, b) == _mul_ops_by_terms(a, b)
+
+
+def test_apply_equals_the_term_by_term_sum():
+    for a, b, r, _ in _oracle_cases():
+        assert apply(a, r) == _apply_by_terms(a, r)
+        assert apply(b, r) == _apply_by_terms(b, r)
+
+
+def test_chart_at_infinity_equals_repeated_products():
+    orders = set()
+    for _, _, _, sys in _oracle_cases():
+        assert transform_to_infinity(sys) == _chart_by_products(sys)
+        orders.add((sys.op.order, sys.rhs.is_zero))
+    assert orders == {(n, z) for n in (1, 2, 3, 4) for z in (False, True)}
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         OdeSystem(WeylOp((RatFunc.ZERO,)), RatFunc.ZERO)
@@ -88,7 +183,6 @@ def test_cardinal_sine_equation():
     sys = catalog_equation(parse("sinc(3)"))
     assert sys.op == WeylOp.D
     assert sys.rhs == RatFunc(CPoly([-3]), CPoly([9, 0, 1]))
-    assert sys.family == "sinc"
 
 
 def test_raised_cosine_equation():
@@ -199,8 +293,18 @@ def test_chirp_spectrum_empty_with_flag():
     assert spec.infinite_singularity is True
 
 
+@pytest.mark.parametrize("scale", ["", "2*", "-1/2*", "i*", "(1+i)*"])
+def test_only_the_chirp_raises_the_infinity_flag(scale):
+    for text in ("sinc(1)", "sinc(5/3)", "rcos(0)", "rcos(1)", "rcos(7/4)",
+                 "delay(0)", "delay(1/2)", "delay(-3)", "chirp(1, 0, 0)",
+                 "chirp(-1/2, 1/3, 2)", "chirp(3, -2, 1/2)"):
+        spec = spectrum_of_ode(catalog_equation(parse(scale + text)))
+        assert spec.infinite_singularity is text.startswith("chirp"), \
+            scale + text
+
+
 def test_untagged_systems_use_shape_of_coefficients():
-    # Same shape as a linear-phase sweep but built by hand, with no family tag.
+    # Same shape as a linear-phase sweep but built by hand.
     sweep_like = OdeSystem(WeylOp((RatFunc(_S), RatFunc(Qi(0, 2)))),
                            RatFunc.ONE)
     assert spectrum_of_ode(sweep_like).infinite_singularity is True

@@ -26,7 +26,7 @@ from .opcalc import (ExpPoly, dirac_image, from_signal, mult_by_minus_t,
 from .weylode import (OdeSystem, SingularPoint, WeylOp, apply,
                       catalog_equation, finite_singularities, format_equation,
                       format_weylop, mul_ops, singularity_at_infinity,
-                      spectrum_of_ode, transform_to_infinity)
+                      spectrum_of_ode)
 from .instfreq import (PhiTrace, SampledSignal, VilleComparison, phi_fitted,
                        phi_symbolic, phi_vs_ville_note)
 from .fouriercontrast import (ContrastReport, DftResult, contrast_report,
@@ -54,7 +54,7 @@ __all__ = [
     # weylode
     "OdeSystem", "SingularPoint", "WeylOp", "apply", "catalog_equation",
     "finite_singularities", "format_equation", "format_weylop", "mul_ops",
-    "singularity_at_infinity", "spectrum_of_ode", "transform_to_infinity",
+    "singularity_at_infinity", "spectrum_of_ode",
     # instfreq
     "PhiTrace", "SampledSignal", "VilleComparison", "phi_fitted",
     "phi_symbolic", "phi_vs_ville_note",

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratfield import Qi
-from .sigexpr import (Const, Mul, Sin, Sinc, SignalExpr, EvaluationError,
-                      ParameterError, canonical, diff_time, evaluate,
-                      split_scale)
+from .sigexpr import (Add, Const, Mul, Pow, Sin, Sinc, SignalExpr, TimeVar,
+                      EvaluationError, ParameterError, canonical, diff_time,
+                      evaluate, make_add, make_mul, make_pow)
 
 __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
            "phi_fitted", "phi_vs_ville_note"]
@@ -81,16 +81,31 @@ def _real_part(label: str, value: complex) -> float:
     return value.real
 
 
+def _sinc_jets(e: SignalExpr) -> SignalExpr:
+    """e with every sinc(w) under sums, products and powers replaced by its
+    2-jet w - w^3 t^2/6, which has the same value and first two derivatives
+    at t = 0."""
+    if isinstance(e, Sinc):
+        return make_add([Const(Qi(e.omega)),
+                         make_mul([Const(Qi(-e.omega ** 3 / 6)),
+                                   Pow(TimeVar(), 2)])])
+    if isinstance(e, Add):
+        return make_add([_sinc_jets(x) for x in e.terms])
+    if isinstance(e, Mul):
+        return make_mul([_sinc_jets(x) for x in e.factors])
+    if isinstance(e, Pow):
+        return make_pow(_sinc_jets(e.base), e.k)
+    return e
+
+
 def phi_symbolic(e: SignalExpr, t: float) -> float:
-    """Exact Phi(t) via symbolic first and second time derivatives; a
-    scaled sinc at t = 0 takes the limits of its series."""
-    scale, atom = split_scale(e)
-    if t == 0 and isinstance(atom, Sinc):
-        # c*sin(wt)/t = c*(w - w^3 t^2/6 + ...): x'(0) = 0, x''(0) = -c w^3/3
-        d1, d2 = Const(Qi(0)), Const(-scale * Qi(atom.omega ** 3 / 3))
-    else:
-        d1 = diff_time(e)
-        d2 = diff_time(d1)
+    """Exact Phi(t) via symbolic first and second time derivatives; at
+    t = 0 they are taken of `_sinc_jets(e)`.  That is exact when every
+    other factor is analytic at 0, and evaluating e itself at 0 refuses a
+    rational factor with a pole there, such as the 1/t^2 of
+    (sinc(2) - 2)/t^2."""
+    d1 = diff_time(_sinc_jets(e) if t == 0 else e)
+    d2 = diff_time(d1)
     _real_part("signal", evaluate(e, t))
     x1 = _real_part("first derivative", evaluate(d1, t))
     x2 = _real_part("second derivative", evaluate(d2, t))

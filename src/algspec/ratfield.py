@@ -308,12 +308,6 @@ class CPoly:
         lead = self.coeffs[-1]
         return CPoly([c / lead for c in self.coeffs])
 
-    def eval_qi(self, x: Qi) -> Qi:
-        acc = _QI_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __call__(self, z: complex) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):
@@ -322,16 +316,6 @@ class CPoly:
 
     def to_complex(self) -> list[complex]:
         return [complex(c) for c in self.coeffs]
-
-    def reverse(self, degree: int | None = None) -> "CPoly":
-        """z^d * p(1/z) for d >= deg(p); used for the point at infinity."""
-        d = self.degree if degree is None else degree
-        if d < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        out = [_QI_ZERO] * (d + 1)
-        for k, c in enumerate(self.coeffs):
-            out[d - k] = c
-        return CPoly(out)
 
     def format(self, var: str = "s") -> str:
         if self.is_zero:
@@ -575,11 +559,6 @@ class RatFunc:
 
     def __call__(self, z: complex) -> complex:
         return self.num(z) / self.den(z)
-
-    def subst_reciprocal(self) -> "RatFunc":
-        """r(1/z) as an element of C(z), exact."""
-        d = max(self.num.degree, self.den.degree, 0)
-        return RatFunc(self.num.reverse(d), self.den.reverse(d))
 
     def format(self, var: str = "s") -> str:
         if self.is_polynomial:

@@ -5,9 +5,9 @@ but each catalog atom satisfies a linear operational equation L x = rhs
 with L in the noncommutative ring C(s)[d/ds].  Frequencies are then the
 nonzero imaginary parts of the singular points of the equation's solution:
 candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
-each is classified by the Fuchs criterion, and the point at infinity is the
-point z = 0 of the reciprocal chart s = 1/z, d/ds = -z^2 d/dz, written in
-closed form with Lah numbers.  Operator products and actions collect the
+each is classified by the Fuchs criterion, and the point at infinity is
+classified from the degrees of the same normalized coefficients, scaled by
+powers of s and Lah numbers.  Operator products and actions collect the
 terms of each coefficient and sum them once over a common denominator.
 """
 
@@ -95,7 +95,7 @@ class OdeSystem:
 @dataclass(frozen=True)
 class SingularPoint:
     """Classified singular point; location None encodes the point at
-    infinity (reached through the z = 1/s chart)."""
+    infinity."""
 
     location: complex | None
     kind: str           # "regular" | "irregular"
@@ -220,11 +220,6 @@ def _pole_order_near(r: RatFunc, p: complex) -> int:
     return 0
 
 
-def _pole_order_at_zero(r: RatFunc) -> int:
-    """Exact multiplicity of 0 as a pole of r (reduced form)."""
-    return next(k for k, c in enumerate(r.den.coeffs) if c)
-
-
 def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
     """The coefficients r_k/r_n for k < n, and rhs/r_n."""
     rn = sys.op.coeffs[sys.op.order]
@@ -272,27 +267,31 @@ def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
     return out
 
 
-def transform_to_infinity(sys: OdeSystem) -> OdeSystem:
-    """Rewrite the system in the chart z = 1/s, where d/ds = -z^2 d/dz.
+def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
+    """Fuchs classification of s = infinity, None if ordinary.
 
-    (-z^2 d/dz)^k = (-1)^k sum_j L(k,j) z^(k+j) (d/dz)^j, with the Lah
-    numbers L(k,j) = C(k-1, j-1) k!/j! and L(0,0) = 1 (Comtet, Advanced
-    Combinatorics, 1974).
+    With q_k = r_k/r_n (q_n = 1) and g = rhs/r_n, the chart z = 1/s, where
+    (-z^2 d/dz)^k = (-1)^k sum_j L(k,j) z^(k+j) (d/dz)^j with the Lah numbers
+    L(k,j) = C(k-1, j-1) k!/j!, L(0,0) = 1 and L(k,0) = 0 for k >= 1
+    (Comtet, Advanced Combinatorics, 1974), has the normalized coefficients
+
+        Q_j(1/s) = sum_{k=j..n} (-1)^(n-k) L(k,j) s^(2n-k-j) q_k(s),
+        G(1/s) = (-1)^n s^(2n) g(s),
+
+    read here in s.  The pole order of f(z) at z = 0 is the degree excess
+    of f(1/s), so the Fuchs test at infinity (Ince, Ordinary Differential
+    Equations, 1926) is a test on degrees.
     """
     n = sys.op.order
-    recip = [r.subst_reciprocal() for r in sys.op.coeffs]
-    coeffs = [recip[0]] + [_sum(
-        _scaled(recip[k], (-1) ** k * math.comb(k - 1, j - 1)
-                * math.factorial(k) // math.factorial(j), k + j)
+    qs, g = _normalized(sys)
+    qs.append(RatFunc.ONE)
+    chart = [_scaled(qs[0], (-1) ** n, 2 * n)] + [_sum(
+        _scaled(qs[k], (-1) ** (n - k) * math.comb(k - 1, j - 1)
+                * math.factorial(k) // math.factorial(j), 2 * n - k - j)
         for k in range(j, n + 1))
-        for j in range(1, n + 1)]
-    return OdeSystem(WeylOp(tuple(coeffs)), sys.rhs.subst_reciprocal())
-
-
-def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
-    """Classification of z = 0 in the reciprocal chart, None if ordinary."""
-    qs, g = _normalized(transform_to_infinity(sys))
-    return _classify(None, qs, g, _pole_order_at_zero)
+        for j in range(1, n)]
+    return _classify(None, chart, _scaled(g, (-1) ** n, 2 * n),
+                     lambda r: max(0, r.num.degree - r.den.degree))
 
 
 def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],

@@ -56,6 +56,29 @@ def test_spectrum_explained_for_equation_route():
     assert lines[6] == "infinite singularity: no"
 
 
+@pytest.mark.parametrize("expr, lines", [
+    ("rcos(2)", ["equation: [(d/ds)^2 + 1] x = (s) / (s^2 + 4)",
+                 "singular point -2i: regular, unclassified",
+                 "singular point 2i: regular, unclassified",
+                 "point at infinity: irregular, unclassified",
+                 "frequencies: -2 2",
+                 "infinite singularity: no"]),
+    ("delay(1/2)", ["equation: [d/ds + (1/2)] x = 0",
+                    "point at infinity: irregular, unclassified",
+                    "frequencies: (none)",
+                    "infinite singularity: no"]),
+    ("chirp(1,2,3)", ["equation: [2i*d/ds + (s - 2i)] x = "
+                      "(-0.9899924966+0.14112000806i)",
+                      "point at infinity: irregular, unclassified",
+                      "frequencies: (none)",
+                      "infinite singularity: yes"]),
+])
+def test_spectrum_explained_golden_for_catalog_atoms(expr, lines):
+    status, out, err = run(CliConfig("spectrum", expr=expr, explain=True))
+    assert (status, err) == (0, "")
+    assert out == "\n".join(["class: ode-defined"] + lines)
+
+
 def test_spectrum_explained_for_image_route():
     status, out, _ = run(CliConfig("spectrum", expr="sin(3*t)", explain=True))
     assert status == 0
@@ -154,12 +177,24 @@ def test_instfreq_symbolic_point():
 @pytest.mark.parametrize("expr, phi", [
     ("sinc(2)", "-2.66666666667"),          # -w^3/3
     ("-3/2*sinc(1/2)", "0.0625"),           # -c w^3/3
+    ("sinc(2)+1", "-2.66666666667"),        # the constant changes nothing
+    ("sinc(2)*sinc(2)", "-10.6666666667"),  # 2 x(0) x''(0) = -32/3
+    ("sinc(2)/(t+1)", "0.596284794"),       # (4/3) / sqrt(5)
 ])
 def test_instfreq_sinc_at_zero_takes_the_series_limit(expr, phi, capsys):
     status = main(["instfreq", "--at", "0", "--", expr])
     captured = capsys.readouterr()
     assert (status, captured.err) == (0, "")
     assert captured.out == f"method: symbolic\nt phi\n0 {phi}\n"
+
+
+def test_instfreq_at_zero_refuses_a_rational_pole_the_jet_would_hide(capsys):
+    # (sinc(2) - 2)/t^2 is smooth at 0, but its 2-jet would not fix x''(0)
+    status = main(["instfreq", "(sinc(2)-2)/t^2", "--at", "0"])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err == ("error: input: rational factor has a pole "
+                            "at t = 0.0\n")
 
 
 def test_instfreq_complex_sinc_at_zero_is_refused(capsys):

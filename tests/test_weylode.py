@@ -8,10 +8,10 @@ import pytest
 
 from algspec.ratfield import CPoly, Qi, RatFunc, alg_deriv
 from algspec.sigexpr import ExpressionError, parse
-from algspec.weylode import (OdeSystem, WeylOp, apply, catalog_equation,
-                             finite_singularities, format_equation,
-                             format_weylop, mul_ops, singularity_at_infinity,
-                             spectrum_of_ode, transform_to_infinity)
+from algspec.weylode import (OdeSystem, WeylOp, _classify, _normalized,
+                             apply, catalog_equation, finite_singularities,
+                             format_equation, format_weylop, mul_ops,
+                             singularity_at_infinity, spectrum_of_ode)
 
 _S = CPoly([0, 1])
 
@@ -107,16 +107,32 @@ def _apply_by_terms(op, r):
     return acc
 
 
+def _reciprocal(r):
+    # r(1/z): numerator and denominator reversed at a common degree
+    d = max(r.num.degree, r.den.degree, 0)
+    def rev(p):
+        return CPoly(tuple(reversed(p.coeffs + (Qi(0),) * (d - p.degree))))
+    return RatFunc(rev(r.num), rev(r.den))
+
+
 def _chart_by_products(sys):
     # sum of r_k(1/z) (-z^2 d/dz)^k, each power built by composition
     w = WeylOp((RatFunc.ZERO, RatFunc(CPoly([0, 0, -1]))))
     acc, wk = WeylOp((RatFunc.ZERO,)), WeylOp.IDENTITY
     for k, rk in enumerate(sys.op.coeffs):
         if not rk.is_zero:
-            acc = acc + _mul_ops_by_terms(WeylOp((rk.subst_reciprocal(),)), wk)
+            acc = acc + _mul_ops_by_terms(WeylOp((_reciprocal(rk),)), wk)
         if k < sys.op.order:
             wk = _mul_ops_by_terms(w, wk)
-    return OdeSystem(acc, sys.rhs.subst_reciprocal())
+    return OdeSystem(acc, _reciprocal(sys.rhs))
+
+
+def _infinity_by_chart(sys):
+    # z = 0 of the chart; the pole order there is the lowest power of z in
+    # the reduced denominator
+    qs, g = _normalized(_chart_by_products(sys))
+    return _classify(None, qs, g,
+                     lambda r: next(k for k, c in enumerate(r.den.coeffs) if c))
 
 
 # a few denominators shared among the coefficients, so that the terms of a
@@ -161,12 +177,50 @@ def test_apply_equals_the_term_by_term_sum():
         assert apply(b, r) == _apply_by_terms(b, r)
 
 
-def test_chart_at_infinity_equals_repeated_products():
-    orders = set()
-    for _, _, _, sys in _oracle_cases():
-        assert transform_to_infinity(sys) == _chart_by_products(sys)
+def _hand_built_cases():
+    """(system, outcome at infinity) for outcomes the seeded cases miss."""
+    s = RatFunc(_S)
+    return [
+        (OdeSystem(WeylOp((RatFunc.ZERO, RatFunc(Qi(2)) / s, RatFunc.ONE)),
+                   RatFunc.ZERO), "ordinary"),            # x'' + (2/s)x' = 0
+        (OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, _S ** 3)), "ordinary"),
+        (OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, _S)), "logarithmic"),
+        (OdeSystem(WeylOp.D, s), "pole"),                   # x = s^2/2
+        (OdeSystem(WeylOp((RatFunc.ONE, s, s * s)), RatFunc.ZERO),
+         "unclassified"),                                 # Euler equation
+    ]
+
+
+def _outcome(point):
+    if point is None:
+        return "ordinary"
+    return "irregular" if point.kind == "irregular" else point.refinement
+
+
+def test_infinity_equals_the_chart_by_repeated_products():
+    orders, outcomes = set(), set()
+    systems = [sys for _, _, _, sys in _oracle_cases()]
+    systems += [sys for sys, _ in _hand_built_cases()]
+    systems += [catalog_equation(parse(text)) for text in (
+        "sinc(3)", "rcos(2)", "rcos(0)", "delay(1/2)", "delay(0)",
+        "chirp(1, 2, 3)", "(1+i)*chirp(-1/2, 1/3, 2)")]
+    for sys in systems:
+        point = singularity_at_infinity(sys)
+        assert point == _infinity_by_chart(sys)
         orders.add((sys.op.order, sys.rhs.is_zero))
+        outcomes.add(_outcome(point))
     assert orders == {(n, z) for n in (1, 2, 3, 4) for z in (False, True)}
+    assert outcomes == {"ordinary", "logarithmic", "pole", "unclassified",
+                        "irregular"}
+
+
+def test_infinity_of_hand_built_systems():
+    for sys, want in _hand_built_cases():
+        point = singularity_at_infinity(sys)
+        assert _outcome(point) == want
+        assert point is None or point.kind == "regular"
+        if want == "pole":
+            assert point.order == 2
 
 
 def test_system_validation():

@@ -1,8 +1,10 @@
 """Exact arithmetic in C(s) and the pole-based spectrum.
 
-Polynomials and rational functions carry exact coefficients: each scalar is
-a pair of `fractions.Fraction` values (real and imaginary part), so gcd
-cancellation and reduction are exact and no spurious poles appear.  Most
+Polynomials and rational functions carry exact coefficients, so gcd
+cancellation and reduction are exact and no spurious poles appear.  A scalar
+`Qi` is a pair of `fractions.Fraction` values (real and imaginary part); a
+polynomial `CPoly` stores Gaussian integers over one positive integer
+denominator, so its arithmetic, division included, runs on integers.  Most
 gcds are 1; `poly_gcd` certifies that modulo one fixed prime P = 1 (mod 4),
 sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
 Euclidean algorithm runs only when the certificate does not apply: the
@@ -184,24 +186,99 @@ def _frac_str(f: Fraction) -> str:
     return str(f)
 
 
-_QI_ZERO = Qi(0)
 _QI_ONE = Qi(1)
+
+
+def _gmul(re, im, gr: int, gi: int):
+    """The coefficients (re + i*im) times the Gaussian integer gr + i*gi."""
+    if not gi:
+        if gr == 1:
+            return re, im
+        return [x * gr for x in re], [y * gr for y in im]
+    return ([x * gr - y * gi for x, y in zip(re, im)],
+            [x * gi + y * gr for x, y in zip(re, im)])
+
+
+def _lincomb(x, mx: int, y, my: int) -> list[int]:
+    """mx*x + my*y for integer coefficient sequences, aligned at degree 0."""
+    if mx != 1:
+        x = [v * mx for v in x]
+    if my != 1:
+        y = [v * my for v in y]
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    out[:len(y)] = map(int.__add__, out[:len(y)], y)
+    return out
+
+
+def _conv(a, b) -> list[int]:
+    """Product of two nonempty integer coefficient sequences."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + n] = map(int.__add__, out[j:j + n], map(y.__mul__, a))
+    return out
 
 
 class CPoly:
     """Polynomial with exact complex-rational coefficients, ascending degree.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
+    Stored as Gaussian integers over one denominator: coefficient k is
+    (re[k] + i*im[k]) / d, in canonical form (no trailing zero coefficient,
+    gcd(re, im, d) = 1, d > 0; the zero polynomial is (), (), 1), so equal
+    polynomials compare and hash equal.  `coeffs` is the same polynomial
+    as a tuple of `Qi`, built on first use.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_d", "_qi")
 
     def __init__(self, coeffs=()):
         cs = [Qi.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # the lcm of reduced denominators leaves content 1
+        d = math.lcm(*(f.denominator for c in cs for f in (c.re, c.im)))
+        self._re = tuple(c.re.numerator * (d // c.re.denominator) for c in cs)
+        self._im = tuple(c.im.numerator * (d // c.im.denominator) for c in cs)
+        self._d = d
+        self._qi = tuple(cs)
+
+    @classmethod
+    def _canon(cls, re, im, d: int) -> "CPoly":
+        """(re + i*im)/d for an integer d > 0, put in canonical form."""
+        n = len(re)
+        while n and not re[n - 1] and not im[n - 1]:
+            n -= 1
+        if not n:
+            return CPoly.ZERO
+        re, im = tuple(re[:n]), tuple(im[:n])
+        if d != 1:
+            g = math.gcd(d, *re, *im)
+            if g != 1:
+                re = tuple(x // g for x in re)
+                im = tuple(y // g for y in im)
+                d //= g
+        return cls._make(re, im, d)
+
+    @classmethod
+    def _make(cls, re: tuple, im: tuple, d: int) -> "CPoly":
+        """The polynomial with these fields, which must be canonical."""
+        p = object.__new__(cls)
+        p._re, p._im, p._d, p._qi = re, im, d, None
+        return p
+
+    @property
+    def coeffs(self) -> tuple:
+        qi = self._qi
+        if qi is None:
+            d = self._d
+            qi = self._qi = tuple(Qi(Fraction(r, d), Fraction(i, d))
+                                  for r, i in zip(self._re, self._im))
+        return qi
 
     @classmethod
     def scalar(cls, c) -> "CPoly":
@@ -209,16 +286,25 @@ class CPoly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1   # -1 for the zero polynomial
+        return len(self._re) - 1   # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     def leading(self) -> Qi:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def _inverse_lead(self) -> tuple[int, int, int]:
+        """(cr, ci, n) with n > 0 and (cr + i*ci)/n = 1/L, for the Gaussian
+        integer L = re[-1] + i*im[-1]: conj(L)/|L|^2, or sign(L)/|L| when
+        L is real."""
+        lr, li = self._re[-1], self._im[-1]
+        if li:
+            return lr, -li, lr * lr + li * li
+        return (1, 0, lr) if lr > 0 else (-1, 0, -lr)
 
     def __bool__(self):
         return not self.is_zero
@@ -226,48 +312,65 @@ class CPoly:
     def __eq__(self, other):
         if not isinstance(other, CPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._d == other._d and self._re == other._re
+                and self._im == other._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._re, self._im, self._d))
 
     def __neg__(self):
-        return CPoly([-c for c in self.coeffs])
+        return CPoly._make(tuple(-x for x in self._re),
+                           tuple(-y for y in self._im), self._d)
+
+    def _combine(self, other: "CPoly", sign: int) -> "CPoly":
+        """self + sign*other over the lcm of the two denominators."""
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other if sign == 1 else -other
+        da, db = self._d, other._d
+        if da == db:
+            ma, mb = 1, sign
+        else:
+            g = math.gcd(da, db)
+            ma, mb, da = db // g, sign * (da // g), da * (db // g)
+        return CPoly._canon(_lincomb(self._re, ma, other._re, mb),
+                            _lincomb(self._im, ma, other._im, mb), da)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return CPoly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, CPoly):
-            scalar = Qi._try(other)
-            if scalar is None:
+            try:
+                other = CPoly([other])   # a scalar
+            except TypeError:
                 return NotImplemented
-            return CPoly([c * scalar for c in self.coeffs])
         if self.is_zero or other.is_zero:
-            return CPoly()
-        out = [_QI_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
-        return CPoly(out)
+            return CPoly.ZERO
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        if not any(ai):
+            re = _conv(ar, br)
+            im = _conv(ar, bi) if any(bi) else [0] * len(re)
+        elif not any(bi):
+            re, im = _conv(ar, br), _conv(ai, br)
+        else:   # three real products: (a + ib)(c + id) by Karatsuba's trick
+            ac, bd = _conv(ar, br), _conv(ai, bi)
+            mid = _conv(list(map(int.__add__, ar, ai)),
+                        list(map(int.__add__, br, bi)))
+            re = list(map(int.__sub__, ac, bd))
+            im = [m - x - y for m, x, y in zip(mid, ac, bd)]
+        return CPoly._canon(re, im, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = CPoly([1])
+        out = CPoly.ONE
         base = self
         while k:
             if k & 1:
@@ -277,21 +380,57 @@ class CPoly:
         return out
 
     def __divmod__(self, other: "CPoly"):
+        """Fraction-free pseudo-division.
+
+        The divisor's Gaussian-integer part B times c = conj(L), or sign(L)
+        when its leading coefficient L is real, is C = B*c with the positive
+        integer leading coefficient n = |L|^2, or |L| (`_inverse_lead`).
+        A step whose top coefficient t has g = gcd(n, t) < n first scales
+        the remainder and the quotient so far by n/g.  With s the product
+        of the scales, s*A = Q*C + R for the dividend's part A, so
+        self = (Q*c*d_B/(s*d_A)) * other + R/(s*d_A).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree
+        dn, dd = self.degree, other.degree
         if dn < dd:
-            return CPoly(), self
-        lead = other.coeffs[-1]
-        quot = [_QI_ZERO] * (dn - dd + 1)
+            return CPoly.ZERO, self
+        cr, ci, n = other._inverse_lead()
+        br, bi = _gmul(other._re[:-1], other._im[:-1], cr, ci)
+        real = not any(bi)
+        rr, ri = list(self._re), list(self._im)
+        qr, qi = [0] * (dn - dd + 1), [0] * (dn - dd + 1)
+        s = 1
         for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] / lead
-            quot[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * oc
-        return CPoly(quot), CPoly(rem)
+            tr, ti = rr.pop(), ri.pop()
+            if not (tr or ti):
+                continue
+            g = math.gcd(n, tr, ti)
+            if g != n:
+                f = n // g
+                s *= f
+                rr = [x * f for x in rr]
+                ri = [y * f for y in ri]
+                qr[k + 1:] = [x * f for x in qr[k + 1:]]
+                qi[k + 1:] = [y * f for y in qi[k + 1:]]
+            tr //= g
+            ti //= g
+            qr[k], qi[k] = tr, ti
+            lo, hi = k, k + dd    # t*x^k*C, whose top cancels t, is subtracted
+            if real:
+                if tr:
+                    rr[lo:hi] = map(int.__sub__, rr[lo:hi], map(tr.__mul__, br))
+                if ti:
+                    ri[lo:hi] = map(int.__sub__, ri[lo:hi], map(ti.__mul__, br))
+            else:
+                rr[lo:hi] = [x - tr * u + ti * v
+                             for x, u, v in zip(rr[lo:hi], br, bi)]
+                ri[lo:hi] = [y - tr * v - ti * u
+                             for y, u, v in zip(ri[lo:hi], br, bi)]
+        d = s * self._d
+        db = other._d
+        return (CPoly._canon(*_gmul(qr, qi, cr * db, ci * db), d),
+                CPoly._canon(rr, ri, d))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -300,22 +439,25 @@ class CPoly:
         return divmod(self, other)[1]
 
     def deriv(self) -> "CPoly":
-        return CPoly([c * Qi(k) for k, c in enumerate(self.coeffs)][1:])
+        return CPoly._canon([k * x for k, x in enumerate(self._re)][1:],
+                            [k * y for k, y in enumerate(self._im)][1:],
+                            self._d)
 
     def monic(self) -> "CPoly":
         if self.is_zero:
             return self
-        lead = self.coeffs[-1]
-        return CPoly([c / lead for c in self.coeffs])
+        cr, ci, n = self._inverse_lead()
+        return CPoly._canon(*_gmul(self._re, self._im, cr, ci), n)
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for c in reversed(self.to_complex()):
+            acc = acc * z + c
         return acc
 
     def to_complex(self) -> list[complex]:
-        return [complex(c) for c in self.coeffs]
+        d = self._d
+        return [complex(r / d, i / d) for r, i in zip(self._re, self._im)]
 
     def format(self, var: str = "s") -> str:
         if self.is_zero:
@@ -369,19 +511,12 @@ _I_MOD = pow(2, (_P - 1) // 4, _P)
 
 
 def _image_mod_p(p: CPoly) -> list[int] | None:
-    """Coefficients of p in GF(P) under i -> _I_MOD, or None when a
+    """Coefficients of p in GF(P) under i -> _I_MOD, or None when the
     denominator is divisible by P."""
-    out = []
-    for c in p.coeffs:
-        v = 0
-        for part, unit in ((c.re, 1), (c.im, _I_MOD)):
-            if part:
-                d = part.denominator
-                if d % _P == 0:
-                    return None
-                v += part.numerator * unit * (pow(d, -1, _P) if d > 1 else 1)
-        out.append(v % _P)
-    return out
+    if p._d % _P == 0:
+        return None
+    inv = pow(p._d, -1, _P)
+    return [(r + i * _I_MOD) * inv % _P for r, i in zip(p._re, p._im)]
 
 
 def _coprime_mod_p(a: CPoly, b: CPoly) -> bool:
@@ -459,23 +594,27 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, float, Fraction, Qi, complex)):
-            num = CPoly.scalar(Qi.coerce(num))
+            num = CPoly.scalar(num)
         if den is None:
             den = CPoly.ONE
         elif isinstance(den, (int, float, Fraction, Qi, complex)):
-            den = CPoly.scalar(Qi.coerce(den))
+            den = CPoly.scalar(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             self.num, self.den = CPoly.ZERO, CPoly.ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.leading()
-        if lead != _QI_ONE:
-            inv = _QI_ONE / lead
-            num, den = num * inv, den * inv
+        # the gcd with a nonzero constant is 1
+        if num.degree > 0 and den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        # one integer scale by 1/lead(den) = d*conj(L)/|L|^2 makes den monic
+        if den._im[-1] or den._re[-1] != den._d:
+            cr, ci, n = den._inverse_lead()
+            num = CPoly._canon(*_gmul(num._re, num._im, cr * den._d,
+                                      ci * den._d), num._d * n)
+            den = den.monic()
         self.num, self.den = num, den
 
     @property
@@ -553,9 +692,20 @@ class RatFunc:
         return out
 
     def deriv(self) -> "RatFunc":
-        """Algebraic derivative d/ds, by the quotient rule, reduced."""
-        return RatFunc(self.num.deriv() * self.den - self.num * self.den.deriv(),
-                       self.den * self.den)
+        """Algebraic derivative d/ds, reduced with one gcd.
+
+        With h = gcd(D, D'), (N/D)' = (N'*(D/h) - N*(D'/h)) / (D*(D/h)).
+        At a root of D of multiplicity e, D/h has a simple root and D'/h
+        none, so the numerator is -N*(D'/h) != 0 there: the quotient is
+        reduced, with pole order e + 1, and its denominator is monic.
+        """
+        num, den = self.num, self.den
+        if den.degree == 0:
+            return RatFunc._from_reduced(num.deriv(), den)
+        dden = den.deriv()
+        h = poly_gcd(den, dden)
+        u, v = den // h, dden // h
+        return RatFunc._from_reduced(num.deriv() * u - num * v, den * u)
 
     def __call__(self, z: complex) -> complex:
         return self.num(z) / self.den(z)

@@ -139,7 +139,7 @@ def _sum(terms) -> RatFunc:
 
 def _scaled(r: RatFunc, c, shift: int = 0) -> RatFunc:
     """c * s^shift * r for a nonzero scalar c, reduced."""
-    return RatFunc(CPoly((0,) * shift + r.num.coeffs) * Qi(c), r.den)
+    return RatFunc(r.num * CPoly((0,) * shift + (c,)), r.den)
 
 
 def apply(op: WeylOp, r: RatFunc) -> RatFunc:

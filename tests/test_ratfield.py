@@ -9,7 +9,7 @@ import pytest
 
 from algspec.ratfield import (CPoly, Qi, RatFunc, RootFindingError, _I_MOD,
                               _P, _aberth, _coprime_mod_p, _euclid_gcd,
-                              alg_deriv, clean_frequencies, partial_fractions,
+                              _image_mod_p, alg_deriv, clean_frequencies, partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
 
@@ -77,6 +77,183 @@ def test_cpoly_divmod_is_exact():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+# The oracle: the arithmetic CPoly had when each coefficient was a Qi of two
+# Fractions, on ascending lists of Qi with no trailing zero.
+
+
+def _o_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _o_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] = out[k] + c
+    return _o_trim(out)
+
+
+def _o_scale(a, c):
+    return _o_trim([x * c for x in a])
+
+
+def _o_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Qi(0)] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _o_trim(out)
+
+
+def _o_divmod(a, b):
+    rem = list(a)
+    dn, dd = len(rem) - 1, len(b) - 1
+    if dn < dd:
+        return [], list(a)
+    quot = [Qi(0)] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        c = rem[k + dd] / b[-1]
+        quot[k] = c
+        for j, bc in enumerate(b):
+            rem[k + j] = rem[k + j] - c * bc
+    return _o_trim(quot), _o_trim(rem)
+
+
+def _o_deriv(a):
+    return _o_trim([c * Qi(k) for k, c in enumerate(a)][1:])
+
+
+def _o_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def _o_image_mod_p(cs):
+    out = []
+    for c in cs:
+        v = 0
+        for part, unit in ((c.re, 1), (c.im, _I_MOD)):
+            if part.denominator % _P == 0:
+                return None
+            v += part.numerator * unit * pow(part.denominator, -1, _P)
+        out.append(v % _P)
+    return out
+
+
+def _assert_canonical(p):
+    assert len(p._re) == len(p._im)
+    if p.is_zero:
+        assert (p._re, p._im, p._d) == ((), (), 1)
+        return
+    assert p._d > 0
+    assert p._re[-1] or p._im[-1]
+    assert math.gcd(p._d, *p._re, *p._im) == 1
+    # the same value built from its Qi coefficients
+    again = CPoly(p.coeffs)
+    assert again == p and hash(again) == hash(p)
+
+
+def _rand_kernel_poly(rng, max_deg=12):
+    dens = (1, 2, 3, 7, 12)
+    return [Qi(Fraction(rng.randint(-9, 9), rng.choice(dens)),
+               Fraction(rng.randint(-9, 9), rng.choice(dens)) * rng.randint(0, 1))
+            for _ in range(rng.randint(0, max_deg) + 1)]
+
+
+def _same(p, oracle):
+    _assert_canonical(p)
+    assert list(p.coeffs) == _o_trim(oracle)
+
+
+def test_kernel_ring_operations_match_the_fraction_oracle():
+    rng = random.Random(2120)
+    for _ in range(300):
+        a, b = _rand_kernel_poly(rng), _rand_kernel_poly(rng)
+        c = _rand_qi(rng)
+        pa, pb = CPoly(a), CPoly(b)
+        a, b = _o_trim(a), _o_trim(b)
+        _same(pa, a)
+        _same(pa + pb, _o_add(a, b))
+        _same(pa - pb, _o_add(a, _o_scale(b, Qi(-1))))
+        _same(pa - pa, [])
+        _same(-pa, _o_scale(a, Qi(-1)))
+        _same(pa * pb, _o_mul(a, b))
+        _same(pa * c, _o_scale(a, c))
+        _same(c * pa, _o_scale(a, c))
+        _same(pa * 3, _o_scale(a, Qi(3)))
+        _same(pa.deriv(), _o_deriv(a))
+        if a:
+            _same(pa.monic(), _o_monic(a))
+        k = rng.randint(0, 3)
+        want = [Qi(1)]
+        for _ in range(k):
+            want = _o_mul(want, a)
+        _same(pa ** k, want)
+
+
+def test_kernel_divmod_matches_the_fraction_oracle():
+    rng = random.Random(2121)
+    leads = [Qi(-2), Qi(0, 3), Qi(1, 1), Qi(Fraction(1, 7))]
+    cases = 0
+    for trial in range(400):
+        a = _rand_kernel_poly(rng)
+        b = _o_trim(_rand_kernel_poly(rng, 6))[:-1] + [leads[trial % 4]]
+        if trial % 10 == 0:
+            b = [leads[trial // 10 % 4]]        # a degree-0 divisor
+        if trial % 25 == 0:
+            a = []                               # a zero dividend
+        pa, pb = CPoly(a), CPoly(b)
+        q, r = divmod(pa, pb)
+        want_q, want_r = _o_divmod(_o_trim(a), b)
+        _same(q, want_q)
+        _same(r, want_r)
+        assert q * pb + r == pa
+        assert r.degree < pb.degree
+        assert pa // pb == q and pa % pb == r
+        cases += 1
+    assert cases == 400
+
+
+def test_equal_values_by_different_routes_are_equal_and_hash_equal():
+    s, half = CPoly.S, Qi(Fraction(1, 2))
+    routes = [
+        CPoly([Fraction(1, 2), Fraction(1, 2)]),
+        (s + CPoly.ONE) * half,
+        (CPoly([2, 2]) * half) * half,
+        (CPoly([-1, 0, 1]) // (s - CPoly.ONE)) * half,
+        CPoly([Qi(0, 1), Qi(0, 1)]) * Qi(0, Fraction(-1, 2)),
+        CPoly([3, 3]).monic() * half,
+    ]
+    for p in routes:
+        _assert_canonical(p)
+        assert p == routes[0] and hash(p) == hash(routes[0])
+    assert CPoly([0, 0]) == CPoly.ZERO and CPoly([1, 0]) == CPoly.ONE
+
+
+def test_division_by_a_negative_lead_leaves_a_positive_denominator():
+    # (s^2 + 1) divided by 3 - 2s: every scale of the remainder is by -2
+    q, r = divmod(CPoly([1, 0, 1]), CPoly([3, -2]))
+    for p in (q, r):
+        _assert_canonical(p)
+    assert q == CPoly([Fraction(-3, 4), Fraction(-1, 2)])
+    assert r == CPoly([Fraction(13, 4)])
+
+
+def test_image_mod_p_matches_the_per_coefficient_image():
+    rng = random.Random(2122)
+    for _ in range(200):
+        a = _rand_kernel_poly(rng)
+        assert _image_mod_p(CPoly(a)) == _o_image_mod_p(_o_trim(a))
+    tiny = CPoly([Fraction(1, _P), Qi(0, Fraction(3, 2))])
+    assert tiny._d % _P == 0
+    assert _image_mod_p(tiny) is None
 
 
 def test_poly_gcd_examples():
@@ -442,6 +619,19 @@ def test_alg_deriv_tone_image():
 def test_alg_deriv_of_constants_is_zero():
     assert alg_deriv(RatFunc.ONE).is_zero
     assert alg_deriv(RatFunc(Qi(2, 5))).is_zero
+
+
+def test_deriv_matches_the_reduced_quotient_rule():
+    rng = random.Random(2113)
+    s = CPoly.S
+    for _ in range(150):
+        den = CPoly.ONE
+        for _ in range(rng.randint(1, 3)):
+            den = den * (s - CPoly.scalar(_rand_qi(rng, 3))) ** rng.randint(1, 3)
+        r = RatFunc(_rand_poly(rng, 4), den)
+        n, d = r.num, r.den
+        assert r.deriv() == RatFunc(n.deriv() * d - n * d.deriv(), d * d)
+    assert alg_deriv(RatFunc(s * s)) == RatFunc(CPoly([0, 2]))
 
 
 def test_alg_deriv_product_rule():

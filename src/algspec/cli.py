@@ -17,7 +17,10 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fouriercontrast import contrast_report
 from .instfreq import PhiTrace, SampledSignal, phi_fitted, phi_symbolic
@@ -153,6 +156,60 @@ def _cmd_opform(cfg: CliConfig) -> str:
 
 
 def _read_csv(path: str) -> SampledSignal:
+    """The samples of a 't,x' file, parsed in one array pass.
+
+    A file the array pass does not take whole goes to `_read_csv_rows`,
+    which accepts the same files, gives the same samples, and names the
+    offending line of any other file.
+    """
+    if _loadtxt_reads_like_csv(path):
+        with open(path, newline="") as fh:
+            # csv splits a line without quotes at its commas, as here
+            if [c.strip() for c in fh.readline().split(",")] == ["t", "x"]:
+                with warnings.catch_warnings():
+                    # a header-only file is reported by the row reader
+                    warnings.filterwarnings("ignore", "loadtxt: input "
+                                            "contained no data", UserWarning)
+                    try:
+                        data = np.loadtxt(fh, delimiter=",", comments=None,
+                                          dtype=float, ndmin=2)
+                    except ValueError:
+                        data = None
+                if (data is not None and data.shape[0] and data.shape[1] == 2
+                        and np.isfinite(data).all()):
+                    return SampledSignal(data[:, 0].tolist(),
+                                         data[:, 1].tolist())
+    return _read_csv_rows(path)
+
+
+def _loadtxt_reads_like_csv(path: str) -> bool:
+    """Whether loadtxt gives the row reader's samples wherever it parses
+    the file.  Two things would differ: a line longer than csv's field
+    size limit, which the row reader refuses, and the separators 0x1c-0x1f,
+    which loadtxt strips around a number and `float` refuses.  Lines are
+    measured in bytes, never fewer than their characters; a quote, which
+    could join lines into one csv field, is a non-numeric field to
+    loadtxt."""
+    limit = csv.field_size_limit()
+    with open(path, "rb") as raw:
+        pos, newline = 0, -1    # offsets of this chunk and of the last b"\n"
+        while chunk := raw.read(min(limit, 1 << 16)):
+            if any(bytes([c]) in chunk for c in range(0x1C, 0x20)):
+                return False
+            # the line ending at the chunk's first b"\n" may have begun in
+            # an earlier chunk; a later one is shorter than the chunk
+            first = chunk.find(b"\n")
+            end = pos + (len(chunk) if first < 0 else first)
+            if end - newline > limit + 1:
+                return False
+            if first >= 0:
+                newline = pos + chunk.rfind(b"\n")
+            pos += len(chunk)
+    return pos - newline <= limit + 1
+
+
+def _read_csv_rows(path: str) -> SampledSignal:
+    """Row by row: the error path of `_read_csv`, and its reference."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -179,10 +236,16 @@ def _read_csv(path: str) -> SampledSignal:
 
 
 def _trace_text(trace: PhiTrace) -> str:
-    lines = [f"method: {trace.method}", "t phi"]
-    for t, p in zip(trace.times, trace.phi):
-        lines.append(f"{_g12(t)} {'none' if p is None else _g12(p)}")
-    return "\n".join(lines)
+    if None in trace.phi:
+        rows = "".join(f"\n{_g12(t)} {'none' if p is None else _g12(p)}"
+                       for t, p in zip(trace.times, trace.phi))
+    else:
+        # one format call; adding 0.0 turns -0.0 into 0.0, which %g prints
+        # as 0, as _g12 does
+        flat = tuple([v + 0.0 for row in zip(trace.times, trace.phi)
+                      for v in row])
+        rows = ("\n%.12g %.12g" * len(trace.times)) % flat
+    return f"method: {trace.method}\nt phi{rows}"
 
 
 def _cmd_instfreq(cfg: CliConfig) -> str:

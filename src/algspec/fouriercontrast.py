@@ -63,8 +63,8 @@ def dft(sig: SampledSignal) -> DftResult:
         raise ValueError("sampling must be uniform")
     coeffs = np.fft.fft(np.asarray(sig.values, dtype=float))
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, dt)
-    return DftResult(tuple(float(f) for f in freqs),
-                     tuple(float(abs(c)) for c in coeffs))
+    return DftResult(tuple(freqs.tolist()),
+                     tuple(map(abs, coeffs.tolist())))
 
 
 def sinc_fourier_closed_form(omega: float, xi: float) -> float:
@@ -168,7 +168,8 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
             raise ParameterError("contrast tone frequency must be nonzero")
         n, dt = 256, 0.05
         times = tuple(k * dt for k in range(n))
-        values = tuple(math.sin(w * t + float(atom.phase)) for t in times)
+        phase = float(atom.phase)
+        values = tuple(math.sin(w * t + phase) for t in times)
         result = dft(SampledSignal(times, values))
         return ContrastReport(
             label, analyze(e).spectrum,

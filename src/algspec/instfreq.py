@@ -41,13 +41,14 @@ class SampledSignal:
     values: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times = tuple(map(float, self.times))
+        values = tuple(map(float, self.values))
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
-        if not all(map(math.isfinite, times + values)):
+        both = np.array(times + values)
+        if not np.isfinite(both).all():
             raise ValueError("times and values must be finite")
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if (np.diff(both[:len(times)]) <= 0).any():
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)

@@ -194,8 +194,10 @@ def to_rational(x: ExpPoly) -> RatFunc:
     for rate, poly in x.terms:
         lin = CPoly([-rate, 1])
         local = CPoly.ZERO
+        fact = 1                             # k!
         for k, c in enumerate(poly.coeffs):  # Horner in (s - a)
-            local = local * lin + CPoly([c * Qi(math.factorial(k))])
+            fact *= k or 1
+            local = local * lin + CPoly([c * Qi(fact)])
         factor = lin ** len(poly.coeffs)
         num = num * factor + local * den
         den = den * factor

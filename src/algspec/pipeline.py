@@ -5,12 +5,16 @@ are the poles of their rational image; the Dirac impulse maps to a
 constant, which has no poles, so its spectrum is empty; catalog atoms go
 through their defining operational equation and its singular points, each
 classified once: the same pass fills the explanation and yields the
-spectrum.  Anything else is refused rather than approximated.
+spectrum.  Anything else is refused rather than approximated.  The
+rational image is built only when it is read, which the spectrum and the
+contrast never do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from . import opcalc, weylode
 from .ratfield import RatFunc, Spectrum
@@ -28,10 +32,17 @@ class SpectrumAnalysis:
     expression: SignalExpr
     signal_class: SignalClass
     spectrum: Spectrum
-    rational: RatFunc | None = None           # operational image
+    # builds the operational image; only what prints it reads `rational`
+    image: Callable[[], RatFunc | None] = field(
+        default=lambda: None, repr=False, compare=False)
     system: OdeSystem | None = None           # equation route
     finite_points: tuple = ()
     infinity: SingularPoint | None = None
+
+    @cached_property
+    def rational(self) -> RatFunc | None:
+        """The operational image, built on first read."""
+        return self.image()
 
 
 def analyze(e: SignalExpr) -> SpectrumAnalysis:
@@ -40,11 +51,12 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
     if kind == SignalClass.EXP_POLYNOMIAL:
         x = opcalc.from_signal(e)
         return SpectrumAnalysis(e, kind, opcalc.spectrum_of_exppoly(x),
-                                rational=opcalc.to_rational(x))
+                                image=lambda: opcalc.to_rational(x))
     if kind == SignalClass.DIRAC:
         scale, _ = split_scale(e)
-        return SpectrumAnalysis(e, kind, Spectrum((), ()),
-                                rational=opcalc.dirac_image() * RatFunc(scale))
+        return SpectrumAnalysis(
+            e, kind, Spectrum((), ()),
+            image=lambda: opcalc.dirac_image() * RatFunc(scale))
     if kind == SignalClass.ODE_DEFINED:
         sys = weylode.catalog_equation(e)
         finite = tuple(weylode.finite_singularities(sys))

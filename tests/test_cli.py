@@ -3,15 +3,20 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algspec import cli
 from algspec.cli import CliConfig, main, run
-from algspec.instfreq import phi_symbolic
+from algspec.instfreq import (PhiTrace, SampledSignal, phi_fitted,
+                              phi_symbolic)
 from algspec.ratfield import RootFindingError
 from algspec.sigexpr import parse
 
@@ -298,6 +303,149 @@ def test_instfreq_csv_field_over_the_csv_limit(tmp_path, capsys):
     assert (status, captured.out) == (1, "")
     assert captured.err.startswith("error: input: csv line 3: field larger")
     assert captured.err.count("\n") == 1
+
+
+def _rows(n=15, sep="\n", fmt="{t},{x}"):
+    return "".join(fmt.format(t=k / 10, x=(k / 10) ** 3 - k / 7) + sep
+                   for k in range(n))
+
+
+# files the array pass of _read_csv takes whole
+_ARRAY_CSV = {
+    "crlf": "t,x\r\n" + _rows(sep="\r\n"),
+    "blank_lines": "t,x\n\n" + _rows(sep="\n\n"),
+    "spaces": "t,x\n" + _rows(fmt=" {t} ,\t{x} "),
+    "header_spaces": " t , x \n" + _rows(),
+    "negative_zero": "t,x\n-0.0,-0.0\n" + _rows(fmt="{t}1,-0.0"),
+    "extremes": "t,x\n" + _rows(fmt="{t},1e-300") + "2,1.7e308\n",
+}
+# files it leaves to the row reader
+_ROW_CSV = {
+    "underscore": "t,x\n" + _rows().replace("0.1,", "1_0,"),
+    "arabic_indic": "t,x\n" + _rows().replace("0.1,", "٠.١,"),
+    "quoted": "t,x\n" + _rows(fmt='"{t}","{x}"'),
+    "quoted_space": "t,x\n" + _rows(fmt='"{t}" ,{x}'),
+    "hash_in_field": 't,x\n0,"1#"\n' + _rows(),
+    "hash_comment": "t,x\n" + _rows(fmt="{t},{x}#c"),
+    "file_separator": "t,x\n" + _rows(fmt="{t},\x1c{x}"),
+    "nan": "t,x\n" + _rows() + "2,nan\n",
+    "inf": "t,x\n" + _rows() + "inf,3\n",
+    "overflow": "t,x\n" + _rows() + "2,1e400\n",
+    "one_column": "t,x\n" + _rows(fmt="{t}"),
+    "three_columns": "t,x\n" + _rows(fmt="{t},{x},1"),
+    "whitespace_line": "t,x\n" + _rows().replace("0.5,", "   \n0.5,"),
+    "quoted_header": '"t","x"\n' + _rows(),
+    "wrong_header": "time,x\n" + _rows(),
+    "header_only": "t,x\n",
+    "empty": "",
+    "not_increasing": "t,x\n" + _rows() + "0.5,3\n",
+    "carriage_returns": "t,x\r" + _rows(sep="\r"),
+    "field_over_the_csv_limit": "t,x\n" + _rows() + "2,0." + "0" * 140_000
+                                + "1\n",
+    "header_over_the_csv_limit": "t" + " " * 140_000 + ",x\n" + _rows(),
+}
+
+
+def _read_outcome(read, path):
+    """(samples as hex, or the error message), and the warnings raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sig = read(path)
+            got = ([t.hex() for t in sig.times], [x.hex() for x in sig.values])
+        except ValueError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("name", sorted({**_ARRAY_CSV, **_ROW_CSV}))
+def test_csv_reader_matches_the_row_reader(tmp_path, capsys, monkeypatch,
+                                           name):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes({**_ARRAY_CSV, **_ROW_CSV}[name].encode())
+    got = _read_outcome(cli._read_csv, str(p))
+    assert got == (_read_outcome(cli._read_csv_rows, str(p))[0], [])
+    argv = ["instfreq", "--csv", str(p)]
+    status, captured = main(argv), capsys.readouterr()
+    if isinstance(got[0], str):
+        assert (status, captured.out) == (1, "")
+        assert captured.err == f"error: input: {got[0]}\n"
+    monkeypatch.setattr(cli, "_read_csv", cli._read_csv_rows)
+    assert (status, captured) == (main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_CSV))
+def test_csv_reader_takes_plain_files_in_one_array_pass(tmp_path,
+                                                        monkeypatch, name):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(_ARRAY_CSV[name].encode())
+    want = cli._read_csv_rows(str(p))
+
+    def refused(path):
+        raise AssertionError("row reader called")
+
+    monkeypatch.setattr(cli, "_read_csv_rows", refused)
+    assert cli._read_csv(str(p)) == want
+
+
+_CSV_PIECES = ["0", "1", "7", ".", "e", "-", "+", "_", ",", ",", '"', " ",
+               "\t", "\n", "\n", "\r\n", "\r", "#", "nan", "inf", "1e400",
+               "١", "\x00", "\x0b", "\x1c", "\x85"]
+_CSV_PADS = ["", "", " ", "\t", "\x0b", "\x1c", "\x1f", "\x85", "\u3000"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["t,x\n", " t , x \r\n", '"t",x\n', "t,x"]),
+       st.lists(st.tuples(st.integers(-30, 30), st.floats(allow_nan=False),
+                          st.sampled_from(_CSV_PADS),
+                          st.sampled_from(["\n", "\r\n", " \n"])),
+                max_size=12),
+       st.lists(st.sampled_from(_CSV_PIECES), max_size=8),
+       st.integers(0, 12))
+def test_csv_reader_matches_the_row_reader_on_generated_files(
+        header, rows, junk, at):
+    lines = [f"{pad}{t / 4!r},{pad}{x!r}{end}" for t, x, pad, end in rows]
+    lines.insert(min(at, len(lines)), "".join(junk))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "gen.csv")
+        with open(p, "w", newline="") as fh:
+            fh.write(header + "".join(lines))
+        got = _read_outcome(cli._read_csv, p)
+        assert got == (_read_outcome(cli._read_csv_rows, p)[0], [])
+
+
+def _trace_text_per_row(trace):
+    lines = [f"method: {trace.method}", "t phi"]
+    for t, p in zip(trace.times, trace.phi):
+        lines.append(f"{cli._g12(t)} {'none' if p is None else cli._g12(p)}")
+    return "\n".join(lines)
+
+
+def _mixed_trace():
+    # the first windows are 1e-7 wide, below lstsq's cutoff at degree 4
+    rng = random.Random(2509)
+    times = [1e-7 * k for k in range(20)] + [
+        1.0 + 0.01 * (k + rng.uniform(-0.2, 0.2)) for k in range(40)]
+    sig = SampledSignal(tuple(times), tuple(math.sin(t) for t in times))
+    return phi_fitted(sig, window=11, degree=4)
+
+
+@pytest.mark.parametrize("trace", [
+    PhiTrace((-0.0, 0.0, 1.0), (-0.0, 2.0, -0.0), "fitted"),
+    PhiTrace((0.1, 0.2), (None, None), "fitted"),
+    _mixed_trace(),
+    PhiTrace((0.5, 1.5, 2.5, 3.5), (math.nan, math.inf, -math.inf, 1e-300),
+             "fitted"),
+    PhiTrace((1.7e308, -1e-300), (-1.7e308, 5e-324), "fitted"),
+    PhiTrace((0.5,), (-0.25,), "symbolic"),
+])
+def test_trace_text_matches_the_per_row_rendering(trace):
+    assert cli._trace_text(trace) == _trace_text_per_row(trace)
+
+
+def test_mixed_trace_holds_none_and_floats():
+    phi = _mixed_trace().phi
+    assert None in phi and any(p is not None for p in phi)
 
 
 # --- contrast and selftest -----------------------------------------------------

@@ -37,6 +37,21 @@ def test_both_routes_agree_with_reference():
         assert max(abs(a - b) for a, b in zip(mine, reference)) <= 1e-9
 
 
+@pytest.mark.parametrize("lengths", [range(2, 301), (4095, 4096)])
+def test_dft_tuples_are_the_per_element_float_conversions(lengths):
+    rng = np.random.default_rng(2602)
+    for n in lengths:
+        dt = 0.01 * (1 + n % 7)
+        sig = _uniform(rng.standard_normal(n).tolist(), dt)
+        got = dft(sig)
+        coeffs = np.fft.fft(np.asarray(sig.values, dtype=float))
+        freqs = 2.0 * math.pi * np.fft.fftfreq(n, float(np.diff(sig.times)[0]))
+        assert [m.hex() for m in got.magnitudes] == [
+            float(abs(c)).hex() for c in coeffs]
+        assert [f.hex() for f in got.bin_frequencies] == [
+            float(f).hex() for f in freqs]
+
+
 def test_impulse_spectrum_is_flat():
     values = [0.0] * 64
     values[0] = 1.0

@@ -120,6 +120,14 @@ def test_sample_validation():
         with pytest.raises(ValueError, match="finite"):
             SampledSignal(times, values)
     with pytest.raises(ValueError):
+        SampledSignal((0.0, 1.0, 2.0), (1.0, 2.0))
+    with pytest.raises(TypeError):
+        SampledSignal((0.0, 1.0), (None, 2.0))
+    with pytest.raises(TypeError):
+        SampledSignal((0.0, 1.0), (1.0, 2.0 + 1.0j))
+    with pytest.raises(ValueError):
+        SampledSignal((0.0, "one"), (1.0, 2.0))
+    with pytest.raises(ValueError):
         PhiTrace((0.0,), (1.0, 2.0), "fitted")
 
 

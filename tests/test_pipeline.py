@@ -2,8 +2,10 @@
 
 import pytest
 
-from algspec import weylode
+from algspec import opcalc, weylode
+from algspec.cli import CliConfig, run
 from algspec.pipeline import analyze
+from algspec.ratfield import RatFunc
 from algspec.sigexpr import parse
 
 ATOMS = ["sinc(3)", "rcos(2)", "delay(3/2)", "chirp(1,2,3)"]
@@ -34,3 +36,41 @@ def test_equation_route_spectrum_equals_spectrum_of_ode(text):
         == weylode.finite_singularities(analysis.system)
     assert analysis.infinity \
         == weylode.singularity_at_infinity(analysis.system)
+
+
+@pytest.mark.parametrize("config, builds", [
+    (CliConfig("spectrum", "t*exp(-t) + sin(2*t)"), 0),
+    (CliConfig("spectrum", "t*exp(-t) + sin(2*t)", output="json"), 0),
+    (CliConfig("contrast", "3*sin(2*t)"), 0),
+    (CliConfig("contrast", "3*sin(2*t)", output="json"), 0),
+    (CliConfig("spectrum", "t*exp(-t) + sin(2*t)", explain=True), 1),
+    (CliConfig("opform", "t*exp(-t) + sin(2*t)"), 1),
+    (CliConfig("opform", "t*exp(-t) + sin(2*t)", output="json"), 1),
+])
+def test_image_is_built_only_for_the_output_that_prints_it(
+        monkeypatch, config, builds):
+    calls = []
+    original = opcalc.to_rational
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(opcalc, "to_rational", counted)
+    status, _, _ = run(config)
+    assert status == 0
+    assert len(calls) == builds
+
+
+def test_image_is_built_once_per_analysis(monkeypatch):
+    calls = []
+    original = opcalc.to_rational
+    monkeypatch.setattr(opcalc, "to_rational",
+                        lambda x: calls.append(x) or original(x))
+    a = analyze(parse("t^2*exp(-t)"))
+    assert calls == []
+    assert a.rational.format() == "2 / (s^3 + 3s^2 + 3s + 1)"
+    assert a.rational is a.rational
+    assert len(calls) == 1
+    assert analyze(parse("2*dirac()")).rational == RatFunc(2)
+    assert analyze(parse("sinc(3)")).rational is None

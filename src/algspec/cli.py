@@ -3,10 +3,11 @@ operational-form, instantaneous-frequency, or contrast machinery, and render
 text or JSON.
 
 Exit codes: 0 success, 1 input error (syntax, unsupported signal, bad
-parameters, unreadable CSV) or standard output closed before the output was
-written, 2 numerical failure (root finding or partial fractions did not
-converge).  All output is deterministic: floats are rendered with 12
-significant digits and JSON keys are fixed.
+parameters, unreadable CSV, a value beyond the float range), a number with
+more digits than the interpreter prints, or standard output closed before
+the output was written, 2 numerical failure (root finding or partial
+fractions did not converge).  All output is deterministic: floats are
+rendered with 12 significant digits and JSON keys are fixed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .fouriercontrast import contrast_report
 from .instfreq import PhiTrace, SampledSignal, phi_fitted, phi_symbolic
 from .pipeline import SpectrumAnalysis, analyze
-from .ratfield import RootFindingError
+from .ratfield import DigitLimitError, RootFindingError
 from .sigexpr import ExpressionError, SignalClass, classify, parse
 from .weylode import format_equation
 
@@ -248,6 +249,20 @@ def _trace_text(trace: PhiTrace) -> str:
     return f"method: {trace.method}\nt phi{rows}"
 
 
+def _float_list(values) -> str:
+    """A JSON list of floats and None, as `_json_value` renders it, in one
+    format call; adding 0.0 turns -0.0 into 0.0, which %g prints as 0, as
+    _g12 does."""
+    fmt = ",".join(["null" if v is None else "%.12g" for v in values])
+    return "[" + fmt % tuple([v + 0.0 for v in values if v is not None]) + "]"
+
+
+def _trace_json(trace: PhiTrace) -> str:
+    return (f'{{"times":{_float_list(trace.times)},'
+            f'"phi":{_float_list(trace.phi)},'
+            f'"method":{json.dumps(trace.method)}}}')
+
+
 def _cmd_instfreq(cfg: CliConfig) -> str:
     if cfg.csv_path is not None:
         sig = _read_csv(cfg.csv_path)
@@ -257,7 +272,7 @@ def _cmd_instfreq(cfg: CliConfig) -> str:
         value = phi_symbolic(e, cfg.at)
         trace = PhiTrace((cfg.at,), (value,), "symbolic")
     if cfg.output == "json":
-        return _json_value(trace.as_dict())
+        return _trace_json(trace)
     return _trace_text(trace)
 
 
@@ -285,6 +300,10 @@ def run(config: CliConfig) -> tuple[int, str, str]:
         return 0, handler[config.command](config), ""
     except RootFindingError as exc:
         return 2, "", f"error: numerical: {exc}"
+    except DigitLimitError as exc:
+        return 1, "", f"error: output: {exc}"
+    except OverflowError:
+        return 1, "", "error: input: a value exceeds the float range"
     except (ValueError, OSError) as exc:
         return 1, "", f"error: input: {exc}"
 

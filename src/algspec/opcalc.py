@@ -149,15 +149,22 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
                 out[rate] = out.get(rate, CPoly.ZERO) + poly
         return out
     if isinstance(e, Mul):
-        acc = {Qi(0): CPoly.ONE}
+        acc = None
         for factor in e.factors:
-            acc = _convolve(acc, _terms_of(factor))
+            terms = _terms_of(factor)
+            acc = terms if acc is None else _convolve(acc, terms)
         return acc
     if isinstance(e, Pow):
-        acc = {Qi(0): CPoly.ONE}
-        base = _terms_of(e.base)
-        for _ in range(e.k):
-            acc = _convolve(acc, base)
+        k = e.k
+        if isinstance(e.base, TimeVar):      # the monomial t^k
+            return {Qi(0): CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
+        acc, base = {Qi(0): CPoly.ONE}, _terms_of(e.base)
+        while k:                             # binary powering
+            if k & 1:
+                acc = _convolve(acc, base)
+            k >>= 1
+            if k:
+                base = _convolve(base, base)
         return acc
     raise ExpressionError(
         "expression is not an exponential polynomial")

@@ -2,9 +2,9 @@
 
 Polynomials and rational functions carry exact coefficients, so gcd
 cancellation and reduction are exact and no spurious poles appear.  A scalar
-`Qi` is a pair of `fractions.Fraction` values (real and imaginary part); a
+`Qi` is one Gaussian integer over a positive integer denominator, and a
 polynomial `CPoly` stores Gaussian integers over one positive integer
-denominator, so its arithmetic, division included, runs on integers.  Most
+denominator, so their arithmetic, division included, runs on integers.  Most
 gcds are 1; `poly_gcd` certifies that modulo one fixed prime P = 1 (mod 4),
 sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
 Euclidean algorithm runs only when the certificate does not apply: the
@@ -17,6 +17,7 @@ then an Aberth-style simultaneous iteration on each square-free factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -25,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "Qi", "CPoly", "RatFunc", "Pole", "SingularitySource", "Spectrum",
-    "RootFindingError", "poles", "spectrum_of_rational",
+    "RootFindingError", "DigitLimitError", "poles", "spectrum_of_rational",
     "partial_fractions", "PartialFractions", "alg_deriv", "snap_axes",
 ]
 
@@ -38,34 +39,95 @@ class RootFindingError(ArithmeticError):
     """Simultaneous root iteration failed to converge within its budget."""
 
 
-def _frac(x) -> Fraction:
+class DigitLimitError(ValueError):
+    """A number to print has more digits than the interpreter converts to
+    text (`sys.get_int_max_str_digits`)."""
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational, or of a float by
+    its exact binary expansion."""
+    if type(x) is int:
+        return x, 1
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        f = Fraction(x)
+        return f.numerator, f.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class Qi:
-    """Exact complex scalar: rational real and imaginary parts.
+def _int_text(n: int, d: int = 1) -> str:
+    """"n", or "n/d" when d != 1, with the interpreter's digit limit
+    reported as a `DigitLimitError`."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        raise DigitLimitError(
+            f"a number exceeds the limit of {sys.get_int_max_str_digits()} "
+            f"digits for a printed integer") from None
 
-    Elements of Q(i).  Floats convert via their exact binary expansion, so
-    values observed numerically can still take part in exact arithmetic.
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms; a denominator above 10^9, which betrays a float
+    origin, renders the value at 12 significant digits."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    if d > 1_000_000_000:
+        return format(n / d, ".12g")
+    return _int_text(n, d)
+
+
+class Qi:
+    """Exact complex scalar, an element of Q(i).
+
+    Stored as the Gaussian integer a + i*b over one positive integer
+    denominator d, in canonical form (gcd(a, b, d) = 1; zero is 0, 0, 1),
+    so equal values compare and hash equal and arithmetic runs on
+    integers.  `re` and `im` give the parts as `Fraction`s.  Floats convert
+    via their exact binary expansion, so values observed numerically can
+    still take part in exact arithmetic.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        (p, q), (u, v) = _ratio(re), _ratio(im)
+        # the lcm of reduced denominators leaves content 1
+        d = q if q == v else q * v // math.gcd(q, v)
+        self._a, self._b, self._d = p * (d // q), u * (d // v), d
+
+    @classmethod
+    def _make(cls, a: int, b: int, d: int) -> "Qi":
+        """The scalar with these fields, which must be canonical."""
+        z = object.__new__(cls)
+        z._a, z._b, z._d = a, b, d
+        return z
+
+    @classmethod
+    def _canon(cls, a: int, b: int, d: int) -> "Qi":
+        """(a + i*b)/d for an integer d > 0, put in canonical form."""
+        if d != 1:
+            g = math.gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        return cls._make(a, b, d)
 
     @classmethod
     def coerce(cls, x) -> "Qi":
-        if isinstance(x, Qi):
+        if type(x) is Qi:
             return x
+        if type(x) is int:
+            return cls._make(x, 0, 1)
+        if isinstance(x, Fraction):
+            return cls._make(x.numerator, 0, x.denominator)
         if isinstance(x, complex):
-            return cls(Fraction(x.real), Fraction(x.imag))
-        return cls(_frac(x))
+            return cls(x.real, x.imag)
+        return cls(x)
 
     @classmethod
     def _try(cls, x):
@@ -74,41 +136,57 @@ class Qi:
         except TypeError:
             return None
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def conjugate(self) -> "Qi":
-        return Qi(self.re, -self.im)
+        return Qi._make(self._a, -self._b, self._d)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        other = Qi._try(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Qi:
+            other = Qi._try(other)
+            if other is None:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __neg__(self):
-        return Qi(-self.re, -self.im)
+        return Qi._make(-self._a, -self._b, self._d)
 
     def __add__(self, other):
-        other = Qi._try(other)
-        if other is None:
-            return NotImplemented
-        return Qi(self.re + other.re, self.im + other.im)
+        if type(other) is not Qi:
+            other = Qi._try(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return Qi._canon(self._a + other._a, self._b + other._b, d)
+        return Qi._canon(self._a * e + other._a * d,
+                         self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Qi._try(other)
-        if other is None:
-            return NotImplemented
-        return Qi(self.re - other.re, self.im - other.im)
+        if type(other) is not Qi:
+            other = Qi._try(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         other = Qi._try(other)
@@ -117,23 +195,31 @@ class Qi:
         return other - self
 
     def __mul__(self, other):
-        other = Qi._try(other)
-        if other is None:
-            return NotImplemented
-        return Qi(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        if type(other) is not Qi:
+            other = Qi._try(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return Qi._canon(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Qi._try(other)
-        if other is None:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Qi((self.re * other.re + self.im * other.im) / d,
-                  (self.im * other.re - self.re * other.im) / d)
+        if type(other) is not Qi:
+            other = Qi._try(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:    # a real divisor c/f
+            if not c:
+                raise ZeroDivisionError("division by zero scalar")
+            if c < 0:
+                c, f = -c, -f
+            return Qi._canon(a * f, b * f, d * c)
+        # (a + ib)/d * f/(c + ie) = (a + ib)(c - ie) f / (d (c^2 + e^2))
+        return Qi._canon((a * c + b * e) * f, (b * c - a * e) * f,
+                         d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         other = Qi._try(other)
@@ -146,19 +232,20 @@ class Qi:
             return NotImplemented
         if k < 0:
             return _QI_ONE / (self ** (-k))
-        out, base = _QI_ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        a, b = 1, 0                  # (x + iy)^k by binary powering
+        x, y = self._a, self._b
+        n = k
+        while n:
+            if n & 1:
+                a, b = a * x - b * y, a * y + b * x
+            x, y = x * x - y * y, 2 * x * y
+            n >>= 1
+        return Qi._canon(a, b, self._d ** k)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def _key(self):
-        return (self.re, self.im)
+        # integer true division rounds correctly, as float(Fraction) does
+        d = self._d
+        return complex(self._a / d, self._b / d)
 
     def __repr__(self):
         return f"Qi({self.re!r}, {self.im!r})"
@@ -166,27 +253,23 @@ class Qi:
     def __str__(self):
         # display form: "3", "-1/2", "i", "2i", "(1+2i)"; components whose
         # denominators betray float origins render at 12 significant digits
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_text(a, d)
+        if not a:
+            if b == d:
                 return "i"
-            if self.im == -1:
+            if b == -d:
                 return "-i"
-            return f"{_frac_str(self.im)}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        imtxt = "i" if mag == 1 else f"{_frac_str(mag)}i"
-        return f"({_frac_str(self.re)}{sign}{imtxt})"
-
-
-def _frac_str(f: Fraction) -> str:
-    if f.denominator > 1_000_000_000:
-        return format(float(f), ".12g")
-    return str(f)
+            return f"{_ratio_text(b, d)}i"
+        sign = "+" if b > 0 else "-"
+        mag = abs(b)
+        imtxt = "i" if mag == d else f"{_ratio_text(mag, d)}i"
+        return f"({_ratio_text(a, d)}{sign}{imtxt})"
 
 
 _QI_ONE = Qi(1)
+_QI_MINUS_ONE = Qi(-1)
 
 
 def _gmul(re, im, gr: int, gi: int):
@@ -240,10 +323,10 @@ class CPoly:
         cs = [Qi.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        # the lcm of reduced denominators leaves content 1
-        d = math.lcm(*(f.denominator for c in cs for f in (c.re, c.im)))
-        self._re = tuple(c.re.numerator * (d // c.re.denominator) for c in cs)
-        self._im = tuple(c.im.numerator * (d // c.im.denominator) for c in cs)
+        # the lcm of canonical denominators leaves content 1
+        d = math.lcm(*(c._d for c in cs))
+        self._re = tuple(c._a * (d // c._d) for c in cs)
+        self._im = tuple(c._b * (d // c._d) for c in cs)
         self._d = d
         self._qi = tuple(cs)
 
@@ -276,7 +359,8 @@ class CPoly:
         qi = self._qi
         if qi is None:
             d = self._d
-            qi = self._qi = tuple(Qi(Fraction(r, d), Fraction(i, d))
+            canon = Qi._canon
+            qi = self._qi = tuple(canon(r, i, d)
                                   for r, i in zip(self._re, self._im))
         return qi
 
@@ -493,7 +577,7 @@ def _term_str(c: Qi, var: str, k: int) -> str:
     vtxt = var if k == 1 else f"{var}^{k}"
     if c == _QI_ONE:
         return vtxt
-    if c == Qi(-1):
+    if c == _QI_MINUS_ONE:
         return "-" + vtxt
     return f"{_coeff_str(c)}{vtxt}"
 

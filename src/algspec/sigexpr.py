@@ -13,8 +13,9 @@ Numbers are decimal literals with optional scientific notation and are kept
 exact (no float rounding at parse time).  sin/cos accept a single argument
 that is constant or linear in t, or an explicit (omega, phase) pair; exp
 takes a constant rate times t, written exp(a*t).  Division is restricted to
-divisors that are rational in t; the quotient folds into a dedicated
-rational-in-t node so that differentiating sinc-like signals stays closed.
+divisors that are rational in t; a quotient of two constants is a constant,
+and any other quotient folds into a dedicated rational-in-t node so that
+differentiating sinc-like signals stays closed.
 
 Parsing produces a canonical tree: sums and products are flattened, scalar
 factors are folded and kept leftmost, terms are sorted by a structural key,
@@ -32,7 +33,7 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .ratfield import CPoly, Qi, RatFunc
+from .ratfield import CPoly, Qi, RatFunc, _int_text
 
 __all__ = [
     "SignalExpr", "Const", "TimeVar", "Add", "Mul", "Pow", "Exp", "Sin",
@@ -215,6 +216,7 @@ class TFrac(SignalExpr):
 
 
 _T_POLY = CPoly([0, 1])
+_QI_ZERO, _QI_ONE = Qi(0), Qi(1)
 
 
 def _rat_key(r: RatFunc):
@@ -416,6 +418,11 @@ def make_exp(rate) -> SignalExpr:
 
 
 def make_div(num: SignalExpr, den: SignalExpr, offset: int = 0) -> SignalExpr:
+    if isinstance(den, Const):
+        if not den.value:
+            raise ParameterError("division by zero")
+        if isinstance(num, Const):
+            return Const(num.value / den.value)
     dr = as_ratfunc_in_t(den)
     if dr is None:
         raise SignalSyntaxError("divisor must be constant or rational in t",
@@ -708,6 +715,11 @@ class _Parser:
         tok = self._next()
         kind, text, _ = tok
         if kind == "num":
+            if text.isdigit():
+                try:
+                    return Const(Qi(int(text)))
+                except ValueError:   # more digits than int() converts
+                    pass
             return Const(Qi(Fraction(Decimal(text))))
         if kind == "ident":
             if text == "i":
@@ -745,38 +757,53 @@ def _arity_error(name: str, expected: str, got: int):
     return ParameterError(f"{name} takes {expected}, got {got} argument(s)")
 
 
-def _const_real(name: str, arg: SignalExpr) -> Fraction:
+def _linear_coeffs(arg: SignalExpr) -> tuple[Qi, Qi] | None:
+    """(c0, c1) with arg = c0 + c1*t, or None when arg is not a polynomial
+    of degree at most 1 in t.  A constant, t and c*t are read off the
+    node; any other shape goes through its rational function."""
+    if isinstance(arg, Const):
+        return arg.value, _QI_ZERO
+    if isinstance(arg, TimeVar):
+        return _QI_ZERO, _QI_ONE
+    if (isinstance(arg, Mul) and len(arg.factors) == 2
+            and isinstance(arg.factors[0], Const)
+            and isinstance(arg.factors[1], TimeVar)):
+        return _QI_ZERO, arg.factors[0].value
     r = as_ratfunc_in_t(arg)
-    if r is None or not r.is_polynomial or r.num.degree > 0:
+    if r is None or not r.is_polynomial or r.num.degree > 1:
+        return None
+    coeffs = list(r.num.coeffs) + [_QI_ZERO, _QI_ZERO]
+    return coeffs[0], coeffs[1]
+
+
+def _const_real(name: str, arg: SignalExpr) -> Fraction:
+    parts = _linear_coeffs(arg)
+    if parts is None or parts[1]:
         raise ParameterError(f"{name} parameter must be a constant")
-    value = r.num.coeffs[0] if r.num.coeffs else Qi(0)
+    value = parts[0]
     if not value.is_real:
         raise ParameterError(f"{name} parameter must be real")
     return value.re
 
 
 def _linear_in_t(name: str, arg: SignalExpr) -> tuple[Fraction, Fraction]:
-    r = as_ratfunc_in_t(arg)
-    if r is None or not r.is_polynomial or r.num.degree > 1:
+    parts = _linear_coeffs(arg)
+    if parts is None:
         raise ParameterError(
             f"{name} argument must be constant or linear in t")
-    coeffs = list(r.num.coeffs) + [Qi(0), Qi(0)]
-    c0, c1 = coeffs[0], coeffs[1]
+    c0, c1 = parts
     if not (c0.is_real and c1.is_real):
         raise ParameterError(f"{name} argument must have real coefficients")
-    if r.num.degree < 1:
+    if not c1:
         return c0.re, Fraction(0)   # single constant reads as the frequency
     return c1.re, c0.re
 
 
 def _rate_times_t(arg: SignalExpr) -> Qi:
-    r = as_ratfunc_in_t(arg)
-    if r is None or not r.is_polynomial or r.num.degree > 1:
+    parts = _linear_coeffs(arg)
+    if parts is None or parts[0]:
         raise ParameterError("exp argument must be of the form a*t")
-    coeffs = list(r.num.coeffs) + [Qi(0), Qi(0)]
-    if coeffs[0]:
-        raise ParameterError("exp argument must be of the form a*t")
-    return coeffs[1]
+    return parts[1]
 
 
 def _build_call(name: str, args: list) -> SignalExpr:
@@ -842,9 +869,7 @@ def parse(text: str) -> SignalExpr:
 
 
 def _pp_frac(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return _int_text(f.numerator, f.denominator)
 
 
 def _pp_qi(q: Qi) -> str:

@@ -166,6 +166,52 @@ def test_opform_requires_an_image():
                    "or the impulse")
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "sin(1e400*t)"],
+    ["spectrum", "sin(1e400*t)", "--json"],
+    ["spectrum", "sin(1e400*t)", "--explain"],
+    ["spectrum", "exp(1e400*t)"],
+    ["opform", "sin(1e400*t)"],
+    ["contrast", "sin(1e400*t)"],
+    ["instfreq", "1e400*sin(t)", "--at", "1"],
+    ["instfreq", "sin(1e400*t)", "--at", "1"],
+    ["instfreq", "exp(1e400*t)", "--at", "1"],
+    ["instfreq", "exp(1000*t)", "--at", "1"],
+])
+def test_a_value_beyond_the_float_range_is_an_input_error(argv, capsys):
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err == "error: input: a value exceeds the float range\n"
+
+
+def test_printed_digits_have_a_limit_that_is_not_an_input_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    want = (f"error: output: a number exceeds the limit of {limit} digits "
+            f"for a printed integer\n")
+    for argv in (["opform", "t^1600"], ["opform", "t^1600", "--json"],
+                 ["spectrum", "t^1600", "--explain"],
+                 ["contrast", "1" + "0" * 5000 + "*sin(t)"]):
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (1, "", want), argv[:2]
+    # the limit is the interpreter's own, and is left in place
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_opform_prints_a_long_exact_coefficient():
+    status, out, err = run(CliConfig("opform", expr="t^1400"))
+    assert (status, err) == (0, "")
+    assert out == f"{math.factorial(1400)} / (s^1401)"
+
+
+def test_a_literal_past_the_int_digit_limit_still_parses():
+    huge = "1" + "0" * 5000
+    status, out, err = run(CliConfig("spectrum", expr=f"{huge}*sin(t)"))
+    assert (status, out, err) == (0, "frequencies: -1 1\n"
+                                     "infinite singularity: no", "")
+
+
 # --- instfreq ----------------------------------------------------------------
 
 
@@ -430,7 +476,7 @@ def _mixed_trace():
     return phi_fitted(sig, window=11, degree=4)
 
 
-@pytest.mark.parametrize("trace", [
+_TRACES = [
     PhiTrace((-0.0, 0.0, 1.0), (-0.0, 2.0, -0.0), "fitted"),
     PhiTrace((0.1, 0.2), (None, None), "fitted"),
     _mixed_trace(),
@@ -438,9 +484,18 @@ def _mixed_trace():
              "fitted"),
     PhiTrace((1.7e308, -1e-300), (-1.7e308, 5e-324), "fitted"),
     PhiTrace((0.5,), (-0.25,), "symbolic"),
-])
+    PhiTrace((), (), "fitted"),
+]
+
+
+@pytest.mark.parametrize("trace", _TRACES)
 def test_trace_text_matches_the_per_row_rendering(trace):
     assert cli._trace_text(trace) == _trace_text_per_row(trace)
+
+
+@pytest.mark.parametrize("trace", _TRACES)
+def test_trace_json_matches_the_per_value_rendering(trace):
+    assert cli._trace_json(trace) == cli._json_value(trace.as_dict())
 
 
 def test_mixed_trace_holds_none_and_floats():

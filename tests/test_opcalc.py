@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from algspec.opcalc import (ExpPoly, dirac_image, from_signal,
-                            mult_by_minus_t, spectrum_of_exppoly,
+from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
+                            from_signal, mult_by_minus_t, spectrum_of_exppoly,
                             taylor_truncate, to_exppoly, to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     alg_deriv, poles, spectrum_of_rational
-from algspec.sigexpr import ExpressionError, evaluate, parse
+from algspec.sigexpr import ExpressionError, Pow, evaluate, parse
 
 _S = CPoly([0, 1])
 
@@ -135,6 +135,30 @@ def test_expansion_agrees_with_evaluation():
         for _ in range(10):
             t = rng.uniform(0, 4)
             assert abs(x.evaluate(t) - evaluate(e, t)) <= 1e-9, text
+
+
+def _power_by_repeated_products(base, k):
+    """The expansion of base^k as k products with the base: the reference
+    for the monomial and binary-powering routes."""
+    acc, terms = {Qi(0): CPoly.ONE}, _terms_of(base)
+    for _ in range(k):
+        acc = _convolve(acc, terms)
+    return ExpPoly(tuple(acc.items()))
+
+
+@pytest.mark.parametrize("base", [
+    "t", "t + 1", "sin(t)", "sin(t) + cos(2*t) + exp(-t)", "t*exp(i*t)",
+    "(1/2 - t)*cos(3/8*t)*exp(-1/8*t)",
+])
+def test_powers_match_repeated_products(base):
+    e = parse(base)
+    for k in range(10):
+        assert from_signal(Pow(e, k)) == _power_by_repeated_products(e, k)
+
+
+def test_a_power_of_t_is_its_monomial():
+    x = from_signal(parse("t^3000"))
+    assert x.terms == ((Qi(0), CPoly([0] * 3000 + [1])),)
 
 
 def test_from_signal_rejects_other_classes():

@@ -6,8 +6,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from algspec.ratfield import (CPoly, Qi, RatFunc, RootFindingError, _I_MOD,
+from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
+                              RootFindingError, _I_MOD,
                               _P, _aberth, _coprime_mod_p, _euclid_gcd,
                               _image_mod_p, alg_deriv, clean_frequencies, partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
@@ -64,6 +66,201 @@ def test_qi_display():
     assert str(Qi(0, 1)) == "i"
     assert str(Qi(0, 2)) == "2i"
     assert str(Qi(1, 2)) == "(1+2i)"
+
+
+# The scalar oracle: Qi as it was when it held a pair of Fractions.
+
+
+def _ofrac(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, float, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _ofrac_str(f):
+    if f.denominator > 1_000_000_000:
+        return format(float(f), ".12g")
+    return str(f)
+
+
+class _OQi:
+    def __init__(self, re=0, im=0):
+        self.re, self.im = _ofrac(re), _ofrac(im)
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __add__(self, other):
+        return _OQi(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _OQi(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _OQi(self.re * other.re - self.im * other.im,
+                    self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return _OQi((self.re * other.re + self.im * other.im) / d,
+                    (self.im * other.re - self.re * other.im) / d)
+
+    def __pow__(self, k):
+        if k < 0:
+            return _OQi(1) / (self ** (-k))
+        out, base = _OQi(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"Qi({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        if self.im == 0:
+            return _ofrac_str(self.re)
+        if self.re == 0:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{_ofrac_str(self.im)}i"
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        imtxt = "i" if mag == 1 else f"{_ofrac_str(mag)}i"
+        return f"({_ofrac_str(self.re)}{sign}{imtxt})"
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raised; a ValueError
+    stands for a DigitLimitError."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return ValueError if isinstance(exc, ValueError) else type(exc)
+
+
+def _assert_canonical_qi(z):
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+    assert (z._a, z._b, z._d) == (z.re.numerator * (z._d // z.re.denominator),
+                                  z.im.numerator * (z._d // z.im.denominator),
+                                  z._d)
+
+
+def _assert_same_scalar(z, o):
+    if isinstance(z, type):
+        assert z is o
+        return
+    _assert_canonical_qi(z)
+    assert (z.re, z.im) == (o.re, o.im)
+    assert bool(z) == bool(o)
+    assert repr(z) == repr(o)
+    assert _outcome(str, z) == _outcome(str, o)
+    assert _outcome(complex, z) == _outcome(complex, o)
+
+
+# exact parts: small, huge, with large denominators, and from floats
+_parts = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-2 ** 300, 2 ** 300),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200),
+              st.integers(1, 2 ** 120)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e6, 1e6, allow_nan=False).map(Fraction),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parts, _parts, _parts, _parts, st.integers(-4, 6))
+def test_qi_matches_the_fraction_pair_oracle(a, b, c, d, k):
+    x, y = Qi(a, b), Qi(c, d)
+    ox, oy = _OQi(a, b), _OQi(c, d)
+    _assert_same_scalar(x, ox)
+    _assert_same_scalar(y, oy)
+    assert (x == y) == (ox == oy)
+    assert x == Qi(a, b) and (x != y) == (not ox == oy)
+    _assert_same_scalar(-x, _OQi(0) - ox)
+    _assert_same_scalar(x.conjugate(), _OQi(ox.re, -ox.im))
+    for op in (lambda u, v: u + v, lambda u, v: u - v,
+               lambda u, v: u * v, lambda u, v: u / v):
+        _assert_same_scalar(_outcome(op, x, y), _outcome(op, ox, oy))
+        _assert_same_scalar(_outcome(op, y, x), _outcome(op, oy, ox))
+        _assert_same_scalar(_outcome(op, x, x), _outcome(op, ox, ox))
+    for u, ou in ((x, ox), (Qi(a), _OQi(a)), (Qi(0, c), _OQi(0, c))):
+        _assert_same_scalar(_outcome(pow, u, k), _outcome(pow, ou, k))
+    # mixed operands coerce as before
+    _assert_same_scalar(x + 2, ox + _OQi(2))
+    _assert_same_scalar(3 - x, _OQi(3) - ox)
+    _assert_same_scalar(x * Fraction(1, 3), ox * _OQi(Fraction(1, 3)))
+    _assert_same_scalar(_outcome(lambda: 1 / x), _outcome(lambda: _OQi(1) / ox))
+    assert (x == a) == (ox == _OQi(a))
+
+
+def test_qi_display_keeps_the_digit_limit_apart():
+    big = 10 ** 5000
+    with pytest.raises(DigitLimitError, match="limit of 4300 digits"):
+        str(Qi(big))
+    with pytest.raises(DigitLimitError):
+        str(Qi(1, Fraction(1, 7) + big))
+    assert str(Qi(Fraction(big, 3 * big + 1))) == "0.333333333333"
+    assert str(Qi(10 ** 4299)) == "1" + "0" * 4299
+
+
+def test_qi_float_overflow_is_an_overflow_error():
+    with pytest.raises(OverflowError):
+        complex(Qi(10 ** 400))
+    with pytest.raises(OverflowError):
+        complex(Qi(0, Fraction(-(10 ** 400), 3)))
+    assert complex(Qi(Fraction(1, 10 ** 400))) == 0j
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(2), Fraction(-3, 4), Fraction(0), 2.5 + 0.5j, 0.125j, -0.5 - 3j,
+])
+def test_equal_scalars_hash_equal_by_every_route(value):
+    if isinstance(value, complex):
+        re, im = Fraction(value.real), Fraction(value.imag)
+    else:
+        re, im = value, Fraction(0)
+    d = math.lcm(re.denominator, im.denominator)
+    a, b = int(re * d), int(im * d)
+    routes = [
+        Qi(re, im), Qi(re) + Qi(0, im), Qi(float(re), float(im)),
+        Qi.coerce(complex(float(re), float(im))), Qi(str(re), str(im)),
+        Qi._canon(6 * a, 6 * b, 6 * d), Qi._canon(a, b, d),
+        CPoly([Fraction(1, 9), Qi(re, im), 1]).coeffs[1],
+        (CPoly([0, Qi(re, im), 1]) * CPoly([Fraction(1, 3)]) * 3).coeffs[1],
+    ]
+    if not im:
+        routes += [Qi.coerce(re), Qi.coerce(float(re))]
+        if re.denominator == 1:
+            routes += [Qi(int(re)), Qi.coerce(int(re)), Qi(int(re), 0)]
+    for z in routes:
+        _assert_canonical_qi(z)
+        assert z == routes[0] and hash(z) == hash(routes[0]), z
+    assert len(set(routes)) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parts, _parts, st.integers(1, 10 ** 6))
+def test_canonical_form_does_not_depend_on_the_scale(a, b, k):
+    z = Qi(a, b)
+    again = Qi._canon(z._a * k, z._b * k, z._d * k)
+    assert again == z and hash(again) == hash(z)
 
 
 # --- polynomials ------------------------------------------------------------

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from algspec.ratfield import Qi
-from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac,
+from algspec.sigexpr import (_linear_coeffs, Add, Chirp, Const, Cos, Delay, Dirac,
                              EvaluationError, Exp, ExpressionError, Mul,
                              ParameterError, Pow, RaisedCos, SignalClass,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
-                             canonical, classify, diff_time, evaluate,
+                             as_ratfunc_in_t, canonical, classify,
+                             diff_time, evaluate,
                              make_add, make_div, make_exp, make_mul,
                              make_pow, parse, pretty_print, split_scale)
 
@@ -109,6 +110,42 @@ def test_division_folds_into_a_single_fraction():
         parse("1/0")
     with pytest.raises(ExpressionError):
         parse("1/sin(2*t)")
+
+
+def test_constant_quotients_fold_to_scalars():
+    assert make_div(Const(Qi(1, 2)), Const(Qi(0, 3))) == Const(
+        Qi(Fraction(2, 3), Fraction(-1, 3)))
+    assert parse("(1/3)/(2/7)") == Const(Qi(Fraction(7, 6)))
+    assert parse("0/5") == Const(Qi(0))
+    for text in ("0/0", "2/(1-1)", "sin(2/0*t)", "t/0"):
+        with pytest.raises(ParameterError, match="division by zero"):
+            parse(text)
+
+
+def test_digit_literals_parse_exactly_at_any_length():
+    assert parse("007") == Const(Qi(7))
+    for n in (4299, 4300, 4301, 6000):     # around int()'s digit limit
+        assert parse("1" * n) == Const(Qi((10 ** n - 1) // 9))
+
+
+def _linear_coeffs_by_ratfunc(e):
+    r = as_ratfunc_in_t(e)
+    if r is None or not r.is_polynomial or r.num.degree > 1:
+        return None
+    coeffs = list(r.num.coeffs) + [Qi(0), Qi(0)]
+    return coeffs[0], coeffs[1]
+
+
+def test_linear_arguments_read_off_the_node_match_the_ratfunc_route():
+    shapes = [Const(Qi(3)), Const(Qi(0)), Const(Qi(1, -2)), TimeVar(),
+              Mul((Const(Qi(Fraction(1, 8))), TimeVar())),
+              Mul((Const(Qi(0)), TimeVar())), Mul((Const(Qi(0, 1)), TimeVar())),
+              parse("2*t + 1/2"), parse("t - t"), parse("t^2"),
+              parse("t/(t+1)"), parse("(t+1)^2 - t^2"), parse("sin(t)")]
+    rng = random.Random(2210)
+    shapes += [_rand_expr(rng, rng.randint(0, 2)) for _ in range(300)]
+    for e in shapes:
+        assert _linear_coeffs(e) == _linear_coeffs_by_ratfunc(e), e
 
 
 def test_scalars_collect_leftmost_in_products():

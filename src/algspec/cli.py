@@ -21,13 +21,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fouriercontrast import contrast_report
 from .instfreq import PhiTrace, SampledSignal, phi_fitted, phi_symbolic
-from .pipeline import SpectrumAnalysis, analyze
+from .pipeline import SpectrumAnalysis, analyze, image
 from .ratfield import DigitLimitError, RootFindingError
-from .sigexpr import ExpressionError, SignalClass, classify, parse
+from .sigexpr import ExpressionError, parse
 from .weylode import format_equation
 
 __all__ = ["CliConfig", "run", "main"]
@@ -141,12 +139,10 @@ def _cmd_spectrum(cfg: CliConfig) -> str:
 
 
 def _cmd_opform(cfg: CliConfig) -> str:
-    e = parse(cfg.expr)
-    kind = classify(e)
-    if kind not in (SignalClass.EXP_POLYNOMIAL, SignalClass.DIRAC):
+    r = image(parse(cfg.expr))
+    if r is None:
         raise ExpressionError(
             "opform requires an exponential polynomial or the impulse")
-    r = analyze(e).rational
     if cfg.output == "json":
         return _json_value({
             "numerator": r.num.format(),
@@ -163,6 +159,8 @@ def _read_csv(path: str) -> SampledSignal:
     which accepts the same files, gives the same samples, and names the
     offending line of any other file.
     """
+    import numpy as np
+
     if _loadtxt_reads_like_csv(path):
         with open(path, newline="") as fh:
             # csv splits a line without quotes at its commas, as here

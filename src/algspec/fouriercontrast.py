@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instfreq import SampledSignal, _uniform_step
 from .pipeline import analyze
 from .ratfield import Spectrum
@@ -41,8 +39,11 @@ class DftResult:
         return tuple(sorted(self.bin_frequencies[k] for k in order[:count]))
 
 
-def dft_direct(values) -> np.ndarray:
-    """Plain O(n^2) transform; the reference that tests hold dft to."""
+def dft_direct(values):
+    """Plain O(n^2) transform, as a complex array; the reference that tests
+    hold dft to."""
+    import numpy as np
+
     x = np.asarray(values, dtype=complex)
     n = len(x)
     j = np.arange(n)
@@ -55,6 +56,8 @@ def dft_direct(values) -> np.ndarray:
 def dft(sig: SampledSignal) -> DftResult:
     """DFT of uniform samples by np.fft.fft, which is exact-size at every
     length."""
+    import numpy as np
+
     n = len(sig)
     if n < 2:
         raise ValueError("need at least two samples")

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ratfield import Qi
 from .sigexpr import (Add, Const, Mul, Pow, Sin, Sinc, SignalExpr, TimeVar,
                       EvaluationError, ParameterError, canonical, diff_time,
@@ -41,6 +39,8 @@ class SampledSignal:
     values: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         times = tuple(map(float, self.times))
         values = tuple(map(float, self.values))
         if len(times) != len(values):
@@ -116,6 +116,8 @@ def phi_symbolic(e: SignalExpr, t: float) -> float:
 def _uniform_step(sig: SampledSignal) -> float | None:
     """The sampling step if every step is within 1e-9 of the first one,
     else None."""
+    import numpy as np
+
     steps = np.diff(np.asarray(sig.times))
     dt = float(steps[0])
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
@@ -140,6 +142,8 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
     values of the Vandermonde matrix in local time k*dt, with lstsq's
     default cutoff.  Non-uniform samples are fit window by window.
     """
+    import numpy as np
+
     if window % 2 == 0 or window < 5:
         raise ValueError("window must be an odd integer >= 5")
     if not 2 <= degree <= 4:
@@ -173,6 +177,8 @@ def _phi_fitted_per_window(sig: SampledSignal, window: int,
                            degree: int) -> PhiTrace:
     """phi_fitted by one lstsq solve per window: the route for non-uniform
     samples, and the reference for the uniform one."""
+    import numpy as np
+
     times = np.asarray(sig.times)
     values = np.asarray(sig.values)
     half = window // 2

@@ -50,7 +50,7 @@ class ExpPoly:
             else:
                 merged[rate] = poly
         out = [(r, p) for r, p in merged.items() if not p.is_zero]
-        out.sort(key=lambda rp: (rp[0].re, rp[0].im))
+        out.sort(key=lambda rp: rp[0].order_key)
         object.__setattr__(self, "terms", tuple(out))
 
     @property

@@ -7,7 +7,7 @@ through their defining operational equation and its singular points, each
 classified once: the same pass fills the explanation and yields the
 spectrum.  Anything else is refused rather than approximated.  The
 rational image is built only when it is read, which the spectrum and the
-contrast never do.
+contrast never do; `image` builds it without the spectrum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .sigexpr import (SignalClass, SignalExpr, ExpressionError, classify,
                       split_scale)
 from .weylode import OdeSystem, SingularPoint
 
-__all__ = ["SpectrumAnalysis", "analyze"]
+__all__ = ["SpectrumAnalysis", "analyze", "image"]
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,8 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
         return SpectrumAnalysis(e, kind, opcalc.spectrum_of_exppoly(x),
                                 image=lambda: opcalc.to_rational(x))
     if kind == SignalClass.DIRAC:
-        scale, _ = split_scale(e)
-        return SpectrumAnalysis(
-            e, kind, Spectrum((), ()),
-            image=lambda: opcalc.dirac_image() * RatFunc(scale))
+        return SpectrumAnalysis(e, kind, Spectrum((), ()),
+                                image=lambda: image(e))
     if kind == SignalClass.ODE_DEFINED:
         sys = weylode.catalog_equation(e)
         finite = tuple(weylode.finite_singularities(sys))
@@ -67,3 +65,16 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
     raise ExpressionError(
         "no spectrum method for this expression; supported classes are "
         "exponential polynomials, the impulse, and the catalog atoms")
+
+
+def image(e: SignalExpr) -> RatFunc | None:
+    """The operational image of an exponential polynomial or the impulse,
+    None for any other expression.  No spectrum is built, so an image whose
+    rates are beyond the float range is still exact."""
+    kind = classify(e)
+    if kind == SignalClass.EXP_POLYNOMIAL:
+        return opcalc.to_rational(opcalc.from_signal(e))
+    if kind == SignalClass.DIRAC:
+        scale, _ = split_scale(e)
+        return opcalc.dirac_image() * RatFunc(scale)
+    return None

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "Qi", "CPoly", "RatFunc", "Pole", "SingularitySource", "Spectrum",
     "RootFindingError", "DigitLimitError", "poles", "spectrum_of_rational",
@@ -77,6 +75,10 @@ def _ratio_text(n: int, d: int) -> str:
     if d > 1_000_000_000:
         return format(n / d, ".12g")
     return _int_text(n, d)
+
+
+# every integer of smaller magnitude is a float exactly
+_FLOAT_EXACT = 1 << 53
 
 
 class Qi:
@@ -143,6 +145,20 @@ class Qi:
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    @property
+    def order_key(self) -> tuple:
+        """A sort key that orders as (re, im), since ints, floats and
+        `Fraction`s compare exactly: the ints a, b when d = 1; a/d and b/d
+        as floats when those are exact, which holds for a power of two d up
+        to 2^1074 and |a|, |b| < 2^53; else the parts as `Fraction`s."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return a, b
+        if (not d & (d - 1) and d.bit_length() <= 1075
+                and abs(a) < _FLOAT_EXACT and abs(b) < _FLOAT_EXACT):
+            return a / d, b / d
+        return Fraction(a, d), Fraction(b, d)
 
     def conjugate(self) -> "Qi":
         return Qi._make(self._a, -self._b, self._d)
@@ -835,6 +851,8 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
     simultaneous (Aberth-style) iteration until each root z has backward
     error |p(z)| / sum |c_k| |z|^k <= 1e-12 (Bini, Numer. Algorithms 1996).
     The bound scales with |z|^k, so large and small roots meet it alike."""
+    import numpy as np
+
     c = np.asarray(coeffs, dtype=complex)
     deg = len(c) - 1
     if deg == 1:
@@ -1024,6 +1042,8 @@ def _series_div(a: list[complex], b: list[complex]) -> list[complex]:
 
 
 def _float_local_terms(rem_c, ps) -> list[PFTerm]:
+    import numpy as np
+
     terms: list[PFTerm] = []
     for j, p in enumerate(ps):
         rest = np.array([1.0 + 0j])
@@ -1114,6 +1134,8 @@ def partial_fractions(r: RatFunc) -> PartialFractions:
 
 def _reconstruction_error(rem_c, ps, terms) -> float:
     # rem(s) must equal sum over poles of (local series) * (den / local factor)
+    import numpy as np
+
     deg = sum(p.multiplicity for p in ps)
     acc = np.zeros(max(deg, 1), dtype=complex)
     for t in terms:

@@ -220,20 +220,20 @@ _QI_ZERO, _QI_ONE = Qi(0), Qi(1)
 
 
 def _rat_key(r: RatFunc):
-    return (tuple((c.re, c.im) for c in r.num.coeffs),
-            tuple((c.re, c.im) for c in r.den.coeffs))
+    return (tuple(c.order_key for c in r.num.coeffs),
+            tuple(c.order_key for c in r.den.coeffs))
 
 
 def _key(e: SignalExpr):
     """Deterministic structural sort key; total over all node types."""
     if isinstance(e, Const):
-        return (0, (e.value.re, e.value.im))
+        return (0, e.value.order_key)
     if isinstance(e, TimeVar):
         return (1, ())
     if isinstance(e, TFrac):
         return (2, _rat_key(e.rat))
     if isinstance(e, Exp):
-        return (3, (e.rate.re, e.rate.im))
+        return (3, e.rate.order_key)
     if isinstance(e, Sin):
         return (4, (e.omega, e.phase))
     if isinstance(e, Cos):

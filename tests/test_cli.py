@@ -1,5 +1,6 @@
 """Command-line front end: parsing, rendering, exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -7,13 +8,14 @@ import random
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algspec import cli
+from algspec import cli, fouriercontrast, instfreq, ratfield
 from algspec.cli import CliConfig, main, run
 from algspec.instfreq import (PhiTrace, SampledSignal, phi_fitted,
                               phi_symbolic)
@@ -171,7 +173,6 @@ def test_opform_requires_an_image():
     ["spectrum", "sin(1e400*t)", "--json"],
     ["spectrum", "sin(1e400*t)", "--explain"],
     ["spectrum", "exp(1e400*t)"],
-    ["opform", "sin(1e400*t)"],
     ["contrast", "sin(1e400*t)"],
     ["instfreq", "1e400*sin(t)", "--at", "1"],
     ["instfreq", "sin(1e400*t)", "--at", "1"],
@@ -183,6 +184,25 @@ def test_a_value_beyond_the_float_range_is_an_input_error(argv, capsys):
     captured = capsys.readouterr()
     assert (status, captured.out) == (1, "")
     assert captured.err == "error: input: a value exceeds the float range\n"
+
+
+def test_opform_prints_an_exact_image_beyond_the_float_range():
+    # the image builds no float spectrum, so its rates need not fit a float
+    w = 10 ** 400
+    status, out, err = run(CliConfig("opform", expr="sin(1e400*t)"))
+    assert (status, out, err) == (0, f"{w} / (s^2 + {w * w})", "")
+    status, out, err = run(CliConfig("opform", expr="sin(1e400*t)",
+                                     output="json"))
+    assert (status, err) == (0, "")
+    assert out == (f'{{"numerator":"{w}","denominator":"s^2 + {w * w}",'
+                   f'"strictly_proper":true}}')
+    status, out, err = run(CliConfig("opform", expr="exp(1e400*t)"))
+    assert (status, out, err) == (0, f"1 / (s - {w})", "")
+    status, out, err = run(CliConfig("opform", expr="exp(1e400*t)",
+                                     output="json"))
+    assert (status, err) == (0, "")
+    assert out == (f'{{"numerator":"1","denominator":"s - {w}",'
+                   f'"strictly_proper":true}}')
 
 
 def test_printed_digits_have_a_limit_that_is_not_an_input_error(capsys):
@@ -279,19 +299,66 @@ def test_instfreq_csv_fit(tmp_path):
     assert worst <= 1e-3
 
 
+def _env_with_src() -> dict:
+    """The environment, with this checkout's sources first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+_LEAN_START = """
+import sys
+import algspec
+from algspec import cli
+from algspec.cli import CliConfig
+exact = [CliConfig("spectrum", "sin(3*t)"),
+         CliConfig("spectrum", "sin(3*t)", output="json"),
+         CliConfig("spectrum", "sin(3*t)", explain=True),
+         CliConfig("opform", "sin(3*t)"),
+         CliConfig("opform", "sin(3*t)", output="json"),
+         CliConfig("instfreq", "sinc(2)", at=1.0),
+         CliConfig("spectrum", "dirac()"),
+         CliConfig("spectrum", "delay(1)")]
+print([cli.run(c)[0] for c in exact], "numpy" in sys.modules)
+numeric = [CliConfig("spectrum", "sinc(2)"), CliConfig("contrast", "sin(2*t)")]
+print([cli.run(c)[0] for c in numeric], "numpy" in sys.modules)
+"""
+
+
+def test_the_exact_commands_start_without_numpy():
+    # one fresh interpreter: numpy is loaded only by the numeric paths
+    proc = subprocess.run([sys.executable, "-c", _LEAN_START],
+                          env=_env_with_src(), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0] False",
+                                        "[0, 0] True"]
+
+
+@pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield])
+def test_annotations_resolve_in_the_modules_that_load_numpy_late(module):
+    # an annotation naming np would raise NameError here
+    for name in module.__all__:
+        obj = getattr(module, name)
+        funcs = [obj] if inspect.isfunction(obj) else []
+        if inspect.isclass(obj):
+            funcs = [v for v in vars(obj).values() if inspect.isfunction(v)]
+        for fn in funcs:
+            typing.get_type_hints(fn)
+
+
 def test_closed_stdout_exits_without_a_traceback(tmp_path):
     # the reader is gone before the program writes, as when `| head` has
     # already exited: the write fails with EPIPE
     csv_path = tmp_path / "tone.csv"
     _write_tone_csv(csv_path, rate_hz=20, t_end=0.95)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "algspec.cli", "instfreq", "--csv",
          str(csv_path)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        env=_env_with_src(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
                               RootFindingError, _I_MOD,
@@ -167,7 +167,7 @@ def _assert_same_scalar(z, o):
     _assert_canonical_qi(z)
     assert (z.re, z.im) == (o.re, o.im)
     assert bool(z) == bool(o)
-    assert repr(z) == repr(o)
+    assert _outcome(repr, z) == _outcome(repr, o)
     assert _outcome(str, z) == _outcome(str, o)
     assert _outcome(complex, z) == _outcome(complex, o)
 
@@ -261,6 +261,32 @@ def test_canonical_form_does_not_depend_on_the_scale(a, b, k):
     z = Qi(a, b)
     again = Qi._canon(z._a * k, z._b * k, z._d * k)
     assert again == z and hash(again) == hash(z)
+
+
+# small parts often share a real part across denominators: 1, 2/2, 3/3;
+# dyadic parts reach the bounds of exact float division
+_near_parts = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=6),
+    st.builds(Fraction, st.integers(-2 ** 54, 2 ** 54),
+              st.sampled_from([2, 8, 2 ** 60, 2 ** 1074, 2 ** 1075])),
+    _parts,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Qi, _near_parts, _near_parts), max_size=12))
+@example([Qi(Fraction(2 ** 53 + 1, 2)), Qi(2 ** 52), Qi(2 ** 52 + 1),
+          Qi(Fraction(1, 2 ** 1075)), Qi(0), Qi(Fraction(3, 2 ** 1075)),
+          Qi(Fraction(1, 2 ** 1074))])
+def test_order_key_sorts_as_the_fraction_parts(zs):
+    def oracle(q):
+        return q.re, q.im
+    assert sorted(zs, key=lambda q: q.order_key) == sorted(zs, key=oracle)
+    for x in zs:
+        for y in zs:
+            assert ((x.order_key < y.order_key) == (oracle(x) < oracle(y))
+                    and (x.order_key == y.order_key) == (x == y))
 
 
 # --- polynomials ------------------------------------------------------------

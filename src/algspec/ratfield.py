@@ -9,9 +9,9 @@ gcds are 1; `poly_gcd` certifies that modulo one fixed prime P = 1 (mod 4),
 sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
 Euclidean algorithm runs only when the certificate does not apply: the
 images share a factor, a denominator is divisible by P, or a leading
-coefficient vanishes mod P.  Floats enter only at root finding, which runs
-a square-free decomposition first (restoring multiplicities exactly) and
-then an Aberth-style simultaneous iteration on each square-free factor.
+coefficient vanishes mod P.  Roots are found per square-free factor (Yun's
+decomposition restores multiplicities exactly), exactly where they lie in
+Q(i) (`square_free_roots`); only the others are floats, by Aberth's method.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "Qi", "CPoly", "RatFunc", "Pole", "SingularitySource", "Spectrum",
     "RootFindingError", "DigitLimitError", "poles", "spectrum_of_rational",
     "partial_fractions", "PartialFractions", "alg_deriv", "snap_axes",
+    "square_free_roots",
 ]
 
 # Relative tolerance for merging conjugate-symmetric float noise in
@@ -40,6 +41,10 @@ class RootFindingError(ArithmeticError):
 class DigitLimitError(ValueError):
     """A number to print has more digits than the interpreter converts to
     text (`sys.get_int_max_str_digits`)."""
+
+    def __init__(self):
+        super().__init__("a number exceeds the limit of %d digits for a "
+                         "printed integer" % sys.get_int_max_str_digits())
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -61,9 +66,7 @@ def _int_text(n: int, d: int = 1) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        raise DigitLimitError(
-            f"a number exceeds the limit of {sys.get_int_max_str_digits()} "
-            f"digits for a printed integer") from None
+        raise DigitLimitError() from None
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -264,7 +267,10 @@ class Qi:
         return complex(self._a / d, self._b / d)
 
     def __repr__(self):
-        return f"Qi({self.re!r}, {self.im!r})"
+        try:
+            return f"Qi({self.re!r}, {self.im!r})"
+        except ValueError:
+            raise DigitLimitError() from None
 
     def __str__(self):
         # display form: "3", "-1/2", "i", "2i", "(1+2i)"; components whose
@@ -548,6 +554,16 @@ class CPoly:
             return self
         cr, ci, n = self._inverse_lead()
         return CPoly._canon(*_gmul(self._re, self._im, cr, ci), n)
+
+    def at(self, q: Qi) -> Qi:
+        """Exact value at q = g/e, by Horner's rule on Gaussian integers."""
+        gr, gi, e = q._a, q._b, q._d
+        hr = hi = 0              # e^(n-j) times Horner's sum after c_j
+        k = 1                    # e^(n-j+1) after c_j
+        for r, i in zip(reversed(self._re), reversed(self._im)):
+            hr, hi = hr * gr - hi * gi + r * k, hr * gi + hi * gr + i * k
+            k *= e
+        return Qi._canon(hr * e, hi * e, self._d * k)
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -892,20 +908,53 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
 class Pole:
     location: complex
     multiplicity: int
+    exact: Qi | None = None   # the root itself when it lies in Q(i)
+
+
+def _sqrt_qi(z: Qi) -> Qi | None:
+    """A square root of z = w/d in Q(i), or None: (u + i*v)/d where
+    (u + i*v)^2 = w*d, so u^2 - v^2 = Re(w*d) and u^2 + v^2 = |w*d|."""
+    x, y, d = z._a * z._d, z._b * z._d, z._d
+    n = math.isqrt(x * x + y * y)
+    u, v = math.isqrt((n + x) // 2), math.isqrt((n - x) // 2)
+    v = -v if y < 0 else v
+    return Qi._canon(u, v, d) if (u * u - v * v, 2 * u * v) == (x, y) else None
+
+
+def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
+    """Roots of a monic square-free polynomial of positive degree, each as
+    (location, exact), exact being the root when it lies in Q(i), else None.
+
+    A root of f = F/d, F in Z[i][s] with lead(F) = d, has a denominator
+    dividing d (Loos, SIAM J. Comput. 1983).  Degree 1 is exact, degree 2
+    takes the square root of the discriminant in Q(i), and a higher degree
+    rounds d times each root of one `_aberth` call to a Gaussian integer g,
+    nearest first, keeping g/d when it is a root of f not yet taken.
+    """
+    c, d = f.coeffs, f._d
+    if f.degree == 1:
+        return [(complex(-c[0]), -c[0])]
+    r = _sqrt_qi(c[1] * c[1] - 4 * c[0]) if f.degree == 2 else None
+    if r is not None:
+        return [(complex(q), q) for q in ((r - c[1]) / 2, (-r - c[1]) / 2)]
+    rounded = []
+    for z in _aberth(f.to_complex()):
+        x, y = Fraction(z.real) * d, Fraction(z.imag) * d
+        a, b = round(x), round(y)
+        rounded.append((abs(x - a) + abs(y - b), z, Qi._canon(a, b, d)))
+    out: list[tuple[complex, Qi | None]] = []
+    for _, z, q in sorted(rounded, key=lambda r: r[0]):
+        exact = q not in {x for _, x in out} and not f.at(q)
+        out.append((complex(q), q) if exact else (z, None))
+    return out
 
 
 def poly_roots(p: CPoly) -> list[Pole]:
     """All complex roots with exact multiplicities, sorted by (re, im)."""
     if p.degree <= 0:
         return []
-    out = []
-    for factor, mult in square_free_factors(p):
-        if factor.degree == 1:
-            root = complex(-(factor.coeffs[0] / factor.coeffs[1]))
-            out.append(Pole(root, mult))
-        else:
-            for root in _aberth(factor.to_complex()):
-                out.append(Pole(root, mult))
+    out = [Pole(z, mult, q) for factor, mult in square_free_factors(p)
+           for z, q in square_free_roots(factor)]
     out.sort(key=lambda q: _location_key(q.location))
     return out
 
@@ -1013,84 +1062,26 @@ class PartialFractions(NamedTuple):
     poly_part: CPoly
 
 
-def _taylor_coeffs(coeffs: list[complex], p: complex, k: int) -> list[complex]:
-    # first k Taylor coefficients of the polynomial at p, via repeated
-    # synthetic division by (s - p)
-    c = list(coeffs)
-    out = []
-    for _ in range(k):
-        if not c:
-            out.append(0j)
-            continue
-        r = 0j
-        for j in range(len(c) - 1, -1, -1):
-            r = r * p + c[j]
-            c[j] = r
-        out.append(c[0])
-        c = c[1:]
-    return out
-
-
-def _series_div(a: list[complex], b: list[complex]) -> list[complex]:
-    out = []
-    for l in range(len(a)):
-        acc = a[l]
-        for j in range(1, l + 1):
-            acc -= b[j] * out[l - j]
-        out.append(acc / b[0])
-    return out
-
-
-def _float_local_terms(rem_c, ps) -> list[PFTerm]:
-    import numpy as np
-
-    terms: list[PFTerm] = []
-    for j, p in enumerate(ps):
-        rest = np.array([1.0 + 0j])
-        for k, q in enumerate(ps):
-            if k == j:
-                continue
-            lin = np.array([-q.location, 1.0 + 0j])
-            for _ in range(q.multiplicity):
-                rest = np.convolve(rest, lin)
-        a = _taylor_coeffs(rem_c, p.location, p.multiplicity)
-        b = _taylor_coeffs(list(rest), p.location, p.multiplicity)
-        c = _series_div(a, b)
-        for l, cl in enumerate(c):
-            terms.append(PFTerm(p.location, p.multiplicity - l, cl))
-    return terms
-
-
-def _exact_shift(coeffs, pq: Qi, count: int) -> list:
-    # first `count` Taylor coefficients at pq by repeated synthetic
-    # division, carried out in exact rational arithmetic
-    c = list(coeffs)
-    out = []
-    for _ in range(count):
-        if not c:
-            out.append(Qi(0))
-            continue
-        r = Qi(0)
-        for j in range(len(c) - 1, -1, -1):
-            r = r * pq + c[j]
-            c[j] = r
-        out.append(c[0])
-        c = c[1:]
+def _taylor(p: CPoly, q: Qi, lo: int, hi: int) -> list[Qi]:
+    # the Taylor coefficients p^(k)(q)/k! of p at q for lo <= k < hi
+    out, fact = [], 1
+    for k in range(hi):
+        if k >= lo:
+            out.append(p.at(q) / fact)
+        p, fact = p.deriv(), fact * (k + 1)
     return out
 
 
 def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[PFTerm]:
-    # Float pole components are dyadic rationals, so the shifted series can
-    # be computed without rounding; the only residual error is the distance
-    # from the float pole to the true root.  The den series starts at index
-    # multiplicity because the low coefficients vanish there up to that
-    # same distance, so dropping them is what division by (s-p)^m means.
+    # the exact local series at the exact root, or at a float root read as
+    # its dyadic rational; dropping the den series' low terms divides by
+    # (s-p)^m, as they vanish up to the float root's error
     terms: list[PFTerm] = []
     for p in ps:
         m = p.multiplicity
-        pq = Qi.coerce(p.location)
-        a = _exact_shift(rem.coeffs, pq, m)
-        b = _exact_shift(den.coeffs, pq, 2 * m)[m:]
+        pq = Qi.coerce(p.location) if p.exact is None else p.exact
+        a = _taylor(rem, pq, 0, m)
+        b = _taylor(den, pq, m, 2 * m)
         if b[0] == Qi(0):
             raise RootFindingError(
                 "degenerate local series at pole {0}".format(p.location))
@@ -1108,25 +1099,22 @@ def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[PFTerm]:
 def partial_fractions(r: RatFunc) -> PartialFractions:
     """Decompose r as poly_part + sum coefficient/(s-pole)^order.
 
-    The polynomial part comes from exact division.  Pole-wise coefficients
-    come from local Taylor expansions around each (float) pole, computed in
-    floating point first and recomputed in exact rational arithmetic when
-    the float pass cannot be certified.  The result is always verified by
-    reconstruction to 1e-9 in coefficient norm.
+    The polynomial part comes from exact division, and the coefficients at
+    each pole from its exact local Laurent series, which is exact at a pole
+    in Q(i).  With a float pole the result is verified by reconstruction to
+    1e-9 in coefficient norm.
     """
     quot, rem = divmod(r.num, r.den)
     terms: list[PFTerm] = []
     if not rem.is_zero:
         ps = poles(r)
-        rem_c = rem.to_complex()
-        terms = _float_local_terms(rem_c, ps)
-        if _reconstruction_error(rem_c, ps, terms) > 1e-12:
-            terms = _exact_local_terms(rem, r.den, ps)
-        err = _reconstruction_error(rem_c, ps, terms)
-        if err > 1e-9:
-            raise RootFindingError(
-                f"partial-fraction reconstruction error {err:.3e} "
-                f"exceeds 1e-9")
+        terms = _exact_local_terms(rem, r.den, ps)
+        if any(p.exact is None for p in ps):
+            err = _reconstruction_error(rem.to_complex(), ps, terms)
+            if err > 1e-9:
+                raise RootFindingError(
+                    f"partial-fraction reconstruction error {err:.3e} "
+                    f"exceeds 1e-9")
     terms = [t for t in terms if t.coefficient != 0]
     terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.order))
     return PartialFractions(tuple(terms), quot)

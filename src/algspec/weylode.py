@@ -5,21 +5,21 @@ but each catalog atom satisfies a linear operational equation L x = rhs
 with L in the noncommutative ring C(s)[d/ds].  Frequencies are then the
 nonzero imaginary parts of the singular points of the equation's solution:
 candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
-each is classified by the Fuchs criterion, and the point at infinity is
-classified from the degrees of the same normalized coefficients, scaled by
-powers of s and Lah numbers.  Operator products and actions collect the
-terms of each coefficient and sum them once over a common denominator.
+each factor of a coprime base of their denominators is classified once by
+the Fuchs criterion, and infinity from the degrees of the same coefficients,
+scaled by powers of s and Lah numbers.  Operator products and actions
+collect the terms of each coefficient and sum them over one denominator.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       clean_frequencies, poly_gcd, poly_roots, snap_axes,
-                       square_free_factors)
+                       _location_key, clean_frequencies, poly_gcd, snap_axes,
+                       square_free_factors, square_free_roots)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
                       ExpressionError, classify, split_scale)
 
@@ -101,6 +101,7 @@ class SingularPoint:
     kind: str           # "regular" | "irregular"
     refinement: str     # "logarithmic" | "pole" | "unclassified"
     order: int = 0      # pole order of the solution when refinement is "pole"
+    exact: Qi | None = None   # the location when it lies in Q(i)
 
     @property
     def is_infinite(self) -> bool:
@@ -208,32 +209,18 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
 # Singularity analysis
 
 
-def _pole_order_near(r: RatFunc, p: complex) -> int:
-    """Multiplicity of p as a pole of r, matching float roots of the exact
-    square-free structure of the denominator."""
-    if r.is_zero or r.is_polynomial:
-        return 0
-    for factor, mult in square_free_factors(r.den):
-        tol = 1e-6 * max(1.0, abs(p)) ** factor.degree
-        if abs(factor(p)) <= tol:
-            return mult
-    return 0
-
-
 def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
     """The coefficients r_k/r_n for k < n, and rhs/r_n."""
     rn = sys.op.coeffs[sys.op.order]
     return [c / rn for c in sys.op.coeffs[:-1]], sys.rhs / rn
 
 
-def _classify(location: complex | None, qs: list[RatFunc], g: RatFunc,
-              pole_order) -> SingularPoint | None:
-    """Fuchs classification of one point from the normalized coefficients,
-    pole_order(r) giving the pole order of r there; None if ordinary."""
+def _classify(qs: list[RatFunc], orders: list[int]) -> SingularPoint | None:
+    """Fuchs classification from the pole orders at one point of qs, then of
+    g, located at infinity (a finite caller sets it); None if ordinary."""
     n = len(qs)
-    orders_q = [pole_order(q) for q in qs]
-    order_g = pole_order(g)
-    if not any(orders_q) and order_g == 0:
+    *orders_q, order_g = orders
+    if not any(orders):
         return None   # ordinary point: every normalized coefficient analytic
     regular = all(o <= n - k for k, o in enumerate(orders_q))
     kind = "regular" if regular else "irregular"
@@ -241,30 +228,52 @@ def _classify(location: complex | None, qs: list[RatFunc], g: RatFunc,
         # quadrature x' = g: a simple pole integrates to a logarithm, higher
         # orders to a pole one order lower (possibly with a log part)
         if order_g == 1:
-            return SingularPoint(location, kind, "logarithmic")
+            return SingularPoint(None, kind, "logarithmic")
         if order_g >= 2:
-            return SingularPoint(location, kind, "pole", order_g - 1)
-    return SingularPoint(location, kind, "unclassified")
+            return SingularPoint(None, kind, "pole", order_g - 1)
+    return SingularPoint(None, kind, "unclassified")
+
+
+def _pole_orders(rs: list[RatFunc]) -> list[tuple[CPoly, list[int]]]:
+    """The factors of a coprime base of the denominators of rs, each with
+    the pole order of every r at its roots.  Refining the square-free
+    factors (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) replaces a
+    base factor b and a factor f by g = gcd(b, f), b/g and f/g, pairwise
+    coprime for square-free inputs; a base factor then divides at most one
+    square-free factor of a denominator, whose multiplicity is the order."""
+    factors = {d: square_free_factors(d)
+               for d in dict.fromkeys(r.den for r in rs)}
+    base: list[CPoly] = []
+    for f in (f for fs in factors.values() for f, _ in fs):
+        refined = []
+        for b in base:
+            g = b if b == f else poly_gcd(b, f)
+            if g.degree > 0:
+                f = f // g
+                refined += [h for h in (g, b // g) if h.degree > 0]
+            else:
+                refined.append(b)
+        base = refined + [f] if f.degree > 0 else refined
+    return [(b, [next((m for f, m in factors[r.den] if not f % b), 0)
+                 for r in rs]) for b in base]
 
 
 def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
     """Classified finite singular points of the defining equation.
 
-    Candidates are the roots of the lcm of the denominators of the
-    normalized coefficients r_k/r_n and rhs/r_n, that is, the points where
-    one of them has a pole.  Each is classified regular iff the pole order
-    of r_k/r_n stays within n-k (Fuchs criterion; a rational right-hand
-    side is always compatible).
+    Candidates are the roots of the denominators of r_k/r_n and rhs/r_n.
+    Each factor of their coprime base is classified once: regular iff the
+    pole order of r_k/r_n stays within n-k (Fuchs criterion; a rational
+    right-hand side is always compatible).  Float roots snap to an axis.
     """
     qs, g = _normalized(sys)
-    out = []
-    for cand in poly_roots(_lcm(r.den for r in qs + [g])):
-        p = cand.location
-        point = _classify(snap_axes(p), qs, g,
-                          lambda r: _pole_order_near(r, p))
-        if point is not None:
-            out.append(point)
-    return out
+    found = []
+    for b, orders in _pole_orders(qs + [g]):
+        point = _classify(qs, orders)
+        for z, exact in square_free_roots(b):
+            loc = z if exact is not None else snap_axes(z)
+            found.append((z, replace(point, location=loc, exact=exact)))
+    return [p for _, p in sorted(found, key=lambda zp: _location_key(zp[0]))]
 
 
 def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
@@ -290,8 +299,8 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
                 * math.factorial(k) // math.factorial(j), 2 * n - k - j)
         for k in range(j, n + 1))
         for j in range(1, n)]
-    return _classify(None, chart, _scaled(g, (-1) ** n, 2 * n),
-                     lambda r: max(0, r.num.degree - r.den.degree))
+    return _classify(chart, [max(0, r.num.degree - r.den.degree)
+                             for r in chart + [_scaled(g, (-1) ** n, 2 * n)]])
 
 
 def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],
@@ -313,16 +322,19 @@ def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
                        infinity: SingularPoint | None) -> Spectrum:
     """Spectrum of a system from its classified singular points.
 
-    Frequencies are the nonzero imaginary parts of the finite points.  The
-    infinite-singularity flag is raised for one pattern, on catalog and
-    hand-built systems alike: an irregular point at infinity, no finite
-    point, and polynomial normalized coefficients of positive degree.  Of
-    the catalog families only the chirp has it: sinc and rcos have finite
-    points, and a delay's normalized coefficient is constant.
+    Frequencies are the distinct nonzero imaginary parts of the finite
+    points, merged at FREQ_TOL for float points.  The infinity flag is
+    raised for one pattern, on catalog and hand-built systems alike: an
+    irregular point at infinity, no finite point, and polynomial normalized
+    coefficients of positive degree.  Of the catalog families only the
+    chirp has it: sinc and rcos have finite points, and a delay's
+    normalized coefficient is constant.
     """
     flag = _chirp_like(sys, finite, infinity)
     sources = tuple(_source_of(p) for p in finite)
-    freqs = clean_frequencies(p.location.imag for p in finite)
+    exact = {p.location.imag for p in finite if p.exact is not None}
+    freqs = tuple(sorted((exact - {0.0}).union(clean_frequencies(
+        p.location.imag for p in finite if p.exact is None))))
     return Spectrum(freqs, sources, infinite_singularity=flag)
 
 

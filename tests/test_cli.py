@@ -86,6 +86,34 @@ def test_spectrum_explained_golden_for_catalog_atoms(expr, lines):
     assert out == "\n".join(["class: ode-defined"] + lines)
 
 
+@pytest.mark.parametrize("expr, points, freqs", [
+    ("sinc(1)", ["-i", "i"], "-1 1"),
+    ("rcos(1)", ["-i", "i"], "-1 1"),
+    ("sinc(1e-9)", ["-1e-09i", "1e-09i"], "-1e-09 1e-09"),
+    ("rcos(1e-300)", ["-1e-300i", "1e-300i"], "-1e-300 1e-300"),
+    ("rcos(1e200)", ["-1e+200i", "1e+200i"], "-1e+200 1e+200"),
+    ("sinc(1e9)", ["-1000000000i", "1000000000i"],
+     "-1000000000 1000000000"),
+])
+def test_catalog_points_are_the_exact_roots(expr, points, freqs):
+    # +-iw is read off s^2 + w^2 exactly: no float noise in the printed
+    # point, no rate dropped for being small or refused for being large,
+    # and the source order of every other spectrum
+    status, out, err = run(CliConfig("spectrum", expr=expr, explain=True))
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert [ln.split(":")[0] for ln in lines[2:4]] \
+        == [f"singular point {p}" for p in points]
+    assert lines[-2] == "frequencies: " + freqs
+    status, out, err = run(CliConfig("spectrum", expr=expr, output="json"))
+    assert (status, err) == (0, "")
+    w = float(expr[5:-1])
+    doc = json.loads(out)
+    assert doc["frequencies"] == [-w, w]
+    assert [(src["re"], src["im"]) for src in doc["sources"]] \
+        == [(0, -w), (0, w)]
+
+
 def test_spectrum_explained_for_image_route():
     status, out, _ = run(CliConfig("spectrum", expr="sin(3*t)", explain=True))
     assert status == 0
@@ -320,9 +348,12 @@ exact = [CliConfig("spectrum", "sin(3*t)"),
          CliConfig("opform", "sin(3*t)", output="json"),
          CliConfig("instfreq", "sinc(2)", at=1.0),
          CliConfig("spectrum", "dirac()"),
-         CliConfig("spectrum", "delay(1)")]
+         CliConfig("spectrum", "delay(1)"),
+         CliConfig("spectrum", "sinc(2)"),
+         CliConfig("spectrum", "rcos(3)", explain=True),
+         CliConfig("contrast", "sinc(2)")]
 print([cli.run(c)[0] for c in exact], "numpy" in sys.modules)
-numeric = [CliConfig("spectrum", "sinc(2)"), CliConfig("contrast", "sin(2*t)")]
+numeric = [CliConfig("contrast", "sin(2*t)")]
 print([cli.run(c)[0] for c in numeric], "numpy" in sys.modules)
 """
 
@@ -333,8 +364,8 @@ def test_the_exact_commands_start_without_numpy():
                           env=_env_with_src(), capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0, 0, 0] False",
-                                        "[0, 0] True"]
+    assert proc.stdout.splitlines() == [
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[0] True"]
 
 
 @pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield])

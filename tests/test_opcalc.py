@@ -296,6 +296,15 @@ def test_round_trip_with_roots_of_wide_moduli(text):
     assert to_exppoly(to_rational(x)).isclose(x)
 
 
+def test_round_trip_of_mixtures_is_exact():
+    # every pole of the image is a rate in Q(i), found exactly, so the
+    # inverse image returns the very rates and (dyadic) coefficients
+    rng = random.Random(2309)
+    for _ in range(30):
+        x = _rand_mixture(rng)
+        assert to_exppoly(to_rational(x)) == x, x.format()
+
+
 def test_round_trip_from_rational_side():
     rng = random.Random(2307)
     for _ in range(60):

@@ -220,6 +220,14 @@ def test_qi_display_keeps_the_digit_limit_apart():
     assert str(Qi(10 ** 4299)) == "1" + "0" * 4299
 
 
+def test_qi_repr_keeps_the_digit_limit_apart():
+    z = Qi(3.124745509000873e+214, 2.225073858507203e-309) ** -4
+    with pytest.raises(DigitLimitError, match="limit of 4300 digits"):
+        repr(z)
+    assert repr(Qi(Fraction(1, 3), -2)) \
+        == "Qi(Fraction(1, 3), Fraction(-2, 1))"
+
+
 def test_qi_float_overflow_is_an_overflow_error():
     with pytest.raises(OverflowError):
         complex(Qi(10 ** 400))
@@ -672,6 +680,55 @@ def test_roots_of_random_products_have_small_residuals():
             assert abs(p(q.location)) <= 1e-10 * max(
                 abs(complex(c)) for c in p.coeffs)
             assert min(abs(q.location - r) for r in roots) <= 1e-7
+
+
+_gauss = st.builds(lambda a, b, c, d: Qi(Fraction(a, b), Fraction(c, d)),
+                   st.integers(-6, 6), st.integers(1, 6),
+                   st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_gauss, st.integers(1, 3)), min_size=1, max_size=4,
+                unique_by=lambda qm: qm[0]),
+       st.sampled_from([None, (2, 0, 1), (-2, 0, 0, 1)]))
+def test_roots_in_qi_come_back_exact(roots, cofactor):
+    # prod (s - q_k)^m_k, times s^2 + 2 or s^3 - 2, which have no root in Q(i)
+    p = CPoly.ONE
+    for q, m in roots:
+        p = p * CPoly([-q, 1]) ** m
+    if cofactor:
+        p = p * CPoly(cofactor)
+    found = poly_roots(p)
+    exact = sorted(((q.exact, q.multiplicity) for q in found
+                    if q.exact is not None), key=lambda qm: qm[0].order_key)
+    assert exact == sorted(roots, key=lambda qm: qm[0].order_key)
+    for q in found:
+        if q.exact is not None:
+            assert q.location == complex(q.exact)
+    floats = [q for q in found if q.exact is None]
+    assert len(floats) == (len(cofactor) - 1 if cofactor else 0)
+    assert all(q.multiplicity == 1 for q in floats)
+    for q in floats:
+        assert abs(CPoly(cofactor)(q.location)) <= 1e-9
+
+
+def test_a_root_rounding_to_its_neighbour_does_not_take_its_value():
+    # s^3 - 4s^2 + s has the roots 0 and 2 +- sqrt(3); 2 - sqrt(3) = 0.27
+    # also rounds to 0, but only the root 0 may take it
+    found = poly_roots(CPoly([0, 1, -4, 1]))
+    assert [q.exact for q in found] == [Qi(0), None, None]
+    assert found[1].location == pytest.approx(2 - math.sqrt(3), abs=1e-12)
+
+
+def test_quadratic_roots_need_no_iteration():
+    # the discriminant's square root in Q(i) gives both roots exactly
+    s = CPoly([0, 1])
+    for a, b in ((Qi(0, 1), Qi(0, -1)),
+                 (Qi(Fraction(1, 3), 2), Qi(-5, Fraction(1, 7))),
+                 (Qi(10 ** 200), Qi(-(10 ** 200))),
+                 (Qi(Fraction(1, 10 ** 300)), Qi(0))):
+        p = (s - CPoly([a])) * (s - CPoly([b]))
+        assert {q.exact for q in poly_roots(p)} == {a, b}
 
 
 def test_stall_message_reads_zero_backward_error_at_an_exact_zero_root():

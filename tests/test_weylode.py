@@ -5,11 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from algspec.ratfield import CPoly, Qi, RatFunc, alg_deriv
+from algspec.cli import _c12, _g12
+from algspec.ratfield import (CPoly, Qi, RatFunc, _aberth, _location_key,
+                              alg_deriv, poly_gcd, snap_axes,
+                              square_free_factors)
 from algspec.sigexpr import ExpressionError, parse
-from algspec.weylode import (OdeSystem, WeylOp, _classify, _normalized,
-                             apply, catalog_equation, finite_singularities,
+from algspec.weylode import (OdeSystem, WeylOp, _classify, _lcm,
+                             _normalized, _pole_orders, apply,
+                             catalog_equation, finite_singularities,
                              format_equation, format_weylop, mul_ops,
                              singularity_at_infinity, spectrum_of_ode)
 
@@ -131,8 +136,8 @@ def _infinity_by_chart(sys):
     # z = 0 of the chart; the pole order there is the lowest power of z in
     # the reduced denominator
     qs, g = _normalized(_chart_by_products(sys))
-    return _classify(None, qs, g,
-                     lambda r: next(k for k, c in enumerate(r.den.coeffs) if c))
+    return _classify(qs, [next(k for k, c in enumerate(r.den.coeffs) if c)
+                          for r in qs + [g]])
 
 
 # a few denominators shared among the coefficients, so that the terms of a
@@ -377,6 +382,121 @@ def test_quadrature_poles_carry_their_order():
     spec = spectrum_of_ode(sys)
     assert [(s.kind, s.order) for s in spec.sources] == [("pole", 2)] * 2
     assert spec.frequencies == pytest.approx((-1.0, 1.0), abs=1e-9)
+
+
+def test_a_pole_keeps_its_order_next_to_a_close_simple_root():
+    # x' = 1/((s-1)^3 (s-1-eps)): x has a pole of order 2 at s = 1 and a
+    # logarithm at 1 + eps, however small eps is
+    for eps in (Fraction(1, 10 ** 3), Fraction(1, 10 ** 7)):
+        den = (_S - CPoly([1])) ** 3 * (_S - CPoly([1 + eps]))
+        sys = OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, den))
+        pts = finite_singularities(sys)
+        assert [(p.exact, p.label) for p in pts] \
+            == [(Qi(1), "pole(2)"), (Qi(1 + eps), "logarithmic")]
+        assert [p.location for p in pts] == [1, float(1 + eps)]
+
+
+@pytest.mark.parametrize("den, points, freqs", [
+    (CPoly([2, 0, 1]), ["-1.41421356237i", "1.41421356237i"],
+     ["-1.41421356237", "1.41421356237"]),
+    (CPoly([2, 0, 1]) * CPoly([3, 0, 1]),
+     ["-1.73205080757i", "-1.41421356237i", "1.41421356237i",
+      "1.73205080757i"],
+     ["-1.73205080757", "-1.41421356237", "1.41421356237", "1.73205080757"]),
+    (CPoly([-2, 0, 0, 1]),
+     ["-0.629960524947 - 1.09112363597i", "-0.629960524947 + 1.09112363597i",
+      "1.25992104989"], ["-1.09112363597", "1.09112363597"]),
+])
+def test_points_without_a_root_in_qi_stay_float(den, points, freqs):
+    # no root of s^2+2, s^2+3 or s^3-2 lies in Q(i): these points are float
+    # roots, printed as before the exact roots
+    sys = OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, den))
+    pts = finite_singularities(sys)
+    assert all(p.exact is None and p.label == "logarithmic" for p in pts)
+    assert [_c12(p.location) for p in pts] == points
+    assert [_g12(f) for f in spectrum_of_ode(sys).frequencies] == freqs
+
+
+def test_exact_and_float_points_share_one_spectrum():
+    # (s^2+1)(s^2+2) is one square-free factor: +-i come back exact and
+    # +-sqrt(2)i float, each pair symmetric
+    sys = OdeSystem(WeylOp.D, RatFunc(CPoly.ONE,
+                                      CPoly([1, 0, 1]) * CPoly([2, 0, 1])))
+    pts = finite_singularities(sys)
+    assert [p.exact for p in pts] == [None, Qi(0, -1), Qi(0, 1), None]
+    freqs = spectrum_of_ode(sys).frequencies
+    assert freqs[1:3] == (-1.0, 1.0) and freqs[0] == -freqs[3]
+    assert freqs[3] == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def _finite_by_tolerance(sys):
+    """The classifier before the coprime base: float roots of the square-free
+    factors of the lcm of the denominators, each coefficient's pole order
+    read off the first of its square-free factors within 1e-6 there."""
+    def order_near(r, p):
+        for factor, mult in square_free_factors(r.den):
+            if abs(factor(p)) <= 1e-6 * max(1.0, abs(p)) ** factor.degree:
+                return mult
+        return 0
+
+    qs, g = _normalized(sys)
+    lcm = _lcm(r.den for r in qs + [g])
+    roots = sorted((z for f, _ in square_free_factors(lcm)
+                    for z in _aberth(f.to_complex())), key=_location_key)
+    return [(snap_axes(z), _classify(qs, [order_near(r, z) for r in qs + [g]]))
+            for z in roots]
+
+
+_CATALOG = [scale + atom for scale in ("", "2*", "-1/2*", "(1+i)*")
+            for atom in ("sinc(1)", "sinc(5/3)", "sinc(1/8)", "rcos(1)",
+                         "rcos(7/4)", "rcos(3)", "delay(1/2)",
+                         "chirp(1, 2, 3)")]
+
+
+def test_points_equal_the_tolerance_classifier():
+    systems = [sys for _, _, _, sys in _oracle_cases()]
+    systems += [catalog_equation(parse(text)) for text in _CATALOG]
+    systems += [OdeSystem(WeylOp.D, RatFunc(CPoly([1, 1]), den)) for den in (
+        CPoly([1, 0, 1]) ** 3, _S ** 2 * (_S - CPoly([Fraction(1, 2)])))]
+    # x' + x/(s^2 (s^2+4)) = 0: irregular at 0, regular at +-2i
+    systems.append(OdeSystem(WeylOp((RatFunc(CPoly.ONE, _S ** 2 * CPoly(
+        [4, 0, 1])), RatFunc.ONE)), RatFunc.ZERO))
+    outcomes = set()
+    for sys in systems:
+        got = finite_singularities(sys)
+        want = _finite_by_tolerance(sys)
+        assert [(p.kind, p.refinement, p.order) for p in got] \
+            == [(w.kind, w.refinement, w.order) for _, w in want]
+        for p, (z, _) in zip(got, want):
+            assert p.exact is not None
+            assert abs(p.location - z) <= 1e-9 * max(1.0, abs(z))
+        outcomes.update((p.kind, p.label) for p in got)
+    assert {"regular", "irregular"} == {kind for kind, _ in outcomes}
+    assert {"logarithmic", "unclassified", "pole(1)", "pole(2)"} \
+        == {label for _, label in outcomes}
+
+
+# factors that share roots over Q(i): s^2 + 1 = (s - i)(s + i)
+_FACTORS = (CPoly([0, 1]), CPoly([1, 1]), CPoly([-2, 1]), CPoly([1, 0, 1]),
+            CPoly([Qi(0, -1), 1]), CPoly([2, 0, 1]), CPoly([1, 1, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=len(_FACTORS),
+                         max_size=len(_FACTORS)), min_size=1, max_size=4))
+def test_coprime_base_factors_every_denominator(exponents):
+    dens = [math.prod((f ** e for f, e in zip(_FACTORS, es)), start=CPoly.ONE)
+            for es in exponents]
+    rs = [RatFunc(CPoly.ONE, d) for d in dens] + [RatFunc.ZERO]
+    pairs = _pole_orders(rs)
+    base = [b for b, _ in pairs]
+    for j, b in enumerate(base):
+        assert b.degree > 0 and poly_gcd(b, b.deriv()) == CPoly.ONE
+        assert all(poly_gcd(b, c) == CPoly.ONE for c in base[j + 1:])
+    for k, r in enumerate(rs):
+        prod = math.prod((b ** orders[k] for b, orders in pairs),
+                         start=CPoly.ONE)
+        assert prod == r.den
 
 
 # --- rendering --------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _location_key, partial_fractions)
+                       _gconv, _lincomb, _location_key, partial_fractions)
 from .sigexpr import (Add, Const, Cos, Dirac, Exp, Mul, Pow, Sin, SignalClass,
                       SignalExpr, TimeVar, ExpressionError, classify,
                       diff_time, evaluate)
@@ -186,29 +186,93 @@ def from_signal(e: SignalExpr) -> ExpPoly:
     return ExpPoly(tuple(_terms_of(e).items()))
 
 
+def _linear_power(c, m: int, L: int) -> tuple[list[int], list[int]]:
+    """(L*s + c)^m for a Gaussian integer c = (cr, ci), by the binomial
+    theorem: coefficient j is C(m, j) L^j c^(m-j)."""
+    cr, ci = c
+    pr, pi = [1], [0]            # c^0, ..., c^m
+    for _ in range(m):
+        pr.append(pr[-1] * cr - pi[-1] * ci)
+        pi.append(pr[-2] * ci + pi[-1] * cr)
+    re, im = [], []
+    b = 1                        # C(m, j) L^j
+    for j in range(m + 1):
+        re.append(b * pr[m - j])
+        im.append(b * pi[m - j])
+        b = b * (m - j) // (j + 1) * L
+    return re, im
+
+
+def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
+    """(l^m, Lambda) for l = L*s - L*rate and m = deg P + 1, where
+    Lambda = sum_k g_k l^(m-1-k) with g_k = C*p_k*k!*L^(k+1): the image of
+    C*P(t)*e^(rate*t) is Lambda/l^m."""
+    f = L // rate._d
+    c = (-rate._a * f, -rate._b * f)
+    lin = ([c[0], L], [c[1], 0])
+    acc = None                   # Horner in l, from the first nonzero g_k
+    g = C // poly._d * L         # C/d * k! * L^(k+1)
+    for k, (pr, pi) in enumerate(zip(poly._re, poly._im)):
+        if k:
+            g *= k * L
+        if acc is None:
+            if not (pr or pi):
+                continue
+            acc = [0], [0]
+        else:
+            acc = _gconv(*acc, *lin)
+        acc[0][0] += pr * g
+        acc[1][0] += pi * g
+    return _linear_power(c, len(poly._re), L), acc
+
+
+def _gadd(a, b) -> tuple[list[int], list[int]]:
+    """Sum of two Gaussian-integer coefficient sequences."""
+    return _lincomb(a[0], 1, b[0], 1), _lincomb(a[1], 1, b[1], 1)
+
+
 def to_rational(x: ExpPoly) -> RatFunc:
     """Operational image in C(s): c*t^k at rate a -> c*k!/(s-a)^(k+1).
 
-    The terms are summed over their common denominator prod (s-a)^m_a with
-    m_a = deg P_a + 1: the rate a contributes
-    L_a = sum_k c_k k! (s-a)^(m_a-1-k) times the other factors.  The sum
-    needs no gcd.  At s = a it equals L_a(a) = (m_a-1)! times the leading
-    coefficient of P_a, which is nonzero, times the other factors at a,
-    which are nonzero because the rates are distinct; so numerator and
-    denominator are coprime, and the denominator is monic.
+    The sum runs on Gaussian-integer coefficient lists in one scaled
+    variable.  With L the lcm of the rate denominators and C that of the
+    polynomial denominators, each l_a = L*s - L*a has Gaussian-integer
+    coefficients, and the rate a, with m_a = deg P_a + 1, contributes
+    Lambda_a / (C * l_a^m_a), where Lambda_a = sum_k g_k l_a^(m_a-1-k) and
+    g_k = C*p_k*k!*L^(k+1).  When the conjugate rate is also present the
+    two take one step, Lambda_a l_b^m_b + Lambda_b l_a^m_a over
+    l_a^m_a l_b^m_b, which is real for a real signal.  Summed over the
+    common denominator prod l_a^m_a = L^M prod (s-a)^m_a, M = sum m_a, the
+    image is canonicalized once: numerator over C*L^M, denominator over L^M.
+
+    The sum needs no gcd.  At s = a the numerator equals L^M times
+    (m_a-1)! times the leading coefficient of P_a, which is nonzero, times
+    the other factors at a, which are nonzero because the rates are
+    distinct; so numerator and denominator are coprime, and the
+    denominator is monic.
     """
-    num, den = CPoly.ZERO, CPoly.ONE     # the sum so far, over its poles
-    for rate, poly in x.terms:
-        lin = CPoly([-rate, 1])
-        local = CPoly.ZERO
-        fact = 1                             # k!
-        for k, c in enumerate(poly.coeffs):  # Horner in (s - a)
-            fact *= k or 1
-            local = local * lin + CPoly([c * Qi(fact)])
-        factor = lin ** len(poly.coeffs)
-        num = num * factor + local * den
-        den = den * factor
-    return RatFunc._from_reduced(num, den)
+    if not x.terms:
+        return RatFunc.ZERO
+    L = math.lcm(*(rate._d for rate, _ in x.terms))
+    C = math.lcm(*(poly._d for _, poly in x.terms))
+    rest = dict(x.terms)
+    num = den = None              # the sum so far, over its poles
+    while rest:
+        rate, poly = rest.popitem()
+        fac, lam = _local_numerator(rate, poly, L, C)
+        twin = rest.pop(rate.conjugate(), None) if rate._b else None
+        if twin is not None:
+            fac2, lam2 = _local_numerator(rate.conjugate(), twin, L, C)
+            lam = _gadd(_gconv(*lam, *fac2), _gconv(*lam2, *fac))
+            fac = _gconv(*fac, *fac2)
+        if den is None:
+            num, den = lam, fac
+        else:
+            num = _gadd(_gconv(*num, *fac), _gconv(*lam, *den))
+            den = _gconv(*den, *fac)
+    M = len(den[0]) - 1
+    return RatFunc._from_reduced(CPoly._canon(*num, C * L ** M),
+                                 CPoly._canon(*den, L ** M))
 
 
 def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -71,11 +72,16 @@ def _int_text(n: int, d: int = 1) -> str:
 
 def _ratio_text(n: int, d: int) -> str:
     """n/d in lowest terms; a denominator above 10^9, which betrays a float
-    origin, renders the value at 12 significant digits."""
+    origin, renders the value at 12 significant digits.  A nonzero value
+    below the smallest normal float, 2^-1022, is rounded from the integers,
+    since its float would lose digits or underflow to 0."""
     g = math.gcd(n, d)
     if g != 1:
         n, d = n // g, d // g
     if d > 1_000_000_000:
+        if n and abs(n) << 1022 < d:
+            q = Context(prec=12).divide(Decimal(n), Decimal(d))
+            return format(q.normalize(), "g")
         return format(n / d, ".12g")
     return _int_text(n, d)
 
@@ -321,12 +327,28 @@ def _conv(a, b) -> list[int]:
     """Product of two nonempty integer coefficient sequences."""
     if len(a) < len(b):
         a, b = b, a
-    n = len(a)
-    out = [0] * (n + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for j, y in enumerate(b):
         if y:
-            out[j:j + n] = map(int.__add__, out[j:j + n], map(y.__mul__, a))
+            for k, x in enumerate(a, j):
+                out[k] += x * y
     return out
+
+
+def _gconv(ar, ai, br, bi) -> tuple[list[int], list[int]]:
+    """(ar + i*ai) times (br + i*bi), Gaussian-integer coefficient sequences
+    with equal-length parts, as (re, im).  A factor whose imaginary part is
+    all zero costs one or two real products, two complex factors three
+    (Karatsuba's trick)."""
+    if not any(ai):
+        re = _conv(ar, br)
+        return re, (_conv(ar, bi) if any(bi) else [0] * len(re))
+    if not any(bi):
+        return _conv(ar, br), _conv(ai, br)
+    ac, bd = _conv(ar, br), _conv(ai, bi)
+    mid = _conv(list(map(int.__add__, ar, ai)), list(map(int.__add__, br, bi)))
+    return (list(map(int.__sub__, ac, bd)),
+            [m - x - y for m, x, y in zip(mid, ac, bd)])
 
 
 class CPoly:
@@ -457,18 +479,7 @@ class CPoly:
                 return NotImplemented
         if self.is_zero or other.is_zero:
             return CPoly.ZERO
-        ar, ai, br, bi = self._re, self._im, other._re, other._im
-        if not any(ai):
-            re = _conv(ar, br)
-            im = _conv(ar, bi) if any(bi) else [0] * len(re)
-        elif not any(bi):
-            re, im = _conv(ar, br), _conv(ai, br)
-        else:   # three real products: (a + ib)(c + id) by Karatsuba's trick
-            ac, bd = _conv(ar, br), _conv(ai, bi)
-            mid = _conv(list(map(int.__add__, ar, ai)),
-                        list(map(int.__add__, br, bi)))
-            re = list(map(int.__sub__, ac, bd))
-            im = [m - x - y for m, x, y in zip(mid, ac, bd)]
+        re, im = _gconv(self._re, self._im, other._re, other._im)
         return CPoly._canon(re, im, self._d * other._d)
 
     __rmul__ = __mul__
@@ -481,8 +492,9 @@ class CPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __divmod__(self, other: "CPoly"):
@@ -803,8 +815,9 @@ class RatFunc:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def deriv(self) -> "RatFunc":

@@ -139,8 +139,13 @@ def _sum(terms) -> RatFunc:
 
 
 def _scaled(r: RatFunc, c, shift: int = 0) -> RatFunc:
-    """c * s^shift * r for a nonzero scalar c, reduced."""
-    return RatFunc(r.num * CPoly((0,) * shift + (c,)), r.den)
+    """c * s^shift * r for a nonzero scalar c, reduced.  Only a factor s
+    shared with the denominator can cancel, so the gcd runs only when
+    shift > 0 and den(0) = 0."""
+    num = r.num * CPoly((0,) * shift + (c,))
+    if shift and not (r.den._re[0] or r.den._im[0]):
+        return RatFunc(num, r.den)
+    return RatFunc._from_reduced(num, r.den)
 
 
 def apply(op: WeylOp, r: RatFunc) -> RatFunc:

@@ -189,6 +189,20 @@ def test_opform_of_a_power_of_a_mixture():
                         "2483133696s^3 + 1625702400s)")
 
 
+@pytest.mark.parametrize("cmd, expr, line", [
+    ("spectrum", "rcos(1e-300)",
+     "equation: [(d/ds)^2 + 1] x = (s) / (s^2 + 1e-600)"),
+    ("opform", "sin(1e-200*t)", "1e-200 / (s^2 + 1e-400)"),
+    ("opform", "sin(3e-200*t)/7", "4.28571428571e-201 / (s^2 + 9e-400)"),
+])
+def test_coefficients_below_the_float_range_keep_their_digits(cmd, expr,
+                                                               line):
+    # s^2 + 10^-600 is exact; its float would print as 0
+    status, out, err = run(CliConfig(cmd, expr=expr, explain=True))
+    assert (status, err) == (0, "")
+    assert line in out.splitlines()
+
+
 def test_opform_requires_an_image():
     status, _, err = run(CliConfig("opform", expr="sinc(3)"))
     assert status == 1

@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
-                            from_signal, mult_by_minus_t, spectrum_of_exppoly,
-                            taylor_truncate, to_exppoly, to_rational)
+from algspec.opcalc import (ExpPoly, _convolve, _linear_power, _terms_of,
+                            dirac_image, from_signal, mult_by_minus_t,
+                            spectrum_of_exppoly, taylor_truncate, to_exppoly,
+                            to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     alg_deriv, poles, spectrum_of_rational
 from algspec.sigexpr import ExpressionError, Pow, evaluate, parse
@@ -66,6 +68,24 @@ def _image_term_by_term(x: ExpPoly) -> RatFunc:
                 term = RatFunc(c * Qi(math.factorial(k))) * base ** (k + 1)
                 acc = acc + term
     return acc
+
+
+def _image_by_running_products(x: ExpPoly) -> RatFunc:
+    """The image as a running sum of CPoly products, one rate at a time,
+    Horner in (s - a) for its numerator: the reference for the
+    Gaussian-integer to_rational."""
+    num, den = CPoly.ZERO, CPoly.ONE
+    for rate, poly in x.terms:
+        lin = CPoly([-rate, 1])
+        local = CPoly.ZERO
+        fact = 1
+        for k, c in enumerate(poly.coeffs):
+            fact *= k or 1
+            local = local * lin + CPoly([c * Qi(fact)])
+        factor = lin ** len(poly.coeffs)
+        num = num * factor + local * den
+        den = den * factor
+    return RatFunc._from_reduced(num, den)
 
 
 def _rand_strictly_proper(rng, max_den_deg=5):
@@ -209,6 +229,58 @@ def test_gcd_free_image_of_zero_and_of_real_rates():
     assert to_rational(ExpPoly()) == RatFunc.ZERO
     x = from_signal(parse("(t^2 + 1)*exp(-t) + 3*t + exp(2*t)"))
     assert to_rational(x) == _image_term_by_term(x)
+
+
+_q = st.builds(Fraction, st.integers(-4, 4),
+               st.sampled_from([1, 2, 3, 7, 8, 1024]))
+_scalars = st.one_of(st.builds(Qi, _q), st.builds(Qi, _q, _q))
+_polys = st.lists(_scalars, min_size=1, max_size=4).map(
+    lambda cs: CPoly(cs) or CPoly.ONE)
+
+
+@st.composite
+def _exppolys(draw):
+    """Up to 6 rates, real and complex, each of multiplicity up to 4, with
+    conjugate twins that carry the conjugate polynomial or another one."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        rate, poly = draw(_scalars), draw(_polys)
+        terms[rate] = poly
+        twin = draw(st.sampled_from(["none", "conjugate", "other"]))
+        if rate.im and twin != "none" and len(terms) < 6:
+            terms[rate.conjugate()] = draw(_polys) if twin == "other" \
+                else CPoly([c.conjugate() for c in poly.coeffs])
+        if len(terms) == 6:
+            break
+    return ExpPoly(tuple(terms.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exppolys())
+def test_image_equals_the_running_products_and_the_term_sum(x):
+    r = to_rational(x)
+    assert r == _image_by_running_products(x), x.format()
+    assert r == _image_term_by_term(x), x.format()
+
+
+@pytest.mark.parametrize("text", [
+    "t^3000", "t^1400*exp(-t)", "(t+1)^200*exp(-t/3)"])
+def test_large_images_equal_the_running_products(text):
+    x = from_signal(parse(text))
+    assert to_rational(x) == _image_by_running_products(x)
+
+
+@pytest.mark.parametrize("rate", [
+    Qi(0), Qi(-2), Qi(Fraction(3, 8)), Qi(0, 1), Qi(Fraction(-1, 3), 5)])
+def test_linear_power_equals_repeated_products(rate):
+    big = 24                        # L: a multiple of each denominator
+    lin = CPoly([-rate * big, big])
+    c = (-rate._a * (big // rate._d), -rate._b * (big // rate._d))
+    want = CPoly.ONE
+    for m in range(8):
+        if m in (0, 1, 7):
+            assert CPoly._canon(*_linear_power(c, m, big), 1) == want
+        want = want * lin
 
 
 def test_spectrum_from_rates_equals_spectrum_of_image():

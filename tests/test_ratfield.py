@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
                               RootFindingError, _I_MOD,
-                              _P, _aberth, _coprime_mod_p, _euclid_gcd,
+                              _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
                               _image_mod_p, alg_deriv, clean_frequencies, partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
@@ -81,8 +82,27 @@ def _ofrac(x):
 
 def _ofrac_str(f):
     if f.denominator > 1_000_000_000:
+        if f and abs(f) < Fraction(sys.float_info.min):
+            return _sci12(f)
         return format(float(f), ".12g")
     return str(f)
+
+
+def _sci12(f):
+    """f != 0 at 12 significant digits in the style of "%.12g" for a small
+    magnitude, rounded half to even from the exact value."""
+    a = abs(f)
+    e = math.floor(math.log10(a.numerator) - math.log10(a.denominator))
+    while a >= Fraction(10) ** (e + 1):
+        e += 1
+    while a < Fraction(10) ** e:
+        e -= 1
+    q = round(a * Fraction(10) ** (11 - e))
+    if q == 10 ** 12:
+        q, e = q // 10, e + 1
+    digits = str(q).rstrip("0")
+    mant = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+    return f"{'-' if f < 0 else ''}{mant}e{e:+03d}"
 
 
 class _OQi:
@@ -427,6 +447,39 @@ def test_kernel_ring_operations_match_the_fraction_oracle():
         for _ in range(k):
             want = _o_mul(want, a)
         _same(pa ** k, want)
+
+
+_int_lists = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.integers(-(1 << 200), 1 << 200), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_lists, _int_lists)
+def test_conv_is_the_naive_double_sum(a, b):
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    assert _conv(a, b) == want
+    assert _conv(b, a) == want
+
+
+@pytest.mark.parametrize("p, r", [
+    ([Qi(1, -2), Qi(Fraction(1, 3)), Qi(0, 1)], [Qi(2), Qi(0)]),
+    ([Qi(-1), Qi(0), Qi(1)], [Qi(Fraction(2, 7)), Qi(1)]),
+    ([Qi(Fraction(5, 2))], [Qi(0, -1), Qi(Fraction(3, 8), 1)]),
+    ([Qi(0), Qi(1)], [Qi(1)]),
+])
+def test_powers_equal_repeated_products(p, r):
+    # binary powering squares only while bits remain
+    poly = CPoly(p)
+    rat = RatFunc(CPoly(r), poly)
+    want_p, want_r = CPoly.ONE, RatFunc.ONE
+    for k in range(10):
+        assert poly ** k == want_p
+        assert rat ** k == want_r
+        assert rat ** -k == RatFunc.ONE / want_r
+        want_p, want_r = want_p * poly, want_r * rat
 
 
 def test_kernel_divmod_matches_the_fraction_oracle():

@@ -13,7 +13,7 @@ from algspec.ratfield import (CPoly, Qi, RatFunc, _aberth, _location_key,
                               square_free_factors)
 from algspec.sigexpr import ExpressionError, parse
 from algspec.weylode import (OdeSystem, WeylOp, _classify, _lcm,
-                             _normalized, _pole_orders, apply,
+                             _normalized, _pole_orders, _scaled, apply,
                              catalog_equation, finite_singularities,
                              format_equation, format_weylop, mul_ops,
                              singularity_at_infinity, spectrum_of_ode)
@@ -169,6 +169,18 @@ def _oracle_cases():
         r = _shared_den_ratfunc(rng) or RatFunc.ONE
         rhs = RatFunc.ZERO if case // 4 % 2 else _shared_den_ratfunc(rng) or r
         yield a, b, r, OdeSystem(a, rhs)
+
+
+@pytest.mark.parametrize("den", [
+    [1, 0, 1], [0, 0, 1], [0, -2, Fraction(1, 3)], [Qi(0, 1), 1]])
+def test_scaled_equals_the_reduced_product(den):
+    # den(0) = 0 lets a factor s cancel; otherwise nothing can
+    r = RatFunc(CPoly([0, Fraction(1, 2), Qi(1, 1)]), CPoly(den))
+    for c in (3, Fraction(-2, 5), Qi(1, -1)):
+        for shift in (0, 1, 3):
+            want = RatFunc(r.num * CPoly((0,) * shift + (c,)), r.den)
+            assert _scaled(r, c, shift) == want
+    assert _scaled(RatFunc.ZERO, 2, 2) == RatFunc.ZERO
 
 
 def test_mul_ops_equals_the_term_by_term_sum():

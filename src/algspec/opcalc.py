@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _gconv, _lincomb, _location_key, partial_fractions)
-from .sigexpr import (Add, Const, Cos, Dirac, Exp, Mul, Pow, Sin, SignalClass,
-                      SignalExpr, TimeVar, ExpressionError, classify,
-                      diff_time, evaluate)
+                       _gconv, _lincomb, _local_terms, _location_key)
+from .sigexpr import (Add, Const, Cos, Exp, Mul, Pow, Sin, SignalExpr,
+                      TimeVar, ExpressionError, diff_time, evaluate)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -52,6 +51,16 @@ class ExpPoly:
         out = [(r, p) for r, p in merged.items() if not p.is_zero]
         out.sort(key=lambda rp: rp[0].order_key)
         object.__setattr__(self, "terms", tuple(out))
+
+    @classmethod
+    def _from_terms(cls, terms: dict[Qi, CPoly]) -> "ExpPoly":
+        """The sum of these terms, keyed by their distinct rates, with zero
+        polynomials dropped and the rest in rate order."""
+        x = object.__new__(cls)
+        out = [(r, p) for r, p in terms.items() if p]
+        out.sort(key=lambda rp: rp[0].order_key)
+        object.__setattr__(x, "terms", tuple(out))
+        return x
 
     @property
     def is_zero(self) -> bool:
@@ -110,8 +119,13 @@ class ExpPoly:
         return " + ".join(parts)
 
 
-_QI_I = Qi(0, 1)
+_QI_ZERO = Qi(0)
 _QI_HALF = Qi(Fraction(1, 2))
+_HALF_I = Qi(0, Fraction(1, 2))
+# The Euler pairs (c_plus, c_minus) of sin and cos at phase 0:
+# sin = (e^(iwt) - e^(-iwt))/(2i), cos = (e^(iwt) + e^(-iwt))/2.
+_SIN_PAIR = (-_HALF_I, _HALF_I)
+_COS_PAIR = (_QI_HALF, _QI_HALF)
 
 
 def _phase_factor(phase: Fraction) -> Qi:
@@ -122,43 +136,57 @@ def _phase_factor(phase: Fraction) -> Qi:
     return Qi(Fraction(math.cos(f)), Fraction(math.sin(f)))
 
 
+def _scalar_poly(c: Qi) -> CPoly:
+    """The constant polynomial c."""
+    return CPoly._make((c._a,), (c._b,), c._d) if c else CPoly.ZERO
+
+
+def _euler_pair(e: Sin | Cos) -> tuple[Qi, Qi]:
+    """The coefficients of e^(iwt) and e^(-iwt) in e."""
+    if not e.phase:
+        return _SIN_PAIR if type(e) is Sin else _COS_PAIR
+    ph = _phase_factor(e.phase)
+    if type(e) is Sin:
+        return -_HALF_I * ph, _HALF_I * ph.conjugate()
+    return ph * _QI_HALF, ph.conjugate() * _QI_HALF
+
+
 def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
-    if isinstance(e, Const):
-        return {Qi(0): CPoly([e.value])}
-    if isinstance(e, TimeVar):
-        return {Qi(0): CPoly([0, 1])}
-    if isinstance(e, Exp):
+    """The terms rate -> polynomial of an exponential polynomial; any other
+    node raises, so a tree that is not one is refused here."""
+    kind = type(e)
+    if kind is Const:
+        return {_QI_ZERO: _scalar_poly(e.value)}
+    if kind is TimeVar:
+        return {_QI_ZERO: CPoly.S}
+    if kind is Exp:
         return {e.rate: CPoly.ONE}
-    if isinstance(e, (Sin, Cos)):
-        w = Qi(0, e.omega)
-        ph = _phase_factor(e.phase)
-        if isinstance(e, Sin):
-            c_plus = ph / (2 * _QI_I)
-            c_minus = -(ph.conjugate()) / (2 * _QI_I)
-        else:
-            c_plus = ph * _QI_HALF
-            c_minus = ph.conjugate() * _QI_HALF
+    if kind is Sin or kind is Cos:
+        c_plus, c_minus = _euler_pair(e)
+        w = e.omega
+        if not w:
+            return {_QI_ZERO: _scalar_poly(c_plus + c_minus)}
+        n, d = w.numerator, w.denominator
+        return {Qi._make(0, n, d): _scalar_poly(c_plus),
+                Qi._make(0, -n, d): _scalar_poly(c_minus)}
+    if kind is Add:
         out: dict[Qi, CPoly] = {}
-        for rate, c in ((w, c_plus), (-w, c_minus)):
-            out[rate] = out.get(rate, CPoly.ZERO) + CPoly([c])
-        return out
-    if isinstance(e, Add):
-        out = {}
         for term in e.terms:
             for rate, poly in _terms_of(term).items():
-                out[rate] = out.get(rate, CPoly.ZERO) + poly
+                prev = out.get(rate)
+                out[rate] = poly if prev is None else prev + poly
         return out
-    if isinstance(e, Mul):
+    if kind is Mul:
         acc = None
         for factor in e.factors:
             terms = _terms_of(factor)
             acc = terms if acc is None else _convolve(acc, terms)
         return acc
-    if isinstance(e, Pow):
+    if kind is Pow:
         k = e.k
-        if isinstance(e.base, TimeVar):      # the monomial t^k
-            return {Qi(0): CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
-        acc, base = {Qi(0): CPoly.ONE}, _terms_of(e.base)
+        if type(e.base) is TimeVar:          # the monomial t^k
+            return {_QI_ZERO: CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
+        acc, base = {_QI_ZERO: CPoly.ONE}, _terms_of(e.base)
         while k:                             # binary powering
             if k & 1:
                 acc = _convolve(acc, base)
@@ -174,16 +202,20 @@ def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
     out: dict[Qi, CPoly] = {}
     for ra, pa in a.items():
         for rb, pb in b.items():
-            rate = ra + rb
-            out[rate] = out.get(rate, CPoly.ZERO) + pa * pb
+            rate = ra + rb if rb else ra
+            poly = pa if pb is CPoly.ONE else pa * pb
+            prev = out.get(rate)
+            out[rate] = poly if prev is None else prev + poly
     return out
 
 
 def from_signal(e: SignalExpr) -> ExpPoly:
-    """Expand an exponential-polynomial expression to canonical terms."""
-    if classify(e) != SignalClass.EXP_POLYNOMIAL:
-        raise ExpressionError("expression is not an exponential polynomial")
-    return ExpPoly(tuple(_terms_of(e).items()))
+    """Expand an exponential-polynomial expression to canonical terms.
+
+    The expression is not classified again: a node that is not part of an
+    exponential polynomial raises ExpressionError where the expansion meets
+    it."""
+    return ExpPoly._from_terms(_terms_of(e))
 
 
 def _linear_power(c, m: int, L: int) -> tuple[list[int], list[int]]:
@@ -293,16 +325,21 @@ def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:
 
 
 def to_exppoly(r: RatFunc) -> ExpPoly:
-    """Inverse image of a strictly proper rational function."""
+    """Inverse image of a strictly proper rational function.
+
+    A pole in Q(i) gives its rate and coefficients exactly; a float pole
+    gives them as the dyadic rationals of its floats."""
     if not r.is_strictly_proper:
         raise ValueError("inverse image requires a strictly proper input")
-    pf = partial_fractions(r)
     terms: dict[Qi, CPoly] = {}
-    for pole, order, coeff in pf.terms:
-        rate = Qi.coerce(pole)
+    for pole, order, coeff in _local_terms(r)[1]:
+        if pole.exact is None:
+            rate, coeff = Qi.coerce(pole.location), Qi.coerce(complex(coeff))
+        else:
+            rate = pole.exact
         k = order - 1
-        mono = [Qi(0)] * k + [Qi.coerce(coeff) / Qi(math.factorial(k))]
-        terms[rate] = terms.get(rate, CPoly.ZERO) + CPoly(mono)
+        mono = CPoly([Qi(0)] * k + [coeff / Qi(math.factorial(k))])
+        terms[rate] = terms.get(rate, CPoly.ZERO) + mono
     return ExpPoly(tuple(terms.items()))
 
 

@@ -1085,11 +1085,12 @@ def _taylor(p: CPoly, q: Qi, lo: int, hi: int) -> list[Qi]:
     return out
 
 
-def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[PFTerm]:
-    # the exact local series at the exact root, or at a float root read as
-    # its dyadic rational; dropping the den series' low terms divides by
-    # (s-p)^m, as they vanish up to the float root's error
-    terms: list[PFTerm] = []
+def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[tuple]:
+    # (pole, order, coefficient), the coefficient read exactly off the
+    # local series at the exact root, or at a float root read as its dyadic
+    # rational; dropping the den series' low terms divides by (s-p)^m, as
+    # they vanish up to the float root's error
+    terms: list[tuple] = []
     for p in ps:
         m = p.multiplicity
         pq = Qi.coerce(p.location) if p.exact is None else p.exact
@@ -1105,8 +1106,26 @@ def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[PFTerm]:
                 acc = acc - b[j] * c[l - j]
             c.append(acc / b[0])
         for l, cl in enumerate(c):
-            terms.append(PFTerm(p.location, m - l, complex(cl)))
+            terms.append((p, m - l, cl))
     return terms
+
+
+def _local_terms(r: RatFunc) -> tuple[CPoly, list[tuple]]:
+    """The polynomial part of r and its terms (pole, order, coefficient),
+    a `Pole` and an exact coefficient, certified by reconstruction when a
+    pole is a float."""
+    quot, rem = divmod(r.num, r.den)
+    terms: list[tuple] = []
+    if not rem.is_zero:
+        ps = poles(r)
+        terms = _exact_local_terms(rem, r.den, ps)
+        if any(p.exact is None for p in ps):
+            err = _reconstruction_error(rem.to_complex(), ps, terms)
+            if err > 1e-9:
+                raise RootFindingError(
+                    f"partial-fraction reconstruction error {err:.3e} "
+                    f"exceeds 1e-9")
+    return quot, terms
 
 
 def partial_fractions(r: RatFunc) -> PartialFractions:
@@ -1117,17 +1136,8 @@ def partial_fractions(r: RatFunc) -> PartialFractions:
     in Q(i).  With a float pole the result is verified by reconstruction to
     1e-9 in coefficient norm.
     """
-    quot, rem = divmod(r.num, r.den)
-    terms: list[PFTerm] = []
-    if not rem.is_zero:
-        ps = poles(r)
-        terms = _exact_local_terms(rem, r.den, ps)
-        if any(p.exact is None for p in ps):
-            err = _reconstruction_error(rem.to_complex(), ps, terms)
-            if err > 1e-9:
-                raise RootFindingError(
-                    f"partial-fraction reconstruction error {err:.3e} "
-                    f"exceeds 1e-9")
+    quot, local = _local_terms(r)
+    terms = [PFTerm(p.location, order, complex(c)) for p, order, c in local]
     terms = [t for t in terms if t.coefficient != 0]
     terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.order))
     return PartialFractions(tuple(terms), quot)
@@ -1139,14 +1149,15 @@ def _reconstruction_error(rem_c, ps, terms) -> float:
 
     deg = sum(p.multiplicity for p in ps)
     acc = np.zeros(max(deg, 1), dtype=complex)
-    for t in terms:
+    for pole, order, coeff in terms:
         rest = np.array([1.0 + 0j])
         for q in ps:
-            power = q.multiplicity - (t.order if q.location == t.pole else 0)
+            power = q.multiplicity - (order if q.location == pole.location
+                                      else 0)
             lin = np.array([-q.location, 1.0 + 0j])
             for _ in range(power):
                 rest = np.convolve(rest, lin)
-        acc[:len(rest)] += t.coefficient * rest
+        acc[:len(rest)] += complex(coeff) * rest
     ref = np.zeros(max(deg, 1), dtype=complex)
     ref[:len(rem_c)] = rem_c
     scale = max(1.0, float(np.max(np.abs(ref))))

@@ -90,7 +90,8 @@ class Const(SignalExpr):
     value: Qi
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Qi.coerce(self.value))
+        if type(self.value) is not Qi:
+            object.__setattr__(self, "value", Qi.coerce(self.value))
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ class TFrac(SignalExpr):
 
 
 _T_POLY = CPoly([0, 1])
-_QI_ZERO, _QI_ONE = Qi(0), Qi(1)
+_QI_ZERO, _QI_ONE, _QI_I = Qi(0), Qi(1), Qi(0, 1)
 
 
 def _rat_key(r: RatFunc):
@@ -224,37 +225,39 @@ def _rat_key(r: RatFunc):
             tuple(c.order_key for c in r.den.coeffs))
 
 
+_KEY_OF = {
+    Const: lambda e: (0, e.value.order_key),
+    TimeVar: lambda e: (1, ()),
+    TFrac: lambda e: (2, _rat_key(e.rat)),
+    Exp: lambda e: (3, e.rate.order_key),
+    Sin: lambda e: (4, (e.omega, e.phase)),
+    Cos: lambda e: (5, (e.omega, e.phase)),
+    Sinc: lambda e: (6, (e.omega,)),
+    RaisedCos: lambda e: (7, (e.omega,)),
+    Dirac: lambda e: (8, ()),
+    Delay: lambda e: (9, (e.lag,)),
+    Chirp: lambda e: (10, (e.a, e.b, e.c)),
+    Pow: lambda e: (11, (_key(e.base), e.k)),
+    Mul: lambda e: (12, tuple(map(_key, e.factors))),
+    Add: lambda e: (13, tuple(map(_key, e.terms))),
+}
+
+
 def _key(e: SignalExpr):
-    """Deterministic structural sort key; total over all node types."""
-    if isinstance(e, Const):
-        return (0, e.value.order_key)
-    if isinstance(e, TimeVar):
-        return (1, ())
-    if isinstance(e, TFrac):
-        return (2, _rat_key(e.rat))
-    if isinstance(e, Exp):
-        return (3, e.rate.order_key)
-    if isinstance(e, Sin):
-        return (4, (e.omega, e.phase))
-    if isinstance(e, Cos):
-        return (5, (e.omega, e.phase))
-    if isinstance(e, Sinc):
-        return (6, (e.omega,))
-    if isinstance(e, RaisedCos):
-        return (7, (e.omega,))
-    if isinstance(e, Dirac):
-        return (8, ())
-    if isinstance(e, Delay):
-        return (9, (e.lag,))
-    if isinstance(e, Chirp):
-        return (10, (e.a, e.b, e.c))
-    if isinstance(e, Pow):
-        return (11, (_key(e.base), e.k))
-    if isinstance(e, Mul):
-        return (12, tuple(_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (13, tuple(_key(t) for t in e.terms))
-    raise TypeError(f"not a signal expression: {e!r}")
+    """Deterministic structural sort key; total over all node types.
+
+    It is computed once per node and stored on the node, outside its
+    fields, so equality, hashing and repr do not see it, and the key of a
+    sum or product reads its children's stored keys instead of walking
+    them again."""
+    of = _KEY_OF.get(type(e))
+    if of is None:
+        raise TypeError(f"not a signal expression: {e!r}")
+    stored = e.__dict__
+    k = stored.get("_key")
+    if k is None:
+        k = stored["_key"] = of(e)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -317,60 +320,84 @@ def _tfrac(rat: RatFunc) -> SignalExpr:
 
 
 def make_add(terms) -> SignalExpr:
-    flat = []
+    const = _QI_ZERO
+    rest = []
     for t in terms:
         if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    const = Qi(0)
-    rest = []
-    for t in flat:
-        if isinstance(t, Const):
+            for u in t.terms:
+                if isinstance(u, Const):
+                    const = const + u.value
+                else:
+                    rest.append(u)
+        elif isinstance(t, Const):
             const = const + t.value
         else:
             rest.append(t)
     if const:
         rest.append(Const(const))
     if not rest:
-        return Const(Qi(0))
+        return Const(_QI_ZERO)
     if len(rest) == 1:
         return rest[0]
     rest.sort(key=_key)
     return Add(tuple(rest))
 
 
+# The node types a scalar multiplies without flattening or folding.
+_ATOMS = frozenset((TimeVar, Pow, Exp, Sin, Cos, Sinc, RaisedCos, Dirac,
+                    Delay, Chirp))
+
+
+def _scaled(c: Qi, x: SignalExpr) -> SignalExpr:
+    """c*x for an atom x of a type in _ATOMS."""
+    if not c:
+        return Const(_QI_ZERO)
+    if c == _QI_ONE:
+        return x
+    return Mul((Const(c), x))
+
+
 def make_mul(factors) -> SignalExpr:
-    flat = []
-    for f in factors:
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    scalar = Qi(1)
-    rat = None
+    if type(factors) is list and len(factors) == 2:
+        a, b = factors
+        if type(b) is Const:
+            a, b = b, a
+        if type(a) is Const:
+            if type(b) is Const:
+                return Const(a.value * b.value)
+            if type(b) in _ATOMS:
+                return _scaled(a.value, b)
+            if (type(b) is Mul and len(b.factors) == 2
+                    and type(b.factors[0]) is Const
+                    and type(b.factors[1]) in _ATOMS):
+                return _scaled(a.value * b.factors[0].value, b.factors[1])
+    scalar = _QI_ONE
     rest = []
+    fold_rational = False
+    for f in factors:
+        for g in f.factors if isinstance(f, Mul) else (f,):
+            if isinstance(g, Const):
+                scalar = g.value if scalar is _QI_ONE else scalar * g.value
+            else:
+                rest.append(g)
+                fold_rational = fold_rational or isinstance(g, TFrac)
+    if not scalar:
+        return Const(_QI_ZERO)
     # A rational-in-t factor forces every other rational-in-t factor into a
     # single fraction; otherwise the same signal would admit two spellings
     # (t * (1/(t^2+1)) versus t/(t^2+1)).
-    fold_rational = any(isinstance(f, TFrac) for f in flat)
-    for f in flat:
-        if isinstance(f, Const):
-            scalar = scalar * f.value
-            continue
-        if fold_rational:
+    if fold_rational:
+        rat = RatFunc(scalar)
+        others = []
+        for f in rest:
             r = as_ratfunc_in_t(f)
-            if r is not None:
-                rat = r if rat is None else rat * r
-                continue
-        rest.append(f)
-    if not scalar:
-        return Const(Qi(0))
-    if rat is not None:
-        rat = rat * RatFunc(scalar)
-        scalar = Qi(1)
+            if r is None:
+                others.append(f)
+            else:
+                rat = rat * r
         if rat.is_zero:
-            return Const(Qi(0))
+            return Const(_QI_ZERO)
+        scalar, rest = _QI_ONE, others
         folded = _tfrac(rat)
         if isinstance(folded, Const):
             scalar = folded.value
@@ -384,7 +411,7 @@ def make_mul(factors) -> SignalExpr:
             rest.append(folded)
     if not rest:
         return Const(scalar)
-    if scalar != Qi(1):
+    if scalar != _QI_ONE:
         rest.append(Const(scalar))
     if len(rest) == 1:
         return rest[0]
@@ -418,6 +445,15 @@ def make_exp(rate) -> SignalExpr:
 
 
 def make_div(num: SignalExpr, den: SignalExpr, offset: int = 0) -> SignalExpr:
+    q = _quotient(num, den)
+    if q is None:
+        raise SignalSyntaxError("divisor must be constant or rational in t",
+                                offset)
+    return q
+
+
+def _quotient(num: SignalExpr, den: SignalExpr) -> SignalExpr | None:
+    """num/den, or None when den is neither constant nor rational in t."""
     if isinstance(den, Const):
         if not den.value:
             raise ParameterError("division by zero")
@@ -425,8 +461,7 @@ def make_div(num: SignalExpr, den: SignalExpr, offset: int = 0) -> SignalExpr:
             return Const(num.value / den.value)
     dr = as_ratfunc_in_t(den)
     if dr is None:
-        raise SignalSyntaxError("divisor must be constant or rational in t",
-                                offset)
+        return None
     if dr.is_zero:
         raise ParameterError("division by zero")
     nr = as_ratfunc_in_t(num)
@@ -620,137 +655,172 @@ def evaluate(e: SignalExpr, t: float) -> complex:
 # Tokenizer and parser
 
 
-_TOKEN = re.compile(r"""
-      (?P<ws>\s+)
-    | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<op>[-+*/^(),])
-""", re.X)
+_LEXEME = re.compile(r"\s+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+                     r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),]")
 
-_FUNCTIONS = ("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay", "chirp")
+_FUNCTIONS = frozenset(("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay",
+                        "chirp"))
+_MINUS_ONE = Const(Qi(-1))
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise SignalSyntaxError(f"unexpected character {text[pos]!r}",
-                                    _byte_offset(text, pos))
-        if m.lastgroup != "ws":
-            toks.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    toks.append(("end", "", len(text)))
-    return toks
+def _tokenize(text: str) -> list[str]:
+    """The token texts, whitespace dropped, then "" for the end.  The texts
+    of different kinds never coincide, so a token is told by its text.
+
+    findall skips a character no lexeme starts at; when none is skipped,
+    the lexemes cover the text and each is the one a match at its start
+    takes."""
+    lexemes = _LEXEME.findall(text)
+    if sum(map(len, lexemes)) != len(text):
+        pos = 0
+        for m in _LEXEME.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+        raise SignalSyntaxError(f"unexpected character {text[pos]!r}",
+                                _byte_offset(text, pos))
+    words = [w for w in lexemes if not w[0].isspace()]
+    words.append("")
+    return words
+
+
+def _token_starts(text: str) -> list[int]:
+    """The character position of each token of _tokenize(text)."""
+    starts = []
+    for m in _LEXEME.finditer(text):
+        if not m.group()[0].isspace():
+            starts.append(m.start())
+    starts.append(len(text))
+    return starts
+
+
+def _has_tfrac(e: SignalExpr) -> bool:
+    """Whether e is, or as a canonical product holds, a rational function
+    of t."""
+    if type(e) is Mul:
+        return any(type(f) is TFrac for f in e.factors)
+    return type(e) is TFrac
+
+
+def _product(factors: list) -> SignalExpr:
+    return factors[0] if len(factors) == 1 else make_mul(factors)
 
 
 class _Parser:
-    def __init__(self, text: str, tokens):
+    """Recursive descent over the token texts, read by index k.  Token
+    positions are found again only for an error message."""
+
+    def __init__(self, text: str, words: list[str]):
         self.text = text
-        self.toks = tokens
+        self.words = words
         self.k = 0
 
-    def _peek(self):
-        return self.toks[self.k]
+    def _offset(self, k: int) -> int:
+        return _byte_offset(self.text, _token_starts(self.text)[k])
 
-    def _next(self):
-        tok = self.toks[self.k]
-        self.k += 1
-        return tok
-
-    def _offset(self, tok) -> int:
-        return _byte_offset(self.text, tok[2])
-
-    def _fail(self, message: str, tok):
-        raise SignalSyntaxError(message, self._offset(tok))
+    def _fail(self, message: str, k: int):
+        raise SignalSyntaxError(message, self._offset(k))
 
     def _expect_op(self, op: str):
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            self._fail(f"expected {op!r}", tok)
+        k = self.k
+        self.k = k + 1
+        if self.words[k] != op:
+            self._fail(f"expected {op!r}", k)
 
     def expr(self) -> SignalExpr:
-        node = self.term()
-        while self._peek()[0] == "op" and self._peek()[1] in "+-":
-            op = self._next()[1]
+        # make_add flattens, so one call over all terms equals the left fold
+        words = self.words
+        terms = [self.term()]
+        while words[self.k] in ("+", "-"):
+            op = words[self.k]
+            self.k += 1
             rhs = self.term()
-            if op == "-":
-                rhs = make_mul([Const(Qi(-1)), rhs])
-            node = make_add([node, rhs])
-        return node
+            terms.append(rhs if op == "+" else make_mul([_MINUS_ONE, rhs]))
+        return terms[0] if len(terms) == 1 else make_add(terms)
 
     def term(self) -> SignalExpr:
-        node = self.factor()
-        while self._peek()[0] == "op" and self._peek()[1] in "*/":
-            tok = self._next()
+        # Factors free of rational functions of t are multiplied in one
+        # make_mul, which equals the left fold there.  A TFrac folds every
+        # rational-in-t factor into itself, so a product that holds one is
+        # folded left, a factor at a time, as in (1/t*t)*(1 + t)^2.
+        words = self.words
+        factors = [self.factor()]
+        while words[self.k] in ("*", "/"):
+            k = self.k
+            self.k = k + 1
             rhs = self.factor()
-            if tok[1] == "*":
-                node = make_mul([node, rhs])
+            if words[k] == "/":
+                q = _quotient(_product(factors), rhs)
+                if q is None:
+                    self._fail("divisor must be constant or rational in t", k)
+                factors = [q]
+            elif _has_tfrac(rhs) or _has_tfrac(factors[0]):
+                factors = [make_mul([_product(factors), rhs])]
             else:
-                node = make_div(node, rhs, self._offset(tok))
-        return node
+                factors.append(rhs)
+        return _product(factors)
 
     def factor(self) -> SignalExpr:
-        negate = False
-        if self._peek()[0] == "op" and self._peek()[1] == "-":
-            self._next()
-            negate = True
-        node = self.atom()
-        if self._peek()[0] == "op" and self._peek()[1] == "^":
-            self._next()
-            tok = self._next()
-            if tok[0] != "num" or not tok[1].isdigit():
-                self._fail("expected a nonnegative integer exponent", tok)
-            node = make_pow(node, int(tok[1]))
+        words = self.words
+        negate = words[self.k] == "-"
         if negate:
-            node = make_mul([Const(Qi(-1)), node])
+            self.k += 1
+        node = self.atom()
+        if words[self.k] == "^":
+            k = self.k + 1
+            self.k = k + 1
+            if not words[k].isdigit():
+                self._fail("expected a nonnegative integer exponent", k)
+            node = make_pow(node, int(words[k]))
+        if negate:
+            node = make_mul([_MINUS_ONE, node])
         return node
 
     def atom(self) -> SignalExpr:
-        tok = self._next()
-        kind, text, _ = tok
-        if kind == "num":
-            if text.isdigit():
-                try:
-                    return Const(Qi(int(text)))
-                except ValueError:   # more digits than int() converts
-                    pass
-            return Const(Qi(Fraction(Decimal(text))))
-        if kind == "ident":
-            if text == "i":
-                return Const(Qi(0, 1))
-            if text == "t":
-                return TimeVar()
-            if text in _FUNCTIONS:
-                return self.call(text, tok)
-            self._fail(f"unknown identifier {text!r}", tok)
-        if kind == "op" and text == "(":
+        k = self.k
+        self.k = k + 1
+        text = self.words[k]
+        if text.isdigit():
+            try:
+                return Const(Qi(int(text)))
+            except ValueError:   # more digits than int() converts
+                return Const(Qi(Fraction(Decimal(text))))
+        if text == "t":
+            return TimeVar()
+        if text == "(":
             node = self.expr()
             self._expect_op(")")
             return node
-        self._fail("expected a number, 'i', 't', a function call, or '('",
-                   tok)
+        if text in _FUNCTIONS:
+            return self.call(text)
+        if text == "i":
+            return Const(_QI_I)
+        head = text[:1]
+        if head.isdecimal() or head == ".":     # a number with a point or
+            return Const(Qi(Fraction(Decimal(text))))   # an exponent
+        if head.isalpha() or head == "_":
+            self._fail(f"unknown identifier {text!r}", k)
+        self._fail("expected a number, 'i', 't', a function call, or '('", k)
 
-    def call(self, name: str, name_tok) -> SignalExpr:
+    def call(self, name: str) -> SignalExpr:
         self._expect_op("(")
         args = []
-        if not (self._peek()[0] == "op" and self._peek()[1] == ")"):
+        if self.words[self.k] != ")":
             args.append(self.expr())
-            while self._peek()[0] == "op" and self._peek()[1] == ",":
-                self._next()
+            while self.words[self.k] == ",":
+                self.k += 1
                 args.append(self.expr())
         self._expect_op(")")
         return _build_call(name, args)
 
     def done(self):
-        tok = self._peek()
-        if tok[0] != "end":
-            self._fail(f"unexpected trailing input {tok[1]!r}", tok)
+        if self.words[self.k]:
+            self._fail(f"unexpected trailing input {self.words[self.k]!r}",
+                       self.k)
 
 
 def _arity_error(name: str, expected: str, got: int):
@@ -858,8 +928,10 @@ def parse(text: str) -> SignalExpr:
     try:
         node = parser.expr()
     except RecursionError:
+        # the deepest call may have taken the end token already
+        k = min(parser.k, len(parser.words) - 1)
         raise SignalSyntaxError("expression nested too deeply",
-                                parser._offset(parser._peek())) from None
+                                parser._offset(k)) from None
     parser.done()
     return node
 

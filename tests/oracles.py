@@ -1,0 +1,463 @@
+"""Plain reference implementations of the parser and of the expansion to
+exponential-polynomial terms, kept as test oracles, and the random grammar
+texts they are compared on.
+
+`parse` tokenizes one match at a time, walks the tokens through peek and
+next calls, and folds every sum and product left, two operands at a time,
+with canonical constructors that sort by a structural key walked afresh on
+each call.  `terms_of` expands with isinstance dispatch and builds every
+polynomial through the `CPoly` constructor.  Neither shortcut of the
+library is used, so agreement checks them.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from algspec.ratfield import CPoly, Qi, RatFunc
+from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
+                             ParameterError, Pow, RaisedCos, SignalExpr,
+                             SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
+                             ExpressionError, _build_call, _rat_key, _tfrac,
+                             as_ratfunc_in_t, make_pow)
+
+
+# ---------------------------------------------------------------------------
+# Canonical constructors
+
+
+def key(e: SignalExpr):
+    if isinstance(e, Const):
+        return (0, e.value.order_key)
+    if isinstance(e, TimeVar):
+        return (1, ())
+    if isinstance(e, TFrac):
+        return (2, _rat_key(e.rat))
+    if isinstance(e, Exp):
+        return (3, e.rate.order_key)
+    if isinstance(e, Sin):
+        return (4, (e.omega, e.phase))
+    if isinstance(e, Cos):
+        return (5, (e.omega, e.phase))
+    if isinstance(e, Sinc):
+        return (6, (e.omega,))
+    if isinstance(e, RaisedCos):
+        return (7, (e.omega,))
+    if isinstance(e, Dirac):
+        return (8, ())
+    if isinstance(e, Delay):
+        return (9, (e.lag,))
+    if isinstance(e, Chirp):
+        return (10, (e.a, e.b, e.c))
+    if isinstance(e, Pow):
+        return (11, (key(e.base), e.k))
+    if isinstance(e, Mul):
+        return (12, tuple(key(f) for f in e.factors))
+    if isinstance(e, Add):
+        return (13, tuple(key(t) for t in e.terms))
+    raise TypeError(f"not a signal expression: {e!r}")
+
+
+def add(terms) -> SignalExpr:
+    flat = []
+    for t in terms:
+        if isinstance(t, Add):
+            flat.extend(t.terms)
+        else:
+            flat.append(t)
+    const = Qi(0)
+    rest = []
+    for t in flat:
+        if isinstance(t, Const):
+            const = const + t.value
+        else:
+            rest.append(t)
+    if const:
+        rest.append(Const(const))
+    if not rest:
+        return Const(Qi(0))
+    if len(rest) == 1:
+        return rest[0]
+    rest.sort(key=key)
+    return Add(tuple(rest))
+
+
+def mul(factors) -> SignalExpr:
+    flat = []
+    for f in factors:
+        if isinstance(f, Mul):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+    scalar = Qi(1)
+    rat = None
+    rest = []
+    fold_rational = any(isinstance(f, TFrac) for f in flat)
+    for f in flat:
+        if isinstance(f, Const):
+            scalar = scalar * f.value
+            continue
+        if fold_rational:
+            r = as_ratfunc_in_t(f)
+            if r is not None:
+                rat = r if rat is None else rat * r
+                continue
+        rest.append(f)
+    if not scalar:
+        return Const(Qi(0))
+    if rat is not None:
+        rat = rat * RatFunc(scalar)
+        scalar = Qi(1)
+        if rat.is_zero:
+            return Const(Qi(0))
+        folded = _tfrac(rat)
+        if isinstance(folded, Const):
+            scalar = folded.value
+        elif isinstance(folded, Mul):
+            for sub in folded.factors:
+                if isinstance(sub, Const):
+                    scalar = scalar * sub.value
+                else:
+                    rest.append(sub)
+        else:
+            rest.append(folded)
+    if not rest:
+        return Const(scalar)
+    if scalar != Qi(1):
+        rest.append(Const(scalar))
+    if len(rest) == 1:
+        return rest[0]
+    rest.sort(key=key)
+    return Mul(tuple(rest))
+
+
+def div(num: SignalExpr, den: SignalExpr, offset: int) -> SignalExpr:
+    if isinstance(den, Const):
+        if not den.value:
+            raise ParameterError("division by zero")
+        if isinstance(num, Const):
+            return Const(num.value / den.value)
+    dr = as_ratfunc_in_t(den)
+    if dr is None:
+        raise SignalSyntaxError("divisor must be constant or rational in t",
+                                offset)
+    if dr.is_zero:
+        raise ParameterError("division by zero")
+    nr = as_ratfunc_in_t(num)
+    if nr is not None:
+        return _tfrac(nr / dr)
+    return mul([num, _tfrac(RatFunc.ONE / dr)])
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer and parser
+
+
+_TOKEN = re.compile(r"""
+      (?P<ws>\s+)
+    | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op>[-+*/^(),])
+""", re.X)
+
+_FUNCTIONS = ("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay", "chirp")
+
+
+def _byte_offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8"))
+
+
+def _tokenize(text: str):
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise SignalSyntaxError(f"unexpected character {text[pos]!r}",
+                                    _byte_offset(text, pos))
+        if m.lastgroup != "ws":
+            toks.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str, tokens):
+        self.text = text
+        self.toks = tokens
+        self.k = 0
+
+    def _peek(self):
+        return self.toks[self.k]
+
+    def _next(self):
+        tok = self.toks[self.k]
+        self.k += 1
+        return tok
+
+    def _offset(self, tok) -> int:
+        return _byte_offset(self.text, tok[2])
+
+    def _fail(self, message: str, tok):
+        raise SignalSyntaxError(message, self._offset(tok))
+
+    def _expect_op(self, op: str):
+        tok = self._next()
+        if tok[0] != "op" or tok[1] != op:
+            self._fail(f"expected {op!r}", tok)
+
+    def expr(self) -> SignalExpr:
+        node = self.term()
+        while self._peek()[0] == "op" and self._peek()[1] in "+-":
+            op = self._next()[1]
+            rhs = self.term()
+            if op == "-":
+                rhs = mul([Const(Qi(-1)), rhs])
+            node = add([node, rhs])
+        return node
+
+    def term(self) -> SignalExpr:
+        node = self.factor()
+        while self._peek()[0] == "op" and self._peek()[1] in "*/":
+            tok = self._next()
+            rhs = self.factor()
+            if tok[1] == "*":
+                node = mul([node, rhs])
+            else:
+                node = div(node, rhs, self._offset(tok))
+        return node
+
+    def factor(self) -> SignalExpr:
+        negate = False
+        if self._peek()[0] == "op" and self._peek()[1] == "-":
+            self._next()
+            negate = True
+        node = self.atom()
+        if self._peek()[0] == "op" and self._peek()[1] == "^":
+            self._next()
+            tok = self._next()
+            if tok[0] != "num" or not tok[1].isdigit():
+                self._fail("expected a nonnegative integer exponent", tok)
+            node = make_pow(node, int(tok[1]))
+        if negate:
+            node = mul([Const(Qi(-1)), node])
+        return node
+
+    def atom(self) -> SignalExpr:
+        tok = self._next()
+        kind, text, _ = tok
+        if kind == "num":
+            if text.isdigit():
+                try:
+                    return Const(Qi(int(text)))
+                except ValueError:
+                    pass
+            return Const(Qi(Fraction(Decimal(text))))
+        if kind == "ident":
+            if text == "i":
+                return Const(Qi(0, 1))
+            if text == "t":
+                return TimeVar()
+            if text in _FUNCTIONS:
+                return self.call(text)
+            self._fail(f"unknown identifier {text!r}", tok)
+        if kind == "op" and text == "(":
+            node = self.expr()
+            self._expect_op(")")
+            return node
+        self._fail("expected a number, 'i', 't', a function call, or '('",
+                   tok)
+
+    def call(self, name: str) -> SignalExpr:
+        self._expect_op("(")
+        args = []
+        if not (self._peek()[0] == "op" and self._peek()[1] == ")"):
+            args.append(self.expr())
+            while self._peek()[0] == "op" and self._peek()[1] == ",":
+                self._next()
+                args.append(self.expr())
+        self._expect_op(")")
+        return _build_call(name, args)
+
+    def done(self):
+        tok = self._peek()
+        if tok[0] != "end":
+            self._fail(f"unexpected trailing input {tok[1]!r}", tok)
+
+
+def parse(text: str) -> SignalExpr:
+    parser = _Parser(text, _tokenize(text))
+    node = parser.expr()
+    parser.done()
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Expansion to terms
+
+
+def _phase_factor(phase: Fraction) -> Qi:
+    if phase == 0:
+        return Qi(1)
+    f = float(phase)
+    return Qi(Fraction(math.cos(f)), Fraction(math.sin(f)))
+
+
+def terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
+    if isinstance(e, Const):
+        return {Qi(0): CPoly([e.value])}
+    if isinstance(e, TimeVar):
+        return {Qi(0): CPoly([0, 1])}
+    if isinstance(e, Exp):
+        return {e.rate: CPoly.ONE}
+    if isinstance(e, (Sin, Cos)):
+        w = Qi(0, e.omega)
+        ph = _phase_factor(e.phase)
+        if isinstance(e, Sin):
+            c_plus = ph / (2 * Qi(0, 1))
+            c_minus = -(ph.conjugate()) / (2 * Qi(0, 1))
+        else:
+            c_plus = ph * Qi(Fraction(1, 2))
+            c_minus = ph.conjugate() * Qi(Fraction(1, 2))
+        out: dict[Qi, CPoly] = {}
+        for rate, c in ((w, c_plus), (-w, c_minus)):
+            out[rate] = out.get(rate, CPoly.ZERO) + CPoly([c])
+        return out
+    if isinstance(e, Add):
+        out = {}
+        for term in e.terms:
+            for rate, poly in terms_of(term).items():
+                out[rate] = out.get(rate, CPoly.ZERO) + poly
+        return out
+    if isinstance(e, Mul):
+        acc = None
+        for factor in e.factors:
+            terms = terms_of(factor)
+            acc = terms if acc is None else _convolve(acc, terms)
+        return acc
+    if isinstance(e, Pow):
+        k = e.k
+        if isinstance(e.base, TimeVar):
+            return {Qi(0): CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
+        acc, base = {Qi(0): CPoly.ONE}, terms_of(e.base)
+        while k:
+            if k & 1:
+                acc = _convolve(acc, base)
+            k >>= 1
+            if k:
+                base = _convolve(base, base)
+        return acc
+    raise ExpressionError("expression is not an exponential polynomial")
+
+
+def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
+    out: dict[Qi, CPoly] = {}
+    for ra, pa in a.items():
+        for rb, pb in b.items():
+            rate = ra + rb
+            out[rate] = out.get(rate, CPoly.ZERO) + pa * pb
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Random grammar texts
+
+
+_numbers = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}.{}".format, st.integers(0, 9), st.integers(0, 99)),
+    st.builds(".{}".format, st.integers(0, 99)),
+    st.builds("{}.".format, st.integers(0, 9)),
+    st.builds("{}{}{}{}".format, st.sampled_from(["1", "2.5", ".5", "3."]),
+              st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 3)),
+)
+_divisors = st.one_of(
+    _numbers, st.just("0"),
+    st.sampled_from(["t", "(t^2 + 1)", "(2*t + 1)", "(t - 1)", "(t^2 - 4)",
+                     "(t - t)", "(1 + i*t)", "(t^2 + 1)^2", "(1 + t)^2"]),
+)
+_linear = st.builds("{}{}*t{}".format, st.sampled_from(["", "-"]), _numbers,
+                    st.sampled_from(["", " + 1/2", " - 3"]))
+_exponents = st.one_of(st.integers(0, 3).map(str),
+                       st.sampled_from(["t", "1.5", "-1", "(2)", ""]))
+
+
+# the argument count drawn most often for each function
+_ARITY = {"exp": 1, "sin": 1, "cos": 2, "sinc": 1, "rcos": 1, "dirac": 0,
+          "delay": 1, "chirp": 3}
+
+
+@st.composite
+def _atom(draw, depth: int) -> str:
+    choices = ["number", "i", "t", "t"] + (["call", "call", "paren"]
+                                           if depth > 0 else [])
+    kind = draw(st.sampled_from(choices))
+    if kind == "number":
+        return draw(_numbers)
+    if kind in ("i", "t"):
+        return kind
+    if kind == "paren":
+        return f"({draw(_expr(depth - 1))})"
+    name = draw(st.sampled_from(_FUNCTIONS))
+    n = draw(st.sampled_from([_ARITY[name]] * 4 + [0, 1, 2, 3]))
+    args = [draw(st.one_of(_numbers, _linear, _expr(depth - 1)))
+            for _ in range(n)]
+    return f"{name}({', '.join(args)})"
+
+
+@st.composite
+def _factor(draw, depth: int) -> str:
+    text = draw(_atom(depth))
+    if draw(st.integers(0, 5)) == 0:
+        text += "^" + draw(_exponents)
+    if draw(st.integers(0, 4)) == 0:
+        text = "-" + text
+    return text
+
+
+@st.composite
+def _term(draw, depth: int) -> str:
+    text = draw(_factor(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        step = draw(st.sampled_from(["*", "/", "cancel"]))
+        if step == "*":
+            text += "*" + draw(_factor(depth))
+        elif step == "/":
+            text += "/" + draw(st.one_of(_divisors, _factor(depth)))
+        else:   # a rational factor that the next cancels, then a power
+            divisor = draw(_divisors)
+            text += f"/{divisor}*{divisor}*" + draw(st.sampled_from(
+                ["t", "t^2", "(1 + t)^2", "(t - 1)*(t + 2)"]))
+    return text
+
+
+@st.composite
+def _expr(draw, depth: int) -> str:
+    text = draw(_term(depth))
+    for _ in range(draw(st.integers(0, 2))):
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"]))
+        text += draw(_term(depth))
+    return text
+
+
+@st.composite
+def _malformed(draw) -> str:
+    text = draw(_expr(2))
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["cut", "drop", "insert"]))
+    if edit == "cut":
+        return text[:at]
+    if edit == "drop":
+        return text[:at] + text[at + 1:]
+    return text[:at] + draw(st.sampled_from(
+        list("@é.()^,*/+-") + [" ", "x", "sinc", "1e", "٣"])) + text[at:]
+
+
+signal_texts = st.one_of(_expr(2), _expr(2), _malformed())

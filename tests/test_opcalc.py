@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from algspec.opcalc import (ExpPoly, _convolve, _linear_power, _terms_of,
                             dirac_image, from_signal, mult_by_minus_t,
                             spectrum_of_exppoly, taylor_truncate, to_exppoly,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     alg_deriv, poles, spectrum_of_rational
-from algspec.sigexpr import ExpressionError, Pow, evaluate, parse
+from algspec.sigexpr import (ExpressionError, Pow, SignalClass, classify,
+                             evaluate, parse)
 
 _S = CPoly([0, 1])
 
@@ -39,17 +42,19 @@ def _rand_exppoly(rng, max_rates=4, max_deg=4):
     return ExpPoly(tuple(terms))
 
 
-def _rand_mixture(rng, max_rates=9, max_mult=4):
-    """Distinct rates with decay and frequency in quarters, each with a
-    polynomial of degree below max_mult and a nonzero leading coefficient."""
+def _rand_mixture(rng, max_rates=9, max_mult=4, rate_den=4, coeff_den=2):
+    """Distinct rates with decay and frequency in steps of 1/rate_den, each
+    with a polynomial of degree below max_mult, coefficients in steps of
+    1/coeff_den and a nonzero leading coefficient."""
     rates = set()
+    span = 2 * rate_den
     while len(rates) < rng.randint(1, max_rates):
-        rates.add(Qi(Fraction(rng.randint(-8, 0), 4),
-                     Fraction(rng.randint(-8, 8), 4)))
+        rates.add(Qi(Fraction(rng.randint(-span, 0), rate_den),
+                     Fraction(rng.randint(-span, span), rate_den)))
     terms = []
     for rate in sorted(rates, key=lambda q: (q.re, q.im)):
-        coeffs = [Qi(Fraction(rng.randint(-5, 5), 2),
-                     Fraction(rng.randint(-5, 5), 2))
+        coeffs = [Qi(Fraction(rng.randint(-5, 5), coeff_den),
+                     Fraction(rng.randint(-5, 5), coeff_den))
                   for _ in range(rng.randint(1, max_mult))]
         if not coeffs[-1]:
             coeffs[-1] = Qi(1)
@@ -182,10 +187,24 @@ def test_a_power_of_t_is_its_monomial():
 
 
 def test_from_signal_rejects_other_classes():
-    with pytest.raises(ExpressionError):
-        from_signal(parse("sinc(2)"))
-    with pytest.raises(ExpressionError):
-        from_signal(parse("dirac()"))
+    for text in ("sinc(2)", "dirac()", "2*dirac()", "t*sin(t) + rcos(1)",
+                 "exp(-t)*t/(t^2 + 1)"):
+        with pytest.raises(ExpressionError,
+                           match="^expression is not an exponential "
+                                 "polynomial$"):
+            from_signal(parse(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracles.signal_texts)
+def test_expansion_equals_the_reference_expansion(text):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    if classify(e) == SignalClass.EXP_POLYNOMIAL:
+        want = ExpPoly(tuple(oracles.terms_of(e).items()))
+        assert from_signal(e) == want, text
 
 
 # --- rational image ------------------------------------------------------------
@@ -370,11 +389,20 @@ def test_round_trip_with_roots_of_wide_moduli(text):
 
 def test_round_trip_of_mixtures_is_exact():
     # every pole of the image is a rate in Q(i), found exactly, so the
-    # inverse image returns the very rates and (dyadic) coefficients
+    # inverse image returns the very rates and coefficients, dyadic or not
     rng = random.Random(2309)
-    for _ in range(30):
-        x = _rand_mixture(rng)
-        assert to_exppoly(to_rational(x)) == x, x.format()
+    for rate_den, coeff_den in ((4, 2), (3, 7), (7, 3)):
+        for _ in range(30):
+            x = _rand_mixture(rng, rate_den=rate_den, coeff_den=coeff_den)
+            assert to_exppoly(to_rational(x)) == x, x.format()
+
+
+def test_round_trip_keeps_rates_off_the_dyadic_grid():
+    x = from_signal(parse("exp(-1/3*t)*(1/3+t)"))
+    back = to_exppoly(to_rational(x))
+    assert back == x
+    assert back.terms == ((Qi(Fraction(-1, 3)),
+                           CPoly([Qi(Fraction(1, 3)), Qi(1)])),)
 
 
 def test_round_trip_from_rational_side():

@@ -3,12 +3,16 @@ evaluation."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+
+import oracles
 
 from algspec.ratfield import Qi
-from algspec.sigexpr import (_linear_coeffs, Add, Chirp, Const, Cos, Delay, Dirac,
+from algspec.sigexpr import (_key, _linear_coeffs, Add, Chirp, Const, Cos, Delay, Dirac,
                              EvaluationError, Exp, ExpressionError, Mul,
                              ParameterError, Pow, RaisedCos, SignalClass,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
@@ -367,3 +371,53 @@ def test_pow_normalization():
     assert make_pow(make_exp(2), 3) == make_exp(6)
     with pytest.raises(ValueError):
         Pow(TimeVar(), -1)
+
+
+# --- the parser against its plain reference ----------------------------------
+
+
+def _outcome(parse_fn, text):
+    """The tree, or the class, message and byte offset of the failure."""
+    try:
+        return parse_fn(text)
+    except Exception as err:            # compared, not swallowed
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracles.signal_texts)
+def test_parse_equals_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(oracles.parse, text), text
+
+
+@pytest.mark.parametrize("text", [
+    "1/t*t*(1 + t)^2", "t*(1/t)*(1 + t)^2", "(1 + t)^2*t/t", "sin(t)/t*t",
+    "2*t/(t^2 + 1)*(t^2 + 1)*cos(t)", "-2^2", "-2^2*t", "- 1/3*t", "3 - -t",
+    "1 - (2 - t)", "t - t", "0*sin(t)*t/(t + 1)", "2e3*t - 1.5E-2",
+    "exp(-1/8*t)*(1/2 - 3/2*t)", "2*@", "sin(t", "t^t", "1/sin(t)",
+    "1/(t - t)", "é + t", "1..5", "1.5.t", "t . 5", "sinc(0)",
+])
+def test_parse_equals_the_reference_parser_on_edge_texts(text):
+    assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+def test_a_rational_factor_keeps_the_product_folded_left():
+    # 1/t*t folds to 1 before the square meets it, so the square stays
+    assert parse("1/t*t*(1 + t)^2") == make_pow(parse("1 + t"), 2)
+    assert parse("t*(1 + t)^2/t") == parse("1 + t^2 + 2*t")
+
+
+def test_long_sums_parse_in_linear_time():
+    terms = [f"sin({k}*t)" for k in range(1, 4001)]
+    t0 = time.perf_counter()
+    got = parse(" + ".join(terms))
+    assert time.perf_counter() - t0 < 2.0
+    assert got == make_add([parse(term) for term in terms])
+
+
+def test_stored_keys_are_not_part_of_the_value():
+    e = parse("sin(t) + 2*t^2 + exp(-t)")
+    bare = Add(e.terms)                 # a new node with no stored key
+    _key(e)
+    assert (bare == e, hash(bare), repr(bare)) == (True, hash(e), repr(e))
+    assert "_key" in e.__dict__ and "_key" not in bare.__dict__

@@ -479,6 +479,10 @@ class CPoly:
                 return NotImplemented
         if self.is_zero or other.is_zero:
             return CPoly.ZERO
+        if other is CPoly.ONE:
+            return self
+        if self is CPoly.ONE:
+            return other
         re, im = _gconv(self._re, self._im, other._re, other._im)
         return CPoly._canon(re, im, self._d * other._d)
 
@@ -696,8 +700,8 @@ def poly_gcd(a: CPoly, b: CPoly) -> CPoly:
 def square_free_factors(p: CPoly) -> list[tuple[CPoly, int]]:
     """Yun's decomposition: [(factor, multiplicity)], factors monic."""
     p = p.monic()
-    if p.degree <= 0:
-        return []
+    if p.degree <= 1:
+        return [(p, 1)] if p.degree == 1 else []
     g = poly_gcd(p, p.deriv())
     if g.degree == 0:
         return [(p, 1)]

@@ -775,7 +775,11 @@ class _Parser:
             self.k = k + 1
             if not words[k].isdigit():
                 self._fail("expected a nonnegative integer exponent", k)
-            node = make_pow(node, int(words[k]))
+            try:
+                exponent = int(words[k])
+            except ValueError:   # more digits than int() converts
+                self._fail("exponent too large", k)
+            node = make_pow(node, exponent)
         if negate:
             node = make_mul([_MINUS_ONE, node])
         return node

@@ -8,7 +8,10 @@ candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
 each factor of a coprime base of their denominators is classified once by
 the Fuchs criterion, and infinity from the degrees of the same coefficients,
 scaled by powers of s and Lah numbers.  Operator products and actions
-collect the terms of each coefficient and sum them over one denominator.
+hold every coefficient as a numerator and an exponent vector over one
+coprime base of the operands' denominators: products add exponents,
+derivatives raise them, and sums meet at their elementwise maximum, with no
+gcd, so each output coefficient is reduced once.
 """
 
 from __future__ import annotations
@@ -115,66 +118,140 @@ class SingularPoint:
         return self.refinement
 
 
-def _lcm(polys) -> CPoly:
-    """Monic least common multiple of monic polynomials."""
-    acc = CPoly.ONE
-    # largest first: the later ones then mostly divide acc, a cheap gcd
-    for p in sorted(set(polys), key=lambda p: -p.degree):
-        if p.degree > 0:
-            acc = acc * (p // poly_gcd(acc, p))
-    return acc
+def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
+    """A coprime base B of monic polynomials and, for each, its exponent
+    vector e over B: d = prod(B_i^e_i).  Refining the square-free factors
+    (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) replaces a base
+    factor b and a factor f by g = gcd(b, f), b/g and f/g, pairwise coprime
+    for square-free inputs; a base factor then divides at most one
+    square-free factor of a denominator, whose multiplicity is its
+    exponent.  Each base factor carries those multiplicities along."""
+    dens = list(dict.fromkeys(dens))
+    base: list[tuple[CPoly, dict[int, int]]] = []
+    for k, d in enumerate(dens):
+        for f, m in square_free_factors(d):
+            refined = []
+            for b, mults in base:
+                g = (CPoly.ONE if f.degree == 0 else b if b == f
+                     else poly_gcd(b, f))
+                if g.degree > 0:
+                    f = f // g
+                    refined.append((g, {**mults, k: m}))
+                    if b != g:
+                        refined.append((b // g, mults))
+                else:
+                    refined.append((b, mults))
+            if f.degree > 0:
+                refined.append((f, {k: m}))
+            base = refined
+    return [b for b, _ in base], {
+        d: tuple(mults.get(k, 0) for _, mults in base)
+        for k, d in enumerate(dens)}
 
 
-def _sum(terms) -> RatFunc:
-    """Sum of rational functions over the lcm of their denominators,
-    reduced once."""
-    terms = [t for t in terms if not t.is_zero]
-    if len(terms) == 1:
-        return terms[0]
-    m = _lcm(t.den for t in terms)
-    num = CPoly.ZERO
-    for t in terms:
-        num = num + t.num * (m // t.den)
-    return RatFunc(num, m)
+class _Base:
+    """Rational functions N/prod(B_i^e_i) held as (N, e) over a coprime
+    base B of their denominators, so that products, derivatives and sums
+    need no gcd; `total` reduces once.  Caches last for one operation."""
+
+    def __init__(self, dens):
+        self.factors, self._exps = _coprime_base(dens)
+        self._derivs = [b.deriv() for b in self.factors]
+        self._powers = {(0,) * len(self.factors): CPoly.ONE}
+        self._rads: dict[tuple, tuple[CPoly, CPoly]] = {}
+
+    def over(self, r: RatFunc) -> tuple[CPoly, tuple]:
+        return r.num, self._exps[r.den]
+
+    def power(self, e: tuple) -> CPoly:
+        """prod(B_i^e_i), monic."""
+        p = self._powers.get(e)
+        if p is None:
+            # one product by a base factor from a power already built
+            i = next(i for i, k in enumerate(e) if k)
+            p = self._powers[e] = self.factors[i] * self.power(
+                e[:i] + (e[i] - 1,) + e[i + 1:])
+        return p
+
+    def deriv(self, term: tuple[CPoly, tuple]) -> tuple[CPoly, tuple]:
+        """With P = prod(B_i^e_i) and R the product of the B_i with e_i > 0,
+        (N/P)' = (N'R - N*sum(e_i B_i' R/B_i)) / (P R)."""
+        num, e = term
+        if not (num and any(e)):
+            return num.deriv(), e
+        rad = self._rads.get(e)
+        if rad is None:
+            r, s = CPoly.ONE, CPoly.ZERO
+            for i, k in enumerate(e):
+                if k:
+                    # s = sum(e_j B_j' r/B_j) over the factors so far
+                    d = self._derivs[i]
+                    s = s * self.factors[i] + r * (d * k if k > 1 else d)
+                    r = r * self.factors[i]
+            rad = self._rads[e] = (r, s)
+        r, s = rad
+        return num.deriv() * r - num * s, tuple(k + (k > 0) for k in e)
+
+    def common(self, terms) -> tuple[list[CPoly], CPoly]:
+        """The numerators of (N, e) terms over one denominator
+        prod(B_i^E_i), E the elementwise max of the e, and that
+        denominator."""
+        top = tuple(max(col) for col in zip(*(e for _, e in terms)))
+        return [num if e == top else
+                num * self.power(tuple(x - y for x, y in zip(top, e)))
+                for num, e in terms], self.power(top)
+
+    def total(self, terms) -> RatFunc:
+        """The sum of (N, e) terms over their common denominator, the
+        numerators of equal e added first, reduced once."""
+        grouped: dict[tuple, CPoly] = {}
+        for num, e in terms:
+            grouped[e] = grouped[e] + num if e in grouped else num
+        if not grouped:
+            return RatFunc.ZERO
+        nums, den = self.common([(num, e) for e, num in grouped.items()])
+        return RatFunc(sum(nums, CPoly.ZERO), den)
 
 
-def _scaled(r: RatFunc, c, shift: int = 0) -> RatFunc:
-    """c * s^shift * r for a nonzero scalar c, reduced.  Only a factor s
-    shared with the denominator can cancel, so the gcd runs only when
-    shift > 0 and den(0) = 0."""
-    num = r.num * CPoly((0,) * shift + (c,))
-    if shift and not (r.den._re[0] or r.den._im[0]):
-        return RatFunc(num, r.den)
-    return RatFunc._from_reduced(num, r.den)
+def _add(e: tuple, f: tuple) -> tuple:
+    return tuple(map(int.__add__, e, f))
 
 
 def apply(op: WeylOp, r: RatFunc) -> RatFunc:
     """Act on a rational function: sum of r_k times the k-th d/ds of r."""
+    base = _Base([c.den for c in op.coeffs] + [r.den])
     terms = []
-    d = r
+    dn, de = base.over(r)   # the k-th derivative of r
     for k, c in enumerate(op.coeffs):
-        if not c.is_zero:
-            terms.append(c * d)
+        if c and dn:
+            num, e = base.over(c)
+            terms.append((num * dn, _add(e, de)))
         if k < op.order:
-            d = d.deriv()
-    return _sum(terms)
+            dn, de = base.deriv((dn, de))
+    return base.total(terms)
 
 
 def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
     """Noncommutative composition: (d/ds)^k r = sum_l C(k,l) r^(l) (d/ds)^(k-l)
     puts r_k * C(k,l) * b_j^(l) on (d/ds)^(k-l+j)."""
-    derivs = [b.coeffs]   # derivs[l][j]: the l-th derivative of b_j
+    base = _Base([c.den for c in a.coeffs + b.coeffs])
+    derivs = [[base.over(c) for c in b.coeffs]]   # derivs[l][j]: b_j^(l)
     while len(derivs) <= a.order:
-        derivs.append(tuple(d.deriv() for d in derivs[-1]))
-    terms: dict[int, list[RatFunc]] = {}
+        derivs.append([base.deriv(d) for d in derivs[-1]])
+    terms: dict[int, list] = {}
     for k, ak in enumerate(a.coeffs):
+        if not ak:
+            continue
+        num, e = base.over(ak)
         for l in range(k + 1):
-            for j, d in enumerate(derivs[l]):
-                if not (ak.is_zero or d.is_zero):
+            scaled = num * math.comb(k, l) if 0 < l < k else num
+            for j, (dn, de) in enumerate(derivs[l]):
+                if dn:
                     terms.setdefault(k - l + j, []).append(
-                        _scaled(ak * d, math.comb(k, l)))
+                        (scaled * dn, _add(e, de)))
     order = max(terms, default=0)
-    return WeylOp(tuple(_sum(terms.get(k, ())) for k in range(order + 1)))
+    return WeylOp(tuple(base.total(terms.get(k, ()))
+                        for k in range(order + 1)))
 
 
 def catalog_equation(e: SignalExpr) -> OdeSystem:
@@ -220,9 +297,11 @@ def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
     return [c / rn for c in sys.op.coeffs[:-1]], sys.rhs / rn
 
 
-def _classify(qs: list[RatFunc], orders: list[int]) -> SingularPoint | None:
+def _classify(qs: Sequence, orders: list[int]) -> SingularPoint | None:
     """Fuchs classification from the pole orders at one point of qs, then of
-    g, located at infinity (a finite caller sets it); None if ordinary."""
+    g, located at infinity (a finite caller sets it); None if ordinary.
+    Of qs only their number and whether qs[0] is zero are read, so any
+    common nonzero multiple of them serves."""
     n = len(qs)
     *orders_q, order_g = orders
     if not any(orders):
@@ -241,26 +320,9 @@ def _classify(qs: list[RatFunc], orders: list[int]) -> SingularPoint | None:
 
 def _pole_orders(rs: list[RatFunc]) -> list[tuple[CPoly, list[int]]]:
     """The factors of a coprime base of the denominators of rs, each with
-    the pole order of every r at its roots.  Refining the square-free
-    factors (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) replaces a
-    base factor b and a factor f by g = gcd(b, f), b/g and f/g, pairwise
-    coprime for square-free inputs; a base factor then divides at most one
-    square-free factor of a denominator, whose multiplicity is the order."""
-    factors = {d: square_free_factors(d)
-               for d in dict.fromkeys(r.den for r in rs)}
-    base: list[CPoly] = []
-    for f in (f for fs in factors.values() for f, _ in fs):
-        refined = []
-        for b in base:
-            g = b if b == f else poly_gcd(b, f)
-            if g.degree > 0:
-                f = f // g
-                refined += [h for h in (g, b // g) if h.degree > 0]
-            else:
-                refined.append(b)
-        base = refined + [f] if f.degree > 0 else refined
-    return [(b, [next((m for f, m in factors[r.den] if not f % b), 0)
-                 for r in rs]) for b in base]
+    the pole order of every r at its roots: the exponents over the base."""
+    base, exps = _coprime_base(r.den for r in rs)
+    return [(b, [exps[r.den][i] for r in rs]) for i, b in enumerate(base)]
 
 
 def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
@@ -294,18 +356,34 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
 
     read here in s.  The pole order of f(z) at z = 0 is the degree excess
     of f(1/s), so the Fuchs test at infinity (Ince, Ordinary Differential
-    Equations, 1926) is a test on degrees.
+    Equations, 1926) is a test on degrees.  Over a common denominator M of
+    the r_k, from their coprime base, q_k = p_k/p_n for the polynomials
+    p_k = r_k M, so each Q_j is a polynomial sum over p_n: no quotient
+    needs reducing, as a common factor lowers both degrees alike.
     """
     n = sys.op.order
-    qs, g = _normalized(sys)
-    qs.append(RatFunc.ONE)
-    chart = [_scaled(qs[0], (-1) ** n, 2 * n)] + [_sum(
-        _scaled(qs[k], (-1) ** (n - k) * math.comb(k - 1, j - 1)
-                * math.factorial(k) // math.factorial(j), 2 * n - k - j)
-        for k in range(j, n + 1))
-        for j in range(1, n)]
-    return _classify(chart, [max(0, r.num.degree - r.den.degree)
-                             for r in chart + [_scaled(g, (-1) ** n, 2 * n)]])
+    base = _Base([r.den for r in sys.op.coeffs])
+    ps, m = base.common([base.over(r) for r in sys.op.coeffs])
+    chart = []   # Q_j times p_n
+    for j in range(n):
+        p = CPoly.ZERO
+        for k in range(j, n + 1):
+            c = (-1) ** (n - k) * _lah(k, j)
+            if c:
+                p = p + ps[k] * CPoly((0,) * (2 * n - k - j) + (c,))
+        chart.append(p)
+    orders = [max(0, p.degree - ps[n].degree) for p in chart]
+    g = sys.rhs   # deg G = 2n + deg g - deg r_n
+    orders.append(max(0, 2 * n + g.num.degree - g.den.degree
+                      - (ps[n].degree - m.degree)) if g else 0)
+    return _classify(chart, orders)
+
+
+def _lah(k: int, j: int) -> int:
+    """The Lah number L(k, j), with L(0, 0) = 1 and L(k, 0) = 0 for k > 0."""
+    if j == 0:
+        return int(k == 0)
+    return math.comb(k - 1, j - 1) * math.factorial(k) // math.factorial(j)
 
 
 def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],

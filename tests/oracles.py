@@ -1,6 +1,6 @@
-"""Plain reference implementations of the parser and of the expansion to
-exponential-polynomial terms, kept as test oracles, and the random grammar
-texts they are compared on.
+"""Plain reference implementations of the parser, of the expansion to
+exponential-polynomial terms and of the polynomial lcm, kept as test
+oracles, and the random grammar texts the parser is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from algspec.ratfield import CPoly, Qi, RatFunc
+from algspec.ratfield import CPoly, Qi, RatFunc, poly_gcd
 from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
                              ParameterError, Pow, RaisedCos, SignalExpr,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
@@ -244,6 +245,8 @@ class _Parser:
             tok = self._next()
             if tok[0] != "num" or not tok[1].isdigit():
                 self._fail("expected a nonnegative integer exponent", tok)
+            if len(tok[1]) > sys.get_int_max_str_digits() > 0:
+                self._fail("exponent too large", tok)
             node = make_pow(node, int(tok[1]))
         if negate:
             node = mul([Const(Qi(-1)), node])
@@ -363,6 +366,20 @@ def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
             rate = ra + rb
             out[rate] = out.get(rate, CPoly.ZERO) + pa * pb
     return out
+
+
+# ---------------------------------------------------------------------------
+# Polynomial lcm
+
+
+def poly_lcm(polys) -> CPoly:
+    """Monic least common multiple of monic polynomials."""
+    acc = CPoly.ONE
+    # largest first: the later ones then mostly divide acc, a cheap gcd
+    for p in sorted(set(polys), key=lambda p: -p.degree):
+        if p.degree > 0:
+            acc = acc * (p // poly_gcd(acc, p))
+    return acc
 
 
 # ---------------------------------------------------------------------------

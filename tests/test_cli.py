@@ -274,6 +274,12 @@ def test_a_literal_past_the_int_digit_limit_still_parses():
                                      "infinite singularity: no", "")
 
 
+def test_an_exponent_past_the_int_digit_limit_is_an_input_error():
+    status, out, err = run(CliConfig("spectrum", expr="t^" + "9" * 5000))
+    assert (status, out, err) == (
+        1, "", "error: input: exponent too large at byte offset 2")
+
+
 # --- instfreq ----------------------------------------------------------------
 
 

@@ -59,6 +59,16 @@ def test_syntax_error_carries_byte_offset():
     assert info.value.offset == 2
 
 
+def test_an_exponent_past_the_int_digit_limit_is_a_syntax_error():
+    # int() converts at most sys.get_int_max_str_digits() digits
+    text = "2*t^" + "9" * 5000 + " + 1"
+    with pytest.raises(SignalSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == "exponent too large at byte offset 4"
+    assert info.value.offset == 4
+    assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
 def test_syntax_error_offset_counts_bytes_not_characters():
     # the two-byte character before the bad token shifts the offset by 2
     with pytest.raises(SignalSyntaxError) as info:

@@ -7,16 +7,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
+from algspec import ratfield, weylode
 from algspec.cli import _c12, _g12
 from algspec.ratfield import (CPoly, Qi, RatFunc, _aberth, _location_key,
                               alg_deriv, poly_gcd, snap_axes,
                               square_free_factors)
 from algspec.sigexpr import ExpressionError, parse
-from algspec.weylode import (OdeSystem, WeylOp, _classify, _lcm,
-                             _normalized, _pole_orders, _scaled, apply,
-                             catalog_equation, finite_singularities,
-                             format_equation, format_weylop, mul_ops,
-                             singularity_at_infinity, spectrum_of_ode)
+from algspec.weylode import (OdeSystem, WeylOp, _classify, _normalized,
+                             _pole_orders, apply, catalog_equation,
+                             finite_singularities, format_equation,
+                             format_weylop, mul_ops, singularity_at_infinity,
+                             spectrum_of_ode)
 
 _S = CPoly([0, 1])
 
@@ -171,18 +174,6 @@ def _oracle_cases():
         yield a, b, r, OdeSystem(a, rhs)
 
 
-@pytest.mark.parametrize("den", [
-    [1, 0, 1], [0, 0, 1], [0, -2, Fraction(1, 3)], [Qi(0, 1), 1]])
-def test_scaled_equals_the_reduced_product(den):
-    # den(0) = 0 lets a factor s cancel; otherwise nothing can
-    r = RatFunc(CPoly([0, Fraction(1, 2), Qi(1, 1)]), CPoly(den))
-    for c in (3, Fraction(-2, 5), Qi(1, -1)):
-        for shift in (0, 1, 3):
-            want = RatFunc(r.num * CPoly((0,) * shift + (c,)), r.den)
-            assert _scaled(r, c, shift) == want
-    assert _scaled(RatFunc.ZERO, 2, 2) == RatFunc.ZERO
-
-
 def test_mul_ops_equals_the_term_by_term_sum():
     for a, b, _, _ in _oracle_cases():
         assert mul_ops(a, b) == _mul_ops_by_terms(a, b)
@@ -238,6 +229,152 @@ def test_infinity_of_hand_built_systems():
         assert point is None or point.kind == "regular"
         if want == "pole":
             assert point.order == 2
+
+
+# --- drawn operators against the same oracles ------------------------------
+
+# factors whose products share only part of a factor, e.g. (s-1)(s-2) beside
+# (s-1)^2 (s^2+1), and Gaussian roots: s^2 + 1 = (s - i)(s + i)
+_PARTIAL_FACTORS = (CPoly([-1, 1]), CPoly([-2, 1]), CPoly([-1, 0, 0, 1]),
+                    CPoly([1, 0, 1]), CPoly([Qi(0, -1), 1]),
+                    CPoly([Qi(-1, -1), 1]), _S)
+_drawn_qi = st.builds(Qi, st.sampled_from([0, 1, -1, 3, Fraction(-1, 2)]),
+                      st.sampled_from([0, 0, 1, Fraction(1, 3)]))
+_drawn_nums = st.lists(_drawn_qi, max_size=3).map(CPoly)
+_drawn_dens = st.lists(
+    st.tuples(st.sampled_from(_PARTIAL_FACTORS), st.integers(1, 2)),
+    max_size=2).map(lambda fs: math.prod((f ** e for f, e in fs),
+                                         start=CPoly.ONE))
+_drawn_rats = st.builds(RatFunc, _drawn_nums, _drawn_dens)
+# order 0 to 3, zero coefficients included; all zero is the zero operator
+_drawn_ops = st.lists(_drawn_rats, min_size=1, max_size=4).map(
+    lambda cs: WeylOp(tuple(cs)))
+
+
+@st.composite
+def _cancelling_pairs(draw):
+    """(a, b) whose composition or commutator cancels terms: (D + x, D - x),
+    whose d/ds coefficient x - x cancels inside mul_ops; two operators of
+    order 0, whose commutator is zero; D and an order-0 x, whose
+    commutator drops to order 0; or two drawn operators."""
+    x, y = draw(_drawn_rats), draw(_drawn_rats)
+    return draw(st.sampled_from([
+        (WeylOp((x, RatFunc.ONE)), WeylOp((-x, RatFunc.ONE))),
+        (WeylOp((x,)), WeylOp((y,))),
+        (WeylOp.D, WeylOp((x,))),
+        (draw(_drawn_ops), draw(_drawn_ops))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_ops, _drawn_ops)
+def test_mul_ops_equals_the_term_by_term_sum_on_drawn_operators(a, b):
+    assert mul_ops(a, b) == _mul_ops_by_terms(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_ops, _drawn_rats)
+def test_apply_equals_the_term_by_term_sum_on_drawn_operators(op, r):
+    assert apply(op, r) == _apply_by_terms(op, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_pairs())
+def test_commutators_equal_the_term_by_term_sums(pair):
+    a, b = pair
+    got = mul_ops(a, b) - mul_ops(b, a)
+    assert got == _mul_ops_by_terms(a, b) - _mul_ops_by_terms(b, a)
+    assert mul_ops(a, b) == _mul_ops_by_terms(a, b)
+    if a.order == b.order == 0:
+        assert got.is_zero
+    if a == WeylOp.D and b.order == 0:
+        assert got == WeylOp((b.coeffs[0].deriv(),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_ops, _drawn_rats)
+def test_infinity_equals_the_chart_on_drawn_systems(op, rhs):
+    if op.order == 0:
+        op = WeylOp(op.coeffs + (RatFunc.ONE,))
+    sys = OdeSystem(op, rhs)
+    assert singularity_at_infinity(sys) == _infinity_by_chart(sys)
+
+
+def test_composition_makes_few_gcds(monkeypatch):
+    # one 3x3 composition with coefficients (a0 + a1 s)/(s - b) at even
+    # orders: one gcd per term made 64 calls here; a coprime base of the
+    # four denominators and one reduction per output coefficient make 12
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(None)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfield, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(weylode, "poly_gcd", counting_gcd)
+    h = Fraction(1, 2)
+    a = _bench_shaped_op([3 * h, -5 * h, h, h, 3 * h, -h, 5 * h, 3 * h,
+                          5 * h, h], 3)
+    b = _bench_shaped_op([-3 * h, h, -5 * h, 3 * h, -h, h, h, 5 * h,
+                          -5 * h, 3 * h], 3)
+    product = mul_ops(a, b)
+    assert len(calls) <= 16
+    monkeypatch.undo()
+    assert product == _mul_ops_by_terms(a, b)
+
+
+# --- the operator shapes of the equation benchmark -------------------------
+
+# coefficients (a0 + a1 s)/(s - b) at even orders and a0 + a1 s at odd
+# orders, a0, a1 and b halves of odd numbers, so no numerator cancels
+_HALVES = [Fraction(n, 2) for n in (-5, -3, -1, 1, 3, 5)]
+
+
+def _bench_shaped_rat(a0, a1, b=None):
+    den = CPoly.ONE if b is None else CPoly([-b, 1])
+    return RatFunc(CPoly([a0, a1]), den)
+
+
+def _bench_shaped_op(values, order):
+    """The operator of the given order read off a list of halves, three
+    per even-order coefficient and two per odd-order one."""
+    values = iter(values)
+    return WeylOp(tuple(
+        _bench_shaped_rat(next(values), next(values),
+                          next(values) if k % 2 == 0 else None)
+        for k in range(order + 1)))
+
+
+_bench_values = st.lists(st.sampled_from(_HALVES), min_size=10, max_size=10)
+_bench_orders = st.integers(1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_values, _bench_orders, _bench_values, _bench_orders)
+def test_bench_shaped_compositions_equal_the_oracle(va, oa, vb, ob):
+    a, b = _bench_shaped_op(va, oa), _bench_shaped_op(vb, ob)
+    m = mul_ops(a, b)
+    assert m == _mul_ops_by_terms(a, b)
+    assert m.order == oa + ob
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_values, _bench_orders, st.sampled_from(_HALVES),
+       st.sampled_from(_HALVES), st.sampled_from(_HALVES))
+def test_bench_shaped_actions_equal_the_oracle(va, order, a0, a1, b):
+    op, r = _bench_shaped_op(va, order), _bench_shaped_rat(a0, a1, b)
+    assert apply(op, r) == _apply_by_terms(op, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_HALVES), st.sampled_from(_HALVES),
+       st.sampled_from(_HALVES))
+def test_bench_shaped_commutators_equal_the_oracle(a0, a1, b):
+    r = _bench_shaped_rat(a0, a1, b)
+    x = WeylOp((r,))
+    got = mul_ops(WeylOp.D, x) - mul_ops(x, WeylOp.D)
+    assert got == (_mul_ops_by_terms(WeylOp.D, x)
+                   - _mul_ops_by_terms(x, WeylOp.D))
+    assert got == WeylOp((r.deriv(),))
 
 
 def test_system_validation():
@@ -452,7 +589,7 @@ def _finite_by_tolerance(sys):
         return 0
 
     qs, g = _normalized(sys)
-    lcm = _lcm(r.den for r in qs + [g])
+    lcm = oracles.poly_lcm(r.den for r in qs + [g])
     roots = sorted((z for f, _ in square_free_factors(lcm)
                     for z in _aberth(f.to_complex())), key=_location_key)
     return [(snap_axes(z), _classify(qs, [order_near(r, z) for r in qs + [g]]))

@@ -6,13 +6,16 @@ time-local, amplitude-sensitive quantity: even for a pure tone it varies
 with t, unlike the constant analytic-signal (Ville) frequency of the same
 tone.  No normalization is applied.
 
-Two paths: exact evaluation through the symbolic derivatives of an
-expression, and a sliding least-squares polynomial fit for sampled data
-(uniform weights, centered windows; edge points are not estimated).  On
-uniform samples every window shares one set of fit weights, the
-Savitzky-Golay construction (Savitzky and Golay, Anal. Chem. 1964), applied
-to the whole signal by correlation.  Non-uniform samples are fit window by
-window; that loop is also the reference the uniform route is tested against.
+Two paths: exact evaluation of an expression through its 2-jet, the
+truncated Taylor series (x, x', x''/2) at the point, propagated node by
+node without differentiating the tree (exact in Q(i) at t = 0, so a
+removable singularity there takes its limit); and a sliding least-squares
+polynomial fit for sampled data (uniform weights, centered windows; edge
+points are not estimated).  On uniform samples every window shares one set
+of fit weights, the Savitzky-Golay construction (Savitzky and Golay, Anal.
+Chem. 1964), applied to the whole signal by correlation.  Non-uniform
+samples are fit window by window; that loop is also the reference the
+uniform route is tested against.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .ratfield import Qi
-from .sigexpr import (Add, Const, Mul, Pow, Sin, Sinc, SignalExpr, TimeVar,
-                      EvaluationError, ParameterError, canonical, diff_time,
-                      evaluate, make_add, make_mul, make_pow)
+from .sigexpr import (Const, Mul, Sin, SignalExpr, EvaluationError,
+                      ParameterError, _jet, canonical)
 
 __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
            "phi_fitted", "phi_vs_ville_note"]
@@ -82,34 +84,17 @@ def _real_part(label: str, value: complex) -> float:
     return value.real
 
 
-def _sinc_jets(e: SignalExpr) -> SignalExpr:
-    """e with every sinc(w) under sums, products and powers replaced by its
-    2-jet w - w^3 t^2/6, which has the same value and first two derivatives
-    at t = 0."""
-    if isinstance(e, Sinc):
-        return make_add([Const(Qi(e.omega)),
-                         make_mul([Const(Qi(-e.omega ** 3 / 6)),
-                                   Pow(TimeVar(), 2)])])
-    if isinstance(e, Add):
-        return make_add([_sinc_jets(x) for x in e.terms])
-    if isinstance(e, Mul):
-        return make_mul([_sinc_jets(x) for x in e.factors])
-    if isinstance(e, Pow):
-        return make_pow(_sinc_jets(e.base), e.k)
-    return e
-
-
 def phi_symbolic(e: SignalExpr, t: float) -> float:
-    """Exact Phi(t) via symbolic first and second time derivatives; at
-    t = 0 they are taken of `_sinc_jets(e)`.  That is exact when every
-    other factor is analytic at 0, and evaluating e itself at 0 refuses a
-    rational factor with a pole there, such as the 1/t^2 of
-    (sinc(2) - 2)/t^2."""
-    d1 = diff_time(_sinc_jets(e) if t == 0 else e)
-    d2 = diff_time(d1)
-    _real_part("signal", evaluate(e, t))
-    x1 = _real_part("first derivative", evaluate(d1, t))
-    x2 = _real_part("second derivative", evaluate(d2, t))
+    """Exact Phi(t) from the 2-jet of e at t: x, x' and x'' = 2*c_2 are
+    read off one truncated Taylor series (`sigexpr._jet`).  At t = 0 the
+    series is exact when every atom's value there is, so a pole of a
+    rational factor that the other factors cancel, as in sin(t)/t or
+    (sinc(2) - 2)/t^2, leaves a value; a pole that does not cancel is
+    refused."""
+    x, x1, c2 = map(complex, _jet(e, t, 2))
+    _real_part("signal", x)
+    x1 = _real_part("first derivative", x1)
+    x2 = _real_part("second derivative", 2 * c2)
     return x2 / math.sqrt(1.0 + x1 * x1)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
                        _gconv, _lincomb, _local_terms, _location_key)
 from .sigexpr import (Add, Const, Cos, Exp, Mul, Pow, Sin, SignalExpr,
-                      TimeVar, ExpressionError, diff_time, evaluate)
+                      TimeVar, ExpressionError, _jet)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -358,19 +358,15 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
     """Truncated Taylor expansion of e at t0, as a pure polynomial signal.
 
     The result has the single rate 0, hence an empty spectrum, regardless
-    of the spectrum of e; coefficients come from iterated symbolic
-    differentiation, so polynomial inputs reproduce exactly.
+    of the spectrum of e.  Its coefficients are those of one truncated
+    Taylor series of e (`sigexpr._jet`), at O(order^2) per node; at t0 = 0
+    they are exact whenever every atom's value there lies in Q(i), so
+    polynomial and phase-free trigonometric inputs reproduce exactly.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     base = CPoly([Qi.coerce(-Fraction(t0)), Qi(1)])   # (t - t0)
     acc = CPoly.ZERO
-    d = e
-    for k in range(order + 1):
-        value = evaluate(d, t0)
-        coeff = Qi.coerce(value) / Qi(math.factorial(k))
-        if coeff:
-            acc = acc + base ** k * coeff
-        if k < order:
-            d = diff_time(d)
+    for c in reversed(_jet(e, t0, order)):   # Horner's rule in (t - t0)
+        acc = acc * base + CPoly([Qi.coerce(c)])
     return ExpPoly(((Qi(0), acc),))

@@ -1,4 +1,5 @@
-"""Signal expression language: parser, canonical AST, symbolic time derivative.
+"""Signal expression language: parser, canonical AST, symbolic time derivative
+and truncated Taylor series.
 
 Signals live on t >= 0 and are written in a small grammar:
 
@@ -652,6 +653,263 @@ def evaluate(e: SignalExpr, t: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Truncated Taylor series (jets)
+#
+# Forward-mode truncated Taylor arithmetic (Griewank and Walther, Evaluating
+# Derivatives, 2nd ed., 2008, ch. 13): each node maps to its series in
+# h = t - t0, so the tree never grows and a product costs O(n^2) for n
+# terms.  A series is a pair (v, c): h^v * (c[0] + c[1] h + ... ), known up
+# to O(h^(v + len(c))).  The valuation v is negative only below a rational
+# factor with a pole at t0.
+
+# Terms beyond the order asked that may be spent showing that poles cancel
+_CANCEL_BUDGET = 64
+
+
+def _leaves(e: SignalExpr) -> list:
+    """The nodes of e under its sums, products and powers, in tree order;
+    refuses the atoms with no derivative."""
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        tx = type(x)
+        if tx is Add:
+            stack.extend(reversed(x.terms))
+        elif tx is Mul:
+            stack.extend(reversed(x.factors))
+        elif tx is Pow:
+            stack.append(x.base)
+        elif tx is Dirac:
+            raise ExpressionError("dirac impulse is not differentiable")
+        elif tx is Delay:
+            raise ExpressionError("delay atom is not differentiable")
+        else:
+            out.append(x)
+    return out
+
+
+def _exact_at_zero(x: SignalExpr) -> bool:
+    """Whether the value of the atom x at t = 0 lies in Q(i)."""
+    if type(x) in (Sin, Cos):
+        return not x.phase
+    if type(x) is Chirp:
+        return not x.c
+    return True
+
+
+def _shifted(c: list, x0) -> list:
+    """The coefficients of p(x0 + h) in h, for p with coefficients c, by
+    repeated synthetic division."""
+    c = list(c)
+    if x0:
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] = c[j] + x0 * c[j + 1]
+    return c
+
+
+def _valuation(c: list) -> int:
+    """The number of leading zero coefficients."""
+    v = 0
+    while v < len(c) and not c[v]:
+        v += 1
+    return v
+
+
+def _cauchy(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of two series."""
+    return [sum([a[j] * b[k - j] for j in range(k + 1)]) for k in range(n)]
+
+
+def _powers(z, n: int) -> list:
+    """z^k / k! for k < n."""
+    out = [z ** 0]
+    for k in range(1, n):
+        out.append(out[-1] * z / k)
+    return out
+
+
+_INV_T = RatFunc(CPoly.ONE, _T_POLY)
+_INV_T2_PLUS_1 = RatFunc(CPoly.ONE, CPoly([1, 0, 1]))
+
+
+class _JetWalk:
+    """One evaluation of series of n terms at t0.
+
+    Scalars are `Qi` when exact, which needs t0 = 0, else complex floats;
+    `conv` takes an exact `Qi` to a scalar.  A float series refuses a
+    rational factor with a pole at t0, found by exact evaluation of its
+    denominator; an exact one keeps the pole as a negative valuation, for
+    another factor or a sum to cancel."""
+
+    def __init__(self, t0, n: int, exact: bool):
+        self.t0 = t0
+        self.n = n
+        self.exact = exact
+        self.conv = Qi.coerce if exact else complex
+        self.zero = self.conv(_QI_ZERO)
+        self.one = self.conv(_QI_ONE)
+        self.x0 = self.zero if exact else complex(t0)
+
+    def series(self, e: SignalExpr) -> tuple:
+        v, c = self._series(e)
+        if self.exact:    # the exact leading zeros raise the valuation
+            z = _valuation(c)
+            v, c = v + z, c[z:]
+        return v, c
+
+    def _series(self, e: SignalExpr) -> tuple:
+        tx = type(e)
+        n = self.n
+        if tx is Add:
+            return self._add([self.series(x) for x in e.terms])
+        if tx is Mul:
+            scale = _QI_ONE
+            parts = []
+            for f in e.factors:
+                if type(f) is Const:
+                    scale = scale * f.value
+                else:
+                    parts.append(self.series(f))
+            if not parts:
+                return self.series(Const(scale))
+            v, c = parts[0]
+            for w, d in parts[1:]:
+                v, c = v + w, _cauchy(c, d, min(len(c), len(d)))
+            s = self.conv(scale)
+            return v, [s * x for x in c]
+        if tx is Pow:
+            v, c = self.series(e.base)
+            k, out = e.k, None
+            while k:      # binary powering
+                if k & 1:
+                    out = c if out is None else _cauchy(out, c, len(c))
+                k >>= 1
+                if k:
+                    c = _cauchy(c, c, len(c))
+            if out is None:
+                return self.series(Const(_QI_ONE))
+            return v * e.k, out
+        if tx is Const:
+            return 0, [self.conv(e.value)] + [self.zero] * (n - 1)
+        if tx is TimeVar:
+            return 0, ([self.x0, self.one] + [self.zero] * n)[:n]
+        if tx is Exp:
+            e0 = (self.one if self.exact
+                  else cmath.exp(complex(e.rate) * self.t0))
+            return 0, [e0 * p for p in _powers(self.conv(e.rate), n)]
+        if tx is Sin or tx is Cos:
+            return 0, self._trig(tx is Sin, e.omega, e.phase)
+        if tx is Sinc:
+            if self.t0:
+                return self._product(self._trig(True, e.omega, 0), _INV_T)
+            # sin(wt)/t = sum_k (-1)^k w^(2k+1) t^(2k) / (2k+1)!
+            p = _powers(self.conv(Qi(e.omega)), n + 1)
+            return 0, [self.zero if k % 2 else p[k + 1] if k % 4 == 0
+                       else -p[k + 1] for k in range(n)]
+        if tx is RaisedCos:
+            return self._product(self._trig(False, e.omega, 0),
+                                 _INV_T2_PLUS_1)
+        if tx is Chirp:
+            return 0, self._chirp(e)
+        if tx is TFrac:
+            return self._rational(e.rat)
+        raise TypeError(f"not a signal expression: {e!r}")
+
+    def _add(self, parts: list) -> tuple:
+        v = min(w for w, _ in parts)
+        top = min(w + len(c) for w, c in parts)   # known up to O(h^top)
+        acc = [self.zero] * (top - v)
+        for w, c in parts:
+            for k in range(top - w):
+                acc[w - v + k] += c[k]
+        return v, acc
+
+    def _trig(self, is_sin: bool, omega: Fraction, phase: Fraction) -> list:
+        """Series of sin or cos(omega*t + phase): the k-th derivative steps
+        round (s, c, -s, -c) from sin, or from cos a quarter turn on."""
+        if self.exact:
+            s, c = self.zero, self.one
+        else:
+            theta = float(omega) * self.t0 + float(phase)
+            s, c = complex(math.sin(theta)), complex(math.cos(theta))
+        cycle = (s, c, -s, -c) if is_sin else (c, -s, -c, s)
+        return [cycle[k % 4] * p for k, p in
+                enumerate(_powers(self.conv(Qi(omega)), self.n))]
+
+    def _chirp(self, e: Chirp) -> list:
+        """exp(g) for g = i(a t^2 + b t + c), by k e_k = g_1 e_(k-1) +
+        2 g_2 e_(k-2)."""
+        g = _shifted([self.conv(Qi(0, x)) for x in (e.c, e.b, e.a)], self.x0)
+        out = [self.one if self.exact else cmath.exp(g[0])]
+        for k in range(1, self.n):
+            acc = g[1] * out[k - 1]
+            if k > 1:
+                acc = acc + 2 * g[2] * out[k - 2]
+            out.append(acc / k)
+        return out
+
+    def _rational(self, r: RatFunc) -> tuple:
+        """The series of r at t0, as (valuation, coefficients)."""
+        if self.exact:    # at t0 = 0 the coefficients are the series
+            num, den = list(r.num.coeffs), list(r.den.coeffs)
+            vn, vd = _valuation(num), _valuation(den)
+            num, den = num[vn:], den[vd:]
+        else:
+            num = _shifted(r.num.to_complex(), self.x0)
+            den = _shifted(r.den.to_complex(), self.x0)
+            if not den[0] or not r.den.at(Qi.coerce(Fraction(self.t0))):
+                raise EvaluationError(
+                    f"rational factor has a pole at t = {self.t0}")
+            vn = vd = 0
+        num += [self.zero] * (self.n - len(num))
+        q = []
+        for k in range(self.n):
+            acc = num[k]
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc = acc - den[j] * q[k - j]
+            q.append(acc / den[0])
+        return vn - vd, q
+
+    def _product(self, a: list, r: RatFunc) -> tuple:
+        v, b = self._rational(r)
+        return v, _cauchy(a, b, self.n)
+
+
+def _jet(e: SignalExpr, t0, order: int) -> list:
+    """The Taylor coefficients c_0..c_order of e at t0, so that
+    e(t0 + h) = sum_k c_k h^k + O(h^(order + 1)).
+
+    They are exact `Qi` when t0 = 0 and every atom's value there lies in
+    Q(i) (no phase, no chirp offset), else complex floats.  A rational
+    factor with a pole at t0 is refused with float coefficients; with exact
+    ones the pole must cancel in the exact coefficients, within
+    `_CANCEL_BUDGET` extra terms, or it is refused as well.  Dirac and delay
+    atoms are refused, and so is a time that is not finite.
+    """
+    if not math.isfinite(t0):
+        raise EvaluationError(f"time must be finite, got {t0}")
+    leaves = _leaves(e)
+    exact = t0 == 0 and all(map(_exact_at_zero, leaves))
+    pole = f"rational factor has a pole at t = {t0}"
+    n = order + 1
+    while True:
+        v, c = _JetWalk(t0, n, exact).series(e)
+        if exact and c and v < 0:
+            raise EvaluationError(pole)
+        if not exact and not all(map(cmath.isfinite, c)):
+            raise OverflowError("a series coefficient exceeds the float range")
+        if v + len(c) > order:
+            break
+        n += order + 1 - v - len(c)
+        if n > order + 1 + _CANCEL_BUDGET:
+            raise EvaluationError(pole)
+    zero = _QI_ZERO if exact else 0j
+    return ([zero] * min(v, order + 1) + c)[:order + 1]
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer and parser
 
 
@@ -710,6 +968,13 @@ def _product(factors: list) -> SignalExpr:
     return factors[0] if len(factors) == 1 else make_mul(factors)
 
 
+# The deepest nesting of parentheses and call arguments that parse accepts.
+# A level costs the parser up to five interpreter frames, so the budget
+# leaves half of the default recursion limit to the caller and keeps every
+# accepted tree shallow enough for the recursive walks over it.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over the token texts, read by index k.  Token
     positions are found again only for an error message."""
@@ -718,6 +983,13 @@ class _Parser:
         self.text = text
         self.words = words
         self.k = 0
+        self.depth = 0
+
+    def _open(self, k: int):
+        """Enter the group that token k opens."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self._fail("expression nested too deeply", k)
 
     def _offset(self, k: int) -> int:
         return _byte_offset(self.text, _token_starts(self.text)[k])
@@ -796,8 +1068,10 @@ class _Parser:
         if text == "t":
             return TimeVar()
         if text == "(":
+            self._open(k)
             node = self.expr()
             self._expect_op(")")
+            self.depth -= 1
             return node
         if text in _FUNCTIONS:
             return self.call(text)
@@ -812,6 +1086,7 @@ class _Parser:
 
     def call(self, name: str) -> SignalExpr:
         self._expect_op("(")
+        self._open(self.k - 1)
         args = []
         if self.words[self.k] != ")":
             args.append(self.expr())
@@ -819,6 +1094,7 @@ class _Parser:
                 self.k += 1
                 args.append(self.expr())
         self._expect_op(")")
+        self.depth -= 1
         return _build_call(name, args)
 
     def done(self):
@@ -925,17 +1201,11 @@ def parse(text: str) -> SignalExpr:
     """Parse expression text to a canonical AST.
 
     Raises SignalSyntaxError (with byte offset) for malformed input,
-    including nesting deeper than the interpreter's recursion limit, and
+    including nesting deeper than `_MAX_NESTING` levels, and
     ParameterError for arity or parameter-domain violations.
     """
     parser = _Parser(text, _tokenize(text))
-    try:
-        node = parser.expr()
-    except RecursionError:
-        # the deepest call may have taken the end token already
-        k = min(parser.k, len(parser.words) - 1)
-        raise SignalSyntaxError("expression nested too deeply",
-                                parser._offset(k)) from None
+    node = parser.expr()
     parser.done()
     return node
 

@@ -1,13 +1,17 @@
 """Plain reference implementations of the parser, of the expansion to
-exponential-polynomial terms and of the polynomial lcm, kept as test
-oracles, and the random grammar texts the parser is compared on.
+exponential-polynomial terms, of the polynomial lcm and of the derivatives
+behind Phi and the Taylor truncation, kept as test oracles, and the random
+grammar texts the parser is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
 with canonical constructors that sort by a structural key walked afresh on
 each call.  `terms_of` expands with isinstance dispatch and builds every
-polynomial through the `CPoly` constructor.  Neither shortcut of the
-library is used, so agreement checks them.
+polynomial through the `CPoly` constructor.  `phi_symbolic` and
+`taylor_truncate` differentiate the expression tree symbolically
+(`diff_time`) and evaluate the derivatives, where the library reads them
+off one truncated Taylor series.  Neither shortcut of the library is used,
+so agreement checks them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from algspec.instfreq import _real_part
+from algspec.opcalc import ExpPoly
 from algspec.ratfield import CPoly, Qi, RatFunc, poly_gcd
 from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
                              ParameterError, Pow, RaisedCos, SignalExpr,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
                              ExpressionError, _build_call, _rat_key, _tfrac,
-                             as_ratfunc_in_t, make_pow)
+                             as_ratfunc_in_t, diff_time, evaluate, make_add,
+                             make_mul, make_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +390,54 @@ def poly_lcm(polys) -> CPoly:
 
 
 # ---------------------------------------------------------------------------
+# Derivatives by symbolic differentiation
+
+
+def _sinc_jets(e: SignalExpr) -> SignalExpr:
+    """e with every sinc(w) under sums, products and powers replaced by its
+    2-jet w - w^3 t^2/6, which has the same value and first two derivatives
+    at t = 0."""
+    if isinstance(e, Sinc):
+        return make_add([Const(Qi(e.omega)),
+                         make_mul([Const(Qi(-e.omega ** 3 / 6)),
+                                   Pow(TimeVar(), 2)])])
+    if isinstance(e, Add):
+        return make_add([_sinc_jets(x) for x in e.terms])
+    if isinstance(e, Mul):
+        return make_mul([_sinc_jets(x) for x in e.factors])
+    if isinstance(e, Pow):
+        return make_pow(_sinc_jets(e.base), e.k)
+    return e
+
+
+def phi_symbolic(e: SignalExpr, t: float) -> float:
+    """Phi(t) from symbolic first and second time derivatives; at t = 0
+    they are taken of `_sinc_jets(e)`, and a rational factor with a pole
+    there is refused even where the other factors cancel it."""
+    d1 = diff_time(_sinc_jets(e) if t == 0 else e)
+    d2 = diff_time(d1)
+    _real_part("signal", evaluate(e, t))
+    x1 = _real_part("first derivative", evaluate(d1, t))
+    x2 = _real_part("second derivative", evaluate(d2, t))
+    return x2 / math.sqrt(1.0 + x1 * x1)
+
+
+def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
+    """The Taylor polynomial of e at t0 from iterated symbolic derivatives,
+    each evaluated at t0 and divided by k!."""
+    base = CPoly([Qi.coerce(-Fraction(t0)), Qi(1)])   # (t - t0)
+    acc = CPoly.ZERO
+    d = e
+    for k in range(order + 1):
+        coeff = Qi.coerce(evaluate(d, t0)) / Qi(math.factorial(k))
+        if coeff:
+            acc = acc + base ** k * coeff
+        if k < order:
+            d = diff_time(d)
+    return ExpPoly(((Qi(0), acc),))
+
+
+# ---------------------------------------------------------------------------
 # Random grammar texts
 
 
@@ -477,4 +532,5 @@ def _malformed(draw) -> str:
         list("@é.()^,*/+-") + [" ", "x", "sinc", "1e", "٣"])) + text[at:]
 
 
+well_formed_texts = _expr(2)
 signal_texts = st.one_of(_expr(2), _expr(2), _malformed())

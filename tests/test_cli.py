@@ -307,13 +307,37 @@ def test_instfreq_sinc_at_zero_takes_the_series_limit(expr, phi, capsys):
     assert captured.out == f"method: symbolic\nt phi\n0 {phi}\n"
 
 
-def test_instfreq_at_zero_refuses_a_rational_pole_the_jet_would_hide(capsys):
-    # (sinc(2) - 2)/t^2 is smooth at 0, but its 2-jet would not fix x''(0)
+def test_instfreq_at_zero_cancels_a_rational_pole_in_the_exact_series(capsys):
+    # (sinc(2) - 2)/t^2 = -4/3 + (4/15) t^2 + ..., so x''(0) = 8/15; the
+    # exact series of sinc(2) - 2 starts at t^2 and cancels the pole
     status = main(["instfreq", "(sinc(2)-2)/t^2", "--at", "0"])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out == "method: symbolic\nt phi\n0 0.533333333333\n"
+
+
+@pytest.mark.parametrize("expr, phi", [
+    ("sin(t)/t", "-0.333333333333"),           # x = 1 - t^2/6
+    ("sinc(2)*sin(t)/t", "-3.33333333333"),    # x = 2 - (5/3) t^2
+    ("(sin(t)/t)^80", "-26.6666666667"),       # x = 1 - (80/6) t^2 + ...
+])
+def test_instfreq_at_zero_answers_removable_singularities(expr, phi, capsys):
+    status = main(["instfreq", "--at", "0", "--", expr])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out == f"method: symbolic\nt phi\n0 {phi}\n"
+
+
+@pytest.mark.parametrize("expr, at", [
+    ("1/t", "0"), ("sin(t)/t^2", "0"), ("sinc(2)/t", "0"),
+    ("1/(t-1)", "1"), ("sin(t-1)/(t-1)", "1"),
+])
+def test_instfreq_refuses_a_pole_that_does_not_cancel(expr, at, capsys):
+    status = main(["instfreq", "--at", at, "--", expr])
     captured = capsys.readouterr()
     assert (status, captured.out) == (1, "")
     assert captured.err == ("error: input: rational factor has a pole "
-                            "at t = 0.0\n")
+                            f"at t = {float(at)}\n")
 
 
 def test_instfreq_complex_sinc_at_zero_is_refused(capsys):

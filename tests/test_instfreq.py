@@ -4,8 +4,13 @@ import math
 import random
 import warnings
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from algspec.instfreq import (PhiTrace, SampledSignal, _phi_fitted_per_window,
                               phi_fitted, phi_symbolic, phi_vs_ville_note)
@@ -91,6 +96,92 @@ def test_complex_valued_signal_is_rejected():
 def test_distributions_are_rejected():
     with pytest.raises(ExpressionError):
         phi_symbolic(parse("dirac()"), 0.0)
+
+
+def test_a_time_that_is_not_finite_is_rejected():
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(EvaluationError, match="time must be finite"):
+            phi_symbolic(parse("sin(t)"), t)
+
+
+def _outcome(fn, *args):
+    """The value, or the class of the failure."""
+    try:
+        return fn(*args)
+    except Exception as err:            # compared, not swallowed
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracles.well_formed_texts, st.sampled_from([0.5, 1.25, -0.75]))
+def test_jet_phi_equals_the_symbolic_derivative_route(text, t):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    got = _outcome(phi_symbolic, e, t)
+    want = _outcome(oracles.phi_symbolic, e, t)
+    if isinstance(want, type):
+        assert got is want, text
+    else:
+        assert isinstance(got, float), text
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), text
+
+
+def test_a_cancellation_beyond_the_series_budget_is_refused():
+    # sin^2 + cos^2 - 1 vanishes identically, but its exact series shows
+    # no nonzero term to cancel t^-100 within 64 extra terms
+    with pytest.raises(EvaluationError, match="pole at t = 0.0"):
+        phi_symbolic(parse("(sin(t)^2 + cos(t)^2 - 1)/t^100"), 0.0)
+    assert phi_symbolic(parse("(sin(t)^2 + cos(t)^2 - 1)/t^60"), 0.0) == 0
+
+
+def test_a_pole_at_a_root_float_evaluation_misses_is_refused():
+    # 1/((t - 1/2)(t - 1/3)) at 1/2: the denominator's float value there is
+    # not 0, but its exact value is, so the pole is refused
+    e = parse("1/(t^2 - 5/6*t + 1/6)")
+    with pytest.raises(EvaluationError, match="pole at t = 0.5"):
+        phi_symbolic(e, 0.5)
+
+
+def test_jet_phi_matches_a_40_digit_reference_on_the_bench_shapes():
+    # every <scale>*sinc(w) and <scale>*rcos(w) that the benchmark's
+    # equation workload draws, at t = k/4 for k = 0..16
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ws = [Fraction(p, d) for d in (1, 2, 3, 4) for p in range(1, 4 * d + 1)
+          if math.gcd(p, d) == 1]
+    scales = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2),
+              Fraction(-3, 2), Fraction(5, 3)]
+
+    def mpf(q: Fraction):
+        return mp.mpf(q.numerator) / q.denominator
+
+    def reference(kind: str, w: Fraction, t: Fraction):
+        w, t = mpf(w), mpf(t)
+        s, c = mp.sin(w * t), mp.cos(w * t)
+        if kind == "rcos":    # c q with q = 1/(t^2 + 1)
+            q = 1 / (t * t + 1)
+            q1, q2 = -2 * t * q ** 2, (6 * t * t - 2) * q ** 3
+            return -w * s * q + c * q1, -w * w * c * q - 2 * w * s * q1 + c * q2
+        if t == 0:            # sin(wt)/t = w - w^3 t^2/6 + ...
+            return mp.mpf(0), -w ** 3 / 3
+        return (w * c / t - s / t ** 2,
+                -w * w * s / t - 2 * w * c / t ** 2 + 2 * s / t ** 3)
+
+    count = 0
+    for kind in ("sinc", "rcos"):
+        for w in ws:
+            for scale in scales:
+                e = parse(f"{scale}*{kind}({w})")
+                for k in range(17):
+                    x1, x2 = reference(kind, w, Fraction(k, 4))
+                    x1, x2 = mpf(scale) * x1, mpf(scale) * x2
+                    want = x2 / mp.sqrt(1 + x1 * x1)
+                    got = phi_symbolic(e, k / 4)
+                    assert abs(got - want) <= 1e-12 * abs(want), (e, k)
+                    count += 1
+    assert count == 4896
 
 
 # --- fitted route -----------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -497,3 +498,69 @@ def test_truncated_tone_spectrum_is_empty():
 def test_truncation_rejects_negative_order():
     with pytest.raises(ValueError):
         taylor_truncate(parse("sin(2*t)"), 0.0, -1)
+
+
+def _coefficients_at(x: ExpPoly, t0: float) -> list:
+    """The coefficients of x's one polynomial in powers of (t - t0)."""
+    assert [rate for rate, _ in x.terms] in ([], [Qi(0)])
+    acc = CPoly.ZERO
+    h = CPoly([Qi.coerce(Fraction(t0)), Qi(1)])     # t = t0 + h
+    for c in reversed(x.terms[0][1].coeffs if x.terms else ()):
+        acc = acc * h + CPoly([c])
+    return [complex(c) for c in acc.coeffs]
+
+
+def _assert_same_truncation(got: ExpPoly, want: ExpPoly, t0: float, text):
+    a, b = _coefficients_at(got, t0), _coefficients_at(want, t0)
+    n = max(len(a), len(b))
+    a, b = a + [0j] * (n - len(a)), b + [0j] * (n - len(b))
+    for p, q in zip(a, b):
+        assert abs(p - q) <= 1e-9 * max(1.0, abs(q)), (text, a, b)
+
+
+def _outcome(fn, *args):
+    """The value, or the class of the failure, with every expression error
+    counted as one: the oracle refuses an impulse in `evaluate`
+    (`EvaluationError`), the series before its walk (`ExpressionError`)."""
+    try:
+        return fn(*args)
+    except ExpressionError:
+        return ExpressionError
+    except Exception as err:            # compared, not swallowed
+        return type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracles.well_formed_texts, st.sampled_from([0.5, 1.25, -0.75]),
+       st.integers(0, 6))
+@example("sin(t)*exp(-t)/(t+2)", 0.5, 6)
+def test_truncation_equals_iterated_differentiation(text, t0, order):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    got = _outcome(taylor_truncate, e, t0, order)
+    want = _outcome(oracles.taylor_truncate, e, t0, order)
+    if isinstance(want, type):
+        assert got is want, text
+    else:
+        _assert_same_truncation(got, want, t0, text)
+
+
+def test_truncation_at_high_order_is_fast():
+    # iterated differentiation grows the tree about 3.3 times per order
+    # and took about 4 s at order 9; the series costs O(order^2) per node
+    e = parse("sin(t)*exp(-t)/(t+2)")
+    start = time.perf_counter()
+    x = taylor_truncate(e, 0.5, 30)
+    assert time.perf_counter() - start < 1.0
+    for h in (0.05, -0.1):
+        want = math.sin(0.5 + h) * math.exp(-0.5 - h) / (2.5 + h)
+        assert abs(x.evaluate(0.5 + h) - want) <= 1e-12
+
+
+def test_truncation_at_zero_is_exact():
+    # exp(t/3)*cos(2*t) = 1 + t/3 - (35/18) t^2 + ...: each c_k in Q(i)
+    x = taylor_truncate(parse("exp(1/3*t)*cos(2*t) + sinc(2)"), 0.0, 2)
+    assert x.terms[0][1].coeffs == (Qi(3), Qi(Fraction(1, 3)),
+                                    Qi(Fraction(-35, 18) - Fraction(4, 3)))

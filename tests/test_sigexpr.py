@@ -69,6 +69,27 @@ def test_an_exponent_past_the_int_digit_limit_is_a_syntax_error():
     assert _outcome(parse, text) == _outcome(oracles.parse, text)
 
 
+def _nesting_offset(text: str, frames: int) -> int:
+    """The offset of the nesting refusal, from `frames` calls deeper."""
+    if frames:
+        return _nesting_offset(text, frames - 1)
+    with pytest.raises(SignalSyntaxError,
+                       match="^expression nested too deeply") as info:
+        parse(text)
+    return info.value.offset
+
+
+def test_the_nesting_budget_is_a_property_of_the_text():
+    # the 101st "(" is refused, whatever the depth of the caller's stack
+    parens = "(" * 250 + "t" + ")" * 250
+    calls = "exp(" * 150 + "t" + ")" * 150      # 5 frames a level
+    for text, offset in ((parens, 100), (calls, 403)):
+        assert _nesting_offset(text, 0) == offset
+        assert _nesting_offset(text, 100) == offset
+        assert _nesting_offset(text, 300) == offset
+    assert parse("(" * 100 + "t" + ")" * 100) == TimeVar()
+
+
 def test_syntax_error_offset_counts_bytes_not_characters():
     # the two-byte character before the bad token shifts the offset by 2
     with pytest.raises(SignalSyntaxError) as info:

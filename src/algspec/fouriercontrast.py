@@ -12,6 +12,7 @@ translate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -130,7 +131,18 @@ class ContrastReport:
         return "\n".join(lines)
 
 
+@functools.cache
+def _sinc_sweep() -> tuple:
+    """The rows (omega, algebraic frequencies, rectangle width) of the sinc
+    sweep, each read from the spectrum pipeline.  The atoms are fixed, so a
+    process analyses them once."""
+    return tuple((float(sw), analyze(Sinc(sw)).spectrum.frequencies,
+                  2.0 * sw) for sw in _SWEEP)
+
+
+@functools.cache
 def _impulse_demo() -> tuple:
+    """DFT magnitudes of a 64-point unit impulse, computed once per process."""
     n = 64
     values = [0.0] * n
     values[0] = 1.0
@@ -154,17 +166,12 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
             f"flat: all frequencies present (impulse DFT magnitudes are 1 "
             f"to within {flat:.1e})")
     if isinstance(atom, Sinc):
-        w = float(atom.omega)
-        aw = abs(w)
-        sweep = []
-        for sw in _SWEEP:
-            spec = analyze(Sinc(sw)).spectrum
-            sweep.append((float(sw), spec.frequencies, 2.0 * sw))
+        aw = abs(float(atom.omega))
         return ContrastReport(
             label, analyze(e).spectrum,
             f"rectangle of height {aw:g} on (-{aw:g}, {aw:g}), "
             f"width {2 * aw:g}",
-            sweep=tuple(sweep))
+            sweep=_sinc_sweep())
     if isinstance(atom, Sin):
         w = float(atom.omega)
         if w == 0:

@@ -323,6 +323,18 @@ def _lincomb(x, mx: int, y, my: int) -> list[int]:
     return out
 
 
+def _gsum(x, y, sign: int = 1) -> tuple[list[int], list[int], int]:
+    """x + sign*y for Gaussian-integer coefficient sequences over integer
+    denominators, given as (re, im, d), over the lcm of the two d."""
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    if dx == dy:
+        mx, my = 1, sign
+    else:
+        g = math.gcd(dx, dy)
+        mx, my, dx = dy // g, sign * (dx // g), dx * (dy // g)
+    return _lincomb(xr, mx, yr, my), _lincomb(xi, mx, yi, my), dx
+
+
 def _conv(a, b) -> list[int]:
     """Product of two nonempty integer coefficient sequences."""
     if len(a) < len(b):
@@ -456,14 +468,8 @@ class CPoly:
             return self
         if self.is_zero:
             return other if sign == 1 else -other
-        da, db = self._d, other._d
-        if da == db:
-            ma, mb = 1, sign
-        else:
-            g = math.gcd(da, db)
-            ma, mb, da = db // g, sign * (da // g), da * (db // g)
-        return CPoly._canon(_lincomb(self._re, ma, other._re, mb),
-                            _lincomb(self._im, ma, other._im, mb), da)
+        return CPoly._canon(*_gsum((self._re, self._im, self._d),
+                                   (other._re, other._im, other._d), sign))
 
     def __add__(self, other):
         return self._combine(other, 1)

@@ -641,8 +641,12 @@ def evaluate(e: SignalExpr, t: float) -> complex:
         a, b, c = float(e.a), float(e.b), float(e.c)
         return cmath.exp(1j * (a * t * t + b * t + c))
     if isinstance(e, TFrac):
+        # a finite t is a pole when the exact denominator vanishes there:
+        # at a root such as t = 1/2 of t^2 - 5/6*t + 1/6 its float value
+        # rounds to a tiny nonzero number
         den = e.rat.den(complex(t))
-        if den == 0:
+        if den == 0 or (math.isfinite(t)
+                        and not e.rat.den.at(Qi.coerce(Fraction(t)))):
             raise EvaluationError(f"rational factor has a pole at t = {t}")
         return e.rat.num(complex(t)) / den
     if isinstance(e, Dirac):

@@ -8,10 +8,13 @@ candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
 each factor of a coprime base of their denominators is classified once by
 the Fuchs criterion, and infinity from the degrees of the same coefficients,
 scaled by powers of s and Lah numbers.  Operator products and actions
-hold every coefficient as a numerator and an exponent vector over one
-coprime base of the operands' denominators: products add exponents,
-derivatives raise them, and sums meet at their elementwise maximum, with no
-gcd, so each output coefficient is reduced once.
+hold every coefficient as a Gaussian-integer numerator over one integer
+and an exponent vector over one coprime base of the operands'
+denominators: products add exponents, derivatives raise them, and sums
+meet at their elementwise maximum, with no gcd and no canonical form.
+Each output coefficient is canonicalized once and reduced over the base,
+one factor at a time: a linear factor by evaluating the numerator at its
+root, any other by gcds with that factor alone.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _location_key, clean_frequencies, poly_gcd, snap_axes,
-                       square_free_factors, square_free_roots)
+                       _gconv, _gsum, _location_key, clean_frequencies,
+                       poly_gcd, snap_axes, square_free_factors,
+                       square_free_roots)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
                       ExpressionError, classify, split_scale)
 
@@ -132,7 +137,9 @@ def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
         for f, m in square_free_factors(d):
             refined = []
             for b, mults in base:
-                g = (CPoly.ONE if f.degree == 0 else b if b == f
+                # two distinct monic linear factors are coprime
+                g = (b if b == f else CPoly.ONE
+                     if f.degree == 0 or b.degree == f.degree == 1
                      else poly_gcd(b, f))
                 if g.degree > 0:
                     f = f // g
@@ -149,68 +156,119 @@ def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
         for k, d in enumerate(dens)}
 
 
+def _raw(p: CPoly) -> tuple:
+    """p as (re, im, d): Gaussian-integer coefficients over one integer."""
+    return p._re, p._im, p._d
+
+
+def _rmul(x: tuple, y: tuple) -> tuple:
+    """Product of two raw numerators; an empty one is zero."""
+    if not (x[0] and y[0]):
+        return (), (), 1
+    return (*_gconv(x[0], x[1], y[0], y[1]), x[2] * y[2])
+
+
+def _nonzero(x: tuple) -> bool:
+    return any(x[0]) or any(x[1])
+
+
 class _Base:
     """Rational functions N/prod(B_i^e_i) held as (N, e) over a coprime
-    base B of their denominators, so that products, derivatives and sums
-    need no gcd; `total` reduces once.  Caches last for one operation."""
+    base B of their denominators, N a raw (re, im, d) numerator that no
+    product, derivative or sum canonicalizes; `total` canonicalizes and
+    reduces once.  Caches last for one operation."""
 
     def __init__(self, dens):
         self.factors, self._exps = _coprime_base(dens)
         self._derivs = [b.deriv() for b in self.factors]
-        self._powers = {(0,) * len(self.factors): CPoly.ONE}
-        self._rads: dict[tuple, tuple[CPoly, CPoly]] = {}
+        self._roots = [-b.coeffs[0] if b.degree == 1 else None
+                       for b in self.factors]
+        self._powers = {(0,) * len(self.factors): _raw(CPoly.ONE)}
+        self._rads: dict[tuple, tuple] = {}
 
-    def over(self, r: RatFunc) -> tuple[CPoly, tuple]:
-        return r.num, self._exps[r.den]
+    def over(self, r: RatFunc) -> tuple[tuple, tuple]:
+        return _raw(r.num), self._exps[r.den]
 
-    def power(self, e: tuple) -> CPoly:
-        """prod(B_i^e_i), monic."""
+    def power(self, e: tuple) -> tuple:
+        """prod(B_i^e_i) as a raw numerator."""
         p = self._powers.get(e)
         if p is None:
             # one product by a base factor from a power already built
             i = next(i for i, k in enumerate(e) if k)
-            p = self._powers[e] = self.factors[i] * self.power(
-                e[:i] + (e[i] - 1,) + e[i + 1:])
+            p = self._powers[e] = _rmul(_raw(self.factors[i]), self.power(
+                e[:i] + (e[i] - 1,) + e[i + 1:]))
         return p
 
-    def deriv(self, term: tuple[CPoly, tuple]) -> tuple[CPoly, tuple]:
+    def deriv(self, term: tuple) -> tuple:
         """With P = prod(B_i^e_i) and R the product of the B_i with e_i > 0,
         (N/P)' = (N'R - N*sum(e_i B_i' R/B_i)) / (P R)."""
-        num, e = term
-        if not (num and any(e)):
-            return num.deriv(), e
+        (re, im, d), e = term
+        dre = [k * x for k, x in enumerate(re)][1:]
+        dim = [k * y for k, y in enumerate(im)][1:]
+        if not (re and any(e)):
+            return (dre, dim, d), e
         rad = self._rads.get(e)
         if rad is None:
             r, s = CPoly.ONE, CPoly.ZERO
             for i, k in enumerate(e):
                 if k:
                     # s = sum(e_j B_j' r/B_j) over the factors so far
-                    d = self._derivs[i]
-                    s = s * self.factors[i] + r * (d * k if k > 1 else d)
+                    db = self._derivs[i]
+                    s = s * self.factors[i] + r * (db * k if k > 1 else db)
                     r = r * self.factors[i]
-            rad = self._rads[e] = (r, s)
+            rad = self._rads[e] = (_raw(r), _raw(s))
         r, s = rad
-        return num.deriv() * r - num * s, tuple(k + (k > 0) for k in e)
+        return (_gsum(_rmul((dre, dim, d), r), _rmul((re, im, d), s), -1),
+                tuple(k + (k > 0) for k in e))
 
-    def common(self, terms) -> tuple[list[CPoly], CPoly]:
-        """The numerators of (N, e) terms over one denominator
-        prod(B_i^E_i), E the elementwise max of the e, and that
-        denominator."""
+    def common(self, terms) -> tuple[list[tuple], tuple]:
+        """The raw numerators of (N, e) terms over one denominator
+        prod(B_i^E_i), E the elementwise max of the e, and E."""
         top = tuple(max(col) for col in zip(*(e for _, e in terms)))
         return [num if e == top else
-                num * self.power(tuple(x - y for x, y in zip(top, e)))
-                for num, e in terms], self.power(top)
+                _rmul(num, self.power(tuple(x - y for x, y in zip(top, e))))
+                for num, e in terms], top
 
     def total(self, terms) -> RatFunc:
         """The sum of (N, e) terms over their common denominator, the
-        numerators of equal e added first, reduced once."""
-        grouped: dict[tuple, CPoly] = {}
+        numerators of equal e added first, canonicalized and reduced
+        once."""
+        grouped: dict[tuple, tuple] = {}
         for num, e in terms:
-            grouped[e] = grouped[e] + num if e in grouped else num
+            grouped[e] = _gsum(grouped[e], num) if e in grouped else num
         if not grouped:
             return RatFunc.ZERO
-        nums, den = self.common([(num, e) for e, num in grouped.items()])
-        return RatFunc(sum(nums, CPoly.ZERO), den)
+        nums, top = self.common([(num, e) for e, num in grouped.items()])
+        return self._reduced(CPoly._canon(*reduce(_gsum, nums)), top)
+
+    def _reduced(self, num: CPoly, top: tuple) -> RatFunc:
+        """num / prod(B_i^top_i) in lowest terms.  The B_i are monic,
+        square-free and pairwise coprime, so the gcd of num and the product
+        is the product of the gcd(num, B_i^top_i): a linear B_i = s - b
+        divides num as often as num(b) = 0, and for any other B_i the
+        chain g_1 = gcd(num, B_i), g_(j+1) = gcd(num/(g_1...g_j), g_j)
+        collects it in at most top_i steps."""
+        if not num:
+            return RatFunc.ZERO
+        e, rest = list(top), CPoly.ONE
+        for i, k in enumerate(top):
+            if not k:
+                continue
+            b, root = self.factors[i], self._roots[i]
+            if root is not None:
+                while e[i] and not num.at(root):
+                    num, e[i] = num // b, e[i] - 1
+                continue
+            part, g = CPoly.ONE, b
+            for _ in range(k):
+                g = poly_gcd(num, g)
+                if not g.degree:
+                    break
+                num, part = num // g, part * g
+            if part.degree:
+                e[i], rest = 0, rest * (b ** k // part)
+        den = CPoly._canon(*self.power(tuple(e)))
+        return RatFunc._from_reduced(num, den * rest)
 
 
 def _add(e: tuple, f: tuple) -> tuple:
@@ -223,9 +281,9 @@ def apply(op: WeylOp, r: RatFunc) -> RatFunc:
     terms = []
     dn, de = base.over(r)   # the k-th derivative of r
     for k, c in enumerate(op.coeffs):
-        if c and dn:
+        if c and _nonzero(dn):
             num, e = base.over(c)
-            terms.append((num * dn, _add(e, de)))
+            terms.append((_rmul(num, dn), _add(e, de)))
         if k < op.order:
             dn, de = base.deriv((dn, de))
     return base.total(terms)
@@ -242,13 +300,15 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
     for k, ak in enumerate(a.coeffs):
         if not ak:
             continue
-        num, e = base.over(ak)
+        (re, im, d), e = base.over(ak)
         for l in range(k + 1):
-            scaled = num * math.comb(k, l) if 0 < l < k else num
+            c = math.comb(k, l)
+            scaled = (re, im, d) if c == 1 else (
+                [x * c for x in re], [y * c for y in im], d)
             for j, (dn, de) in enumerate(derivs[l]):
-                if dn:
+                if _nonzero(dn):
                     terms.setdefault(k - l + j, []).append(
-                        (scaled * dn, _add(e, de)))
+                        (_rmul(scaled, dn), _add(e, de)))
     order = max(terms, default=0)
     return WeylOp(tuple(base.total(terms.get(k, ()))
                         for k in range(order + 1)))
@@ -363,7 +423,9 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     """
     n = sys.op.order
     base = _Base([r.den for r in sys.op.coeffs])
-    ps, m = base.common([base.over(r) for r in sys.op.coeffs])
+    raws, top = base.common([base.over(r) for r in sys.op.coeffs])
+    ps = [CPoly._canon(*p) for p in raws]
+    m_degree = sum(k * b.degree for k, b in zip(top, base.factors))
     chart = []   # Q_j times p_n
     for j in range(n):
         p = CPoly.ZERO
@@ -375,7 +437,7 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     orders = [max(0, p.degree - ps[n].degree) for p in chart]
     g = sys.rhs   # deg G = 2n + deg g - deg r_n
     orders.append(max(0, 2 * n + g.num.degree - g.den.degree
-                      - (ps[n].degree - m.degree)) if g else 0)
+                      - (ps[n].degree - m_degree)) if g else 0)
     return _classify(chart, orders)
 
 

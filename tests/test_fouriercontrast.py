@@ -6,11 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from algspec.fouriercontrast import (ContrastReport, contrast_report, dft,
-                                     dft_direct, sinc_fourier_closed_form)
+from algspec import fouriercontrast
+from algspec.cli import CliConfig, run
+from algspec.fouriercontrast import (_SWEEP, ContrastReport, _sinc_sweep,
+                                     contrast_report, dft, dft_direct,
+                                     sinc_fourier_closed_form)
 from algspec.instfreq import SampledSignal
 from algspec.pipeline import analyze
-from algspec.sigexpr import ParameterError, parse
+from algspec.sigexpr import ParameterError, Sinc, parse
 
 
 def _uniform(values, dt=1.0):
@@ -140,6 +143,48 @@ def test_algebraic_column_is_the_pipeline_spectrum():
     for text in ("dirac()", "sinc(3)", "sin(3*t)"):
         e = parse(text)
         assert contrast_report(e).algebraic == analyze(e).spectrum
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(fouriercontrast, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(fouriercontrast, name, counted)
+    return calls
+
+
+def test_a_second_sinc_report_analyses_only_its_signal(monkeypatch):
+    contrast_report(parse("sinc(3)"))
+    calls = _counting(monkeypatch, "analyze")
+    e = parse("5*sinc(1/3)")
+    assert len(contrast_report(e).sweep) == 4
+    assert calls == [(e,)]
+
+
+def test_a_second_impulse_report_runs_no_dft(monkeypatch):
+    contrast_report(parse("dirac()"))
+    calls = _counting(monkeypatch, "dft")
+    assert "flat" in contrast_report(parse("2*dirac()")).fourier
+    assert calls == []
+
+
+def test_the_cached_sweep_is_the_pipeline_spectrum():
+    assert _sinc_sweep() == tuple(
+        (float(sw), analyze(Sinc(sw)).spectrum.frequencies, 2.0 * sw)
+        for sw in _SWEEP)
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_the_first_and_a_second_sinc_contrast_print_the_same(output):
+    _sinc_sweep.cache_clear()
+    config = CliConfig("contrast", "sinc(3/2)", output=output)
+    first = run(config)
+    assert first[0] == 0
+    assert run(config) == first
 
 
 def test_report_rejects_other_signals():

@@ -295,6 +295,13 @@ def test_evaluate_rejects_fraction_pole():
         evaluate(parse("1/t"), 0.0)
 
 
+def test_evaluate_decides_a_fraction_pole_exactly():
+    # at t = 1/2 the float value of t^2 - 5/6*t + 1/6 is -2^-55, not 0
+    with pytest.raises(EvaluationError):
+        evaluate(parse("1/(t^2-5/6*t+1/6)"), 0.5)
+    assert abs(evaluate(parse("1/(t^2-5/6*t+1/6)"), 0.25) - 48) <= 1e-12
+
+
 def test_evaluate_chirp_is_unimodular():
     e = parse("chirp(1, 2, 3)")
     for t in (0.0, 0.5, 2.0):

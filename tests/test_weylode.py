@@ -301,8 +301,15 @@ def test_infinity_equals_the_chart_on_drawn_systems(op, rhs):
 
 def test_composition_makes_few_gcds(monkeypatch):
     # one 3x3 composition with coefficients (a0 + a1 s)/(s - b) at even
-    # orders: one gcd per term made 64 calls here; a coprime base of the
-    # four denominators and one reduction per output coefficient make 12
+    # orders: one gcd per term made 64 calls here, and one gcd per output
+    # coefficient against its whole denominator 12; the base factors are
+    # linear, so they are told apart by comparison and each output
+    # coefficient is reduced by evaluating its numerator at their roots
+    h = Fraction(1, 2)
+    a = _bench_shaped_op([3 * h, -5 * h, h, h, 3 * h, -h, 5 * h, 3 * h,
+                          5 * h, h], 3)
+    b = _bench_shaped_op([-3 * h, h, -5 * h, 3 * h, -h, h, h, 5 * h,
+                          -5 * h, 3 * h], 3)
     calls = []
 
     def counting_gcd(a, b):
@@ -311,15 +318,31 @@ def test_composition_makes_few_gcds(monkeypatch):
 
     monkeypatch.setattr(ratfield, "poly_gcd", counting_gcd)
     monkeypatch.setattr(weylode, "poly_gcd", counting_gcd)
-    h = Fraction(1, 2)
-    a = _bench_shaped_op([3 * h, -5 * h, h, h, 3 * h, -h, 5 * h, 3 * h,
-                          5 * h, h], 3)
-    b = _bench_shaped_op([-3 * h, h, -5 * h, 3 * h, -h, h, h, 5 * h,
-                          -5 * h, 3 * h], 3)
     product = mul_ops(a, b)
-    assert len(calls) <= 16
+    assert len(calls) == 0
     monkeypatch.undo()
     assert product == _mul_ops_by_terms(a, b)
+
+
+_s, _i = RatFunc(_S), Qi(0, 1)
+
+
+@pytest.mark.parametrize("x, y, want", [
+    # a double root at the linear base factor s - 1 of exponent 2
+    ((_s - 1) ** 2 / (_s + 1), 1 / (_s - 1) ** 2, 1 / (_s + 1)),
+    # s - i cancels from the base factor s^2 + 1 and s + i stays, once
+    # and at exponent 2
+    ((_s - _i) / (_s + 2), 1 / (_s * _s + 1), 1 / ((_s + 2) * (_s + _i))),
+    ((_s - _i) ** 2 / (_s + 2), 1 / (_s * _s + 1) ** 2,
+     1 / ((_s + 2) * (_s + _i) ** 2)),
+])
+def test_reduction_cancels_part_of_the_base(x, y, want):
+    a, b = WeylOp((x,)), WeylOp((y,))
+    assert mul_ops(a, b) == _mul_ops_by_terms(a, b) == WeylOp((want,))
+    assert apply(a, y) == _apply_by_terms(a, y) == want
+    c = WeylOp((x, x))
+    assert mul_ops(c, b) == _mul_ops_by_terms(c, b)
+    assert apply(c, y) == _apply_by_terms(c, y)
 
 
 # --- the operator shapes of the equation benchmark -------------------------

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -176,8 +177,7 @@ def _read_csv(path: str) -> SampledSignal:
                         data = None
                 if (data is not None and data.shape[0] and data.shape[1] == 2
                         and np.isfinite(data).all()):
-                    return SampledSignal(data[:, 0].tolist(),
-                                         data[:, 1].tolist())
+                    return SampledSignal(data[:, 0], data[:, 1])
     return _read_csv_rows(path)
 
 
@@ -235,29 +235,37 @@ def _read_csv_rows(path: str) -> SampledSignal:
 
 
 def _trace_text(trace: PhiTrace) -> str:
-    if None in trace.phi:
+    if trace.arrays is None:
         rows = "".join(f"\n{_g12(t)} {'none' if p is None else _g12(p)}"
                        for t, p in zip(trace.times, trace.phi))
     else:
-        # one format call; adding 0.0 turns -0.0 into 0.0, which %g prints
-        # as 0, as _g12 does
-        flat = tuple([v + 0.0 for row in zip(trace.times, trace.phi)
-                      for v in row])
-        rows = ("\n%.12g %.12g" * len(trace.times)) % flat
+        # one format call over the interleaved floats; adding 0.0 turns
+        # -0.0 into 0.0, which %g prints as 0, as _g12 does
+        import numpy as np
+
+        flat = np.column_stack(trace.arrays)
+        flat += 0.0
+        rows = ("\n%.12g %.12g" * len(flat)) % tuple(flat.ravel().tolist())
     return f"method: {trace.method}\nt phi{rows}"
 
 
 def _float_list(values) -> str:
     """A JSON list of floats and None, as `_json_value` renders it, in one
     format call; adding 0.0 turns -0.0 into 0.0, which %g prints as 0, as
-    _g12 does."""
-    fmt = ",".join(["null" if v is None else "%.12g" for v in values])
-    return "[" + fmt % tuple([v + 0.0 for v in values if v is not None]) + "]"
+    _g12 does.  `values` is a tuple or list, or a float64 array."""
+    if isinstance(values, (tuple, list)):
+        fmt = ",".join(["null" if v is None else "%.12g" for v in values])
+        flat = [v + 0.0 for v in values if v is not None]
+    else:
+        fmt = ",".join(["%.12g"] * len(values))
+        flat = (values + 0.0).tolist()
+    return "[" + fmt % tuple(flat) + "]"
 
 
 def _trace_json(trace: PhiTrace) -> str:
-    return (f'{{"times":{_float_list(trace.times)},'
-            f'"phi":{_float_list(trace.phi)},'
+    times, phi = trace.arrays or (trace.times, trace.phi)
+    return (f'{{"times":{_float_list(times)},'
+            f'"phi":{_float_list(phi)},'
             f'"method":{json.dumps(trace.method)}}}')
 
 
@@ -374,12 +382,34 @@ def _config_from(ns: argparse.Namespace) -> CliConfig:
     )
 
 
+def _dash_hint(message: str, args: list) -> str:
+    """How to pass an expression that argparse took for an option.  Every
+    option is long, so a word such as -t or -sinc(8) that argparse did not
+    read as a negative number is an expression."""
+    if "--" in args or not (message.endswith("required: expr")
+                            or message.startswith("unrecognized arguments")):
+        return ""
+    dashed = [k for k, a in enumerate(args)
+              if a[:1] == "-" and a[1:2] not in ("", "-")
+              and not re.fullmatch(r"-\d+|-\d*\.\d+", a)]
+    if not dashed:
+        return ""
+    import shlex    # only this error path needs it
+
+    k = dashed[0]
+    example = args[:k] + args[k + 1:] + ["--", args[k]]
+    return (f" (an expression that starts with '-' goes after '--': "
+            f"algspec {shlex.join(example)})")
+
+
 def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(args)
         config = _config_from(ns)
     except _UsageError as exc:
-        print(f"error: usage: {exc}", file=sys.stderr)
+        print(f"error: usage: {exc}{_dash_hint(str(exc), args)}",
+              file=sys.stderr)
         return 1
     status, out, err = run(config)
     if out:

@@ -35,9 +35,13 @@ class DftResult:
     magnitudes: tuple
 
     def dominant_frequencies(self, count: int = 2) -> tuple:
-        order = sorted(range(len(self.magnitudes)),
-                       key=lambda k: (-self.magnitudes[k], k))
-        return tuple(sorted(self.bin_frequencies[k] for k in order[:count]))
+        """The bin frequencies of the `count` largest magnitudes, a tie
+        going to the lower bin index, in increasing order."""
+        import numpy as np
+
+        order = np.argsort(-np.asarray(self.magnitudes), kind="stable")
+        return tuple(sorted(self.bin_frequencies[k]
+                            for k in order[:count].tolist()))
 
 
 def dft_direct(values):
@@ -65,7 +69,7 @@ def dft(sig: SampledSignal) -> DftResult:
     dt = _uniform_step(sig)
     if dt is None:
         raise ValueError("sampling must be uniform")
-    coeffs = np.fft.fft(np.asarray(sig.values, dtype=float))
+    coeffs = np.fft.fft(sig.arrays[1])
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, dt)
     return DftResult(tuple(freqs.tolist()),
                      tuple(map(abs, coeffs.tolist())))
@@ -176,10 +180,14 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
         w = float(atom.omega)
         if w == 0:
             raise ParameterError("contrast tone frequency must be nonzero")
+        import numpy as np
+
         n, dt = 256, 0.05
-        times = tuple(k * dt for k in range(n))
-        phase = float(atom.phase)
-        values = tuple(math.sin(w * t + phase) for t in times)
+        # numpy's products and sums are the IEEE ones of Python floats, but
+        # np.sin may differ from math.sin in the last place
+        times = np.arange(n) * dt
+        phases = times * w + float(atom.phase)
+        values = np.fromiter(map(math.sin, phases.tolist()), float, n)
         result = dft(SampledSignal(times, values))
         return ContrastReport(
             label, analyze(e).spectrum,

@@ -16,10 +16,17 @@ of fit weights, the Savitzky-Golay construction (Savitzky and Golay, Anal.
 Chem. 1964), applied to the whole signal by correlation.  Non-uniform
 samples are fit window by window; that loop is also the reference the
 uniform route is tested against.
+
+Sampled data stays in float64 arrays: `SampledSignal` holds its samples as
+arrays, both fits read them, and the uniform route returns a `PhiTrace`
+over arrays.  The tuple attributes of both types are built from the
+arrays only when read.  `PhiTrace` itself needs no numpy, so the symbolic
+route never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,48 +40,118 @@ __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
 _IMAG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class SampledSignal:
-    """Finite real samples on strictly increasing times."""
+    """Finite real samples on strictly increasing times.
 
-    times: tuple
-    values: tuple
+    The samples are held as the read-only float64 arrays `arrays`, a pair
+    (times, values); the tuple attributes `times` and `values` are the same
+    floats, built from the arrays on first read.  A one-dimensional float64
+    array is copied as it is; any other sequence goes through `float` entry
+    by entry, so None or a complex entry raises TypeError.
+    """
 
-    def __post_init__(self):
+    def __init__(self, times, values):
         import numpy as np
 
-        times = tuple(map(float, self.times))
-        values = tuple(map(float, self.values))
-        if len(times) != len(values):
+        t, x = _float_array(times), _float_array(values)
+        if len(t) != len(x):
             raise ValueError("times and values must have equal length")
-        both = np.array(times + values)
-        if not np.isfinite(both).all():
+        if not (np.isfinite(t).all() and np.isfinite(x).all()):
             raise ValueError("times and values must be finite")
-        if (np.diff(both[:len(times)]) <= 0).any():
+        if (np.diff(t) <= 0).any():
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        t.flags.writeable = x.flags.writeable = False
+        self.__dict__["arrays"] = (t, x)
+
+    @functools.cached_property
+    def times(self) -> tuple:
+        return tuple(self.arrays[0].tolist())
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        return tuple(self.arrays[1].tolist())
 
     def __len__(self):
-        return len(self.times)
+        return len(self.arrays[0])
+
+    def __eq__(self, other):
+        if type(other) is not SampledSignal:
+            return NotImplemented
+        return (self.times, self.values) == (other.times, other.values)
+
+    def __hash__(self):
+        return hash((self.times, self.values))
+
+    def __repr__(self):
+        return f"SampledSignal(times={self.times!r}, values={self.values!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-@dataclass(frozen=True)
 class PhiTrace:
     """Instantaneous-frequency estimates; phi entries are floats or None
-    where a window fit was ill conditioned."""
+    where a window fit was ill conditioned, and `method` is "symbolic" or
+    "fitted".
 
-    times: tuple
-    phi: tuple
-    method: str   # "symbolic" | "fitted"
+    `arrays` is None for a trace built from sequences, which `times` and
+    `phi` then hold as given.  `phi_fitted` builds a trace whose entries
+    are all floats over the float64 arrays (times, phi), and `times` and
+    `phi` are then tuples built from them on first read.
+    """
 
-    def __post_init__(self):
-        if len(self.times) != len(self.phi):
+    arrays = None
+
+    def __init__(self, times, phi, method):
+        if len(times) != len(phi):
             raise ValueError("times and phi must have equal length")
+        self.__dict__.update(times=times, phi=phi, method=method)
+
+    @classmethod
+    def _of_arrays(cls, times, phi, method: str) -> PhiTrace:
+        times.flags.writeable = phi.flags.writeable = False
+        trace = cls.__new__(cls)
+        trace.__dict__.update(arrays=(times, phi), method=method)
+        return trace
+
+    @functools.cached_property
+    def times(self) -> tuple:
+        return tuple(self.arrays[0].tolist())
+
+    @functools.cached_property
+    def phi(self) -> tuple:
+        return tuple(self.arrays[1].tolist())
+
+    def __eq__(self, other):
+        if type(other) is not PhiTrace:
+            return NotImplemented
+        return ((self.times, self.phi, self.method)
+                == (other.times, other.phi, other.method))
+
+    def __hash__(self):
+        return hash((self.times, self.phi, self.method))
+
+    def __repr__(self):
+        return (f"PhiTrace(times={self.times!r}, phi={self.phi!r}, "
+                f"method={self.method!r})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def as_dict(self) -> dict:
         return {"times": list(self.times), "phi": list(self.phi),
                 "method": self.method}
+
+
+def _float_array(seq):
+    """A new float64 array of seq: a copy of a one-dimensional float64
+    array, else `float` of each entry."""
+    import numpy as np
+
+    if (isinstance(seq, np.ndarray) and seq.dtype == np.float64
+            and seq.ndim == 1):
+        return seq.copy()
+    return np.fromiter(map(float, seq), float)
 
 
 def _real_part(label: str, value: complex) -> float:
@@ -103,7 +180,7 @@ def _uniform_step(sig: SampledSignal) -> float | None:
     else None."""
     import numpy as np
 
-    steps = np.diff(np.asarray(sig.times))
+    steps = np.diff(sig.arrays[0])
     dt = float(steps[0])
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
         return None
@@ -141,21 +218,22 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
     if dt is None:
         return _phi_fitted_per_window(sig, window, degree)
     half = window // 2
-    times = sig.times[half:len(sig) - half]
+    times, values = sig.arrays
+    times = times[half:len(sig) - half]
     k = np.arange(-half, half + 1)
     sv = np.linalg.svd(np.vander(k * dt, degree + 1, increasing=True),
                        compute_uv=False)
     if sv[-1] <= np.finfo(float).eps * max(window, degree + 1) * sv[0]:
-        return PhiTrace(times, (None,) * len(times), "fitted")
+        return PhiTrace(tuple(times.tolist()), (None,) * len(times),
+                        "fitted")
     weights = np.linalg.pinv(np.vander(k / half, degree + 1, increasing=True))
-    values = np.asarray(sig.values)
     scale = half * dt
     # samples near the float limit overflow to inf or nan, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         x1 = np.correlate(values, weights[1], "valid") / scale
         x2 = 2.0 * np.correlate(values, weights[2], "valid") / (scale * scale)
         phi = x2 / np.sqrt(1.0 + x1 * x1)
-    return PhiTrace(times, tuple(phi.tolist()), "fitted")
+    return PhiTrace._of_arrays(times, phi, "fitted")
 
 
 def _phi_fitted_per_window(sig: SampledSignal, window: int,
@@ -164,8 +242,7 @@ def _phi_fitted_per_window(sig: SampledSignal, window: int,
     samples, and the reference for the uniform one."""
     import numpy as np
 
-    times = np.asarray(sig.times)
-    values = np.asarray(sig.values)
+    times, values = sig.arrays
     half = window // 2
     centers = range(half, len(sig) - half)
     out_t = []

@@ -610,7 +610,10 @@ def diff_time(e: SignalExpr) -> SignalExpr:
 
 
 def evaluate(e: SignalExpr, t: float) -> complex:
-    """Pointwise value at time t; sinc takes its limit value at t = 0."""
+    """Pointwise value at time t; sinc takes its limit value at t = 0.  A
+    time that is not finite is refused."""
+    if not math.isfinite(t):
+        raise EvaluationError(f"time must be finite, got {t}")
     if isinstance(e, Const):
         return complex(e.value)
     if isinstance(e, TimeVar):
@@ -645,8 +648,7 @@ def evaluate(e: SignalExpr, t: float) -> complex:
         # at a root such as t = 1/2 of t^2 - 5/6*t + 1/6 its float value
         # rounds to a tiny nonzero number
         den = e.rat.den(complex(t))
-        if den == 0 or (math.isfinite(t)
-                        and not e.rat.den.at(Qi.coerce(Fraction(t)))):
+        if den == 0 or not e.rat.den.at(Qi.coerce(Fraction(t))):
             raise EvaluationError(f"rational factor has a pole at t = {t}")
         return e.rat.num(complex(t)) / den
     if isinstance(e, Dirac):

@@ -1,10 +1,12 @@
 """Command-line front end: parsing, rendering, exit codes."""
 
+import functools
 import inspect
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,6 +14,7 @@ import typing
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -618,8 +621,26 @@ def _mixed_trace():
     return phi_fitted(sig, window=11, degree=4)
 
 
+def _array_trace(times, phi):
+    return PhiTrace._of_arrays(np.array(times, dtype=float),
+                               np.array(phi, dtype=float), "fitted")
+
+
+def _uniform_trace():
+    times = [0.01 * k for k in range(60)]
+    sig = SampledSignal(np.array(times), np.sin(np.array(times)))
+    return phi_fitted(sig, window=11, degree=3)
+
+
 _TRACES = [
     PhiTrace((-0.0, 0.0, 1.0), (-0.0, 2.0, -0.0), "fitted"),
+    _array_trace([-0.0, 0.0, 1.0], [-0.0, 2.0, -0.0]),
+    _array_trace([0.5, 1.5, 2.5, 3.5, 4.5],
+                 [math.nan, math.inf, -math.inf, 5e-324, 1.7e308]),
+    _array_trace([1.7e308, -1e-300, -0.0, 5e-324],
+                 [-1.7e308, -5e-324, 1e-300, -math.inf]),
+    _array_trace([], []),
+    _uniform_trace(),
     PhiTrace((0.1, 0.2), (None, None), "fitted"),
     _mixed_trace(),
     PhiTrace((0.5, 1.5, 2.5, 3.5), (math.nan, math.inf, -math.inf, 1e-300),
@@ -643,6 +664,47 @@ def test_trace_json_matches_the_per_value_rendering(trace):
 def test_mixed_trace_holds_none_and_floats():
     phi = _mixed_trace().phi
     assert None in phi and any(p is not None for p in phi)
+
+
+def test_a_uniform_fit_gives_an_array_trace():
+    trace = _uniform_trace()
+    assert trace.arrays is not None
+    assert trace.times == tuple(trace.arrays[0].tolist())
+    assert trace.phi == tuple(trace.arrays[1].tolist())
+    assert trace == PhiTrace(trace.times, trace.phi, "fitted")
+
+
+def _count_tuple_builds(monkeypatch) -> list:
+    """Swap the tuple attributes built from sample arrays for ones that
+    also record each build."""
+    builds = []
+    for cls, name in [(SampledSignal, "times"), (SampledSignal, "values"),
+                      (PhiTrace, "times"), (PhiTrace, "phi")]:
+        def counted(self, build=vars(cls)[name].func,
+                    label=f"{cls.__name__}.{name}"):
+            builds.append(label)
+            return build(self)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    return builds
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_uniform_csv_file_builds_no_per_sample_tuple(tmp_path, monkeypatch,
+                                                       output):
+    csv_path = tmp_path / "tone.csv"
+    _write_tone_csv(csv_path)
+    builds = _count_tuple_builds(monkeypatch)
+    status, out, err = run(CliConfig("instfreq", csv_path=str(csv_path),
+                                     output=output))
+    assert (status, err) == (0, "")
+    assert builds == []
+    trace = phi_fitted(cli._read_csv(str(csv_path)))
+    want = (_trace_text_per_row(trace) if output == "text"
+            else cli._json_value(trace.as_dict()))
+    assert out == want
+    assert builds == ["PhiTrace.times", "PhiTrace.phi"]
 
 
 # --- contrast and selftest -----------------------------------------------------
@@ -721,6 +783,19 @@ def test_main_usage_errors(capsys):
         assert status == 1, argv
         assert captured.out == "", argv
         assert captured.err.startswith("error: usage:"), argv
+
+
+@pytest.mark.parametrize("command, expr", [("spectrum", "-t"),
+                                           ("contrast", "-sinc(8)")])
+def test_an_expression_that_starts_with_a_dash_is_shown_the_dashes(
+        capsys, command, expr):
+    status = main([command, expr])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    example = shlex.split(err.rstrip(")\n").rpartition("algspec ")[2])
+    assert example == [command, "--", expr]
+    assert main(example) == 0
 
 
 def test_main_reports_input_errors(capsys):

@@ -89,6 +89,28 @@ def test_tone_dominant_bins():
         assert abs(f - want) <= resolution / 2 + 1e-12
 
 
+def _dominant_by_sort_key(result, count):
+    order = sorted(range(len(result.magnitudes)),
+                   key=lambda k: (-result.magnitudes[k], k))
+    return tuple(sorted(result.bin_frequencies[k] for k in order[:count]))
+
+
+@pytest.mark.parametrize("magnitudes", [
+    (1.0, 3.0, 3.0, 2.0, 3.0, 0.0),
+    (2.0, 2.0, 2.0, 2.0),
+    (0.0, math.inf, 1.0, math.inf, 5.0, math.inf),
+    (math.inf, 7.0, 7.0, 1e308, 5e-324, 0.0, 1e308),
+    tuple(float(k * 7 % 5) for k in range(100)),
+])
+def test_dominant_bins_match_the_sort_key_order(magnitudes):
+    n = len(magnitudes)
+    freqs = tuple((k if k < (n + 1) // 2 else k - n) * 0.5 for k in range(n))
+    result = fouriercontrast.DftResult(freqs, magnitudes)
+    for count in range(n + 2):
+        assert result.dominant_frequencies(count) == _dominant_by_sort_key(
+            result, count)
+
+
 def test_sampling_validation():
     with pytest.raises(ValueError):
         dft(SampledSignal((0.0,), (1.0,)))

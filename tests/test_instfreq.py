@@ -1,5 +1,6 @@
 """Curvature-based instantaneous frequency, symbolic and fitted."""
 
+import io
 import math
 import random
 import warnings
@@ -220,6 +221,52 @@ def test_sample_validation():
         SampledSignal((0.0, "one"), (1.0, 2.0))
     with pytest.raises(ValueError):
         PhiTrace((0.0,), (1.0, 2.0), "fitted")
+    # float64 arrays are taken as they are, and checked the same way
+    for times, values in [([0.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+                          ([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            SampledSignal(np.array(times), np.array(values))
+    for times in ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, -0.0, 1.0]):
+        with pytest.raises(ValueError, match="increasing"):
+            SampledSignal(np.array(times), np.ones(3))
+    with pytest.raises(ValueError, match="equal length"):
+        SampledSignal(np.arange(3.0), np.ones(2))
+    with pytest.raises(TypeError):
+        SampledSignal(np.arange(2.0), np.array([None, 2.0]))
+    with pytest.raises(TypeError):
+        SampledSignal(np.arange(6.0).reshape(3, 2), np.ones((3, 2)))
+
+
+def _loadtxt_columns():
+    text = "".join(f"{0.1 * k!r},{math.sin(0.3 * k)!r}\n" for k in range(50))
+    return np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+
+
+def test_a_strided_array_column_gives_the_tuple_signal():
+    data = _loadtxt_columns()
+    assert not data[:, 0].flags.c_contiguous
+    sig = SampledSignal(data[:, 0], data[:, 1])
+    want = SampledSignal(tuple(data[:, 0].tolist()), tuple(data[:, 1].tolist()))
+    assert sig == want and hash(sig) == hash(want)
+    assert (sig.times, sig.values) == (want.times, want.values)
+    assert all(type(v) is float for v in sig.times + sig.values)
+    assert phi_fitted(sig) == phi_fitted(want)
+
+
+def test_the_signal_keeps_its_own_copy_of_an_array():
+    data = _loadtxt_columns()
+    times, values = data[:, 0].copy(), data[:, 1].copy()
+    sig = SampledSignal(times, values)
+    want = (tuple(times.tolist()), tuple(values.tolist()))
+    times[3] = 100.0
+    values[:] = 0.0
+    data[:] = 0.0
+    assert (sig.times, sig.values) == want
+    assert [a.tolist() for a in sig.arrays] == [list(w) for w in want]
+    with pytest.raises(ValueError):
+        sig.arrays[1][0] = 1.0
+    with pytest.raises(AttributeError):
+        sig.times = ()
 
 
 def test_edges_are_left_out():

@@ -302,6 +302,13 @@ def test_evaluate_decides_a_fraction_pole_exactly():
     assert abs(evaluate(parse("1/(t^2-5/6*t+1/6)"), 0.25) - 48) <= 1e-12
 
 
+@pytest.mark.parametrize("text", ["sinc(2)", "1/(t+1)", "sin(t)", "t"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_evaluate_refuses_a_time_that_is_not_finite(text, t):
+    with pytest.raises(EvaluationError, match="finite"):
+        evaluate(parse(text), t)
+
+
 def test_evaluate_chirp_is_unimodular():
     e = parse("chirp(1, 2, 3)")
     for t in (0.0, 0.5, 2.0):

@@ -20,28 +20,37 @@ import os
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .fouriercontrast import contrast_report
 from .instfreq import PhiTrace, SampledSignal, phi_fitted, phi_symbolic
 from .pipeline import SpectrumAnalysis, analyze, image
-from .ratfield import DigitLimitError, RootFindingError
+from .ratfield import DigitLimitError, RootFindingError, _FrozenValue
 from .sigexpr import ExpressionError, parse
 from .weylode import format_equation
 
 __all__ = ["CliConfig", "run", "main"]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str                 # spectrum | opform | instfreq | contrast | selftest
-    expr: str | None = None
-    csv_path: str | None = None
-    window: int = 11
-    degree: int = 3
-    output: str = "text"         # text | json
-    explain: bool = False
-    at: float | None = None      # evaluation time for symbolic instfreq
+class CliConfig(_FrozenValue):
+    """One command line: `command` is spectrum, opform, instfreq, contrast
+    or selftest; `output` is text or json; `at` is the evaluation time of a
+    symbolic instfreq."""
+
+    _fields = ("command", "expr", "csv_path", "window", "degree", "output",
+               "explain", "at")
+
+    def __init__(self, command: str, expr: str | None = None,
+                 csv_path: str | None = None, window: int = 11,
+                 degree: int = 3, output: str = "text", explain: bool = False,
+                 at: float | None = None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "csv_path", csv_path)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "explain", explain)
+        object.__setattr__(self, "at", at)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .instfreq import SampledSignal, _uniform_step
 from .pipeline import analyze
-from .ratfield import Spectrum
+from .ratfield import Spectrum, _FrozenValue
 from .sigexpr import (Dirac, Sin, Sinc, SignalExpr, ParameterError,
                       pretty_print, split_scale)
 
@@ -26,13 +25,15 @@ __all__ = ["DftResult", "ContrastReport", "dft", "dft_direct",
            "sinc_fourier_closed_form", "contrast_report"]
 
 
-@dataclass(frozen=True)
-class DftResult:
+class DftResult(_FrozenValue):
     """Magnitude spectrum of a uniformly sampled signal; frequencies are in
     rad/s with the usual wrapped (signed) bin layout."""
 
-    bin_frequencies: tuple
-    magnitudes: tuple
+    _fields = ("bin_frequencies", "magnitudes")
+
+    def __init__(self, bin_frequencies: tuple, magnitudes: tuple):
+        object.__setattr__(self, "bin_frequencies", bin_frequencies)
+        object.__setattr__(self, "magnitudes", magnitudes)
 
     def dominant_frequencies(self, count: int = 2) -> tuple:
         """The bin frequencies of the `count` largest magnitudes, a tie
@@ -90,15 +91,21 @@ def sinc_fourier_closed_form(omega: float, xi: float) -> float:
 _SWEEP = (1, 2, 4, 8)
 
 
-@dataclass(frozen=True)
-class ContrastReport:
-    """Algebraic spectrum next to the classical Fourier description."""
+class ContrastReport(_FrozenValue):
+    """Algebraic spectrum next to the classical Fourier description.
 
-    signal: str
-    algebraic: Spectrum
-    fourier: str
-    sweep: tuple = ()            # (omega, algebraic frequencies, rect width)
-    dft_dominant: tuple = ()     # dominant DFT bin frequencies, if computed
+    `sweep` holds (omega, algebraic frequencies, rectangle width) rows;
+    `dft_dominant` the dominant DFT bin frequencies, if computed."""
+
+    _fields = ("signal", "algebraic", "fourier", "sweep", "dft_dominant")
+
+    def __init__(self, signal: str, algebraic: Spectrum, fourier: str,
+                 sweep: tuple = (), dft_dominant: tuple = ()):
+        object.__setattr__(self, "signal", signal)
+        object.__setattr__(self, "algebraic", algebraic)
+        object.__setattr__(self, "fourier", fourier)
+        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "dft_dominant", dft_dominant)
 
     def as_dict(self) -> dict:
         out = {

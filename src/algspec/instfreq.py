@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .ratfield import Qi
+from .ratfield import Qi, _FrozenValue
 from .sigexpr import (Const, Mul, Sin, SignalExpr, EvaluationError,
                       ParameterError, _jet, canonical)
 
@@ -40,7 +39,7 @@ __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
 _IMAG_TOL = 1e-9
 
 
-class SampledSignal:
+class SampledSignal(_FrozenValue):
     """Finite real samples on strictly increasing times.
 
     The samples are held as the read-only float64 arrays `arrays`, a pair
@@ -49,6 +48,8 @@ class SampledSignal:
     array is copied as it is; any other sequence goes through `float` entry
     by entry, so None or a complex entry raises TypeError.
     """
+
+    _fields = ("times", "values")
 
     def __init__(self, times, values):
         import numpy as np
@@ -74,22 +75,8 @@ class SampledSignal:
     def __len__(self):
         return len(self.arrays[0])
 
-    def __eq__(self, other):
-        if type(other) is not SampledSignal:
-            return NotImplemented
-        return (self.times, self.values) == (other.times, other.values)
 
-    def __hash__(self):
-        return hash((self.times, self.values))
-
-    def __repr__(self):
-        return f"SampledSignal(times={self.times!r}, values={self.values!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-
-class PhiTrace:
+class PhiTrace(_FrozenValue):
     """Instantaneous-frequency estimates; phi entries are floats or None
     where a window fit was ill conditioned, and `method` is "symbolic" or
     "fitted".
@@ -100,6 +87,7 @@ class PhiTrace:
     `phi` are then tuples built from them on first read.
     """
 
+    _fields = ("times", "phi", "method")
     arrays = None
 
     def __init__(self, times, phi, method):
@@ -121,22 +109,6 @@ class PhiTrace:
     @functools.cached_property
     def phi(self) -> tuple:
         return tuple(self.arrays[1].tolist())
-
-    def __eq__(self, other):
-        if type(other) is not PhiTrace:
-            return NotImplemented
-        return ((self.times, self.phi, self.method)
-                == (other.times, other.phi, other.method))
-
-    def __hash__(self):
-        return hash((self.times, self.phi, self.method))
-
-    def __repr__(self):
-        return (f"PhiTrace(times={self.times!r}, phi={self.phi!r}, "
-                f"method={self.method!r})")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def as_dict(self) -> dict:
         return {"times": list(self.times), "phi": list(self.phi),
@@ -262,15 +234,19 @@ def _phi_fitted_per_window(sig: SampledSignal, window: int,
     return PhiTrace(tuple(out_t), tuple(out_phi), "fitted")
 
 
-@dataclass(frozen=True)
-class VilleComparison:
+class VilleComparison(_FrozenValue):
     """Side-by-side of the constant Ville frequency of a pure tone and the
-    time-varying Phi of the same tone."""
+    time-varying Phi of the same tone: `ville` is the analytic-signal value,
+    the constant omega, and `rows` holds (t, phi) pairs."""
 
-    amplitude: float
-    omega: float
-    ville: float                  # analytic-signal value: the constant omega
-    rows: tuple                   # of (t, phi)
+    _fields = ("amplitude", "omega", "ville", "rows")
+
+    def __init__(self, amplitude: float, omega: float, ville: float,
+                 rows: tuple):
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "ville", ville)
+        object.__setattr__(self, "rows", rows)
 
     def as_dict(self) -> dict:
         return {"amplitude": self.amplitude, "omega": self.omega,

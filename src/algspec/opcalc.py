@@ -14,21 +14,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _gconv, _lincomb, _local_terms, _location_key)
+                       _FrozenValue, _gconv, _lincomb, _local_terms,
+                       _location_key)
 from .sigexpr import (Add, Const, Cos, Exp, Mul, Pow, Sin, SignalExpr,
-                      TimeVar, ExpressionError, _jet)
+                      TimeVar, ExpressionError, _is_exppoly, _jet)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
            "taylor_truncate"]
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(_FrozenValue):
     """Finite sum of polynomial-times-exponential terms.
 
     terms is a tuple of (rate, poly) pairs with pairwise distinct rates,
@@ -36,11 +35,11 @@ class ExpPoly:
     is the zero signal.
     """
 
-    terms: tuple = ()
+    _fields = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple = ()):
         merged: dict[Qi, CPoly] = {}
-        for rate, poly in self.terms:
+        for rate, poly in terms:
             rate = Qi.coerce(rate)
             if not isinstance(poly, CPoly):
                 poly = CPoly(poly)
@@ -152,8 +151,7 @@ def _euler_pair(e: Sin | Cos) -> tuple[Qi, Qi]:
 
 
 def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
-    """The terms rate -> polynomial of an exponential polynomial; any other
-    node raises, so a tree that is not one is refused here."""
+    """The terms rate -> polynomial of an exponential polynomial."""
     kind = type(e)
     if kind is Const:
         return {_QI_ZERO: _scalar_poly(e.value)}
@@ -212,9 +210,15 @@ def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
 def from_signal(e: SignalExpr) -> ExpPoly:
     """Expand an exponential-polynomial expression to canonical terms.
 
-    The expression is not classified again: a node that is not part of an
-    exponential polynomial raises ExpressionError where the expansion meets
-    it."""
+    Any other expression raises ExpressionError before any expansion."""
+    if not _is_exppoly(e):
+        raise ExpressionError("expression is not an exponential polynomial")
+    return _expand(e)
+
+
+def _expand(e: SignalExpr) -> ExpPoly:
+    """`from_signal` of an expression already classified as an exponential
+    polynomial."""
     return ExpPoly._from_terms(_terms_of(e))
 
 

@@ -12,12 +12,11 @@ contrast never do; `image` builds it without the spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 from . import opcalc, weylode
-from .ratfield import RatFunc, Spectrum
+from .ratfield import RatFunc, Spectrum, _FrozenValue
 from .sigexpr import (SignalClass, SignalExpr, ExpressionError, classify,
                       split_scale)
 from .weylode import OdeSystem, SingularPoint
@@ -25,19 +24,28 @@ from .weylode import OdeSystem, SingularPoint
 __all__ = ["SpectrumAnalysis", "analyze", "image"]
 
 
-@dataclass(frozen=True)
-class SpectrumAnalysis:
-    """Spectrum plus the intermediate objects that explain it."""
+class SpectrumAnalysis(_FrozenValue):
+    """Spectrum plus the intermediate objects that explain it.
 
-    expression: SignalExpr
-    signal_class: SignalClass
-    spectrum: Spectrum
-    # builds the operational image; only what prints it reads `rational`
-    image: Callable[[], RatFunc | None] = field(
-        default=lambda: None, repr=False, compare=False)
-    system: OdeSystem | None = None           # equation route
-    finite_points: tuple = ()
-    infinity: SingularPoint | None = None
+    `image` builds the operational image, which only what prints it reads,
+    through `rational`; it takes no part in equality, hash or repr.
+    `system` is set on the equation route."""
+
+    _fields = ("expression", "signal_class", "spectrum", "system",
+               "finite_points", "infinity")
+
+    def __init__(self, expression: SignalExpr, signal_class: SignalClass,
+                 spectrum: Spectrum,
+                 image: Callable[[], RatFunc | None] = lambda: None,
+                 system: OdeSystem | None = None, finite_points: tuple = (),
+                 infinity: SingularPoint | None = None):
+        object.__setattr__(self, "expression", expression)
+        object.__setattr__(self, "signal_class", signal_class)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "finite_points", finite_points)
+        object.__setattr__(self, "infinity", infinity)
 
     @cached_property
     def rational(self) -> RatFunc | None:
@@ -49,7 +57,7 @@ def analyze(e: SignalExpr) -> SpectrumAnalysis:
     """Compute the spectrum of a supported expression."""
     kind = classify(e)
     if kind == SignalClass.EXP_POLYNOMIAL:
-        x = opcalc.from_signal(e)
+        x = opcalc._expand(e)
         return SpectrumAnalysis(e, kind, opcalc.spectrum_of_exppoly(x),
                                 image=lambda: opcalc.to_rational(x))
     if kind == SignalClass.DIRAC:
@@ -73,7 +81,7 @@ def image(e: SignalExpr) -> RatFunc | None:
     rates are beyond the float range is still exact."""
     kind = classify(e)
     if kind == SignalClass.EXP_POLYNOMIAL:
-        return opcalc.to_rational(opcalc.from_signal(e))
+        return opcalc.to_rational(opcalc._expand(e))
     if kind == SignalClass.DIRAC:
         scale, _ = split_scale(e)
         return opcalc.dirac_image() * RatFunc(scale)

@@ -12,13 +12,13 @@ images share a factor, a denominator is divisible by P, or a leading
 coefficient vanishes mod P.  Roots are found per square-free factor (Yun's
 decomposition restores multiplicities exactly), exactly where they lie in
 Q(i) (`square_free_roots`); only the others are floats, by Aberth's method.
+The package's immutable value classes share one base, `_FrozenValue`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,6 +33,39 @@ __all__ = [
 # Relative tolerance for merging conjugate-symmetric float noise in
 # frequency sets and for deciding that a singularity sits on the real axis.
 FREQ_TOL = 1e-9
+
+
+class _FrozenValue:
+    """Base of the package's immutable values.  A subclass names its
+    compared fields in `_fields` and sets them with `object.__setattr__` in
+    its own `__init__`; equality (same class only), hash and repr read those
+    fields, in the forms a frozen dataclass gives, and no attribute can be
+    assigned or deleted afterwards."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RootFindingError(ArithmeticError):
@@ -927,11 +960,17 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
         f"above {_ABERTH_TOL:.0e} after {max_iter} iterations")
 
 
-@dataclass(frozen=True)
-class Pole:
-    location: complex
-    multiplicity: int
-    exact: Qi | None = None   # the root itself when it lies in Q(i)
+class Pole(_FrozenValue):
+    """A root of a denominator with its multiplicity; `exact` is the root
+    itself when it lies in Q(i), else None."""
+
+    _fields = ("location", "multiplicity", "exact")
+
+    def __init__(self, location: complex, multiplicity: int,
+                 exact: Qi | None = None):
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "exact", exact)
 
 
 def _sqrt_qi(z: Qi) -> Qi | None:
@@ -998,25 +1037,35 @@ def poles(r: RatFunc) -> list[Pole]:
 # Spectrum
 
 
-@dataclass(frozen=True)
-class SingularitySource:
+class SingularitySource(_FrozenValue):
     """One singular point feeding a spectrum: a pole of the rational image,
-    or a classified singularity of a defining equation."""
-    location: complex
-    kind: str          # "pole" | "logarithmic" | "none"
-    order: int = 0     # pole multiplicity; 0 when not a pole
+    or a classified singularity of a defining equation.  `kind` is "pole",
+    "logarithmic" or "none"; `order` is the pole multiplicity, 0 when not a
+    pole."""
+
+    _fields = ("location", "kind", "order")
+
+    def __init__(self, location: complex, kind: str, order: int = 0):
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "order", order)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_FrozenValue):
     """Finite frequency set plus the singularities that produced it.
 
     Frequencies are the nonzero imaginary parts of the source locations;
     real-located sources contribute nothing, and 0 is never listed.
     """
-    frequencies: tuple[float, ...]
-    sources: tuple[SingularitySource, ...]
-    infinite_singularity: bool = False
+
+    _fields = ("frequencies", "sources", "infinite_singularity")
+
+    def __init__(self, frequencies: tuple[float, ...],
+                 sources: tuple[SingularitySource, ...],
+                 infinite_singularity: bool = False):
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "infinite_singularity", infinite_singularity)
 
 
 def snap_axes(z: complex, tol: float = FREQ_TOL) -> complex:

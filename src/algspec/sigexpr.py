@@ -29,12 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .ratfield import CPoly, Qi, RatFunc, _int_text
+from .ratfield import CPoly, Qi, RatFunc, _FrozenValue, _int_text
 
 __all__ = [
     "SignalExpr", "Const", "TimeVar", "Add", "Mul", "Pow", "Exp", "Sin",
@@ -80,141 +79,140 @@ def _as_fraction(x) -> Fraction:
 # AST
 
 
-class SignalExpr:
+class SignalExpr(_FrozenValue):
     """Marker base for expression nodes; all nodes are immutable values."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(SignalExpr):
-    value: Qi
+    _fields = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is not Qi:
-            object.__setattr__(self, "value", Qi.coerce(self.value))
+    def __init__(self, value: Qi):
+        if type(value) is not Qi:
+            value = Qi.coerce(value)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class TimeVar(SignalExpr):
     pass
 
 
-@dataclass(frozen=True)
 class Add(SignalExpr):
-    terms: tuple
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+    def __init__(self, terms: tuple):
+        terms = tuple(terms)
+        if not terms:
             raise ValueError("empty sum")
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
 class Mul(SignalExpr):
-    factors: tuple
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors: tuple):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("empty product")
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Pow(SignalExpr):
-    base: SignalExpr
-    k: int
+    _fields = ("base", "k")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, base: SignalExpr, k: int):
+        if k < 0:
             raise ValueError("negative power")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
 class Exp(SignalExpr):
     """e^(rate * t)."""
-    rate: Qi
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", Qi.coerce(self.rate))
+    _fields = ("rate",)
+
+    def __init__(self, rate: Qi):
+        object.__setattr__(self, "rate", Qi.coerce(rate))
 
 
-@dataclass(frozen=True)
 class Sin(SignalExpr):
     """sin(omega*t + phase), omega in rad/s, phase in rad."""
-    omega: Fraction
-    phase: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_fraction(self.omega))
-        object.__setattr__(self, "phase", _as_fraction(self.phase))
+    _fields = ("omega", "phase")
+
+    def __init__(self, omega: Fraction, phase: Fraction = Fraction(0)):
+        object.__setattr__(self, "omega", _as_fraction(omega))
+        object.__setattr__(self, "phase", _as_fraction(phase))
 
 
-@dataclass(frozen=True)
 class Cos(SignalExpr):
     """cos(omega*t + phase)."""
-    omega: Fraction
-    phase: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_fraction(self.omega))
-        object.__setattr__(self, "phase", _as_fraction(self.phase))
+    _fields = ("omega", "phase")
+
+    def __init__(self, omega: Fraction, phase: Fraction = Fraction(0)):
+        object.__setattr__(self, "omega", _as_fraction(omega))
+        object.__setattr__(self, "phase", _as_fraction(phase))
 
 
-@dataclass(frozen=True)
 class Sinc(SignalExpr):
     """sin(omega*t)/t, omega nonzero; value omega at t = 0 by the limit."""
-    omega: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_fraction(self.omega))
-        if self.omega == 0:
+    _fields = ("omega",)
+
+    def __init__(self, omega: Fraction):
+        omega = _as_fraction(omega)
+        if omega == 0:
             raise ParameterError("sinc frequency must be nonzero")
+        object.__setattr__(self, "omega", omega)
 
 
-@dataclass(frozen=True)
 class RaisedCos(SignalExpr):
     """cos(omega*t)/(t^2 + 1)."""
-    omega: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_fraction(self.omega))
+    _fields = ("omega",)
+
+    def __init__(self, omega: Fraction):
+        object.__setattr__(self, "omega", _as_fraction(omega))
 
 
-@dataclass(frozen=True)
 class Dirac(SignalExpr):
     pass
 
 
-@dataclass(frozen=True)
 class Delay(SignalExpr):
     """Shift by lag seconds; lag of either sign (delay or advance)."""
-    lag: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lag", _as_fraction(self.lag))
+    _fields = ("lag",)
+
+    def __init__(self, lag: Fraction):
+        object.__setattr__(self, "lag", _as_fraction(lag))
 
 
-@dataclass(frozen=True)
 class Chirp(SignalExpr):
     """exp((a*t^2 + b*t + c) * i), a nonzero."""
-    a: Fraction
-    b: Fraction
-    c: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        object.__setattr__(self, "c", _as_fraction(self.c))
-        if self.a == 0:
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        a, b, c = _as_fraction(a), _as_fraction(b), _as_fraction(c)
+        if a == 0:
             raise ParameterError("chirp sweep rate must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
 class TFrac(SignalExpr):
     """A rational function of t; produced by division and by differentiating
     sinc and raised-cosine atoms."""
-    rat: RatFunc
+
+    _fields = ("rat",)
+
+    def __init__(self, rat: RatFunc):
+        object.__setattr__(self, "rat", rat)
 
 
 _T_POLY = CPoly([0, 1])
@@ -609,9 +607,25 @@ def diff_time(e: SignalExpr) -> SignalExpr:
     raise TypeError(f"not a signal expression: {e!r}")
 
 
+def _angle(theta: float) -> float:
+    """theta, the float argument of sin, cos or a unit exponential; one
+    that overflowed, as rate * t can at a large finite t, raises
+    OverflowError, where math would report a domain error."""
+    if not math.isfinite(theta):
+        raise OverflowError("an angle exceeds the float range")
+    return theta
+
+
+def _cexp(z: complex) -> complex:
+    """cmath.exp(z), refusing an angle z.imag that overflowed."""
+    _angle(z.imag)
+    return cmath.exp(z)
+
+
 def evaluate(e: SignalExpr, t: float) -> complex:
     """Pointwise value at time t; sinc takes its limit value at t = 0.  A
-    time that is not finite is refused."""
+    time that is not finite is refused, and an angle that overflows raises
+    OverflowError."""
     if not math.isfinite(t):
         raise EvaluationError(f"time must be finite, got {t}")
     if isinstance(e, Const):
@@ -628,21 +642,21 @@ def evaluate(e: SignalExpr, t: float) -> complex:
     if isinstance(e, Pow):
         return evaluate(e.base, t) ** e.k
     if isinstance(e, Exp):
-        return cmath.exp(complex(e.rate) * t)
+        return _cexp(complex(e.rate) * t)
     if isinstance(e, Sin):
-        return complex(math.sin(float(e.omega) * t + float(e.phase)))
+        return complex(math.sin(_angle(float(e.omega) * t + float(e.phase))))
     if isinstance(e, Cos):
-        return complex(math.cos(float(e.omega) * t + float(e.phase)))
+        return complex(math.cos(_angle(float(e.omega) * t + float(e.phase))))
     if isinstance(e, Sinc):
         w = float(e.omega)
         if t == 0:
             return complex(w)
-        return complex(math.sin(w * t) / t)
+        return complex(math.sin(_angle(w * t)) / t)
     if isinstance(e, RaisedCos):
-        return complex(math.cos(float(e.omega) * t) / (t * t + 1.0))
+        return complex(math.cos(_angle(float(e.omega) * t)) / (t * t + 1.0))
     if isinstance(e, Chirp):
         a, b, c = float(e.a), float(e.b), float(e.c)
-        return cmath.exp(1j * (a * t * t + b * t + c))
+        return cmath.exp(1j * _angle(a * t * t + b * t + c))
     if isinstance(e, TFrac):
         # a finite t is a pole when the exact denominator vanishes there:
         # at a root such as t = 1/2 of t^2 - 5/6*t + 1/6 its float value
@@ -803,7 +817,7 @@ class _JetWalk:
             return 0, ([self.x0, self.one] + [self.zero] * n)[:n]
         if tx is Exp:
             e0 = (self.one if self.exact
-                  else cmath.exp(complex(e.rate) * self.t0))
+                  else _cexp(complex(e.rate) * self.t0))
             return 0, [e0 * p for p in _powers(self.conv(e.rate), n)]
         if tx is Sin or tx is Cos:
             return 0, self._trig(tx is Sin, e.omega, e.phase)
@@ -838,7 +852,7 @@ class _JetWalk:
         if self.exact:
             s, c = self.zero, self.one
         else:
-            theta = float(omega) * self.t0 + float(phase)
+            theta = _angle(float(omega) * self.t0 + float(phase))
             s, c = complex(math.sin(theta)), complex(math.cos(theta))
         cycle = (s, c, -s, -c) if is_sin else (c, -s, -c, s)
         return [cycle[k % 4] * p for k, p in
@@ -848,7 +862,7 @@ class _JetWalk:
         """exp(g) for g = i(a t^2 + b t + c), by k e_k = g_1 e_(k-1) +
         2 g_2 e_(k-2)."""
         g = _shifted([self.conv(Qi(0, x)) for x in (e.c, e.b, e.a)], self.x0)
-        out = [self.one if self.exact else cmath.exp(g[0])]
+        out = [self.one if self.exact else _cexp(g[0])]
         for k in range(1, self.n):
             acc = g[1] * out[k - 1]
             if k > 1:

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _gconv, _gsum, _location_key, clean_frequencies,
-                       poly_gcd, snap_axes, square_free_factors,
-                       square_free_roots)
+                       _FrozenValue, _gconv, _gsum, _location_key,
+                       clean_frequencies, poly_gcd, snap_axes,
+                       square_free_factors, square_free_roots)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
                       ExpressionError, classify, split_scale)
 
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeylOp:
+class WeylOp(_FrozenValue):
     """Operator sum(r_k * (d/ds)^k) with rational coefficients.
 
     coeffs[k] is the coefficient of the k-th derivative; trailing zeros are
@@ -48,11 +46,10 @@ class WeylOp:
     nonzero operator is nonzero.
     """
 
-    coeffs: tuple = (RatFunc.ZERO,)
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        cs = [c if isinstance(c, RatFunc) else RatFunc(c)
-              for c in self.coeffs]
+    def __init__(self, coeffs: tuple = (RatFunc.ZERO,)):
+        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero:
             cs.pop()
         if not cs:
@@ -88,28 +85,34 @@ WeylOp.IDENTITY = WeylOp((RatFunc.ONE,))
 WeylOp.S = WeylOp((RatFunc.S,))
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class OdeSystem(_FrozenValue):
     """Defining equation op x = rhs with op of positive order."""
 
-    op: WeylOp
-    rhs: RatFunc
+    _fields = ("op", "rhs")
 
-    def __post_init__(self):
-        if self.op.order < 1:
+    def __init__(self, op: WeylOp, rhs: RatFunc):
+        if op.order < 1:
             raise ValueError("defining operator must have order >= 1")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(_FrozenValue):
     """Classified singular point; location None encodes the point at
-    infinity."""
+    infinity.  `kind` is "regular" or "irregular"; `refinement` is
+    "logarithmic", "pole" or "unclassified"; `order` is the pole order of
+    the solution when the refinement is "pole"; `exact` is the location when
+    it lies in Q(i)."""
 
-    location: complex | None
-    kind: str           # "regular" | "irregular"
-    refinement: str     # "logarithmic" | "pole" | "unclassified"
-    order: int = 0      # pole order of the solution when refinement is "pole"
-    exact: Qi | None = None   # the location when it lies in Q(i)
+    _fields = ("location", "kind", "refinement", "order", "exact")
+
+    def __init__(self, location: complex | None, kind: str, refinement: str,
+                 order: int = 0, exact: Qi | None = None):
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "refinement", refinement)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def is_infinite(self) -> bool:
@@ -399,7 +402,8 @@ def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
         point = _classify(qs, orders)
         for z, exact in square_free_roots(b):
             loc = z if exact is not None else snap_axes(z)
-            found.append((z, replace(point, location=loc, exact=exact)))
+            found.append((z, SingularPoint(loc, point.kind, point.refinement,
+                                           point.order, exact)))
     return [p for _, p in sorted(found, key=lambda zp: _location_key(zp[0]))]
 
 

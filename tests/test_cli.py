@@ -223,6 +223,13 @@ def test_opform_requires_an_image():
     ["instfreq", "sin(1e400*t)", "--at", "1"],
     ["instfreq", "exp(1e400*t)", "--at", "1"],
     ["instfreq", "exp(1000*t)", "--at", "1"],
+    # time times rate overflows at a finite time
+    ["instfreq", "sin(2*t)", "--at", "1e308"],
+    ["instfreq", "cos(3*t)", "--at", "1e308"],
+    ["instfreq", "sinc(2)", "--at", "1e308"],
+    ["instfreq", "rcos(3)", "--at", "1e308"],
+    ["instfreq", "chirp(1,0,0)", "--at", "1e308"],
+    ["instfreq", "exp(2*i*t)", "--at", "1e308"],
 ])
 def test_a_value_beyond_the_float_range_is_an_input_error(argv, capsys):
     status = main(argv)
@@ -413,6 +420,19 @@ def test_the_exact_commands_start_without_numpy():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
         "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[0] True"]
+
+
+def test_the_exact_commands_start_without_dataclasses_or_inspect():
+    # the value classes build no methods at import; dataclasses would also
+    # load inspect, ast, dis and tokenize
+    script = (_LEAN_START.partition("numeric = ")[0]
+              + 'print(sorted({"dataclasses", "inspect"} & set(sys.modules)))')
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=_env_with_src(), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[]"]
 
 
 @pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield])

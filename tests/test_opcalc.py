@@ -196,6 +196,16 @@ def test_from_signal_rejects_other_classes():
             from_signal(parse(text))
 
 
+def test_from_signal_refuses_before_it_expands():
+    # expanding the power first took seconds before the impulse was met
+    e = parse("(t+1)^3000 + t*dirac()")
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError,
+                       match="^expression is not an exponential polynomial$"):
+        from_signal(e)
+    assert time.perf_counter() - start < 1.0
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracles.signal_texts)
 def test_expansion_equals_the_reference_expansion(text):

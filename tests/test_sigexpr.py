@@ -16,7 +16,7 @@ from algspec.sigexpr import (_key, _linear_coeffs, Add, Chirp, Const, Cos, Delay
                              EvaluationError, Exp, ExpressionError, Mul,
                              ParameterError, Pow, RaisedCos, SignalClass,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
-                             as_ratfunc_in_t, canonical, classify,
+                             _jet, as_ratfunc_in_t, canonical, classify,
                              diff_time, evaluate,
                              make_add, make_div, make_exp, make_mul,
                              make_pow, parse, pretty_print, split_scale)
@@ -307,6 +307,19 @@ def test_evaluate_decides_a_fraction_pole_exactly():
 def test_evaluate_refuses_a_time_that_is_not_finite(text, t):
     with pytest.raises(EvaluationError, match="finite"):
         evaluate(parse(text), t)
+
+
+@pytest.mark.parametrize("text", ["sin(2*t)", "cos(3*t)", "sinc(2)",
+                                  "rcos(3)", "chirp(1,0,0)", "exp(2*i*t)"])
+def test_an_angle_beyond_the_float_range_is_an_overflow(text):
+    # rate * t overflows at a finite t; math would call it a domain error
+    # and cmath.exp of chirp's infinite angle would give nan
+    e = parse(text)
+    with pytest.raises(OverflowError, match="float range"):
+        evaluate(e, 1e308)
+    with pytest.raises(OverflowError, match="float range"):
+        _jet(e, 1e308, 2)
+    evaluate(e, 1e150 if text.startswith("chirp") else 1e300)
 
 
 def test_evaluate_chirp_is_unimodular():

@@ -12,15 +12,14 @@ exponential terms and its rational image has real coefficients again.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
-from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _FrozenValue, _gconv, _lincomb, _local_terms,
-                       _location_key)
-from .sigexpr import (Add, Const, Cos, Exp, Mul, Pow, Sin, SignalExpr,
-                      TimeVar, ExpressionError, _is_exppoly, _jet)
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
+                       _lincomb, _local_terms, _root_points, _spectrum)
+from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
+                      SignalExpr, TimeVar, ExpressionError, _cexp,
+                      _is_exppoly, _jet)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -66,9 +65,13 @@ class ExpPoly(_FrozenValue):
         return not self.terms
 
     def evaluate(self, t: float) -> complex:
+        """Pointwise value at time t.  A time that is not finite is refused,
+        and an angle that overflows raises OverflowError."""
+        if not math.isfinite(t):
+            raise EvaluationError(f"time must be finite, got {t}")
         acc = 0j
         for rate, poly in self.terms:
-            acc += poly(complex(t)) * cmath.exp(complex(rate) * t)
+            acc += poly(complex(t)) * _cexp(complex(rate) * t)
         return acc
 
     def isclose(self, other: "ExpPoly", tol: float = 1e-9) -> bool:
@@ -315,17 +318,11 @@ def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:
     """Spectrum read off the exact rates, with no root finding.
 
     The poles of the image are the rates themselves, a rate whose
-    polynomial has degree m being a pole of order m + 1; the frequencies
-    are the distinct nonzero imaginary parts of the rates.
+    polynomial has degree m being a pole of order m + 1.
     """
-    sources = sorted((SingularitySource(complex(rate), "pole",
-                                        len(poly.coeffs))
-                      for rate, poly in x.terms),
-                     key=lambda src: _location_key(src.location))
-    # Zeros are dropped after rounding: a rate such as 1e-400*i is exact
-    # and nonzero, but its float is 0, which a Spectrum never lists.
-    freqs = sorted({float(rate.im) for rate, _ in x.terms} - {0.0})
-    return Spectrum(tuple(freqs), tuple(sources))
+    return _spectrum([(z, rate, "pole", order) for z, rate, order
+                      in _root_points((rate, len(poly._re))
+                                      for rate, poly in x.terms)])
 
 
 def to_exppoly(r: RatFunc) -> ExpPoly:

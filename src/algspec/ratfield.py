@@ -223,6 +223,9 @@ class Qi:
     def __hash__(self):
         return hash((self._a, self._b, self._d))
 
+    def __reduce__(self):
+        return self._make, (self._a, self._b, self._d)
+
     def __neg__(self):
         return Qi._make(-self._a, -self._b, self._d)
 
@@ -490,6 +493,9 @@ class CPoly:
 
     def __hash__(self):
         return hash((self._re, self._im, self._d))
+
+    def __reduce__(self):
+        return self._make, (self._re, self._im, self._d)
 
     def __neg__(self):
         return CPoly._make(tuple(-x for x in self._re),
@@ -811,6 +817,9 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def __reduce__(self):
+        return self._from_reduced, (self.num, self.den)
+
     @classmethod
     def _from_reduced(cls, num: CPoly, den: CPoly) -> "RatFunc":
         """num/den taken as is, with no gcd: the caller guarantees that they
@@ -1011,21 +1020,34 @@ def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
     return out
 
 
-def poly_roots(p: CPoly) -> list[Pole]:
-    """All complex roots with exact multiplicities, sorted by (re, im)."""
-    if p.degree <= 0:
-        return []
-    out = [Pole(z, mult, q) for factor, mult in square_free_factors(p)
-           for z, q in square_free_roots(factor)]
-    out.sort(key=lambda q: _location_key(q.location))
-    return out
-
-
 def _location_key(z: complex) -> tuple:
-    """Sort key of reported pole locations.  The rounded leading parts let
+    """Sort key of raw root locations.  The rounded leading parts let
     conjugate pairs with 1e-16 real-part noise order deterministically; the
     raw parts break genuine near-ties."""
     return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
+
+
+def _root_points(factors) -> list[tuple[complex, Qi | None, object]]:
+    """The roots of (factor, tag) pairs as (root, exact, tag) points, sorted
+    by `_location_key`.  A factor is a monic square-free `CPoly`, or a `Qi`
+    q standing for s - q.  The roots are raw: `_reported` gives where each
+    one is reported."""
+    return sorted(((z, q, tag) for f, tag in factors
+                   for z, q in (((complex(f), f),) if type(f) is Qi
+                                else square_free_roots(f))),
+                  key=lambda r: _location_key(r[0]))
+
+
+def _reported(z: complex, exact: Qi | None) -> complex:
+    """The one rule for where a root is reported: a root in Q(i) as it is,
+    a float root snapped to an axis.  Snapping twice snaps once."""
+    return z if exact is not None else snap_axes(z)
+
+
+def poly_roots(p: CPoly) -> list[Pole]:
+    """All complex roots with exact multiplicities, sorted by (re, im)."""
+    return [Pole(z, mult, q)
+            for z, q, mult in _root_points(square_free_factors(p))]
 
 
 def poles(r: RatFunc) -> list[Pole]:
@@ -1106,17 +1128,30 @@ def clean_frequencies(values) -> tuple[float, ...]:
     return tuple(merged)
 
 
+def _spectrum(points, infinite: bool = False) -> Spectrum:
+    """The spectrum of (location, exact, kind, order) points in report
+    order: a source at each location as `_reported` places it, and the
+    distinct nonzero imaginary parts of those locations (an exact 1e-400
+    rounds to 0), those of float points (exact None) merged by
+    `clean_frequencies`."""
+    points = [(_reported(z, q), q, kind, order)
+              for z, q, kind, order in points]
+    freqs = {z.imag for z, q, _, _ in points if q is not None} - {0.0}
+    freqs.update(clean_frequencies(z.imag for z, q, _, _ in points
+                                   if q is None))
+    return Spectrum(tuple(sorted(freqs)), tuple([
+        SingularitySource(z, kind, order) for z, _, kind, order in points]),
+        infinite)
+
+
 def spectrum_of_rational(r: RatFunc) -> Spectrum:
     """Frequencies of an element of C(s): imaginary parts of its poles.
 
     All-real-pole inputs (Laurent polynomials and the rest of the real-pole
     subring) yield an empty frequency set, as does any polynomial part.
     """
-    ps = poles(r)
-    sources = tuple(SingularitySource(snap_axes(p.location), "pole",
-                                      p.multiplicity) for p in ps)
-    freqs = clean_frequencies(p.location.imag for p in ps)
-    return Spectrum(freqs, sources, infinite_singularity=False)
+    return _spectrum([(p.location, p.exact, "pole", p.multiplicity)
+                      for p in poles(r)])
 
 
 # ---------------------------------------------------------------------------

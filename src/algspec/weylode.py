@@ -23,10 +23,9 @@ import math
 from collections.abc import Sequence
 from functools import reduce
 
-from .ratfield import (CPoly, Qi, RatFunc, SingularitySource, Spectrum,
-                       _FrozenValue, _gconv, _gsum, _location_key,
-                       clean_frequencies, poly_gcd, snap_axes,
-                       square_free_factors, square_free_roots)
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
+                       _gsum, _reported, _root_points, _spectrum, poly_gcd,
+                       square_free_factors)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
                       ExpressionError, classify, split_scale)
 
@@ -397,14 +396,11 @@ def finite_singularities(sys: OdeSystem) -> list[SingularPoint]:
     right-hand side is always compatible).  Float roots snap to an axis.
     """
     qs, g = _normalized(sys)
-    found = []
-    for b, orders in _pole_orders(qs + [g]):
-        point = _classify(qs, orders)
-        for z, exact in square_free_roots(b):
-            loc = z if exact is not None else snap_axes(z)
-            found.append((z, SingularPoint(loc, point.kind, point.refinement,
-                                           point.order, exact)))
-    return [p for _, p in sorted(found, key=lambda zp: _location_key(zp[0]))]
+    return [SingularPoint(_reported(z, exact), p.kind, p.refinement, p.order,
+                          exact)
+            for z, exact, p in _root_points(
+                (b, _classify(qs, orders))
+                for b, orders in _pole_orders(qs + [g]))]
 
 
 def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
@@ -461,12 +457,6 @@ def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],
             and max(q.num.degree for q in qs) >= 1)
 
 
-def _source_of(point: SingularPoint) -> SingularitySource:
-    if point.refinement == "unclassified":
-        return SingularitySource(point.location, "none", 0)
-    return SingularitySource(point.location, point.refinement, point.order)
-
-
 def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
                        infinity: SingularPoint | None) -> Spectrum:
     """Spectrum of a system from its classified singular points.
@@ -479,12 +469,10 @@ def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
     chirp has it: sinc and rcos have finite points, and a delay's
     normalized coefficient is constant.
     """
-    flag = _chirp_like(sys, finite, infinity)
-    sources = tuple(_source_of(p) for p in finite)
-    exact = {p.location.imag for p in finite if p.exact is not None}
-    freqs = tuple(sorted((exact - {0.0}).union(clean_frequencies(
-        p.location.imag for p in finite if p.exact is None))))
-    return Spectrum(freqs, sources, infinite_singularity=flag)
+    return _spectrum([(p.location, p.exact, "none", 0)
+                      if p.refinement == "unclassified" else
+                      (p.location, p.exact, p.refinement, p.order)
+                      for p in finite], _chirp_like(sys, finite, infinity))
 
 
 def spectrum_of_ode(sys: OdeSystem) -> Spectrum:

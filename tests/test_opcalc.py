@@ -16,8 +16,8 @@ from algspec.opcalc import (ExpPoly, _convolve, _linear_power, _terms_of,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     alg_deriv, poles, spectrum_of_rational
-from algspec.sigexpr import (ExpressionError, Pow, SignalClass, classify,
-                             evaluate, parse)
+from algspec.sigexpr import (EvaluationError, ExpressionError, Pow,
+                             SignalClass, classify, evaluate, parse)
 
 _S = CPoly([0, 1])
 
@@ -161,6 +161,20 @@ def test_expansion_agrees_with_evaluation():
         for _ in range(10):
             t = rng.uniform(0, 4)
             assert abs(x.evaluate(t) - evaluate(e, t)) <= 1e-9, text
+
+
+@pytest.mark.parametrize("text", ["sin(2*t)", "cos(3*t)", "exp(2*i*t)",
+                                  "t*exp(-t)"])
+def test_expansion_evaluate_refuses_as_evaluate_does(text):
+    e = parse(text)
+    x = from_signal(e)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(EvaluationError, match="finite"):
+            x.evaluate(t)
+    if text != "t*exp(-t)":
+        with pytest.raises(OverflowError, match="float range"):
+            x.evaluate(1e308)
+    assert abs(x.evaluate(1.5) - evaluate(e, 1.5)) <= 1e-12
 
 
 def _power_by_repeated_products(base, k):
@@ -319,10 +333,51 @@ def test_spectrum_from_rates_equals_spectrum_of_image():
         x = _rand_exppoly(rng, max_rates=3, max_deg=2)
         want = sorted({float(rate.im) for rate, _ in x.terms
                        if rate.im != 0})
-        got = spectrum_of_rational(to_rational(x)).frequencies
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= 1e-9
+        assert spectrum_of_rational(to_rational(x)).frequencies == tuple(want)
+
+
+@pytest.mark.parametrize("text, freqs, locations", [
+    ("sin(1e-12*t)", (-1e-12, 1e-12), [-1e-12j, 1e-12j]),
+    ("exp(i*t)+exp((1+1/10000000000)*i*t)", (1.0, 1.0000000001),
+     [1j, 1.0000000001j]),
+    ("exp((1/10000000000+i)*t)", (1.0,), [1e-10 + 1j]),
+])
+def test_exact_poles_are_reported_as_they_are(text, freqs, locations):
+    # neither snapped to an axis nor merged with a neighbour at 1e-9
+    x = from_signal(parse(text))
+    got = spectrum_of_rational(to_rational(x))
+    assert got == spectrum_of_exppoly(x)
+    assert got.frequencies == freqs
+    assert [src.location for src in got.sources] == locations
+
+
+_exact_re = st.sampled_from([Fraction(0), Fraction(1, 10 ** 10),
+                             Fraction(-1, 3), Fraction(-1),
+                             Fraction(-1, 10 ** 12)])
+_exact_im = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                             1 + Fraction(1, 10 ** 10), Fraction(1, 10 ** 12),
+                             -Fraction(1, 10 ** 12), Fraction(-5, 2)])
+
+
+@st.composite
+def _exact_pole_mixtures(draw):
+    """Up to 4 rates, near an axis or near each other; rates 2k and 2k+1
+    have multiplicity k + 1, so every square-free factor of the image has
+    degree 1 or 2 and every pole lies in Q(i) exactly."""
+    rates = draw(st.lists(st.builds(Qi, _exact_re, _exact_im), min_size=1,
+                          max_size=4, unique=True))
+    return ExpPoly(tuple(
+        (rate, CPoly(draw(st.lists(_scalars, min_size=k // 2,
+                                   max_size=k // 2)) + [draw(_scalars) or 1]))
+        for k, rate in enumerate(rates)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exact_pole_mixtures())
+def test_spectrum_of_exact_image_equals_spectrum_from_rates(x):
+    r = to_rational(x)
+    assert all(p.exact is not None for p in poles(r))
+    assert spectrum_of_rational(r) == spectrum_of_exppoly(x), x.format()
 
 
 def test_exact_rate_spectrum_equals_spectrum_of_image():

@@ -5,7 +5,7 @@ import pytest
 from algspec import opcalc, weylode
 from algspec.cli import CliConfig, run
 from algspec.pipeline import analyze
-from algspec.ratfield import RatFunc
+from algspec.ratfield import CPoly, RatFunc, poles, spectrum_of_rational
 from algspec.sigexpr import parse
 
 ATOMS = ["sinc(3)", "rcos(2)", "delay(3/2)", "chirp(1,2,3)"]
@@ -74,3 +74,34 @@ def test_image_is_built_once_per_analysis(monkeypatch):
     assert len(calls) == 1
     assert analyze(parse("2*dirac()")).rational == RatFunc(2)
     assert analyze(parse("sinc(3)")).rational is None
+
+
+_NEAR = ["sin(1e-12*t)", "exp(i*t)+exp((1+1/10000000000)*i*t)",
+         "exp((1/10000000000+i)*t)", "t*exp(-t)+sin(5/2*t)"]
+
+
+def _exact_spectra():
+    """(route, spectrum) pairs whose every source is an exact point."""
+    for text in _NEAR:
+        r = opcalc.to_rational(opcalc.from_signal(parse(text)))
+        assert all(p.exact is not None for p in poles(r))
+        yield "image", spectrum_of_rational(r)
+        yield "mixture", analyze(parse(text)).spectrum
+    for text in ["sinc(1e-12)", "rcos(7/4)", "(1+i)*sinc(3)"]:
+        a = analyze(parse(text))
+        assert all(p.exact is not None for p in a.finite_points)
+        yield "equation", a.spectrum
+    den = (CPoly([0, 1]) - CPoly([1j])) * (
+        CPoly([0, 1]) - CPoly([1j * (1 + 1e-10)]))
+    sys = weylode.OdeSystem(weylode.WeylOp.D, RatFunc(CPoly.ONE, den))
+    assert all(p.exact is not None for p in weylode.finite_singularities(sys))
+    yield "equation", weylode.spectrum_of_ode(sys)
+
+
+def test_exact_frequencies_are_the_imaginary_parts_of_the_sources():
+    routes = set()
+    for route, spec in _exact_spectra():
+        want = {src.location.imag for src in spec.sources} - {0.0}
+        assert spec.frequencies == tuple(sorted(want)), route
+        routes.add(route)
+    assert routes == {"image", "mixture", "equation"}

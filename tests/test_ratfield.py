@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from algspec.opcalc import to_exppoly
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
                               RootFindingError, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
@@ -771,6 +772,33 @@ def test_a_root_rounding_to_its_neighbour_does_not_take_its_value():
     found = poly_roots(CPoly([0, 1, -4, 1]))
     assert [q.exact for q in found] == [Qi(0), None, None]
     assert found[1].location == pytest.approx(2 - math.sqrt(3), abs=1e-12)
+
+
+def test_a_float_root_near_an_axis_is_snapped_only_where_reported():
+    # (s - e)^2 + 2 has the float roots e +- i*sqrt(2), e = 5e-10 being
+    # within 1e-9 of the axis; the coefficients are read at the raw roots
+    s, e = CPoly([0, 1]), Fraction(5, 10 ** 10)
+    r = RatFunc(CPoly.ONE, (s * s - CPoly([2 * e]) * s + CPoly([e * e + 2]))
+                * (s + CPoly.ONE))
+    floats = [p.location for p in poles(r)][1:]
+    assert [z.real for z in floats] == pytest.approx([5e-10] * 2, abs=1e-15)
+    for t in partial_fractions(r).terms:
+        if abs(t.pole.imag) > 1:
+            want = 1 / ((t.pole - t.pole.conjugate()) * (t.pole + 1))
+            assert t.pole.real == pytest.approx(5e-10, abs=1e-15)
+            assert abs(t.coefficient - want) <= 1e-14
+    rates = [complex(q) for q, _ in to_exppoly(r).terms]
+    assert [z.real for z in rates if abs(z.imag) > 1] == pytest.approx(
+        [5e-10] * 2, abs=1e-15)
+    spec = spectrum_of_rational(r)
+    assert [src.location for src in spec.sources] == [-1, floats[0].imag * 1j,
+                                                      floats[1].imag * 1j]
+    # s^2 - 2e-20: two distinct roots, both reported at 0
+    r = RatFunc(CPoly.ONE, s * s - CPoly([Fraction(2, 10 ** 20)]))
+    assert len({p.location for p in poles(r)}) == 2
+    spec = spectrum_of_rational(r)
+    assert [src.location for src in spec.sources] == [0j, 0j]
+    assert spec.frequencies == ()
 
 
 def test_quadratic_roots_need_no_iteration():

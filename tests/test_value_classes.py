@@ -121,7 +121,7 @@ def test_repr_and_hash_are_those_of_the_dataclass(x, text, names):
 def test_a_keyword_copy_and_a_pickled_copy_are_equal(x, text, names):
     copy = type(x)(**dict(zip(names, _fields(x, names))))
     assert copy == x and hash(copy) == hash(x) and not copy != x
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(x, protocol))
         assert type(back) is type(x)
         assert back == x and repr(back) == text

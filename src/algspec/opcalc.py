@@ -18,7 +18,7 @@ from fractions import Fraction
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
                        _lincomb, _local_terms, _root_points, _spectrum)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
-                      SignalExpr, TimeVar, ExpressionError, _cexp,
+                      SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
                       _is_exppoly, _jet)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
@@ -66,45 +66,13 @@ class ExpPoly(_FrozenValue):
 
     def evaluate(self, t: float) -> complex:
         """Pointwise value at time t.  A time that is not finite is refused,
-        and an angle that overflows raises OverflowError."""
+        and an angle or a value that overflows raises OverflowError."""
         if not math.isfinite(t):
             raise EvaluationError(f"time must be finite, got {t}")
         acc = 0j
         for rate, poly in self.terms:
             acc += poly(complex(t)) * _cexp(complex(rate) * t)
-        return acc
-
-    def isclose(self, other: "ExpPoly", tol: float = 1e-9) -> bool:
-        """Agreement of rates and coefficients within tol.
-
-        Terms are paired by nearest rate rather than by list position, so
-        rate values that differ only by roundoff may order differently in
-        the two operands without spoiling the comparison; negligible
-        unmatched terms are ignored.
-        """
-        def norm(p: CPoly) -> float:
-            return max((abs(complex(c)) for c in p.coeffs), default=0.0)
-
-        remaining = list(other.terms)
-        for ra, pa in self.terms:
-            za = complex(ra)
-            best, dist = None, None
-            for k, (rb, _) in enumerate(remaining):
-                d = abs(za - complex(rb))
-                if dist is None or d < dist:
-                    best, dist = k, d
-            if best is None or dist > tol * (1 + abs(za)):
-                if norm(pa) <= tol:
-                    continue
-                return False
-            _, pb = remaining.pop(best)
-            width = max(len(pa.coeffs), len(pb.coeffs))
-            ca = list(pa.coeffs) + [Qi(0)] * (width - len(pa.coeffs))
-            cb = list(pb.coeffs) + [Qi(0)] * (width - len(pb.coeffs))
-            for a, b in zip(ca, cb):
-                if abs(complex(a) - complex(b)) > tol * (1 + abs(complex(a))):
-                    return False
-        return all(norm(p) <= tol for _, p in remaining)
+        return _finite(acc, t)
 
     def format(self) -> str:
         if self.is_zero:
@@ -328,20 +296,26 @@ def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:
 def to_exppoly(r: RatFunc) -> ExpPoly:
     """Inverse image of a strictly proper rational function.
 
-    A pole in Q(i) gives its rate and coefficients exactly; a float pole
-    gives them as the dyadic rationals of its floats."""
+    The term c/(s-a)^(k+1) gives c/k! * t^k at the rate a, so each pole
+    gives the polynomial of its rate at once.  A pole in Q(i) gives its rate
+    and coefficients exactly; a float pole gives them as the dyadic
+    rationals of its floats."""
     if not r.is_strictly_proper:
         raise ValueError("inverse image requires a strictly proper input")
-    terms: dict[Qi, CPoly] = {}
-    for pole, order, coeff in _local_terms(r)[1]:
+    terms = []
+    for pole, c in _local_terms(r)[1]:
         if pole.exact is None:
-            rate, coeff = Qi.coerce(pole.location), Qi.coerce(complex(coeff))
+            rate, c = (Qi.coerce(pole.location),
+                       [Qi.coerce(complex(x)) for x in c])
         else:
             rate = pole.exact
-        k = order - 1
-        mono = CPoly([Qi(0)] * k + [coeff / Qi(math.factorial(k))])
-        terms[rate] = terms.get(rate, CPoly.ZERO) + mono
-    return ExpPoly(tuple(terms.items()))
+        coeffs, fact = [], 1
+        for k, x in enumerate(reversed(c)):   # orders 1, ..., m
+            if k:
+                fact *= k
+            coeffs.append(Qi._canon(x._a, x._b, x._d * fact))
+        terms.append((rate, CPoly(coeffs)))
+    return ExpPoly(tuple(terms))
 
 
 def dirac_image() -> RatFunc:

@@ -9,10 +9,15 @@ gcds are 1; `poly_gcd` certifies that modulo one fixed prime P = 1 (mod 4),
 sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
 Euclidean algorithm runs only when the certificate does not apply: the
 images share a factor, a denominator is divisible by P, or a leading
-coefficient vanishes mod P.  Roots are found per square-free factor (Yun's
-decomposition restores multiplicities exactly), exactly where they lie in
-Q(i) (`square_free_roots`); only the others are floats, by Aberth's method.
-The package's immutable value classes share one base, `_FrozenValue`.
+coefficient vanishes mod P.  The roots in Q(i) come first (`poly_roots`):
+candidates read off the float roots are each certified, with their
+multiplicity, by one exact Taylor shift on Gaussian integers and deflated
+away; only a cofactor left over is split by Yun's decomposition and solved
+per square-free factor (`square_free_roots`), whose roots outside Q(i) are
+floats, by Aberth's method.  The same shift gives the local Laurent series
+of partial fractions, and at a float pole the first-order step to the roots
+it stands for, which must be small at the pole's scale.  The package's
+immutable value classes share one base, `_FrozenValue`.
 """
 
 from __future__ import annotations
@@ -332,6 +337,7 @@ class Qi:
         return f"({_ratio_text(a, d)}{sign}{imtxt})"
 
 
+_QI_ZERO = Qi(0)
 _QI_ONE = Qi(1)
 _QI_MINUS_ONE = Qi(-1)
 
@@ -397,6 +403,33 @@ def _gconv(ar, ai, br, bi) -> tuple[list[int], list[int]]:
     mid = _conv(list(map(int.__add__, ar, ai)), list(map(int.__add__, br, bi)))
     return (list(map(int.__sub__, ac, bd)),
             [m - x - y for m, x, y in zip(mid, ac, bd)])
+
+
+def _scaled(re, im, e: int):
+    """The coefficients of e^n F(y/e) for F = re + i*im of degree n:
+    coefficient j times e^(n-j)."""
+    if e == 1:
+        return re, im
+    re, im = list(re), list(im)
+    k = e
+    for j in range(len(re) - 2, -1, -1):
+        re[j] *= k
+        im[j] *= k
+        k *= e
+    return re, im
+
+
+def _synthetic_division(re, im, gr: int, gi: int):
+    """(F - F(g))/(y - g) and F(g), for F = re + i*im with at least one
+    coefficient and the Gaussian integer g = gr + i*gi, by Horner's rule:
+    (quotient re, quotient im, remainder re, remainder im)."""
+    n = len(re) - 1
+    qr, qi = [0] * n, [0] * n
+    ar = ai = 0
+    for j in range(n, 0, -1):
+        ar, ai = ar * gr - ai * gi + re[j], ar * gi + ai * gr + im[j]
+        qr[j - 1], qi[j - 1] = ar, ai
+    return qr, qi, ar * gr - ai * gi + re[0], ar * gi + ai * gr + im[0]
 
 
 class CPoly:
@@ -992,32 +1025,148 @@ def _sqrt_qi(z: Qi) -> Qi | None:
     return Qi._canon(u, v, d) if (u * u - v * v, 2 * u * v) == (x, y) else None
 
 
-def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
+def _taylor_shift(p: CPoly, q: Qi, count: int) -> list[Qi]:
+    """The Taylor coefficients p^(k)(q)/k! of p at q = g/e, k < count.
+
+    With F = d*p in Z[i][s] of degree n, the k-th remainder of repeated
+    synthetic division of e^n F(y/e) by y - g is t_k = e^(n-k) F^(k)(q)/k!,
+    so the whole shift runs on Gaussian integers."""
+    re, im = _scaled(p._re, p._im, q._d)
+    gr, gi, n = q._a, q._b, p.degree
+    out = []
+    for k in range(count):
+        if k > n:
+            out.append(_QI_ZERO)
+            continue
+        re, im, tr, ti = _synthetic_division(re, im, gr, gi)
+        out.append(Qi._canon(tr, ti, p._d * q._d ** (n - k)))
+    return out
+
+
+def _deflate(p: CPoly, q: Qi) -> tuple[int, CPoly]:
+    """(m, p/(s - q)^m) for the multiplicity m >= 0 of q = g/e as a root of
+    p: the number of zero coefficients that open the Taylor shift of p to
+    q (`_taylor_shift`).  After m synthetic divisions e^n F(y/e) is
+    (y - g)^m sum b_j y^j, so p/(s - q)^m = sum b_j e^j s^j / (d e^(n-m))."""
+    gr, gi, e = q._a, q._b, q._d
+    re, im = _scaled(p._re, p._im, e)
+    m = 0
+    while len(re) > 1:
+        qr, qi, tr, ti = _synthetic_division(re, im, gr, gi)
+        if tr or ti:
+            break
+        re, im, m = qr, qi, m + 1
+    if not m:
+        return 0, p
+    k = 1
+    for j in range(1, len(re)):
+        k *= e
+        re[j] *= k
+        im[j] *= k
+    return m, CPoly._canon(re, im, p._d * e ** (p.degree - m))
+
+
+# Bound on the denominator of each part of a candidate root, tried when
+# rounding over the polynomial's own denominator fails
+_DENOMINATOR_BOUND = 8
+
+
+def _candidates(z: complex, d: int):
+    """The points of Q(i) that a float root z of F/d, F in Z[i][s] with
+    lead(F) = d, may stand for.  A root of F/d in Q(i) is a Gaussian integer
+    over d (Loos, SIAM J. Comput. 1983), so the first is d*z rounded; as
+    that needs d*z to float accuracy, which a large d or a root blurred in
+    a cluster denies, the second has the nearest parts with denominators up
+    to `_DENOMINATOR_BOUND`."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        return
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    yield Qi._canon((2 * xn * d + xd) // (2 * xd),
+                    (2 * yn * d + yd) // (2 * yd), d)
+    (a, k), (b, l) = _nearest_small(z.real), _nearest_small(z.imag)
+    yield Qi._canon(a * l, b * k, k * l)
+
+
+def _nearest_small(x: float) -> tuple[int, int]:
+    """(n, k) for the fraction n/k nearest the finite x with k at most
+    `_DENOMINATOR_BOUND`, the smallest such k on a tie."""
+    if abs(x) >= 2.0 ** 52:      # x is an integer
+        return int(x), 1
+    n = round(x)
+    best, err = (n, 1), abs(x - n)
+    for k in range(2, _DENOMINATOR_BOUND + 1):
+        n = round(x * k)
+        if abs(x - n / k) < err:
+            best, err = (n, k), abs(x - n / k)
+    return best
+
+
+def _certified_roots(p: CPoly, zs: list[complex], tried: set):
+    """The roots in Q(i) of a monic p that the candidates of its float
+    roots zs lead to, as (root, multiplicity) pairs; the float roots none of
+    them accounts for; and the cofactor, p over prod (s - q)^m.
+
+    Each candidate is certified by one exact Taylor shift (`_deflate`),
+    which also deflates it away, so nothing enters on float evidence.  A
+    root of multiplicity m accounts for the m float roots still pending
+    that lie nearest it: its float cluster, or, in a square-free p, the
+    one float root it is, whichever float root proposed it.  Candidates in
+    `tried` are skipped, and each one tried is added to it: none of them
+    is a root of the cofactor, or of any factor of it."""
+    found: list[tuple[Qi, int]] = []
+    pending = dict(enumerate(zs))
+    for k, z in enumerate(zs):
+        if k not in pending:
+            continue
+        for q in _candidates(z, p._d):
+            if q in tried:
+                continue
+            tried.add(q)
+            m, p = _deflate(p, q)
+            if m:
+                found.append((q, m))
+                w = complex(q)
+                for _ in range(m):
+                    del pending[min(pending, key=lambda j: abs(pending[j] - w))]
+                if k not in pending:
+                    break
+        if p.degree < 1:
+            break
+    return found, list(pending.values()), p
+
+
+def _quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
+    """The two roots of a monic quadratic f when they lie in Q(i): those
+    of s^2 + b*s + c are (-b +- r)/2 for r^2 = b^2 - 4c, else None."""
+    c, b = f.coeffs[:2]
+    r = _sqrt_qi(b * b - 4 * c)
+    return None if r is None else ((r - b) / 2, (-r - b) / 2)
+
+
+def square_free_roots(f: CPoly, tried: set | None = None
+                      ) -> list[tuple[complex, Qi | None]]:
     """Roots of a monic square-free polynomial of positive degree, each as
     (location, exact), exact being the root when it lies in Q(i), else None.
 
-    A root of f = F/d, F in Z[i][s] with lead(F) = d, has a denominator
-    dividing d (Loos, SIAM J. Comput. 1983).  Degree 1 is exact, degree 2
-    takes the square root of the discriminant in Q(i), and a higher degree
-    rounds d times each root of one `_aberth` call to a Gaussian integer g,
-    nearest first, keeping g/d when it is a root of f not yet taken.
+    Degree 1 is exact, and degree 2 takes the square root of the
+    discriminant in Q(i), without which it has no root there.  A higher
+    degree runs one `_aberth` call and certifies the candidates of its roots
+    (`_certified_roots`) that are not in `tried`, the candidates already
+    refused for a multiple of f; the rest stay floats.
     """
-    c, d = f.coeffs, f._d
     if f.degree == 1:
-        return [(complex(-c[0]), -c[0])]
-    r = _sqrt_qi(c[1] * c[1] - 4 * c[0]) if f.degree == 2 else None
-    if r is not None:
-        return [(complex(q), q) for q in ((r - c[1]) / 2, (-r - c[1]) / 2)]
-    rounded = []
-    for z in _aberth(f.to_complex()):
-        x, y = Fraction(z.real) * d, Fraction(z.imag) * d
-        a, b = round(x), round(y)
-        rounded.append((abs(x - a) + abs(y - b), z, Qi._canon(a, b, d)))
-    out: list[tuple[complex, Qi | None]] = []
-    for _, z, q in sorted(rounded, key=lambda r: r[0]):
-        exact = q not in {x for _, x in out} and not f.at(q)
-        out.append((complex(q), q) if exact else (z, None))
-    return out
+        q = -f.coeffs[0]
+        return [(complex(q), q)]
+    exact = _quadratic_roots(f) if f.degree == 2 else None
+    if exact is not None:
+        return [(complex(q), q) for q in exact]
+    zs = _aberth(f.to_complex())
+    if f.degree == 2:
+        return [(z, None) for z in zs]
+    found, floats, _ = _certified_roots(
+        f, zs, set() if tried is None else tried)
+    return ([(complex(q), q) for q, _ in found]
+            + [(z, None) for z in floats])
 
 
 def _location_key(z: complex) -> tuple:
@@ -1027,14 +1176,15 @@ def _location_key(z: complex) -> tuple:
     return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
 
 
-def _root_points(factors) -> list[tuple[complex, Qi | None, object]]:
+def _root_points(factors, tried: set | None = None
+                 ) -> list[tuple[complex, Qi | None, object]]:
     """The roots of (factor, tag) pairs as (root, exact, tag) points, sorted
     by `_location_key`.  A factor is a monic square-free `CPoly`, or a `Qi`
-    q standing for s - q.  The roots are raw: `_reported` gives where each
-    one is reported."""
+    q standing for s - q; `tried` goes to `square_free_roots`.  The roots
+    are raw: `_reported` gives where each one is reported."""
     return sorted(((z, q, tag) for f, tag in factors
                    for z, q in (((complex(f), f),) if type(f) is Qi
-                                else square_free_roots(f))),
+                                else square_free_roots(f, tried))),
                   key=lambda r: _location_key(r[0]))
 
 
@@ -1044,10 +1194,38 @@ def _reported(z: complex, exact: Qi | None) -> complex:
     return z if exact is not None else snap_axes(z)
 
 
+def _exact_roots(p: CPoly) -> tuple[list[tuple[Qi, int]], CPoly, set]:
+    """The roots of a monic p in Q(i) found before any split, as (root,
+    multiplicity) pairs, the cofactor left, and the candidates tried: the
+    certified candidates of one `np.roots` call (`_certified_roots`).  A
+    degree below 3, which `square_free_roots` solves exactly, and a p whose
+    coefficients exceed the float range keep all their roots for the
+    cofactor."""
+    tried: set[Qi] = set()
+    if p.degree < 3:
+        return [], p, tried
+    try:
+        coeffs = p.to_complex()
+    except OverflowError:
+        return [], p, tried
+    import numpy as np
+
+    zs = [complex(z) for z in np.roots(coeffs[::-1]).tolist()]
+    found, _, rest = _certified_roots(p, zs, tried)
+    return found, rest, tried
+
+
 def poly_roots(p: CPoly) -> list[Pole]:
-    """All complex roots with exact multiplicities, sorted by (re, im)."""
-    return [Pole(z, mult, q)
-            for z, q, mult in _root_points(square_free_factors(p))]
+    """All complex roots with exact multiplicities, sorted by (re, im).
+
+    The roots in Q(i) come first, each certified with its multiplicity by
+    an exact Taylor shift and deflated (`_exact_roots`); only a cofactor
+    left over goes through Yun's split (`square_free_factors`) and
+    `square_free_roots`, which skips the candidates already tried."""
+    found, rest, tried = _exact_roots(p.monic())
+    if rest.degree > 0:
+        found += square_free_factors(rest)
+    return [Pole(z, mult, q) for z, q, mult in _root_points(found, tried)]
 
 
 def poles(r: RatFunc) -> list[Pole]:
@@ -1169,56 +1347,86 @@ class PartialFractions(NamedTuple):
     poly_part: CPoly
 
 
-def _taylor(p: CPoly, q: Qi, lo: int, hi: int) -> list[Qi]:
-    # the Taylor coefficients p^(k)(q)/k! of p at q for lo <= k < hi
-    out, fact = [], 1
-    for k in range(hi):
-        if k >= lo:
-            out.append(p.at(q) / fact)
-        p, fact = p.deriv(), fact * (k + 1)
-    return out
+# Bound on the componentwise backward error of partial fractions at float
+# poles (`_backward_error`), and on the forward error of each float pole
+# relative to its scale (`_hold_float_pole`)
+_PF_TOL = 1e-9
+
+
+def _hold_float_pole(p: Pole, t: list[Qi], ps) -> None:
+    """Refuse a float pole p of multiplicity m that may lie more than
+    _PF_TOL * min(1 + |p|, distance to the nearest other pole) from the
+    roots it stands for.  The distance is estimated from the exact Taylor
+    coefficients t_k = den^(k)(p)/k! at p read as a dyadic rational:
+    max over k < m of |t_k / t_m|^(1/(m - k)), the Newton step when m = 1
+    (the first-order size of the m roots of den nearest p)."""
+    m, z = p.multiplicity, p.location
+    try:
+        step = max(abs(complex(t[k] / t[m])) ** (1.0 / (m - k))
+                   for k in range(m))
+    except OverflowError:
+        step = math.inf
+    gap = min((abs(q.location - z) for q in ps if q is not p), default=math.inf)
+    if not step <= _PF_TOL * min(1.0 + abs(z), gap):
+        raise RootFindingError(
+            f"float pole {z} may be {step:.3e} off its root, above "
+            f"{_PF_TOL:.0e} of its scale")
 
 
 def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[tuple]:
-    # (pole, order, coefficient), the coefficient read exactly off the
-    # local series at the exact root, or at a float root read as its dyadic
-    # rational; dropping the den series' low terms divides by (s-p)^m, as
-    # they vanish up to the float root's error
+    # (pole, c): c[l] is the coefficient of 1/(s - p)^(m - l), read exactly
+    # off the local series at the exact root, or at a float root read as its
+    # dyadic rational; dropping the den series' low terms divides by
+    # (s - p)^m, as they vanish up to the float root's error.  With real
+    # rem and den, the series at the conjugate of an exact root is the
+    # conjugate series.
+    real = not (any(rem._im) or any(den._im))
+    series: dict[Qi, list[Qi]] = {}
     terms: list[tuple] = []
     for p in ps:
         m = p.multiplicity
+        twin = (series.get(p.exact.conjugate())
+                if real and p.exact is not None else None)
+        if twin is not None:
+            terms.append((p, [x.conjugate() for x in twin]))
+            continue
         pq = Qi.coerce(p.location) if p.exact is None else p.exact
-        a = _taylor(rem, pq, 0, m)
-        b = _taylor(den, pq, m, 2 * m)
-        if b[0] == Qi(0):
+        a = _taylor_shift(rem, pq, m)
+        t = _taylor_shift(den, pq, 2 * m)
+        b = t[m:]
+        if not b[0]:
             raise RootFindingError(
                 "degenerate local series at pole {0}".format(p.location))
+        if p.exact is None:
+            _hold_float_pole(p, t, ps)
         c: list[Qi] = []
         for l in range(m):
             acc = a[l]
             for j in range(1, l + 1):
                 acc = acc - b[j] * c[l - j]
             c.append(acc / b[0])
-        for l, cl in enumerate(c):
-            terms.append((p, m - l, cl))
+        if p.exact is not None:
+            series[p.exact] = c
+        terms.append((p, c))
     return terms
 
 
 def _local_terms(r: RatFunc) -> tuple[CPoly, list[tuple]]:
-    """The polynomial part of r and its terms (pole, order, coefficient),
-    a `Pole` and an exact coefficient, certified by reconstruction when a
-    pole is a float."""
+    """The polynomial part of r and its local terms (pole, c), a `Pole` and
+    its exact coefficients, c[l] that of 1/(s - pole)^(m - l), certified
+    when a pole is a float by its forward error (`_hold_float_pole`) and by
+    the terms' backward error (`_backward_error`)."""
     quot, rem = divmod(r.num, r.den)
     terms: list[tuple] = []
     if not rem.is_zero:
         ps = poles(r)
         terms = _exact_local_terms(rem, r.den, ps)
         if any(p.exact is None for p in ps):
-            err = _reconstruction_error(rem.to_complex(), ps, terms)
-            if err > 1e-9:
+            err = _backward_error(rem.to_complex(), terms)
+            if err > _PF_TOL:
                 raise RootFindingError(
-                    f"partial-fraction reconstruction error {err:.3e} "
-                    f"exceeds 1e-9")
+                    f"partial-fraction backward error {err:.3e} "
+                    f"exceeds {_PF_TOL:.0e}")
     return quot, terms
 
 
@@ -1226,33 +1434,68 @@ def partial_fractions(r: RatFunc) -> PartialFractions:
     """Decompose r as poly_part + sum coefficient/(s-pole)^order.
 
     The polynomial part comes from exact division, and the coefficients at
-    each pole from its exact local Laurent series, which is exact at a pole
-    in Q(i).  With a float pole the result is verified by reconstruction to
-    1e-9 in coefficient norm.
+    each pole from its exact local Laurent series, read off one Taylor shift
+    of the numerator and one of the denominator to the pole; they are exact
+    at a pole in Q(i).  A float pole must lie within 1e-9 of its scale of
+    the roots it stands for (`_hold_float_pole`), and the sum of the terms
+    over the common denominator must reproduce the numerator with a
+    componentwise backward error of at most 1e-9 (`_backward_error`);
+    otherwise `RootFindingError` is raised.
     """
     quot, local = _local_terms(r)
-    terms = [PFTerm(p.location, order, complex(c)) for p, order, c in local]
+    terms = [PFTerm(p.location, p.multiplicity - l, complex(cl))
+             for p, c in local for l, cl in enumerate(c)]
     terms = [t for t in terms if t.coefficient != 0]
     terms.sort(key=lambda t: (t.pole.real, t.pole.imag, t.order))
     return PartialFractions(tuple(terms), quot)
 
 
-def _reconstruction_error(rem_c, ps, terms) -> float:
-    # rem(s) must equal sum over poles of (local series) * (den / local factor)
+def _backward_error(rem_c, terms) -> float:
+    """How far the local terms (pole, c) miss rem, the numerator over
+    prod (s - p)^m: with rest the product of the other factors of a term,
+    max_k |sum c*rest - rem|_k / (sum |c|*|rest| + |rem|)_k, the
+    componentwise backward error (Oettli and Prager, Numer. Math. 6, 1964),
+    |rest| being built from the moduli of the poles, so the bound follows
+    the scale of every coefficient."""
     import numpy as np
 
-    deg = sum(p.multiplicity for p in ps)
-    acc = np.zeros(max(deg, 1), dtype=complex)
-    for pole, order, coeff in terms:
-        rest = np.array([1.0 + 0j])
-        for q in ps:
-            power = q.multiplicity - (order if q.location == pole.location
-                                      else 0)
-            lin = np.array([-q.location, 1.0 + 0j])
-            for _ in range(power):
-                rest = np.convolve(rest, lin)
-        acc[:len(rest)] += complex(coeff) * rest
-    ref = np.zeros(max(deg, 1), dtype=complex)
+    deg = sum(p.multiplicity for p, _ in terms)
+    acc = np.zeros(deg, dtype=complex)
+    scale = np.zeros(deg)
+    rests = _products_of_others([_linear_power(-p.location, p.multiplicity)
+                                 for p, _ in terms])
+    sizes = _products_of_others([_linear_power(abs(p.location), p.multiplicity)
+                                 for p, _ in terms])
+    for (pole, c), rest, size in zip(terms, rests, sizes):
+        for cl in c:             # orders m, m - 1, ...: rest gains s - pole
+            cl = complex(cl)
+            acc[:len(rest)] += cl * rest
+            scale[:len(size)] += abs(cl) * size
+            rest = np.convolve(rest, [-pole.location, 1.0])
+            size = np.convolve(size, [abs(pole.location), 1.0])
+    ref = np.zeros(deg, dtype=complex)
     ref[:len(rem_c)] = rem_c
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    return float(np.max(np.abs(acc - ref))) / scale
+    miss, scale = np.abs(acc - ref), scale + np.abs(ref)
+    # a miss where the scale is 0 counts as infinite
+    out = np.where(miss > 0, np.inf, 0.0)
+    return float(np.max(np.divide(miss, scale, out=out, where=scale > 0)))
+
+
+def _linear_power(a, m: int) -> list:
+    """The coefficients of (s + a)^m, constant first."""
+    return [math.comb(m, k) * a ** (m - k) for k in range(m + 1)]
+
+
+def _products_of_others(fs: list) -> list:
+    """For each coefficient array fs[i], the product of all the others:
+    running products from the left and from the right, 3n convolutions."""
+    import numpy as np
+
+    left = [np.ones(1)]
+    for f in fs[:-1]:
+        left.append(np.convolve(left[-1], f))
+    out, right = [], np.ones(1)
+    for f, before in zip(reversed(fs), reversed(left)):
+        out.append(np.convolve(before, right))
+        right = np.convolve(right, f)
+    return out[::-1]

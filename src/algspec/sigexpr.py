@@ -622,25 +622,38 @@ def _cexp(z: complex) -> complex:
     return cmath.exp(z)
 
 
+def _finite(value: complex, t: float) -> complex:
+    """value, the value of a signal at the finite time t; one that is not
+    finite has overflowed the float range and raises OverflowError."""
+    if not cmath.isfinite(value):
+        raise OverflowError(f"the value at t = {t} exceeds the float range")
+    return value
+
+
 def evaluate(e: SignalExpr, t: float) -> complex:
     """Pointwise value at time t; sinc takes its limit value at t = 0.  A
-    time that is not finite is refused, and an angle that overflows raises
-    OverflowError."""
+    time that is not finite is refused, and an angle or a value that
+    overflows raises OverflowError."""
     if not math.isfinite(t):
         raise EvaluationError(f"time must be finite, got {t}")
+    return _finite(_evaluate(e, t), t)
+
+
+def _evaluate(e: SignalExpr, t: float) -> complex:
+    """`evaluate` at a finite t, its value not yet checked."""
     if isinstance(e, Const):
         return complex(e.value)
     if isinstance(e, TimeVar):
         return complex(t)
     if isinstance(e, Add):
-        return sum(evaluate(term, t) for term in e.terms)
+        return sum(_evaluate(term, t) for term in e.terms)
     if isinstance(e, Mul):
         acc = 1 + 0j
         for f in e.factors:
-            acc *= evaluate(f, t)
+            acc *= _evaluate(f, t)
         return acc
     if isinstance(e, Pow):
-        return evaluate(e.base, t) ** e.k
+        return _evaluate(e.base, t) ** e.k
     if isinstance(e, Exp):
         return _cexp(complex(e.rate) * t)
     if isinstance(e, Sin):

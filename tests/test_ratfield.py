@@ -1,5 +1,6 @@
 """Exact arithmetic in C(s), root finding, poles, and pole-based spectra."""
 
+import cmath
 import math
 import random
 import sys
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algspec.opcalc import to_exppoly
+import algspec.ratfield as ratfield
+from algspec.opcalc import from_signal, to_exppoly, to_rational
+from algspec.sigexpr import parse
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
                               RootFindingError, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
@@ -742,7 +745,7 @@ _gauss = st.builds(lambda a, b, c, d: Qi(Fraction(a, b), Fraction(c, d)),
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_gauss, st.integers(1, 3)), min_size=1, max_size=4,
+@given(st.lists(st.tuples(_gauss, st.integers(1, 4)), min_size=1, max_size=4,
                 unique_by=lambda qm: qm[0]),
        st.sampled_from([None, (2, 0, 1), (-2, 0, 0, 1)]))
 def test_roots_in_qi_come_back_exact(roots, cofactor):
@@ -772,6 +775,104 @@ def test_a_root_rounding_to_its_neighbour_does_not_take_its_value():
     found = poly_roots(CPoly([0, 1, -4, 1]))
     assert [q.exact for q in found] == [Qi(0), None, None]
     assert found[1].location == pytest.approx(2 - math.sqrt(3), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_gauss, min_size=1, max_size=7), _gauss,
+       st.integers(1, 9))
+def test_taylor_shift_gives_the_derivatives_over_factorials(coeffs, q, count):
+    p = CPoly(coeffs)
+    want, d, fact = [], p, 1
+    for k in range(count):
+        want.append(d.at(q) / fact if d else Qi(0))
+        d, fact = d.deriv(), fact * (k + 1)
+    assert ratfield._taylor_shift(p, q, count) == want
+
+
+def test_roots_a_trillionth_apart_stay_two_exact_roots():
+    # the float roots of (s - 1/3)(s - 1/3 - 10^-12) blur into one; 1/3 is
+    # certified with multiplicity 1, and the cofactor holds the other
+    s = CPoly([0, 1])
+    a, b = Qi(Fraction(1, 3)), Qi(Fraction(1, 3) + Fraction(1, 10 ** 12))
+    pair = (s - CPoly([a])) * (s - CPoly([b]))
+    for p in (pair, pair * (s + CPoly.ONE)):
+        found = [(q.exact, q.multiplicity) for q in poly_roots(p)]
+        assert (a, 1) in found and (b, 1) in found
+        assert all(q is not None for q, _ in found)
+    x = from_signal(parse(f"exp(1/3*t) + exp({b.re}*t) + exp(-t)"))
+    assert to_exppoly(to_rational(x)) == x
+
+
+def test_a_clustered_quartic_keeps_its_roots_exact():
+    # (s^2 + 1)(s^2 + w^2) with w = 1 + 10^-6: four roots in two tight pairs
+    s, w = CPoly([0, 1]), Fraction(1) + Fraction(1, 10 ** 6)
+    found = poly_roots((s * s + CPoly.ONE) * (s * s + CPoly([w * w])))
+    assert sorted((q.exact for q in found), key=lambda q: q.order_key) == [
+        Qi(0, -w), Qi(0, -1), Qi(0, 1), Qi(0, w)]
+
+
+def test_an_image_split_over_qi_makes_no_aberth_call(monkeypatch):
+    calls = []
+    aberth = ratfield._aberth
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return aberth(*args, **kwargs)
+
+    monkeypatch.setattr(ratfield, "_aberth", counted)
+    x = from_signal(parse("(t+1)^2*sin(3/8*t)*exp(-1/8*t) + t*exp(-5/8*t)"
+                          " + cos(7/4*t) + (2*t - 1)*exp(1/7*t)"))
+    r = to_rational(x)
+    assert r.den.degree == 12
+    assert to_exppoly(r) == x
+    assert all(p.exact is not None for p in poles(r))
+    assert calls == []
+    # s^3 - 2 has no root in Q(i), so its cofactor does call it
+    poles(RatFunc(CPoly.ONE, CPoly([-2, 0, 0, 1]) * CPoly([1, 1])))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("den", [
+    CPoly([Fraction(-2, 10 ** 20), 0, 1]),
+    CPoly([Fraction(-1, 10 ** 30), 0, 0, 1])] + [
+    CPoly([-2 * Fraction(10) ** (3 * k), 0, 0, 1]) for k in range(-12, 13)])
+def test_partial_fractions_at_float_poles_of_any_scale(den):
+    # 1/(s^2 - 2*10^-20), 1/(s^3 - 10^-30) and 1/(s^3 - 2*lambda^3) for
+    # lambda = 10^-12 ... 10^12: the certificate is relative to the scale
+    r = RatFunc(CPoly.ONE, den)
+    pf = partial_fractions(r)
+    assert len(pf.terms) == den.degree
+    assert all(t.order == 1 for t in pf.terms)
+    scale = max(abs(t.pole) for t in pf.terms)
+    for z in (scale * (2 + 1j), scale * (-1.5 + 0.5j)):
+        want = 1 / den(z)
+        got = sum(t.coefficient / (z - t.pole) for t in pf.terms)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    to_exppoly(r)
+
+
+def test_float_poles_far_from_their_roots_are_refused():
+    # the roots of (s - 1000)^3 - 10^-21 lie 1e-7 from 1000, and the root
+    # finder meets its backward error about 1e-2 away from them; the terms
+    # read at those floats still pass the componentwise backward error, so
+    # each float pole's forward error must hold them
+    s = CPoly([0, 1])
+    r = RatFunc(CPoly.ONE, (s - CPoly([1000])) ** 3
+                - CPoly([Fraction(1, 10 ** 21)]))
+    roots = [1000 + 1e-7 * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+    for decompose, rates in (
+            (partial_fractions, lambda out: [t.pole for t in out.terms]),
+            (to_exppoly, lambda out: [complex(q) for q, _ in out.terms])):
+        try:
+            out = decompose(r)
+        except RootFindingError:
+            continue
+        for z in rates(out):
+            assert min(abs(z - w) for w in roots) <= 1e-12 * abs(z)
+    # a double float pole of the right accuracy passes
+    cube = CPoly([-2, 0, 0, 1])
+    pf = partial_fractions(RatFunc(CPoly.ONE, cube * cube))
+    assert sorted(t.order for t in pf.terms) == [1, 1, 1, 2, 2, 2]
 
 
 def test_a_float_root_near_an_axis_is_snapped_only_where_reported():

@@ -19,8 +19,8 @@ from .sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, EvaluationError,
                       Exp, ExpressionError, Mul, ParameterError, Pow,
                       RaisedCos, SignalClass, SignalExpr, SignalSyntaxError,
                       Sin, Sinc, TFrac, TimeVar, canonical, classify,
-                      diff_time, evaluate, make_add, make_div, make_exp,
-                      make_mul, make_pow, parse, pretty_print, split_scale)
+                      evaluate, make_add, make_div, make_exp, make_mul,
+                      make_pow, parse, pretty_print, split_scale)
 from .opcalc import (ExpPoly, dirac_image, from_signal, mult_by_minus_t,
                      taylor_truncate, to_exppoly, to_rational)
 from .weylode import (OdeSystem, SingularPoint, WeylOp, apply,
@@ -45,8 +45,8 @@ __all__ = [
     "Add", "Chirp", "Const", "Cos", "Delay", "Dirac", "EvaluationError",
     "Exp", "ExpressionError", "Mul", "ParameterError", "Pow", "RaisedCos",
     "SignalClass", "SignalExpr", "SignalSyntaxError", "Sin", "Sinc", "TFrac",
-    "TimeVar", "canonical", "classify", "diff_time", "evaluate", "make_add",
-    "make_div", "make_exp", "make_mul", "make_pow", "parse", "pretty_print",
+    "TimeVar", "canonical", "classify", "evaluate", "make_add", "make_div",
+    "make_exp", "make_mul", "make_pow", "parse", "pretty_print",
     "split_scale",
     # opcalc
     "ExpPoly", "dirac_image", "from_signal", "mult_by_minus_t",

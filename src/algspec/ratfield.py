@@ -895,15 +895,8 @@ class RatFunc:
     def __pow__(self, k: int):
         if k < 0:
             return RatFunc(CPoly.ONE) / (self ** (-k))
-        out = RatFunc(CPoly.ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        # powers of coprime num and monic den stay coprime and monic
+        return RatFunc._from_reduced(self.num ** k, self.den ** k)
 
     def deriv(self) -> "RatFunc":
         """Algebraic derivative d/ds, reduced with one gcd.

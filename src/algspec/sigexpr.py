@@ -1,5 +1,5 @@
-"""Signal expression language: parser, canonical AST, symbolic time derivative
-and truncated Taylor series.
+"""Signal expression language: parser, canonical AST, and truncated Taylor
+series, which give pointwise values and time derivatives.
 
 Signals live on t >= 0 and are written in a small grammar:
 
@@ -15,8 +15,7 @@ exact (no float rounding at parse time).  sin/cos accept a single argument
 that is constant or linear in t, or an explicit (omega, phase) pair; exp
 takes a constant rate times t, written exp(a*t).  Division is restricted to
 divisors that are rational in t; a quotient of two constants is a constant,
-and any other quotient folds into a dedicated rational-in-t node so that
-differentiating sinc-like signals stays closed.
+and any other quotient folds into a dedicated rational-in-t node.
 
 Parsing produces a canonical tree: sums and products are flattened, scalar
 factors are folded and kept leftmost, terms are sorted by a structural key,
@@ -40,8 +39,8 @@ __all__ = [
     "Cos", "Sinc", "RaisedCos", "Dirac", "Delay", "Chirp", "TFrac",
     "SignalClass", "ExpressionError", "SignalSyntaxError", "ParameterError",
     "EvaluationError", "parse", "pretty_print", "canonical", "classify",
-    "diff_time", "evaluate", "make_add", "make_mul", "make_pow", "make_div",
-    "make_exp", "as_ratfunc_in_t", "split_scale",
+    "evaluate", "make_add", "make_mul", "make_pow", "make_div", "make_exp",
+    "as_ratfunc_in_t", "split_scale",
 ]
 
 
@@ -550,61 +549,7 @@ def split_scale(e: SignalExpr) -> tuple[Qi, SignalExpr]:
 
 
 # ---------------------------------------------------------------------------
-# Differentiation and evaluation
-
-
-def diff_time(e: SignalExpr) -> SignalExpr:
-    """Exact symbolic d/dt; rejects atoms with no pointwise derivative."""
-    if isinstance(e, Const):
-        return Const(Qi(0))
-    if isinstance(e, TimeVar):
-        return Const(Qi(1))
-    if isinstance(e, Add):
-        return make_add([diff_time(t) for t in e.terms])
-    if isinstance(e, Mul):
-        parts = []
-        for j, f in enumerate(e.factors):
-            df = diff_time(f)
-            parts.append(make_mul(list(e.factors[:j]) + [df]
-                                  + list(e.factors[j + 1:])))
-        return make_add(parts)
-    if isinstance(e, Pow):
-        return make_mul([Const(Qi(e.k)), make_pow(e.base, e.k - 1),
-                         diff_time(e.base)])
-    if isinstance(e, Exp):
-        return make_mul([Const(e.rate), e])
-    if isinstance(e, Sin):
-        return make_mul([Const(Qi(e.omega)), Cos(e.omega, e.phase)])
-    if isinstance(e, Cos):
-        return make_mul([Const(Qi(-e.omega)), Sin(e.omega, e.phase)])
-    if isinstance(e, Sinc):
-        # d/dt sin(wt)/t = w*cos(wt)/t - sin(wt)/t^2
-        inv_t = RatFunc(CPoly.ONE, _T_POLY)
-        inv_t2 = RatFunc(CPoly.ONE, _T_POLY * _T_POLY)
-        return make_add([
-            make_mul([Const(Qi(e.omega)), TFrac(inv_t), Cos(e.omega)]),
-            make_mul([Const(Qi(-1)), TFrac(inv_t2), Sin(e.omega)]),
-        ])
-    if isinstance(e, RaisedCos):
-        # d/dt cos(wt)/(t^2+1) = -w*sin(wt)/(t^2+1) - 2t*cos(wt)/(t^2+1)^2
-        den = CPoly([1, 0, 1])
-        return make_add([
-            make_mul([Const(Qi(-e.omega)),
-                      TFrac(RatFunc(CPoly.ONE, den)), Sin(e.omega)]),
-            make_mul([Const(Qi(-1)),
-                      TFrac(RatFunc(CPoly([0, 2]), den * den)), Cos(e.omega)]),
-        ])
-    if isinstance(e, Chirp):
-        # x' = i*(2at + b) * x
-        lin = _tfrac(RatFunc(CPoly([Qi(0, e.b), Qi(0, 2 * e.a)])))
-        return make_mul([lin, e])
-    if isinstance(e, TFrac):
-        return _tfrac(e.rat.deriv())
-    if isinstance(e, Dirac):
-        raise ExpressionError("dirac impulse is not differentiable")
-    if isinstance(e, Delay):
-        raise ExpressionError("delay atom is not differentiable")
-    raise TypeError(f"not a signal expression: {e!r}")
+# Float overflow
 
 
 def _angle(theta: float) -> float:
@@ -630,61 +575,6 @@ def _finite(value: complex, t: float) -> complex:
     return value
 
 
-def evaluate(e: SignalExpr, t: float) -> complex:
-    """Pointwise value at time t; sinc takes its limit value at t = 0.  A
-    time that is not finite is refused, and an angle or a value that
-    overflows raises OverflowError."""
-    if not math.isfinite(t):
-        raise EvaluationError(f"time must be finite, got {t}")
-    return _finite(_evaluate(e, t), t)
-
-
-def _evaluate(e: SignalExpr, t: float) -> complex:
-    """`evaluate` at a finite t, its value not yet checked."""
-    if isinstance(e, Const):
-        return complex(e.value)
-    if isinstance(e, TimeVar):
-        return complex(t)
-    if isinstance(e, Add):
-        return sum(_evaluate(term, t) for term in e.terms)
-    if isinstance(e, Mul):
-        acc = 1 + 0j
-        for f in e.factors:
-            acc *= _evaluate(f, t)
-        return acc
-    if isinstance(e, Pow):
-        return _evaluate(e.base, t) ** e.k
-    if isinstance(e, Exp):
-        return _cexp(complex(e.rate) * t)
-    if isinstance(e, Sin):
-        return complex(math.sin(_angle(float(e.omega) * t + float(e.phase))))
-    if isinstance(e, Cos):
-        return complex(math.cos(_angle(float(e.omega) * t + float(e.phase))))
-    if isinstance(e, Sinc):
-        w = float(e.omega)
-        if t == 0:
-            return complex(w)
-        return complex(math.sin(_angle(w * t)) / t)
-    if isinstance(e, RaisedCos):
-        return complex(math.cos(_angle(float(e.omega) * t)) / (t * t + 1.0))
-    if isinstance(e, Chirp):
-        a, b, c = float(e.a), float(e.b), float(e.c)
-        return cmath.exp(1j * _angle(a * t * t + b * t + c))
-    if isinstance(e, TFrac):
-        # a finite t is a pole when the exact denominator vanishes there:
-        # at a root such as t = 1/2 of t^2 - 5/6*t + 1/6 its float value
-        # rounds to a tiny nonzero number
-        den = e.rat.den(complex(t))
-        if den == 0 or not e.rat.den.at(Qi.coerce(Fraction(t))):
-            raise EvaluationError(f"rational factor has a pole at t = {t}")
-        return e.rat.num(complex(t)) / den
-    if isinstance(e, Dirac):
-        raise EvaluationError("dirac impulse has no pointwise value")
-    if isinstance(e, Delay):
-        raise EvaluationError("standalone delay atom has no pointwise value")
-    raise TypeError(f"not a signal expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Truncated Taylor series (jets)
 #
@@ -699,9 +589,10 @@ def _evaluate(e: SignalExpr, t: float) -> complex:
 _CANCEL_BUDGET = 64
 
 
-def _leaves(e: SignalExpr) -> list:
-    """The nodes of e under its sums, products and powers, in tree order;
-    refuses the atoms with no derivative."""
+def _leaves(e: SignalExpr, order: int) -> list:
+    """The nodes of e under its sums, products and powers, in tree order.
+    A dirac or delay atom is refused: it has no value, asked for at order
+    0, and no derivative, asked for above it."""
     out = []
     stack = [e]
     while stack:
@@ -714,9 +605,14 @@ def _leaves(e: SignalExpr) -> list:
         elif tx is Pow:
             stack.append(x.base)
         elif tx is Dirac:
-            raise ExpressionError("dirac impulse is not differentiable")
+            if order:
+                raise ExpressionError("dirac impulse is not differentiable")
+            raise EvaluationError("dirac impulse has no pointwise value")
         elif tx is Delay:
-            raise ExpressionError("delay atom is not differentiable")
+            if order:
+                raise ExpressionError("delay atom is not differentiable")
+            raise EvaluationError(
+                "standalone delay atom has no pointwise value")
         else:
             out.append(x)
     return out
@@ -919,11 +815,11 @@ def _jet(e: SignalExpr, t0, order: int) -> list:
     factor with a pole at t0 is refused with float coefficients; with exact
     ones the pole must cancel in the exact coefficients, within
     `_CANCEL_BUDGET` extra terms, or it is refused as well.  Dirac and delay
-    atoms are refused, and so is a time that is not finite.
+    atoms are refused (`_leaves`), and so is a time that is not finite.
     """
     if not math.isfinite(t0):
         raise EvaluationError(f"time must be finite, got {t0}")
-    leaves = _leaves(e)
+    leaves = _leaves(e, order)
     exact = t0 == 0 and all(map(_exact_at_zero, leaves))
     pole = f"rational factor has a pole at t = {t0}"
     n = order + 1
@@ -940,6 +836,16 @@ def _jet(e: SignalExpr, t0, order: int) -> list:
             raise EvaluationError(pole)
     zero = _QI_ZERO if exact else 0j
     return ([zero] * min(v, order + 1) + c)[:order + 1]
+
+
+def evaluate(e: SignalExpr, t: float) -> complex:
+    """Pointwise value at time t, the constant term of the series of e at
+    t (`_jet`).  At t = 0 a pole that the other factors cancel leaves its
+    limit value, as in sinc or sin(t)/t.  A time that is not finite, a
+    dirac or delay atom and a pole that does not cancel raise
+    EvaluationError; an angle or a value that overflows raises
+    OverflowError."""
+    return complex(_jet(e, t, 0)[0])
 
 
 # ---------------------------------------------------------------------------

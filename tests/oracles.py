@@ -1,21 +1,23 @@
 """Plain reference implementations of the parser, of the expansion to
-exponential-polynomial terms, of the polynomial lcm and of the derivatives
-behind Phi and the Taylor truncation, kept as test oracles, and the random
-grammar texts the parser is compared on.
+exponential-polynomial terms, of the polynomial lcm, of pointwise values
+and of the derivatives behind Phi and the Taylor truncation, kept as test
+oracles, and the random grammar texts the parser is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
 with canonical constructors that sort by a structural key walked afresh on
 each call.  `terms_of` expands with isinstance dispatch and builds every
-polynomial through the `CPoly` constructor.  `phi_symbolic` and
-`taylor_truncate` differentiate the expression tree symbolically
-(`diff_time`) and evaluate the derivatives, where the library reads them
-off one truncated Taylor series.  Neither shortcut of the library is used,
-so agreement checks them.
+polynomial through the `CPoly` constructor.  `evaluate` walks the
+expression tree in floats, `diff_time` differentiates it symbolically, and
+`phi_symbolic` and `taylor_truncate` evaluate those derivatives, where the
+library reads values and derivatives off one truncated Taylor series
+(`sigexpr._jet`).  Neither shortcut of the library is used, so agreement
+checks them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 import sys
@@ -28,11 +30,11 @@ from algspec.instfreq import _real_part
 from algspec.opcalc import ExpPoly
 from algspec.ratfield import CPoly, Qi, RatFunc, poly_gcd
 from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
-                             ParameterError, Pow, RaisedCos, SignalExpr,
-                             SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
-                             ExpressionError, _build_call, _rat_key, _tfrac,
-                             as_ratfunc_in_t, diff_time, evaluate, make_add,
-                             make_mul, make_pow)
+                             EvaluationError, ParameterError, Pow, RaisedCos,
+                             SignalExpr, SignalSyntaxError, Sin, Sinc, TFrac,
+                             TimeVar, ExpressionError, _T_POLY, _angle,
+                             _build_call, _cexp, _finite, _rat_key, _tfrac,
+                             as_ratfunc_in_t, make_add, make_mul, make_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,118 @@ def poly_lcm(polys) -> CPoly:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives by symbolic differentiation
+# Values by a tree walk, derivatives by symbolic differentiation
+
+
+def diff_time(e: SignalExpr) -> SignalExpr:
+    """Exact symbolic d/dt; rejects atoms with no pointwise derivative."""
+    if isinstance(e, Const):
+        return Const(Qi(0))
+    if isinstance(e, TimeVar):
+        return Const(Qi(1))
+    if isinstance(e, Add):
+        return make_add([diff_time(t) for t in e.terms])
+    if isinstance(e, Mul):
+        parts = []
+        for j, f in enumerate(e.factors):
+            df = diff_time(f)
+            parts.append(make_mul(list(e.factors[:j]) + [df]
+                                  + list(e.factors[j + 1:])))
+        return make_add(parts)
+    if isinstance(e, Pow):
+        return make_mul([Const(Qi(e.k)), make_pow(e.base, e.k - 1),
+                         diff_time(e.base)])
+    if isinstance(e, Exp):
+        return make_mul([Const(e.rate), e])
+    if isinstance(e, Sin):
+        return make_mul([Const(Qi(e.omega)), Cos(e.omega, e.phase)])
+    if isinstance(e, Cos):
+        return make_mul([Const(Qi(-e.omega)), Sin(e.omega, e.phase)])
+    if isinstance(e, Sinc):
+        # d/dt sin(wt)/t = w*cos(wt)/t - sin(wt)/t^2
+        inv_t = RatFunc(CPoly.ONE, _T_POLY)
+        inv_t2 = RatFunc(CPoly.ONE, _T_POLY * _T_POLY)
+        return make_add([
+            make_mul([Const(Qi(e.omega)), TFrac(inv_t), Cos(e.omega)]),
+            make_mul([Const(Qi(-1)), TFrac(inv_t2), Sin(e.omega)]),
+        ])
+    if isinstance(e, RaisedCos):
+        # d/dt cos(wt)/(t^2+1) = -w*sin(wt)/(t^2+1) - 2t*cos(wt)/(t^2+1)^2
+        den = CPoly([1, 0, 1])
+        return make_add([
+            make_mul([Const(Qi(-e.omega)),
+                      TFrac(RatFunc(CPoly.ONE, den)), Sin(e.omega)]),
+            make_mul([Const(Qi(-1)),
+                      TFrac(RatFunc(CPoly([0, 2]), den * den)), Cos(e.omega)]),
+        ])
+    if isinstance(e, Chirp):
+        # x' = i*(2at + b) * x
+        lin = _tfrac(RatFunc(CPoly([Qi(0, e.b), Qi(0, 2 * e.a)])))
+        return make_mul([lin, e])
+    if isinstance(e, TFrac):
+        return _tfrac(e.rat.deriv())
+    if isinstance(e, Dirac):
+        raise ExpressionError("dirac impulse is not differentiable")
+    if isinstance(e, Delay):
+        raise ExpressionError("delay atom is not differentiable")
+    raise TypeError(f"not a signal expression: {e!r}")
+
+
+def evaluate(e: SignalExpr, t: float) -> complex:
+    """Pointwise value at time t; sinc takes its limit value at t = 0.  A
+    time that is not finite is refused, and an angle or a value that
+    overflows raises OverflowError."""
+    if not math.isfinite(t):
+        raise EvaluationError(f"time must be finite, got {t}")
+    return _finite(_evaluate(e, t), t)
+
+
+def _evaluate(e: SignalExpr, t: float) -> complex:
+    """`evaluate` at a finite t, its value not yet checked."""
+    if isinstance(e, Const):
+        return complex(e.value)
+    if isinstance(e, TimeVar):
+        return complex(t)
+    if isinstance(e, Add):
+        return sum(_evaluate(term, t) for term in e.terms)
+    if isinstance(e, Mul):
+        acc = 1 + 0j
+        for f in e.factors:
+            acc *= _evaluate(f, t)
+        return acc
+    if isinstance(e, Pow):
+        return _evaluate(e.base, t) ** e.k
+    if isinstance(e, Exp):
+        return _cexp(complex(e.rate) * t)
+    if isinstance(e, Sin):
+        return complex(math.sin(_angle(float(e.omega) * t + float(e.phase))))
+    if isinstance(e, Cos):
+        return complex(math.cos(_angle(float(e.omega) * t + float(e.phase))))
+    if isinstance(e, Sinc):
+        w = float(e.omega)
+        if t == 0:
+            return complex(w)
+        return complex(math.sin(_angle(w * t)) / t)
+    if isinstance(e, RaisedCos):
+        return complex(math.cos(_angle(float(e.omega) * t)) / (t * t + 1.0))
+    if isinstance(e, Chirp):
+        a, b, c = float(e.a), float(e.b), float(e.c)
+        return cmath.exp(1j * _angle(a * t * t + b * t + c))
+    if isinstance(e, TFrac):
+        # a finite t is a pole when the exact denominator vanishes there:
+        # at a root such as t = 1/2 of t^2 - 5/6*t + 1/6 its float value
+        # rounds to a tiny nonzero number
+        den = e.rat.den(complex(t))
+        if den == 0 or not e.rat.den.at(Qi.coerce(Fraction(t))):
+            raise EvaluationError(f"rational factor has a pole at t = {t}")
+        return e.rat.num(complex(t)) / den
+    if isinstance(e, Dirac):
+        raise EvaluationError("dirac impulse has no pointwise value")
+    if isinstance(e, Delay):
+        raise EvaluationError("standalone delay atom has no pointwise value")
+    raise TypeError(f"not a signal expression: {e!r}")
+
+
 
 
 def _sinc_jets(e: SignalExpr) -> SignalExpr:

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algspec import cli, fouriercontrast, instfreq, ratfield
+import algspec
+from algspec import (cli, fouriercontrast, instfreq, opcalc, pipeline,
+                     ratfield, selftest, sigexpr, weylode)
 from algspec.cli import CliConfig, main, run
 from algspec.instfreq import (PhiTrace, SampledSignal, phi_fitted,
                               phi_symbolic)
@@ -435,9 +437,12 @@ def test_the_exact_commands_start_without_dataclasses_or_inspect():
         "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[]"]
 
 
-@pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield])
+@pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield,
+                                    opcalc, pipeline, selftest, sigexpr,
+                                    weylode, algspec])
 def test_annotations_resolve_in_the_modules_that_load_numpy_late(module):
-    # an annotation naming np would raise NameError here
+    # an annotation naming np would raise NameError here, and a name left
+    # in __all__ after its definition went would raise AttributeError
     for name in module.__all__:
         obj = getattr(module, name)
         funcs = [obj] if inspect.isfunction(obj) else []

@@ -16,7 +16,8 @@ import oracles
 from algspec.instfreq import (PhiTrace, SampledSignal, _phi_fitted_per_window,
                               phi_fitted, phi_symbolic, phi_vs_ville_note)
 from algspec.sigexpr import (EvaluationError, ExpressionError, ParameterError,
-                             diff_time, evaluate, parse)
+                             parse)
+from oracles import diff_time, evaluate
 
 
 def _tone_samples(rate_hz: float, t_end: float):

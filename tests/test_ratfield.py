@@ -473,6 +473,7 @@ def test_conv_is_the_naive_double_sum(a, b):
     ([Qi(-1), Qi(0), Qi(1)], [Qi(Fraction(2, 7)), Qi(1)]),
     ([Qi(Fraction(5, 2))], [Qi(0, -1), Qi(Fraction(3, 8), 1)]),
     ([Qi(0), Qi(1)], [Qi(1)]),
+    ([Qi(1), Qi(0), Qi(1)], [Qi(1), Qi(2)]),
 ])
 def test_powers_equal_repeated_products(p, r):
     # binary powering squares only while bits remain

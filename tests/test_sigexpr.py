@@ -1,5 +1,5 @@
-"""Expression grammar, canonical AST, classification, differentiation, and
-evaluation."""
+"""Expression grammar, canonical AST, classification, evaluation, and the
+symbolic differentiation oracle."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
@@ -17,8 +17,7 @@ from algspec.sigexpr import (_key, _linear_coeffs, Add, Chirp, Const, Cos, Delay
                              ParameterError, Pow, RaisedCos, SignalClass,
                              SignalSyntaxError, Sin, Sinc, TFrac, TimeVar,
                              _jet, as_ratfunc_in_t, canonical, classify,
-                             diff_time, evaluate,
-                             make_add, make_div, make_exp, make_mul,
+                             evaluate, make_add, make_div, make_exp, make_mul,
                              make_pow, parse, pretty_print, split_scale)
 
 
@@ -227,33 +226,34 @@ def test_split_scale():
     assert atom == Dirac()
 
 
-# --- differentiation -------------------------------------------------------------
+# --- the symbolic differentiation oracle ----------------------------------------
 
 
 def test_diff_time_tone():
-    assert diff_time(Sin(2, 0)) == make_mul([Const(2), Cos(2, 0)])
-    assert diff_time(Cos(2, 0)) == make_mul([Const(-2), Sin(2, 0)])
+    assert oracles.diff_time(Sin(2, 0)) == make_mul([Const(2), Cos(2, 0)])
+    assert oracles.diff_time(Cos(2, 0)) == make_mul([Const(-2), Sin(2, 0)])
 
 
 def test_diff_time_monomial():
-    assert diff_time(Pow(TimeVar(), 2)) == make_mul([Const(2), TimeVar()])
-    assert diff_time(TimeVar()) == Const(1)
-    assert diff_time(Const(7)) == Const(0)
+    want = make_mul([Const(2), TimeVar()])
+    assert oracles.diff_time(Pow(TimeVar(), 2)) == want
+    assert oracles.diff_time(TimeVar()) == Const(1)
+    assert oracles.diff_time(Const(7)) == Const(0)
 
 
 def test_diff_time_sinc_closed_form():
     # d/dt [sin(wt)/t] at t=1 is w*cos(w) - sin(w)
     for w in (2, 5):
-        got = evaluate(diff_time(Sinc(w)), 1.0)
+        got = oracles.evaluate(oracles.diff_time(Sinc(w)), 1.0)
         want = w * math.cos(w) - math.sin(w)
         assert abs(got - want) <= 1e-12
 
 
 def test_diff_time_rejects_nondifferentiable_atoms():
     with pytest.raises(ExpressionError):
-        diff_time(Dirac())
+        oracles.diff_time(Dirac())
     with pytest.raises(ExpressionError):
-        diff_time(Delay(1))
+        oracles.diff_time(Delay(1))
 
 
 def test_diff_time_matches_finite_differences():
@@ -266,11 +266,12 @@ def test_diff_time_matches_finite_differences():
     ]
     h = 1e-6
     for e in exprs:
-        d = diff_time(e)
+        d = oracles.diff_time(e)
         for _ in range(5):
             t = rng.uniform(0.1, 10.0)
-            got = evaluate(d, t)
-            fd = (evaluate(e, t + h) - evaluate(e, t - h)) / (2 * h)
+            got = oracles.evaluate(d, t)
+            fd = (oracles.evaluate(e, t + h)
+                  - oracles.evaluate(e, t - h)) / (2 * h)
             assert abs(got - fd) <= 1e-5 * (1 + abs(got)), (e, t)
 
 
@@ -284,15 +285,38 @@ def test_evaluate_examples():
 
 
 def test_evaluate_rejects_impulse_and_delay():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="^dirac impulse has no pointwise"):
         evaluate(Dirac(), 0.0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="^standalone delay atom has no"):
         evaluate(Delay(1), 0.0)
+    # a derivative of either is refused as the jets refuse it
+    for atom in (Dirac(), Delay(1)):
+        with pytest.raises(ExpressionError, match="not differentiable") as err:
+            _jet(atom, 0.0, 1)
+        assert type(err.value) is ExpressionError
 
 
 def test_evaluate_rejects_fraction_pole():
     with pytest.raises(EvaluationError):
         evaluate(parse("1/t"), 0.0)
+    # identically zero over t^100, beyond the terms spent on cancelling
+    with pytest.raises(EvaluationError, match="pole at t = 0.0"):
+        evaluate(parse("(sin(t)^2+cos(t)^2-1)/t^100"), 0.0)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("sin(t)/t", 1.0), ("(1-cos(t))/t^2", 0.5), ("(sinc(2)-2)/t^2", -4 / 3)])
+def test_evaluate_takes_the_limit_where_a_pole_cancels(text, want):
+    assert evaluate(parse(text), 0.0) == want
+
+
+def test_evaluate_overflows_only_where_the_value_does():
+    # the scale 3 is applied last, so 3*t does not overflow on its own
+    got = evaluate(parse("3*t*cos(3/10*t)"), 1e308)
+    assert got == 3 * (1e308 * math.cos(0.3 * 1e308))
+    assert abs(got - 8.6396e307) <= 1e-4 * 8.6396e307
+    with pytest.raises(OverflowError, match="float range"):
+        evaluate(parse("t^200*exp(3*t)"), 1e308)
 
 
 def test_evaluate_decides_a_fraction_pole_exactly():
@@ -326,6 +350,42 @@ def test_evaluate_chirp_is_unimodular():
     e = parse("chirp(1, 2, 3)")
     for t in (0.0, 0.5, 2.0):
         assert abs(abs(evaluate(e, t)) - 1) <= 1e-12
+
+
+def _value_or_class(fn, *args):
+    """The value, or the class of the failure."""
+    try:
+        return fn(*args)
+    except Exception as err:            # compared, not swallowed
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracles.well_formed_texts,
+       st.sampled_from([0.0, 0.5, 1.25, -0.75, 3.0, 1e308, 1e-300]))
+def test_evaluate_equals_the_tree_walk(text, t):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    got = _value_or_class(evaluate, e, t)
+    want = _value_or_class(oracles.evaluate, e, t)
+    jet = _value_or_class(_jet, e, t, 2)
+    if not isinstance(jet, type):
+        assert got == complex(jet[0]), text
+    if want is OverflowError:
+        # the walk multiplies left to right, and at 1e308 it can overflow
+        # before it meets the impulse or delay the series refuses first
+        if not isinstance(got, type):
+            return
+        if got is EvaluationError and ("dirac" in pretty_print(e)
+                                       or "delay" in pretty_print(e)):
+            return
+    if isinstance(want, type):
+        assert got is want, text
+    else:
+        assert isinstance(got, complex), text
+        assert abs(got - want) <= 1e-12 * abs(want), text
 
 
 # --- canonical form and round trip ----------------------------------------------

@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
-                       _lincomb, _local_terms, _root_points, _spectrum)
+                       _lincomb, _local_terms, _power, _root_points, _shift,
+                       _spectrum, _stretched, _taylor_shift)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
                       _is_exppoly, _jet)
@@ -155,14 +156,8 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
         k = e.k
         if type(e.base) is TimeVar:          # the monomial t^k
             return {_QI_ZERO: CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
-        acc, base = {_QI_ZERO: CPoly.ONE}, _terms_of(e.base)
-        while k:                             # binary powering
-            if k & 1:
-                acc = _convolve(acc, base)
-            k >>= 1
-            if k:
-                base = _convolve(base, base)
-        return acc
+        return _power(_terms_of(e.base), k, _convolve,
+                      {_QI_ZERO: CPoly.ONE})
     raise ExpressionError(
         "expression is not an exponential polynomial")
 
@@ -193,44 +188,25 @@ def _expand(e: SignalExpr) -> ExpPoly:
     return ExpPoly._from_terms(_terms_of(e))
 
 
-def _linear_power(c, m: int, L: int) -> tuple[list[int], list[int]]:
-    """(L*s + c)^m for a Gaussian integer c = (cr, ci), by the binomial
-    theorem: coefficient j is C(m, j) L^j c^(m-j)."""
-    cr, ci = c
-    pr, pi = [1], [0]            # c^0, ..., c^m
-    for _ in range(m):
-        pr.append(pr[-1] * cr - pi[-1] * ci)
-        pi.append(pr[-2] * ci + pi[-1] * cr)
-    re, im = [], []
-    b = 1                        # C(m, j) L^j
-    for j in range(m + 1):
-        re.append(b * pr[m - j])
-        im.append(b * pi[m - j])
-        b = b * (m - j) // (j + 1) * L
-    return re, im
-
-
 def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
-    """(l^m, Lambda) for l = L*s - L*rate and m = deg P + 1, where
-    Lambda = sum_k g_k l^(m-1-k) with g_k = C*p_k*k!*L^(k+1): the image of
-    C*P(t)*e^(rate*t) is Lambda/l^m."""
+    """(l^m, Lambda) for l = L*s + c, c = -L*rate, and m = deg P + 1, where
+    Lambda = G(l) for G(y) = sum_k g_k y^(m-1-k), g_k = C*p_k*k!*L^(k+1):
+    the image of C*P(t)*e^(rate*t) is Lambda/l^m.  Each of G(L*s + c) and
+    (y^m)(L*s + c) is one shift by c and one stretch by L."""
     f = L // rate._d
-    c = (-rate._a * f, -rate._b * f)
-    lin = ([c[0], L], [c[1], 0])
-    acc = None                   # Horner in l, from the first nonzero g_k
+    cr, ci = -rate._a * f, -rate._b * f
+    gr, gi = [], []              # g_k, from the first nonzero one
     g = C // poly._d * L         # C/d * k! * L^(k+1)
     for k, (pr, pi) in enumerate(zip(poly._re, poly._im)):
         if k:
             g *= k * L
-        if acc is None:
-            if not (pr or pi):
-                continue
-            acc = [0], [0]
-        else:
-            acc = _gconv(*acc, *lin)
-        acc[0][0] += pr * g
-        acc[1][0] += pi * g
-    return _linear_power(c, len(poly._re), L), acc
+        if gr or pr or pi:
+            gr.append(pr * g)
+            gi.append(pi * g)
+    m = len(poly._re)
+    y_m = [0] * m + [1], [0] * (m + 1)
+    return (_stretched(*_shift(*y_m, cr, ci, m + 1), L),
+            _stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L))
 
 
 def _gadd(a, b) -> tuple[list[int], list[int]]:
@@ -340,8 +316,6 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    base = CPoly([Qi.coerce(-Fraction(t0)), Qi(1)])   # (t - t0)
-    acc = CPoly.ZERO
-    for c in reversed(_jet(e, t0, order)):   # Horner's rule in (t - t0)
-        acc = acc * base + CPoly([Qi.coerce(c)])
-    return ExpPoly(((Qi(0), acc),))
+    jet = CPoly(_jet(e, t0, order))        # in h = t - t0
+    poly = CPoly(_taylor_shift(jet, Qi.coerce(-Fraction(t0)), order + 1))
+    return ExpPoly(((Qi(0), poly),))

@@ -311,7 +311,10 @@ class Qi:
     def __complex__(self):
         # integer true division rounds correctly, as float(Fraction) does
         d = self._d
-        return complex(self._a / d, self._b / d)
+        try:
+            return complex(self._a / d, self._b / d)
+        except OverflowError:
+            raise OverflowError("a value exceeds the float range") from None
 
     def __repr__(self):
         try:
@@ -405,18 +408,25 @@ def _gconv(ar, ai, br, bi) -> tuple[list[int], list[int]]:
             [m - x - y for m, x, y in zip(mid, ac, bd)])
 
 
-def _scaled(re, im, e: int):
-    """The coefficients of e^n F(y/e) for F = re + i*im of degree n:
-    coefficient j times e^(n-j)."""
+def _stretched(re, im, e: int):
+    """The coefficients of F(e*y) for F = re + i*im: coefficient j times
+    e^j."""
     if e == 1:
         return re, im
     re, im = list(re), list(im)
-    k = e
-    for j in range(len(re) - 2, -1, -1):
+    k = 1
+    for j in range(1, len(re)):
+        k *= e
         re[j] *= k
         im[j] *= k
-        k *= e
     return re, im
+
+
+def _scaled(re, im, e: int):
+    """The coefficients of e^n F(y/e) for F = re + i*im of degree n:
+    coefficient j times e^(n-j), the stretch of the reversed F, reversed."""
+    re, im = _stretched(re[::-1], im[::-1], e)
+    return re[::-1], im[::-1]
 
 
 def _synthetic_division(re, im, gr: int, gi: int):
@@ -430,6 +440,51 @@ def _synthetic_division(re, im, gr: int, gi: int):
         ar, ai = ar * gr - ai * gi + re[j], ar * gi + ai * gr + im[j]
         qr[j - 1], qi[j - 1] = ar, ai
     return qr, qi, ar * gr - ai * gi + re[0], ar * gi + ai * gr + im[0]
+
+
+def _shift(re, im, gr: int, gi: int, count: int):
+    """The first count coefficients of F(y + g), for F = re + i*im of
+    degree n and the Gaussian integer g = gr + i*gi: the k-th is
+    F^(k)(g)/k!, the remainder of the k-th repeated synthetic division by
+    y - g (von zur Gathen and Gerhard, ISSAC 1997), the n-th the leading
+    coefficient left after n divisions, and 0 beyond.  A shift by 0 is the
+    identity, with no division."""
+    n = len(re) - 1
+    if not (gr or gi):
+        pad = [0] * (count - n - 1)
+        return list(re[:count]) + pad, list(im[:count]) + pad
+    outr, outi = [0] * count, [0] * count
+    for k in range(min(count, n)):
+        re, im, outr[k], outi[k] = _synthetic_division(re, im, gr, gi)
+    if count > n >= 0:
+        outr[n], outi[n] = re[0], im[0]
+    return outr, outi
+
+
+def _series_quotient(num, den, n: int) -> list:
+    """The first n coefficients of the power series num/den, for den[0]
+    nonzero and num of at least n terms, `Qi` or complex:
+    q_k = (num_k - sum_(j >= 1) den_j q_(k-j)) / den_0."""
+    q = []
+    for k in range(n):
+        acc = num[k]
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc = acc - den[j] * q[k - j]
+        q.append(acc / den[0])
+    return q
+
+
+def _power(x, k: int, mul, one):
+    """x^k for k >= 0 under the product mul, by binary powering; one when
+    k is 0."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return one if out is None else out
 
 
 class CPoly:
@@ -569,15 +624,7 @@ class CPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = CPoly.ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _power(self, k, CPoly.__mul__, CPoly.ONE)
 
     def __divmod__(self, other: "CPoly"):
         """Fraction-free pseudo-division.
@@ -667,7 +714,11 @@ class CPoly:
 
     def to_complex(self) -> list[complex]:
         d = self._d
-        return [complex(r / d, i / d) for r, i in zip(self._re, self._im)]
+        try:
+            return [complex(r / d, i / d) for r, i in zip(self._re, self._im)]
+        except OverflowError:
+            raise OverflowError(
+                "a coefficient exceeds the float range") from None
 
     def format(self, var: str = "s") -> str:
         if self.is_zero:
@@ -1023,17 +1074,11 @@ def _taylor_shift(p: CPoly, q: Qi, count: int) -> list[Qi]:
 
     With F = d*p in Z[i][s] of degree n, the k-th remainder of repeated
     synthetic division of e^n F(y/e) by y - g is t_k = e^(n-k) F^(k)(q)/k!,
-    so the whole shift runs on Gaussian integers."""
-    re, im = _scaled(p._re, p._im, q._d)
-    gr, gi, n = q._a, q._b, p.degree
-    out = []
-    for k in range(count):
-        if k > n:
-            out.append(_QI_ZERO)
-            continue
-        re, im, tr, ti = _synthetic_division(re, im, gr, gi)
-        out.append(Qi._canon(tr, ti, p._d * q._d ** (n - k)))
-    return out
+    so the whole shift runs on Gaussian integers (`_shift`)."""
+    e, n = q._d, p.degree
+    re, im = _shift(*_scaled(p._re, p._im, e), q._a, q._b, count)
+    return [Qi._canon(re[k], im[k], p._d * e ** (n - k)) if k <= n
+            else _QI_ZERO for k in range(count)]
 
 
 def _deflate(p: CPoly, q: Qi) -> tuple[int, CPoly]:
@@ -1051,12 +1096,7 @@ def _deflate(p: CPoly, q: Qi) -> tuple[int, CPoly]:
         re, im, m = qr, qi, m + 1
     if not m:
         return 0, p
-    k = 1
-    for j in range(1, len(re)):
-        k *= e
-        re[j] *= k
-        im[j] *= k
-    return m, CPoly._canon(re, im, p._d * e ** (p.degree - m))
+    return m, CPoly._canon(*_stretched(re, im, e), p._d * e ** (p.degree - m))
 
 
 # Bound on the denominator of each part of a candidate root, tried when
@@ -1392,12 +1432,7 @@ def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[tuple]:
                 "degenerate local series at pole {0}".format(p.location))
         if p.exact is None:
             _hold_float_pole(p, t, ps)
-        c: list[Qi] = []
-        for l in range(m):
-            acc = a[l]
-            for j in range(1, l + 1):
-                acc = acc - b[j] * c[l - j]
-            c.append(acc / b[0])
+        c = _series_quotient(a, b, m)
         if p.exact is not None:
             series[p.exact] = c
         terms.append((p, c))

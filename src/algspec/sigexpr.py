@@ -32,7 +32,8 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .ratfield import CPoly, Qi, RatFunc, _FrozenValue, _int_text
+from .ratfield import (CPoly, Qi, RatFunc, _FrozenValue, _int_text, _power,
+                       _series_quotient)
 
 __all__ = [
     "SignalExpr", "Const", "TimeVar", "Add", "Mul", "Pow", "Exp", "Sin",
@@ -710,16 +711,8 @@ class _JetWalk:
             return v, [s * x for x in c]
         if tx is Pow:
             v, c = self.series(e.base)
-            k, out = e.k, None
-            while k:      # binary powering
-                if k & 1:
-                    out = c if out is None else _cauchy(out, c, len(c))
-                k >>= 1
-                if k:
-                    c = _cauchy(c, c, len(c))
-            if out is None:
-                return self.series(Const(_QI_ONE))
-            return v * e.k, out
+            return v * e.k, _power(c, e.k, lambda a, b: _cauchy(a, b, len(b)),
+                                   [self.one] + [self.zero] * (n - 1))
         if tx is Const:
             return 0, [self.conv(e.value)] + [self.zero] * (n - 1)
         if tx is TimeVar:
@@ -793,13 +786,7 @@ class _JetWalk:
                     f"rational factor has a pole at t = {self.t0}")
             vn = vd = 0
         num += [self.zero] * (self.n - len(num))
-        q = []
-        for k in range(self.n):
-            acc = num[k]
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc = acc - den[j] * q[k - j]
-            q.append(acc / den[0])
-        return vn - vd, q
+        return vn - vd, _series_quotient(num, den, self.n)
 
     def _product(self, a: list, r: RatFunc) -> tuple:
         v, b = self._rational(r)

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
-from algspec.opcalc import (ExpPoly, _convolve, _linear_power, _terms_of,
-                            dirac_image, from_signal, mult_by_minus_t,
+from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
+                            from_signal, mult_by_minus_t,
                             spectrum_of_exppoly, taylor_truncate, to_exppoly,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
-    alg_deriv, poles, spectrum_of_rational
+    _shift, _stretched, alg_deriv, poles, spectrum_of_rational
 from algspec.sigexpr import (EvaluationError, ExpressionError, Pow,
                              SignalClass, classify, evaluate, parse)
 
@@ -328,13 +328,16 @@ def test_large_images_equal_the_running_products(text):
 @pytest.mark.parametrize("rate", [
     Qi(0), Qi(-2), Qi(Fraction(3, 8)), Qi(0, 1), Qi(Fraction(-1, 3), 5)])
 def test_linear_power_equals_repeated_products(rate):
+    # (L*s + c)^m is y^m shifted by c, then stretched by L
     big = 24                        # L: a multiple of each denominator
     lin = CPoly([-rate * big, big])
-    c = (-rate._a * (big // rate._d), -rate._b * (big // rate._d))
+    cr, ci = -rate._a * (big // rate._d), -rate._b * (big // rate._d)
     want = CPoly.ONE
     for m in range(8):
         if m in (0, 1, 7):
-            assert CPoly._canon(*_linear_power(c, m, big), 1) == want
+            y_m = [0] * m + [1], [0] * (m + 1)
+            got = _stretched(*_shift(*y_m, cr, ci, m + 1), big)
+            assert CPoly._canon(*got, 1) == want
         want = want * lin
 
 

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import algspec.ratfield as ratfield
-from algspec.opcalc import from_signal, to_exppoly, to_rational
-from algspec.sigexpr import parse
+from algspec.opcalc import _convolve, from_signal, to_exppoly, to_rational
+from algspec.sigexpr import _cauchy, parse
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
                               RootFindingError, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
-                              _image_mod_p, alg_deriv, clean_frequencies, partial_fractions,
+                              _image_mod_p, _power, _series_quotient, _shift,
+                              _stretched, alg_deriv, clean_frequencies,
+                              partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
 
@@ -253,11 +255,21 @@ def test_qi_repr_keeps_the_digit_limit_apart():
 
 
 def test_qi_float_overflow_is_an_overflow_error():
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="exceeds the float range"):
         complex(Qi(10 ** 400))
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="exceeds the float range"):
         complex(Qi(0, Fraction(-(10 ** 400), 3)))
     assert complex(Qi(Fraction(1, 10 ** 400))) == 0j
+
+
+def test_a_polynomial_beyond_the_float_range_names_it():
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        CPoly([1, 10 ** 400]).to_complex()
+    # the exact-root pass refuses the float coefficients and the split
+    # goes on to the float roots, which cannot be had either
+    s4 = CPoly([0, 0, 0, 0, 1])
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        poles(RatFunc(CPoly.ONE, s4 - CPoly([10 ** 800])))
 
 
 @pytest.mark.parametrize("value", [
@@ -788,6 +800,60 @@ def test_taylor_shift_gives_the_derivatives_over_factorials(coeffs, q, count):
         want.append(d.at(q) / fact if d else Qi(0))
         d, fact = d.deriv(), fact * (k + 1)
     assert ratfield._taylor_shift(p, q, count) == want
+
+
+_small = st.integers(-9, 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_small, _small), min_size=1, max_size=7),
+       _small, _small, st.integers(1, 6))
+def test_shift_and_stretch_compose_with_a_linear_map(coeffs, cr, ci, big):
+    # F(L*s + c) by Horner's rule on CPoly products
+    re, im = [a for a, _ in coeffs], [b for _, b in coeffs]
+    lin = CPoly([Qi(cr, ci), big])
+    want = CPoly.ZERO
+    for a, b in reversed(coeffs):
+        want = want * lin + CPoly([Qi(a, b)])
+    got = _stretched(*_shift(re, im, cr, ci, len(re)), big)
+    assert CPoly._canon(*got, 1) == want
+    # coefficients beyond the degree are 0
+    assert _shift(re, im, cr, ci, len(re) + 2)[0][len(re):] == [0, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_gauss, min_size=1, max_size=6),
+       st.lists(_gauss, min_size=1, max_size=6).filter(lambda d: d[0]),
+       st.integers(1, 8))
+def test_series_quotient_times_the_divisor_gives_back_the_dividend(
+        num, den, n):
+    num = num + [Qi(0)] * (n - len(num))
+    q = _series_quotient(num, den, n)
+    assert len(q) == n
+    assert _cauchy(q, den + [Qi(0)] * n, n) == num[:n]
+
+
+def _drop_zero_terms(terms):
+    return {rate: poly for rate, poly in terms.items() if poly}
+
+
+def test_binary_powering_equals_repeated_products():
+    poly = CPoly([Qi(1, -2), 0, Qi(Fraction(1, 3))])
+    terms = {Qi(0): CPoly([1, 1]), Qi(0, 2): CPoly([Qi(0, Fraction(-1, 2))]),
+             Qi(0, -2): CPoly([Qi(0, Fraction(1, 2))])}
+    series = [Qi(1), Qi(0, 1), Qi(Fraction(-1, 2)), Qi(0, Fraction(-1, 6))]
+    jet_mul = lambda a, b: _cauchy(a, b, len(b))     # noqa: E731
+    one_series = [Qi(1)] + [Qi(0)] * (len(series) - 1)
+    want_p, want_t, want_s = CPoly.ONE, {Qi(0): CPoly.ONE}, one_series
+    for k in range(10):
+        assert _power(poly, k, CPoly.__mul__, CPoly.ONE) == want_p
+        assert _drop_zero_terms(
+            _power(terms, k, _convolve, {Qi(0): CPoly.ONE})) \
+            == _drop_zero_terms(want_t)
+        assert _power(series, k, jet_mul, one_series) == want_s
+        want_p = want_p * poly
+        want_t = _convolve(want_t, terms)
+        want_s = jet_mul(want_s, series)
 
 
 def test_roots_a_trillionth_apart_stay_two_exact_roots():

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
@@ -319,6 +319,13 @@ def test_evaluate_overflows_only_where_the_value_does():
         evaluate(parse("t^200*exp(3*t)"), 1e308)
 
 
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_a_constant_beyond_the_float_range_is_an_overflow(t):
+    # exact at 0, float at 0.5: either way the constant has no float value
+    with pytest.raises(OverflowError, match="exceeds the float range"):
+        evaluate(parse("10^400"), t)
+
+
 def test_evaluate_decides_a_fraction_pole_exactly():
     # at t = 1/2 the float value of t^2 - 5/6*t + 1/6 is -2^-55, not 0
     with pytest.raises(EvaluationError):
@@ -363,6 +370,9 @@ def _value_or_class(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(oracles.well_formed_texts,
        st.sampled_from([0.0, 0.5, 1.25, -0.75, 3.0, 1e308, 1e-300]))
+@example("sin(t)/t", 0.0)
+@example("-sin(0)/t", 0.0)
+@example("(1-cos(t))/t^2", 0.0)
 def test_evaluate_equals_the_tree_walk(text, t):
     try:
         e = parse(text)
@@ -373,6 +383,16 @@ def test_evaluate_equals_the_tree_walk(text, t):
     jet = _value_or_class(_jet, e, t, 2)
     if not isinstance(jet, type):
         assert got == complex(jet[0]), text
+    if t == 0 and want is EvaluationError and isinstance(got, complex):
+        # the walk stops at a pole that the series cancels, and the limit
+        # is the walk's value nearby, up to the rounding that the
+        # cancellation magnifies
+        with pytest.raises(EvaluationError, match="has a pole at t = 0"):
+            oracles.evaluate(e, t)
+        for h in (2.0 ** -20, -2.0 ** -20):
+            near = oracles.evaluate(e, h)
+            assert abs(near - got) <= 1e-3 * max(1.0, abs(got)), text
+        return
     if want is OverflowError:
         # the walk multiplies left to right, and at 1e308 it can overflow
         # before it meets the impulse or delay the series refuses first

@@ -111,16 +111,20 @@ def _int_text(n: int, d: int = 1) -> str:
 def _ratio_text(n: int, d: int) -> str:
     """n/d in lowest terms; a denominator above 10^9, which betrays a float
     origin, renders the value at 12 significant digits.  A nonzero value
-    below the smallest normal float, 2^-1022, is rounded from the integers,
-    since its float would lose digits or underflow to 0."""
+    below the smallest normal float, 2^-1022, or beyond the float range is
+    rounded from the integers, since its float would lose digits, underflow
+    to 0 or overflow."""
     g = math.gcd(n, d)
     if g != 1:
         n, d = n // g, d // g
     if d > 1_000_000_000:
-        if n and abs(n) << 1022 < d:
-            q = Context(prec=12).divide(Decimal(n), Decimal(d))
-            return format(q.normalize(), "g")
-        return format(n / d, ".12g")
+        if not (n and abs(n) << 1022 < d):
+            try:
+                return format(n / d, ".12g")
+            except OverflowError:
+                pass
+        q = Context(prec=12).divide(Decimal(n), Decimal(d))
+        return format(q.normalize(), "g")
     return _int_text(n, d)
 
 
@@ -448,12 +452,23 @@ def _shift(re, im, gr: int, gi: int, count: int):
     F^(k)(g)/k!, the remainder of the k-th repeated synthetic division by
     y - g (von zur Gathen and Gerhard, ISSAC 1997), the n-th the leading
     coefficient left after n divisions, and 0 beyond.  A shift by 0 is the
-    identity, with no division."""
+    identity, with no division, and a monomial a*y^n shifts to the
+    coefficients a*C(n, k)*g^(n-k), from k = n down, in n steps."""
     n = len(re) - 1
     if not (gr or gi):
         pad = [0] * (count - n - 1)
         return list(re[:count]) + pad, list(im[:count]) + pad
     outr, outi = [0] * count, [0] * count
+    if n > 0 and not (any(re[:n]) or any(im[:n])):
+        ar, ai = re[n], im[n]
+        c, pr, pi = 1, 1, 0          # C(n, k) and g^(n-k)
+        for k in range(n, -1, -1):
+            if k < count:
+                outr[k] = c * (ar * pr - ai * pi)
+                outi[k] = c * (ar * pi + ai * pr)
+            pr, pi = pr * gr - pi * gi, pr * gi + pi * gr
+            c = c * k // (n - k + 1)
+        return outr, outi
     for k in range(min(count, n)):
         re, im, outr[k], outi[k] = _synthetic_division(re, im, gr, gi)
     if count > n >= 0:
@@ -1059,16 +1074,6 @@ class Pole(_FrozenValue):
         object.__setattr__(self, "exact", exact)
 
 
-def _sqrt_qi(z: Qi) -> Qi | None:
-    """A square root of z = w/d in Q(i), or None: (u + i*v)/d where
-    (u + i*v)^2 = w*d, so u^2 - v^2 = Re(w*d) and u^2 + v^2 = |w*d|."""
-    x, y, d = z._a * z._d, z._b * z._d, z._d
-    n = math.isqrt(x * x + y * y)
-    u, v = math.isqrt((n + x) // 2), math.isqrt((n - x) // 2)
-    v = -v if y < 0 else v
-    return Qi._canon(u, v, d) if (u * u - v * v, 2 * u * v) == (x, y) else None
-
-
 def _taylor_shift(p: CPoly, q: Qi, count: int) -> list[Qi]:
     """The Taylor coefficients p^(k)(q)/k! of p at q = g/e, k < count.
 
@@ -1169,11 +1174,21 @@ def _certified_roots(p: CPoly, zs: list[complex], tried: set):
 
 
 def _quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
-    """The two roots of a monic quadratic f when they lie in Q(i): those
-    of s^2 + b*s + c are (-b +- r)/2 for r^2 = b^2 - 4c, else None."""
-    c, b = f.coeffs[:2]
-    r = _sqrt_qi(b * b - 4 * c)
-    return None if r is None else ((r - b) / 2, (-r - b) / 2)
+    """The two roots of a monic quadratic f when they lie in Q(i), else
+    None.  With f = (s^2*d + B*s + C)/d for Gaussian integers B and C, the
+    roots are (-B +- r)/(2d) for r^2 = W = B^2 - 4Cd, and r lies in Q(i)
+    only as a Gaussian integer u + i*v: u^2 - v^2 = Re W and
+    u^2 + v^2 = |W|, with u >= 0 and v of the sign of Im W."""
+    (cr, br, _), (ci, bi, _), d = f._re, f._im, f._d
+    x = br * br - bi * bi - 4 * cr * d
+    y = 2 * br * bi - 4 * ci * d
+    n = math.isqrt(x * x + y * y)
+    u, v = math.isqrt((n + x) // 2), math.isqrt((n - x) // 2)
+    v = -v if y < 0 else v
+    if (u * u - v * v, 2 * u * v) != (x, y):
+        return None
+    return (Qi._canon(u - br, v - bi, 2 * d),
+            Qi._canon(-u - br, -v - bi, 2 * d))
 
 
 def square_free_roots(f: CPoly, tried: set | None = None

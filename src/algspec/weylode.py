@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import reduce
 
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
-                       _gsum, _reported, _root_points, _spectrum, poly_gcd,
-                       square_free_factors)
-from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalClass, SignalExpr,
-                      ExpressionError, classify, split_scale)
+                       _gmul, _gsum, _reported, _root_points, _spectrum,
+                       poly_gcd, square_free_factors)
+from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalExpr,
+                      ExpressionError, split_scale)
 
 __all__ = [
     "WeylOp", "OdeSystem", "SingularPoint", "apply", "mul_ops",
@@ -136,6 +137,8 @@ def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
     dens = list(dict.fromkeys(dens))
     base: list[tuple[CPoly, dict[int, int]]] = []
     for k, d in enumerate(dens):
+        if not d.degree:
+            continue   # a constant adds no base factor
         for f, m in square_free_factors(d):
             refined = []
             for b, mults in base:
@@ -316,22 +319,36 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
                         for k in range(order + 1)))
 
 
+def _constant(q: Qi) -> CPoly:
+    """The constant polynomial q, for q nonzero."""
+    return CPoly._make((q._a,), (q._b,), q._d)
+
+
+def _sum_of_squares(w: Fraction) -> CPoly:
+    """s^2 + w^2, which is monic and, for w = p/q in lowest terms, has the
+    canonical form (p^2 + q^2 s^2)/q^2."""
+    p, q = w.numerator, w.denominator
+    return CPoly._make((p * p, 0, q * q), (0, 0, 0), q * q)
+
+
 def catalog_equation(e: SignalExpr) -> OdeSystem:
-    """Defining operational equation of a (possibly scaled) catalog atom."""
-    if classify(e) != SignalClass.ODE_DEFINED:
-        raise ExpressionError("expression has no catalog equation")
+    """Defining operational equation of a (possibly scaled) catalog atom.
+
+    Every value is built in its canonical form: the right-hand sides of
+    sinc and rcos are coprime over the monic s^2 + w^2, but for rcos(0),
+    whose s/s^2 reduces to 1/s."""
     scale, atom = split_scale(e)
-    scale_rf = RatFunc(scale)
     if isinstance(atom, Sinc):
         w = atom.omega
-        den = CPoly([Qi(w * w), Qi(0), Qi(1)])
-        rhs = RatFunc(CPoly([Qi(-w)]), den) * scale_rf
+        c = scale * Qi._make(-w.numerator, 0, w.denominator)
+        rhs = RatFunc._from_reduced(_constant(c), _sum_of_squares(w))
         return OdeSystem(WeylOp.D, rhs)
     if isinstance(atom, RaisedCos):
         w = atom.omega
         op = WeylOp((RatFunc.ONE, RatFunc.ZERO, RatFunc.ONE))
-        den = CPoly([Qi(w * w), Qi(0), Qi(1)])
-        rhs = RatFunc(CPoly.S, den) * scale_rf
+        num = CPoly._make((0, scale._a), (0, scale._b), scale._d)
+        den = _sum_of_squares(w)
+        rhs = RatFunc._from_reduced(num, den) if w else RatFunc(num, den)
         return OdeSystem(op, rhs)
     if isinstance(atom, Delay):
         op = WeylOp((RatFunc(Qi(atom.lag)), RatFunc.ONE))
@@ -344,7 +361,7 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
             rhs_scalar = Qi(1)
         else:
             rhs_scalar = Qi.coerce(complex(math.cos(f), math.sin(f)))
-        rhs = RatFunc(rhs_scalar) * scale_rf
+        rhs = RatFunc._from_reduced(_constant(rhs_scalar * scale), CPoly.ONE)
         return OdeSystem(WeylOp((r0, r1)), rhs)
     raise ExpressionError("expression has no catalog equation")
 
@@ -354,9 +371,18 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
 
 
 def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
-    """The coefficients r_k/r_n for k < n, and rhs/r_n."""
-    rn = sys.op.coeffs[sys.op.order]
-    return [c / rn for c in sys.op.coeffs[:-1]], sys.rhs / rn
+    """The coefficients r_k/r_n for k < n, and rhs/r_n: as they are when
+    r_n is 1, each numerator scaled by 1/r_n when r_n is a constant."""
+    *cs, rn = sys.op.coeffs
+    if rn == RatFunc.ONE:
+        return cs, sys.rhs
+    if rn.is_polynomial and rn.num.degree == 0:
+        q = 1 / rn.num.coeffs[0]
+        *qs, g = [RatFunc._from_reduced(CPoly._canon(
+            *_gmul(r.num._re, r.num._im, q._a, q._b), r.num._d * q._d), r.den)
+            for r in (*cs, sys.rhs)]
+        return qs, g
+    return [c / rn for c in cs], sys.rhs / rn
 
 
 def _classify(qs: Sequence, orders: list[int]) -> SingularPoint | None:
@@ -423,21 +449,25 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     """
     n = sys.op.order
     base = _Base([r.den for r in sys.op.coeffs])
-    raws, top = base.common([base.over(r) for r in sys.op.coeffs])
-    ps = [CPoly._canon(*p) for p in raws]
+    ps, top = base.common([base.over(r) for r in sys.op.coeffs])
+    pn = CPoly._canon(*ps[n])
     m_degree = sum(k * b.degree for k, b in zip(top, base.factors))
-    chart = []   # Q_j times p_n
+    chart = []   # Q_j times p_n, summed on the raw numerators
     for j in range(n):
-        p = CPoly.ZERO
+        terms = []
         for k in range(j, n + 1):
             c = (-1) ** (n - k) * _lah(k, j)
-            if c:
-                p = p + ps[k] * CPoly((0,) * (2 * n - k - j) + (c,))
-        chart.append(p)
-    orders = [max(0, p.degree - ps[n].degree) for p in chart]
+            re, im, d = ps[k]
+            if c and re:
+                pad = [0] * (2 * n - k - j)
+                terms.append((pad + [x * c for x in re],
+                              pad + [y * c for y in im], d))
+        chart.append(CPoly._canon(*reduce(_gsum, terms)) if terms
+                     else CPoly.ZERO)
+    orders = [max(0, p.degree - pn.degree) for p in chart]
     g = sys.rhs   # deg G = 2n + deg g - deg r_n
     orders.append(max(0, 2 * n + g.num.degree - g.den.degree
-                      - (ps[n].degree - m_degree)) if g else 0)
+                      - (pn.degree - m_degree)) if g else 0)
     return _classify(chart, orders)
 
 

@@ -1,7 +1,8 @@
 """Plain reference implementations of the parser, of the expansion to
-exponential-polynomial terms, of the polynomial lcm, of pointwise values
-and of the derivatives behind Phi and the Taylor truncation, kept as test
-oracles, and the random grammar texts the parser is compared on.
+exponential-polynomial terms, of the polynomial lcm, of pointwise values,
+of the derivatives behind Phi and the Taylor truncation, of the catalog
+equations and of the roots of a quadratic, kept as test oracles, and the
+random grammar texts the parser is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
@@ -11,8 +12,11 @@ polynomial through the `CPoly` constructor.  `evaluate` walks the
 expression tree in floats, `diff_time` differentiates it symbolically, and
 `phi_symbolic` and `taylor_truncate` evaluate those derivatives, where the
 library reads values and derivatives off one truncated Taylor series
-(`sigexpr._jet`).  Neither shortcut of the library is used, so agreement
-checks them.
+(`sigexpr._jet`).  `catalog_equation` builds every value through the
+generic constructors, where the library builds each in its canonical form,
+and `quadratic_roots` solves a monic quadratic by `Qi` arithmetic on its
+coefficients, where the library stays on its Gaussian integers.  Neither
+shortcut of the library is used, so agreement checks them.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ from algspec.opcalc import ExpPoly
 from algspec.ratfield import CPoly, Qi, RatFunc, poly_gcd
 from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
                              EvaluationError, ParameterError, Pow, RaisedCos,
-                             SignalExpr, SignalSyntaxError, Sin, Sinc, TFrac,
-                             TimeVar, ExpressionError, _T_POLY, _angle,
-                             _build_call, _cexp, _finite, _rat_key, _tfrac,
-                             as_ratfunc_in_t, make_add, make_mul, make_pow)
+                             SignalClass, SignalExpr, SignalSyntaxError, Sin,
+                             Sinc, TFrac, TimeVar, ExpressionError, _T_POLY,
+                             _angle, _build_call, _cexp, _finite, _rat_key,
+                             _tfrac, as_ratfunc_in_t, classify, make_add,
+                             make_mul, make_pow, split_scale)
+from algspec.weylode import OdeSystem, WeylOp
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +554,64 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
         if k < order:
             d = diff_time(d)
     return ExpPoly(((Qi(0), acc),))
+
+
+# ---------------------------------------------------------------------------
+# Catalog equations and quadratic roots
+
+
+def catalog_equation(e: SignalExpr) -> OdeSystem:
+    """The defining equation of a scaled catalog atom, every value built by
+    the generic `CPoly` and `RatFunc` constructors and the scale entering
+    as a `RatFunc` product."""
+    if classify(e) != SignalClass.ODE_DEFINED:
+        raise ExpressionError("expression has no catalog equation")
+    scale, atom = split_scale(e)
+    scale_rf = RatFunc(scale)
+    if isinstance(atom, Sinc):
+        w = atom.omega
+        den = CPoly([Qi(w * w), Qi(0), Qi(1)])
+        rhs = RatFunc(CPoly([Qi(-w)]), den) * scale_rf
+        return OdeSystem(WeylOp.D, rhs)
+    if isinstance(atom, RaisedCos):
+        w = atom.omega
+        op = WeylOp((RatFunc.ONE, RatFunc.ZERO, RatFunc.ONE))
+        den = CPoly([Qi(w * w), Qi(0), Qi(1)])
+        rhs = RatFunc(CPoly.S, den) * scale_rf
+        return OdeSystem(op, rhs)
+    if isinstance(atom, Delay):
+        op = WeylOp((RatFunc(Qi(atom.lag)), RatFunc.ONE))
+        return OdeSystem(op, RatFunc.ZERO)
+    if isinstance(atom, Chirp):
+        r0 = RatFunc(CPoly([Qi(0, -atom.b), Qi(1)]))
+        r1 = RatFunc(Qi(0, 2 * atom.a))
+        f = float(atom.c)
+        if atom.c == 0:
+            rhs_scalar = Qi(1)
+        else:
+            rhs_scalar = Qi.coerce(complex(math.cos(f), math.sin(f)))
+        rhs = RatFunc(rhs_scalar) * scale_rf
+        return OdeSystem(WeylOp((r0, r1)), rhs)
+    raise ExpressionError("expression has no catalog equation")
+
+
+def sqrt_qi(z: Qi) -> Qi | None:
+    """A square root of z = w/d in Q(i), or None: (u + i*v)/d where
+    (u + i*v)^2 = w*d, so u^2 - v^2 = Re(w*d) and u^2 + v^2 = |w*d|."""
+    x, y, d = z._a * z._d, z._b * z._d, z._d
+    n = math.isqrt(x * x + y * y)
+    u, v = math.isqrt((n + x) // 2), math.isqrt((n - x) // 2)
+    v = -v if y < 0 else v
+    return Qi._canon(u, v, d) if (u * u - v * v, 2 * u * v) == (x, y) else None
+
+
+def quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
+    """The roots of a monic quadratic f in Q(i), by `Qi` arithmetic on its
+    coefficients: those of s^2 + b*s + c are (-b +- r)/2 for
+    r^2 = b^2 - 4c, else None."""
+    c, b = f.coeffs[:2]
+    r = sqrt_qi(b * b - 4 * c)
+    return None if r is None else ((r - b) / 2, (-r - b) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import sys
 import tempfile
 import typing
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +240,27 @@ def test_a_value_beyond_the_float_range_is_an_input_error(argv, capsys):
     captured = capsys.readouterr()
     assert (status, captured.out) == (1, "")
     assert captured.err == "error: input: a value exceeds the float range\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["opform", "(t+1)^200*exp(-t/3)"],
+    ["spectrum", "(t+1)^200*exp(-t/3)", "--explain"],
+])
+def test_a_coefficient_beyond_the_float_range_prints_at_12_digits(argv,
+                                                                  capsys):
+    # coefficients up to about 1.1e375 over powers of 3: the largest prints
+    # in scientific notation, within half a unit of its 12th digit
+    r = opcalc.to_rational(opcalc.from_signal(parse(argv[1])))
+    big = max((q.re for q in r.num.coeffs + r.den.coeffs), key=abs)
+    assert big > 10 ** 308
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    text = str(ratfield.Qi(big))
+    assert f" + {text})" in out
+    mant, exp = text.split("e")
+    assert len(mant.replace(".", "")) <= 12
+    assert abs(Fraction(Decimal(text)) - big) \
+        <= Fraction(5, 10 ** 12) * 10 ** (int(exp) + 1)
 
 
 def test_opform_prints_an_exact_image_beyond_the_float_range():

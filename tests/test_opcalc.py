@@ -523,6 +523,16 @@ def test_round_trip_at_multiplicity_4_is_exact(x):
     assert to_exppoly(r) == x
 
 
+def test_round_trip_of_a_high_power_of_t():
+    # the image of t^1400 e^(-t) is 1400!/(s + 1)^1401, whose denominator
+    # is the lone monomial y^1401 shifted by its binomial row
+    x = from_signal(parse("t^1400*exp(-t)"))
+    r = to_rational(x)
+    assert r == RatFunc(CPoly([math.factorial(1400)]),
+                        CPoly([1, 1]) ** 1401)
+    assert to_exppoly(r) == x
+
+
 def test_round_trip_keeps_rates_off_the_dyadic_grid():
     x = from_signal(parse("exp(-1/3*t)*(1/3+t)"))
     back = to_exppoly(to_rational(x))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import algspec.ratfield as ratfield
+import oracles
 from algspec.opcalc import _convolve, from_signal, to_exppoly, to_rational
 from algspec.sigexpr import _cauchy, parse
 from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
@@ -90,13 +91,17 @@ def _ofrac_str(f):
     if f.denominator > 1_000_000_000:
         if f and abs(f) < Fraction(sys.float_info.min):
             return _sci12(f)
-        return format(float(f), ".12g")
+        try:
+            return format(float(f), ".12g")
+        except OverflowError:
+            return _sci12(f)
     return str(f)
 
 
 def _sci12(f):
-    """f != 0 at 12 significant digits in the style of "%.12g" for a small
-    magnitude, rounded half to even from the exact value."""
+    """f != 0 at 12 significant digits in the style of "%.12g" for a
+    magnitude outside the normal float range, rounded half to even from the
+    exact value."""
     a = abs(f)
     e = math.floor(math.log10(a.numerator) - math.log10(a.denominator))
     while a >= Fraction(10) ** (e + 1):
@@ -252,6 +257,15 @@ def test_qi_repr_keeps_the_digit_limit_apart():
         repr(z)
     assert repr(Qi(Fraction(1, 3), -2)) \
         == "Qi(Fraction(1, 3), Fraction(-2, 1))"
+
+
+def test_an_image_beyond_the_float_range_has_a_repr():
+    # its coefficients reach 1e375 over powers of 3, and print at 12 digits
+    r = to_rational(from_signal(parse("(t+1)^200*exp(-t/3)")))
+    parts = [x for q in r.num.coeffs + r.den.coeffs for x in (q.re, q.im)]
+    big = max(parts, key=abs)
+    assert big > 10 ** 375 and big.denominator > 10 ** 9
+    assert _ofrac_str(big) in repr(r)
 
 
 def test_qi_float_overflow_is_an_overflow_error():
@@ -822,6 +836,23 @@ def test_shift_and_stretch_compose_with_a_linear_map(coeffs, cr, ci, big):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_small, _small, _small, _small, st.integers(0, 12), st.integers(-2, 2))
+def test_a_monomial_shifts_as_by_repeated_division(ar, ai, cr, ci, n, extra):
+    # a*y^n shifted by its binomial row against count synthetic divisions
+    count = max(1, n + 1 + extra)
+    re, im = [0] * n + [ar], [0] * n + [ai]
+    want_r, want_i = [0] * count, [0] * count
+    qr, qi = re, im
+    for k in range(min(count, n + 1)):
+        if len(qr) > 1:
+            qr, qi, want_r[k], want_i[k] = ratfield._synthetic_division(
+                qr, qi, cr, ci)
+        else:
+            want_r[k], want_i[k] = qr[0], qi[0]
+    assert _shift(re, im, cr, ci, count) == (want_r, want_i)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(_gauss, min_size=1, max_size=6),
        st.lists(_gauss, min_size=1, max_size=6).filter(lambda d: d[0]),
        st.integers(1, 8))
@@ -967,6 +998,27 @@ def test_a_float_root_near_an_axis_is_snapped_only_where_reported():
     spec = spectrum_of_rational(r)
     assert [src.location for src in spec.sources] == [0j, 0j]
     assert spec.frequencies == ()
+
+
+@st.composite
+def _monic_quadratics(draw):
+    """s^2 + b*s + c over Q(i): drawn b and c, mostly without roots in
+    Q(i), or (s - p)(s - q) with p and q drawn or equal."""
+    kind = draw(st.sampled_from(["drawn", "split", "double"]))
+    if kind == "drawn":
+        return CPoly([draw(_gauss), draw(_gauss), 1])
+    p = draw(_gauss)
+    q = p if kind == "double" else draw(_gauss)
+    return CPoly([p * q, -p - q, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_quadratics())
+@example(CPoly([1, 0, 1]))
+@example(CPoly([-2, 0, 1]))
+@example(CPoly([Fraction(1, 4), -1, 1]))
+def test_quadratic_roots_equal_the_qi_oracle(f):
+    assert ratfield._quadratic_roots(f) == oracles.quadratic_roots(f)
 
 
 def test_quadratic_roots_need_no_iteration():

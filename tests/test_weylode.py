@@ -14,7 +14,8 @@ from algspec.cli import _c12, _g12
 from algspec.ratfield import (CPoly, Qi, RatFunc, _aberth, _location_key,
                               alg_deriv, poly_gcd, snap_axes,
                               square_free_factors)
-from algspec.sigexpr import ExpressionError, parse
+from algspec.sigexpr import (Chirp, Const, Delay, ExpressionError, RaisedCos,
+                             Sinc, make_mul, parse)
 from algspec.weylode import (OdeSystem, WeylOp, _classify, _normalized,
                              _pole_orders, apply, catalog_equation,
                              finite_singularities, format_equation,
@@ -446,6 +447,36 @@ def test_scale_multiplies_rhs():
     scaled = catalog_equation(parse("3*sinc(2)"))
     assert scaled.op == base.op
     assert scaled.rhs == base.rhs * RatFunc(Qi(3))
+
+
+_signed = st.fractions(-20, 20, max_denominator=12)
+_scales = st.one_of(
+    st.sampled_from([Qi(1), Qi(-1), Qi(0, 1), Qi(0, -1), Qi(-3, 2)]),
+    st.builds(Qi, _signed, _signed).filter(bool))
+
+
+@st.composite
+def _catalog_atoms(draw):
+    """A scaled sinc, rcos (rcos(0) included), delay or chirp (c = 0
+    included) with signed fractional parameters."""
+    zero_or = st.one_of(st.just(Fraction(0)), _signed)
+    atom = draw(st.sampled_from([
+        st.builds(Sinc, _signed.filter(bool)),
+        st.builds(RaisedCos, zero_or),
+        st.builds(Delay, _signed),
+        st.builds(Chirp, _signed.filter(bool), _signed, zero_or)]))
+    return make_mul([Const(draw(_scales)), draw(atom)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_catalog_atoms())
+def test_catalog_equations_equal_the_generic_constructors(e):
+    sys = catalog_equation(e)
+    assert sys == oracles.catalog_equation(e)
+    # normalized by generic division, also for the chirp's constant r_n
+    rn = sys.op.coeffs[-1]
+    assert _normalized(sys) == ([c / rn for c in sys.op.coeffs[:-1]],
+                                sys.rhs / rn)
 
 
 def test_catalog_rejects_other_signals():

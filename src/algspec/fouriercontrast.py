@@ -18,7 +18,7 @@ import math
 from .instfreq import SampledSignal, _uniform_step
 from .pipeline import analyze
 from .ratfield import Spectrum, _FrozenValue
-from .sigexpr import (Dirac, Sin, Sinc, SignalExpr, ParameterError,
+from .sigexpr import (Dirac, Sin, Sinc, SignalExpr, ParameterError, _angle,
                       pretty_print, split_scale)
 
 __all__ = ["DftResult", "ContrastReport", "dft", "dft_direct",
@@ -38,11 +38,32 @@ class DftResult(_FrozenValue):
     def dominant_frequencies(self, count: int = 2) -> tuple:
         """The bin frequencies of the `count` largest magnitudes, a tie
         going to the lower bin index, in increasing order."""
-        import numpy as np
+        return _dominant(self.bin_frequencies, self.magnitudes, count)
 
-        order = np.argsort(-np.asarray(self.magnitudes), kind="stable")
-        return tuple(sorted(self.bin_frequencies[k]
-                            for k in order[:count].tolist()))
+
+def _magnitudes(values):
+    """|fft(values)|, an iterator of Python's `abs` of each coefficient:
+    np.abs may differ from it in the last place, and so reorder near-equal
+    bins.  `dft` collects it into a tuple, the tone report into an array."""
+    import numpy as np
+
+    return map(abs, np.fft.fft(values).tolist())
+
+
+def _bins(n: int, dt: float):
+    """The angular bin frequencies 2*pi*fftfreq(n, dt), wrapped (signed)."""
+    import numpy as np
+
+    return 2.0 * math.pi * np.fft.fftfreq(n, dt)
+
+
+def _dominant(bins, magnitudes, count: int) -> tuple:
+    """The bins of the `count` largest magnitudes in increasing order: a
+    stable argsort of -magnitudes, so a tie goes to the lower index."""
+    import numpy as np
+
+    order = np.argsort(-np.asarray(magnitudes), kind="stable")[:count]
+    return tuple(sorted(np.asarray(bins)[order].tolist()))
 
 
 def dft_direct(values):
@@ -62,18 +83,14 @@ def dft_direct(values):
 def dft(sig: SampledSignal) -> DftResult:
     """DFT of uniform samples by np.fft.fft, which is exact-size at every
     length."""
-    import numpy as np
-
     n = len(sig)
     if n < 2:
         raise ValueError("need at least two samples")
     dt = _uniform_step(sig)
     if dt is None:
         raise ValueError("sampling must be uniform")
-    coeffs = np.fft.fft(sig.arrays[1])
-    freqs = 2.0 * math.pi * np.fft.fftfreq(n, dt)
-    return DftResult(tuple(freqs.tolist()),
-                     tuple(map(abs, coeffs.tolist())))
+    return DftResult(tuple(_bins(n, dt).tolist()),
+                     tuple(_magnitudes(sig.arrays[1])))
 
 
 def sinc_fourier_closed_form(omega: float, xi: float) -> float:
@@ -152,13 +169,24 @@ def _sinc_sweep() -> tuple:
 
 
 @functools.cache
-def _impulse_demo() -> tuple:
-    """DFT magnitudes of a 64-point unit impulse, computed once per process."""
-    n = 64
-    values = [0.0] * n
-    values[0] = 1.0
-    sig = SampledSignal(tuple(k * 1.0 for k in range(n)), tuple(values))
-    return dft(sig).magnitudes
+def _impulse_demo() -> str:
+    """The Fourier line of the impulse, from the DFT magnitudes of a
+    64-point unit impulse, computed once per process."""
+    flat = max(abs(m - 1.0) for m in _magnitudes([1.0] + [0.0] * 63))
+    return (f"flat: all frequencies present (impulse DFT magnitudes are 1 "
+            f"to within {flat:.1e})")
+
+
+@functools.cache
+def _tone_grid() -> tuple:
+    """The tone contrast's 256 sample times 0.05 apart and their bins, as
+    read-only arrays, computed once per process."""
+    import numpy as np
+
+    n, dt = 256, 0.05
+    times, bins = np.arange(n) * dt, _bins(n, dt)
+    times.flags.writeable = bins.flags.writeable = False
+    return times, bins
 
 
 def contrast_report(e: SignalExpr) -> ContrastReport:
@@ -170,12 +198,7 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
     label = pretty_print(e)
     _, atom = split_scale(e)
     if isinstance(atom, Dirac):
-        mags = _impulse_demo()
-        flat = max(abs(m - 1.0) for m in mags)
-        return ContrastReport(
-            label, analyze(e).spectrum,
-            f"flat: all frequencies present (impulse DFT magnitudes are 1 "
-            f"to within {flat:.1e})")
+        return ContrastReport(label, analyze(e).spectrum, _impulse_demo())
     if isinstance(atom, Sinc):
         aw = abs(float(atom.omega))
         return ContrastReport(
@@ -189,16 +212,20 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
             raise ParameterError("contrast tone frequency must be nonzero")
         import numpy as np
 
-        n, dt = 256, 0.05
+        times, bins = _tone_grid()
+        phase = float(atom.phase)
         # numpy's products and sums are the IEEE ones of Python floats, but
-        # np.sin may differ from math.sin in the last place
-        times = np.arange(n) * dt
-        phases = times * w + float(atom.phase)
-        values = np.fromiter(map(math.sin, phases.tolist()), float, n)
-        result = dft(SampledSignal(times, values))
+        # np.sin may differ from math.sin in the last place; the angles run
+        # monotonically from the phase at t = 0, so the last overflows, and
+        # numpy would warn, exactly when any does
+        _angle(times.item(-1) * w + phase)
+        phases = times * w + phase
+        values = np.fromiter(map(math.sin, phases.tolist()), float,
+                             len(phases))
         return ContrastReport(
             label, analyze(e).spectrum,
             f"line pair at -{abs(w):g} and {abs(w):g}",
-            dft_dominant=result.dominant_frequencies(2))
+            dft_dominant=_dominant(
+                bins, np.fromiter(_magnitudes(values), float, len(bins)), 2))
     raise ParameterError(
         "contrast report covers dirac(), sinc(w), and sin(w*t) signals")

@@ -479,12 +479,16 @@ def _shift(re, im, gr: int, gi: int, count: int):
 def _series_quotient(num, den, n: int) -> list:
     """The first n coefficients of the power series num/den, for den[0]
     nonzero and num of at least n terms, `Qi` or complex:
-    q_k = (num_k - sum_(j >= 1) den_j q_(k-j)) / den_0."""
+    q_k = (num_k - sum_(j >= 1) den_j q_(k-j)) / den_0, over the nonzero
+    den_j only."""
+    terms = [(j, d) for j, d in enumerate(den[1:n], 1) if d]
     q = []
     for k in range(n):
         acc = num[k]
-        for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * q[k - j]
+        for j, d in terms:
+            if j > k:
+                break
+            acc = acc - d * q[k - j]
         q.append(acc / den[0])
     return q
 

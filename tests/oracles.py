@@ -15,7 +15,10 @@ library reads values and derivatives off one truncated Taylor series
 (`sigexpr._jet`).  `catalog_equation` builds every value through the
 generic constructors, where the library builds each in its canonical form,
 and `quadratic_roots` solves a monic quadratic by `Qi` arithmetic on its
-coefficients, where the library stays on its Gaussian integers.  Neither
+coefficients, where the library stays on its Gaussian integers.
+`tone_dft_dominant` samples a tone and reads its dominant bins through the
+public `dft`, with its validation and its tuples, where the contrast
+report reuses one cached grid and the DFT kernels on arrays.  Neither
 shortcut of the library is used, so agreement checks them.
 """
 
@@ -612,6 +615,20 @@ def quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
     c, b = f.coeffs[:2]
     r = sqrt_qi(b * b - 4 * c)
     return None if r is None else ((r - b) / 2, (-r - b) / 2)
+
+
+def tone_dft_dominant(atom: Sin) -> tuple:
+    """The two dominant DFT bins of sin(w*t + phase) on 256 times 0.05
+    apart: the samples wrapped in a `SampledSignal` and sent to `dft`."""
+    import numpy as np
+
+    from algspec.fouriercontrast import dft
+    from algspec.instfreq import SampledSignal
+
+    times = np.arange(256) * 0.05
+    phases = times * float(atom.omega) + float(atom.phase)
+    values = np.fromiter(map(math.sin, phases.tolist()), float, 256)
+    return dft(SampledSignal(times, values)).dominant_frequencies(2)
 
 
 # ---------------------------------------------------------------------------

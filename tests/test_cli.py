@@ -223,6 +223,9 @@ def test_opform_requires_an_image():
     ["spectrum", "sin(1e400*t)", "--explain"],
     ["spectrum", "exp(1e400*t)"],
     ["contrast", "sin(1e400*t)"],
+    # the tone's sample angles overflow on the contrast's 256-point grid
+    ["contrast", "sin(1e308*t)"],
+    ["contrast", "-sin(2e307*t + 1/2)"],
     ["instfreq", "1e400*sin(t)", "--at", "1"],
     ["instfreq", "sin(1e400*t)", "--at", "1"],
     ["instfreq", "exp(1e400*t)", "--at", "1"],
@@ -240,6 +243,14 @@ def test_a_value_beyond_the_float_range_is_an_input_error(argv, capsys):
     captured = capsys.readouterr()
     assert (status, captured.out) == (1, "")
     assert captured.err == "error: input: a value exceeds the float range\n"
+
+
+def test_a_tone_whose_sample_angles_stay_finite_answers(capsys):
+    # 12.75 s, the grid's last time, times 1e307 is below the float maximum
+    assert main(["contrast", "sin(1e307*t)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("dft dominant bins: -18.6532 18.6532\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,6 +484,21 @@ def test_annotations_resolve_in_the_modules_that_load_numpy_late(module):
             funcs = [v for v in vars(obj).values() if inspect.isfunction(v)]
         for fn in funcs:
             typing.get_type_hints(fn)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(1e308*t)", "sin(1e400*t)", "sin(1e-400*t)", "sin(0*t)",
+    "sin(2*t+1e300)", "0*dirac()", "sinc(0)", "sin(t)+sin(2*t)"])
+def test_contrast_edge_inputs_end_in_one_line_without_warnings(text):
+    # a fresh interpreter, so a numpy warning is printed, not swallowed by
+    # an earlier one at the same line
+    proc = subprocess.run(
+        [sys.executable, "-m", "algspec.cli", "contrast", text],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1, 2)
+    assert len(proc.stderr.splitlines()) <= 1
+    for stream in (proc.stdout, proc.stderr):
+        assert "Warning" not in stream and "Traceback" not in stream
 
 
 def test_closed_stdout_exits_without_a_traceback(tmp_path):

@@ -3,9 +3,13 @@
 import math
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from algspec import fouriercontrast
 from algspec.cli import CliConfig, run
 from algspec.fouriercontrast import (_SWEEP, ContrastReport, _sinc_sweep,
@@ -13,7 +17,8 @@ from algspec.fouriercontrast import (_SWEEP, ContrastReport, _sinc_sweep,
                                      sinc_fourier_closed_form)
 from algspec.instfreq import SampledSignal
 from algspec.pipeline import analyze
-from algspec.sigexpr import ParameterError, Sinc, parse
+from algspec.ratfield import Qi
+from algspec.sigexpr import Const, ParameterError, Sin, Sinc, make_mul, parse
 
 
 def _uniform(values, dt=1.0):
@@ -159,6 +164,39 @@ def test_tone_report_lines_and_bins():
     assert len(report.dft_dominant) == 2
     for f, want in zip(sorted(report.dft_dominant), (-3.0, 3.0)):
         assert abs(f - want) <= resolution / 2 + 1e-12
+
+
+_tone_rates = st.integers(1, 8).flatmap(
+    lambda d: st.integers(-200 * d, 200 * d).filter(bool).map(
+        lambda k: Fraction(k, d)))
+_tone_phases = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2),
+                     Fraction(3), Fraction(-3)]),
+    st.fractions(-20, 20, max_denominator=12))
+_tone_scales = st.one_of(
+    st.sampled_from([Qi(1), Qi(-1), Qi(0, 1), Qi(Fraction(-3, 2))]),
+    st.builds(Qi, st.fractions(-9, 9, max_denominator=5),
+              st.fractions(-9, 9, max_denominator=5)).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tone_rates, _tone_phases, _tone_scales)
+@example(Fraction(2), Fraction(0), Qi(1))
+@example(Fraction(-200), Fraction(3), Qi(0, 1))
+@example(Fraction(1, 8), Fraction(-1, 2), Qi(Fraction(-3, 2)))
+def test_tone_contrast_bins_are_the_dft_of_the_sampled_tone(w, phase, scale):
+    atom = Sin(w, phase)
+    e = make_mul([Const(scale), atom])
+    assert contrast_report(e).dft_dominant == oracles.tone_dft_dominant(atom)
+
+
+def test_impulse_line_is_read_from_the_dft_of_the_impulse():
+    values = [0.0] * 64
+    values[0] = 1.0
+    flat = max(abs(m - 1.0) for m in dft(_uniform(values)).magnitudes)
+    assert contrast_report(parse("dirac()")).fourier == (
+        f"flat: all frequencies present (impulse DFT magnitudes are 1 "
+        f"to within {flat:.1e})")
 
 
 def test_algebraic_column_is_the_pipeline_spectrum():

@@ -852,12 +852,17 @@ def test_a_monomial_shifts_as_by_repeated_division(ar, ai, cr, ci, n, extra):
     assert _shift(re, im, cr, ci, count) == (want_r, want_i)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.lists(_gauss, min_size=1, max_size=6),
-       st.lists(_gauss, min_size=1, max_size=6).filter(lambda d: d[0]),
+       st.lists(st.one_of(st.just(Qi(0)), _gauss), min_size=1,
+                max_size=12).filter(lambda d: d[0]),
        st.integers(1, 8))
+@example([Qi(1), Qi(2)], [Qi(1)] + [Qi(0)] * 9, 8)
+@example([Qi(3)], [Qi(2), Qi(0), Qi(0), Qi(-1), Qi(0), Qi(0, 1)], 8)
 def test_series_quotient_times_the_divisor_gives_back_the_dividend(
         num, den, n):
+    # divisors may be sparse, with zeros between nonzero terms, and longer
+    # than n
     num = num + [Qi(0)] * (n - len(num))
     q = _series_quotient(num, den, n)
     assert len(q) == n

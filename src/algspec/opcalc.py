@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
-                       _lincomb, _local_terms, _power, _root_points, _shift,
-                       _spectrum, _stretched, _taylor_shift)
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
+                       _QI_ZERO, _conv, _gsum, _lincomb, _local_terms, _power,
+                       _rmul, _root_points, _shift, _spectrum, _stretched,
+                       _taylor_shift)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
                       _is_exppoly, _jet)
@@ -90,7 +91,6 @@ class ExpPoly(_FrozenValue):
         return " + ".join(parts)
 
 
-_QI_ZERO = Qi(0)
 _QI_HALF = Qi(Fraction(1, 2))
 _HALF_I = Qi(0, Fraction(1, 2))
 # The Euler pairs (c_plus, c_minus) of sin and cos at phase 0:
@@ -140,6 +140,9 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
         return {Qi._make(0, n, d): _scalar_poly(c_plus),
                 Qi._make(0, -n, d): _scalar_poly(c_minus)}
     if kind is Add:
+        poly = _polynomial_sum(e.terms)
+        if poly is not None:
+            return {_QI_ZERO: poly}
         out: dict[Qi, CPoly] = {}
         for term in e.terms:
             for rate, poly in _terms_of(term).items():
@@ -160,6 +163,38 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
                       {_QI_ZERO: CPoly.ONE})
     raise ExpressionError(
         "expression is not an exponential polynomial")
+
+
+def _polynomial_sum(terms) -> CPoly | None:
+    """The polynomial that a sum of the canonical monomials c, t^k and
+    c*t^k spells, like terms summed, or None when a term has another
+    shape."""
+    coeffs: dict[int, Qi] = {}
+    for term in terms:
+        kind = type(term)
+        if kind is Const:
+            k, c = 0, term.value
+        else:
+            c = _QI_ONE
+            if kind is Mul and len(term.factors) == 2:
+                scale, term = term.factors
+                if type(scale) is not Const:
+                    return None
+                c, kind = scale.value, type(term)
+            if kind is TimeVar:
+                k = 1
+            elif kind is Pow and type(term.base) is TimeVar:
+                k = term.k
+            else:
+                return None
+        prev = coeffs.get(k)
+        coeffs[k] = c if prev is None else prev + c
+    d = math.lcm(*(c._d for c in coeffs.values()))
+    n = max(coeffs) + 1
+    re, im = [0] * n, [0] * n
+    for k, c in coeffs.items():
+        re[k], im[k] = c._a * (d // c._d), c._b * (d // c._d)
+    return CPoly._canon(re, im, d)
 
 
 def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
@@ -191,7 +226,8 @@ def _expand(e: SignalExpr) -> ExpPoly:
 def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
     """(l^m, Lambda) for l = L*s + c, c = -L*rate, and m = deg P + 1, where
     Lambda = G(l) for G(y) = sum_k g_k y^(m-1-k), g_k = C*p_k*k!*L^(k+1):
-    the image of C*P(t)*e^(rate*t) is Lambda/l^m.  Each of G(L*s + c) and
+    the image of P(t)*e^(rate*t) is Lambda/(C*l^m).  Both come as
+    (re, im, d), l^m over 1 and Lambda over C.  Each of G(L*s + c) and
     (y^m)(L*s + c) is one shift by c and one stretch by L."""
     f = L // rate._d
     cr, ci = -rate._a * f, -rate._b * f
@@ -205,13 +241,9 @@ def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
             gi.append(pi * g)
     m = len(poly._re)
     y_m = [0] * m + [1], [0] * (m + 1)
-    return (_stretched(*_shift(*y_m, cr, ci, m + 1), L),
-            _stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L))
-
-
-def _gadd(a, b) -> tuple[list[int], list[int]]:
-    """Sum of two Gaussian-integer coefficient sequences."""
-    return _lincomb(a[0], 1, b[0], 1), _lincomb(a[1], 1, b[1], 1)
+    return ((*_stretched(*_shift(*y_m, cr, ci, m + 1), L), 1),
+            (*_stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L),
+             C))
 
 
 def to_rational(x: ExpPoly) -> RatFunc:
@@ -222,9 +254,11 @@ def to_rational(x: ExpPoly) -> RatFunc:
     polynomial denominators, each l_a = L*s - L*a has Gaussian-integer
     coefficients, and the rate a, with m_a = deg P_a + 1, contributes
     Lambda_a / (C * l_a^m_a), where Lambda_a = sum_k g_k l_a^(m_a-1-k) and
-    g_k = C*p_k*k!*L^(k+1).  When the conjugate rate is also present the
-    two take one step, Lambda_a l_b^m_b + Lambda_b l_a^m_a over
-    l_a^m_a l_b^m_b, which is real for a real signal.  Summed over the
+    g_k = C*p_k*k!*L^(k+1).  When the conjugate rate carries the conjugate
+    polynomial, as in every real signal, its l^m and Lambda are the
+    conjugates of l_a^m_a and Lambda_a, and the two take one real step:
+    2 Re(Lambda_a conj(l_a^m_a)) over |l_a^m_a|^2, from the one local
+    numerator.  Any other rate is a term of its own.  Summed over the
     common denominator prod l_a^m_a = L^M prod (s-a)^m_a, M = sum m_a, the
     image is canonicalized once: numerator over C*L^M, denominator over L^M.
 
@@ -243,19 +277,24 @@ def to_rational(x: ExpPoly) -> RatFunc:
     while rest:
         rate, poly = rest.popitem()
         fac, lam = _local_numerator(rate, poly, L, C)
-        twin = rest.pop(rate.conjugate(), None) if rate._b else None
-        if twin is not None:
-            fac2, lam2 = _local_numerator(rate.conjugate(), twin, L, C)
-            lam = _gadd(_gconv(*lam, *fac2), _gconv(*lam2, *fac))
-            fac = _gconv(*fac, *fac2)
+        twin = rest.get(rate.conjugate()) if rate._b else None
+        if (twin is not None and twin._re == poly._re and twin._d == poly._d
+                and twin._im == tuple(-y for y in poly._im)):
+            del rest[rate.conjugate()]
+            (fr, fi, _), (lr, li, _) = fac, lam
+            re = _lincomb(_conv(lr, fr), 2, _conv(li, fi), 2)
+            lam = re, [0] * len(re), C
+            re = _lincomb(_conv(fr, fr), 1, _conv(fi, fi), 1)
+            fac = re, [0] * len(re), 1
         if den is None:
             num, den = lam, fac
         else:
-            num = _gadd(_gconv(*num, *fac), _gconv(*lam, *den))
-            den = _gconv(*den, *fac)
+            num = _gsum(_rmul(num, fac), _rmul(lam, den))
+            den = _rmul(den, fac)
     M = len(den[0]) - 1
-    return RatFunc._from_reduced(CPoly._canon(*num, C * L ** M),
-                                 CPoly._canon(*den, L ** M))
+    (nr, ni, _), (dr, di, _) = num, den
+    return RatFunc._from_reduced(CPoly._canon(nr, ni, C * L ** M),
+                                 CPoly._canon(dr, di, L ** M))
 
 
 def spectrum_of_exppoly(x: ExpPoly) -> Spectrum:

@@ -128,6 +128,24 @@ def _ratio_text(n: int, d: int) -> str:
     return _int_text(n, d)
 
 
+def _qi_text(a: int, b: int, d: int) -> str:
+    """Display form of (a + i*b)/d, d > 0, in lowest terms or not: "3",
+    "-1/2", "i", "2i", "(1+2i)"; components whose reduced denominators
+    betray float origins render at 12 significant digits."""
+    if not b:
+        return _ratio_text(a, d)
+    if not a:
+        if b == d:
+            return "i"
+        if b == -d:
+            return "-i"
+        return f"{_ratio_text(b, d)}i"
+    sign = "+" if b > 0 else "-"
+    mag = abs(b)
+    imtxt = "i" if mag == d else f"{_ratio_text(mag, d)}i"
+    return f"({_ratio_text(a, d)}{sign}{imtxt})"
+
+
 # every integer of smaller magnitude is a float exactly
 _FLOAT_EXACT = 1 << 53
 
@@ -327,26 +345,11 @@ class Qi:
             raise DigitLimitError() from None
 
     def __str__(self):
-        # display form: "3", "-1/2", "i", "2i", "(1+2i)"; components whose
-        # denominators betray float origins render at 12 significant digits
-        a, b, d = self._a, self._b, self._d
-        if not b:
-            return _ratio_text(a, d)
-        if not a:
-            if b == d:
-                return "i"
-            if b == -d:
-                return "-i"
-            return f"{_ratio_text(b, d)}i"
-        sign = "+" if b > 0 else "-"
-        mag = abs(b)
-        imtxt = "i" if mag == d else f"{_ratio_text(mag, d)}i"
-        return f"({_ratio_text(a, d)}{sign}{imtxt})"
+        return _qi_text(self._a, self._b, self._d)
 
 
 _QI_ZERO = Qi(0)
 _QI_ONE = Qi(1)
-_QI_MINUS_ONE = Qi(-1)
 
 
 def _gmul(re, im, gr: int, gi: int):
@@ -382,6 +385,14 @@ def _gsum(x, y, sign: int = 1) -> tuple[list[int], list[int], int]:
         g = math.gcd(dx, dy)
         mx, my, dx = dy // g, sign * (dx // g), dx * (dy // g)
     return _lincomb(xr, mx, yr, my), _lincomb(xi, mx, yi, my), dx
+
+
+def _rmul(x: tuple, y: tuple) -> tuple:
+    """Product of two numerators given as (re, im, d); an empty one is
+    zero."""
+    if not (x[0] and y[0]):
+        return (), (), 1
+    return (*_gconv(x[0], x[1], y[0], y[1]), x[2] * y[2])
 
 
 def _conv(a, b) -> list[int]:
@@ -740,14 +751,26 @@ class CPoly:
                 "a coefficient exceeds the float range") from None
 
     def format(self, var: str = "s") -> str:
+        """The terms from the highest degree down, each coefficient printed
+        from its integers: 1 and -1 leave the power of var bare, and a
+        coefficient whose text is a fraction with no parentheses gets
+        them."""
         if self.is_zero:
             return "0"
+        d = self._d
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
+            a, b = self._re[k], self._im[k]
+            if not (a or b):
                 continue
-            txt = _term_str(c, var, k)
+            vtxt = "" if not k else var if k == 1 else f"{var}^{k}"
+            if k and not b and (a == d or a == -d):
+                txt = vtxt if a > 0 else "-" + vtxt
+            else:
+                txt = _qi_text(a, b, d)
+                if "/" in txt and txt[0] != "(":
+                    txt = f"({txt})"
+                txt += vtxt
             if parts and not txt.startswith("-"):
                 parts.append("+ " + txt)
             elif parts:
@@ -758,24 +781,6 @@ class CPoly:
 
     def __repr__(self):
         return f"CPoly({self.format()!r})"
-
-
-def _coeff_str(c: Qi) -> str:
-    s = str(c)
-    if "/" in s and not s.startswith("("):
-        return f"({s})"
-    return s
-
-
-def _term_str(c: Qi, var: str, k: int) -> str:
-    if k == 0:
-        return _coeff_str(c)
-    vtxt = var if k == 1 else f"{var}^{k}"
-    if c == _QI_ONE:
-        return vtxt
-    if c == _QI_MINUS_ONE:
-        return "-" + vtxt
-    return f"{_coeff_str(c)}{vtxt}"
 
 
 CPoly.ZERO = CPoly()

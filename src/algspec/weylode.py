@@ -24,8 +24,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 
-from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gconv,
-                       _gmul, _gsum, _reported, _root_points, _spectrum,
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gmul,
+                       _gsum, _reported, _rmul, _root_points, _spectrum,
                        poly_gcd, square_free_factors)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalExpr,
                       ExpressionError, split_scale)
@@ -164,13 +164,6 @@ def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
 def _raw(p: CPoly) -> tuple:
     """p as (re, im, d): Gaussian-integer coefficients over one integer."""
     return p._re, p._im, p._d
-
-
-def _rmul(x: tuple, y: tuple) -> tuple:
-    """Product of two raw numerators; an empty one is zero."""
-    if not (x[0] and y[0]):
-        return (), (), 1
-    return (*_gconv(x[0], x[1], y[0], y[1]), x[2] * y[2])
 
 
 def _nonzero(x: tuple) -> bool:

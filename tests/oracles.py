@@ -1,21 +1,25 @@
 """Plain reference implementations of the parser, of the expansion to
-exponential-polynomial terms, of the polynomial lcm, of pointwise values,
-of the derivatives behind Phi and the Taylor truncation, of the catalog
-equations and of the roots of a quadratic, kept as test oracles, and the
-random grammar texts the parser is compared on.
+exponential-polynomial terms, of the text of a polynomial, of the
+polynomial lcm, of pointwise values, of the derivatives behind Phi and the
+Taylor truncation, of the catalog equations and of the roots of a
+quadratic, kept as test oracles, and the random grammar texts the parser
+is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
 with canonical constructors that sort by a structural key walked afresh on
 each call.  `terms_of` expands with isinstance dispatch and builds every
-polynomial through the `CPoly` constructor.  `evaluate` walks the
-expression tree in floats, `diff_time` differentiates it symbolically, and
-`phi_symbolic` and `taylor_truncate` evaluate those derivatives, where the
-library reads values and derivatives off one truncated Taylor series
-(`sigexpr._jet`).  `catalog_equation` builds every value through the
-generic constructors, where the library builds each in its canonical form,
-and `quadratic_roots` solves a monic quadratic by `Qi` arithmetic on its
-coefficients, where the library stays on its Gaussian integers.
+polynomial through the `CPoly` constructor, where the library reads a sum
+of monomials as one polynomial.  `cpoly_format` prints a polynomial from
+its `Qi` coefficients, where the library prints from its integers.
+`evaluate` walks the expression tree in floats, `diff_time` differentiates
+it symbolically, and `phi_symbolic` and `taylor_truncate` evaluate those
+derivatives, where the library reads values and derivatives off one
+truncated Taylor series (`sigexpr._jet`).  `catalog_equation` builds
+every value through the generic constructors, where the library builds
+each in its canonical form, and `quadratic_roots` solves a monic quadratic
+by `Qi` arithmetic on its coefficients, where the library stays on its
+Gaussian integers.
 `tone_dft_dominant` samples a tone and reads its dominant bins through the
 public `dft`, with its validation and its tuples, where the contrast
 report reuses one cached grid and the DFT kernels on arrays.  Neither
@@ -384,6 +388,47 @@ def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
             rate = ra + rb
             out[rate] = out.get(rate, CPoly.ZERO) + pa * pb
     return out
+
+
+# ---------------------------------------------------------------------------
+# Polynomial text
+
+
+def _coeff_str(c: Qi) -> str:
+    s = str(c)
+    if "/" in s and not s.startswith("("):
+        return f"({s})"
+    return s
+
+
+def _term_str(c: Qi, var: str, k: int) -> str:
+    if k == 0:
+        return _coeff_str(c)
+    vtxt = var if k == 1 else f"{var}^{k}"
+    if c == Qi(1):
+        return vtxt
+    if c == Qi(-1):
+        return "-" + vtxt
+    return f"{_coeff_str(c)}{vtxt}"
+
+
+def cpoly_format(p: CPoly, var: str) -> str:
+    """The text of p in var, term by term from the `Qi` coefficients."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        txt = _term_str(c, var, k)
+        if parts and not txt.startswith("-"):
+            parts.append("+ " + txt)
+        elif parts:
+            parts.append("- " + txt[1:])
+        else:
+            parts.append(txt)
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

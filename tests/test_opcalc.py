@@ -10,13 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+from algspec import opcalc
 from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
                             from_signal, mult_by_minus_t,
                             spectrum_of_exppoly, taylor_truncate, to_exppoly,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     _shift, _stretched, alg_deriv, poles, spectrum_of_rational
-from algspec.sigexpr import (EvaluationError, ExpressionError, Pow,
+from algspec.sigexpr import (Add, EvaluationError, ExpressionError, Pow,
                              SignalClass, classify, evaluate, parse)
 
 _S = CPoly([0, 1])
@@ -231,6 +232,37 @@ def test_from_signal_refuses_before_it_expands():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("text", [
+    "t + t", "t^2 - t^2 + 1", "2*t + 3*t - 5*t", "i*t + 1/3",
+    "2.5e-3*t^4 - t", "(t + t)*exp(-t)", "t^3 + sin(t)"])
+def test_polynomial_sums_expand_as_the_reference(text):
+    # like terms are summed, never overwritten, and a sum with a term of
+    # another shape goes to the dict fold
+    e = parse(text)
+    assert from_signal(e) == ExpPoly(tuple(oracles.terms_of(e).items()))
+    for node in (e, *getattr(e, "factors", ())):
+        if type(node) is Add:
+            whole = opcalc._polynomial_sum(node.terms)
+            assert (whole is None) == (text == "t^3 + sin(t)")
+
+
+def test_a_polynomial_sum_makes_no_products(monkeypatch):
+    # one product with the cosine and one with the exponential, and none
+    # for the polynomial's monomials
+    e = parse("(1/2 - 3/2*t + 5/2*t^3)*cos(3/8*t)*exp(-5/8*t)")
+    calls = []
+
+    def counting_convolve(a, b):
+        calls.append(None)
+        return _convolve(a, b)
+
+    monkeypatch.setattr(opcalc, "_convolve", counting_convolve)
+    got = _terms_of(e)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert got == oracles.terms_of(e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracles.signal_texts)
 def test_expansion_equals_the_reference_expansion(text):
@@ -316,6 +348,84 @@ def test_image_equals_the_running_products_and_the_term_sum(x):
     r = to_rational(x)
     assert r == _image_by_running_products(x), x.format()
     assert r == _image_term_by_term(x), x.format()
+
+
+def _counting_local_numerators(monkeypatch):
+    calls = []
+    local = opcalc._local_numerator
+
+    def counting(*args):
+        calls.append(None)
+        return local(*args)
+
+    monkeypatch.setattr(opcalc, "_local_numerator", counting)
+    return calls
+
+
+@pytest.mark.parametrize("text, pairs, reals", [
+    ("sin(t)^2", 1, 1),
+    ("(1/2 - t)*cos(3/8*t)*exp(-1/8*t) + (t^2 + 3)*sin(5/8*t)*exp(-3/8*t)"
+     " + (2 - t)*exp(-5/8*t) + 3*t*exp(-7/8*t)", 2, 2),
+    ("(5/2 - 1/2*t + 3/2*t^3)*sin(7/8*t)*exp(-1/8*t)", 1, 0),
+])
+def test_a_conjugate_pair_takes_one_local_numerator(monkeypatch, text,
+                                                    pairs, reals):
+    x = from_signal(parse(text))
+    calls = _counting_local_numerators(monkeypatch)
+    r = to_rational(x)
+    assert len(calls) == pairs + reals
+    monkeypatch.undo()
+    assert r == _image_by_running_products(x)
+
+
+_rate_parts = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 1024))
+
+
+@st.composite
+def _real_exppolys(draw):
+    """Up to 4 rates of multiplicity up to 6, each complex one with its
+    conjugate twin carrying the conjugate polynomial, each real one a real
+    polynomial: a real signal."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        rate = Qi(draw(_rate_parts), draw(_rate_parts) if draw(st.booleans())
+                  else 0)
+        coeffs = draw(st.lists(_scalars, min_size=1, max_size=6))
+        if not rate.im:
+            coeffs = [Qi(c.re) for c in coeffs]
+        poly = CPoly(coeffs) or CPoly.ONE
+        terms[rate] = poly
+        terms[rate.conjugate()] = CPoly([c.conjugate() for c in poly.coeffs])
+    return ExpPoly(tuple(terms.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_real_exppolys())
+def test_a_real_signal_has_a_real_image_by_the_pair_step(x):
+    r = to_rational(x)
+    assert r == _image_by_running_products(x), x.format()
+    assert r == _image_term_by_term(x), x.format()
+    assert not any(r.num._im) and not any(r.den._im), x.format()
+
+
+_RATE = Qi(Fraction(-1, 3), Fraction(5, 8))
+
+
+@pytest.mark.parametrize("twin", [
+    CPoly([Qi(1, -2), Qi(Fraction(1, 2), 1)]),      # one coefficient off
+    CPoly([Qi(1, -2), Qi(Fraction(1, 2), -1), 3]),  # another degree
+])
+def test_a_twin_other_than_the_conjugate_is_a_rate_of_its_own(
+        monkeypatch, twin):
+    # no real step: each of the two rates has its own local numerator
+    x = ExpPoly(((_RATE, CPoly([Qi(1, 2), Qi(Fraction(1, 2), 1)])),
+                 (_RATE.conjugate(), twin)))
+    calls = _counting_local_numerators(monkeypatch)
+    r = to_rational(x)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert r == _image_by_running_products(x)
+    assert r == _image_term_by_term(x)
 
 
 @pytest.mark.parametrize("text", [

@@ -259,6 +259,41 @@ def test_qi_repr_keeps_the_digit_limit_apart():
         == "Qi(Fraction(1, 3), Fraction(-2, 1))"
 
 
+# coefficients: zero, +-1, +-i, small complex values, reduced denominators
+# above 10^9 (printed at 12 digits), and magnitudes below 2^-1022 or beyond
+# the float range (printed from the integers)
+_format_parts = st.one_of(
+    st.fractions(max_denominator=9),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+              st.integers(10 ** 9 + 1, 10 ** 12)),
+    st.builds(Fraction, st.integers(1, 7), st.integers(2 ** 1030, 2 ** 1040)),
+    st.builds(Fraction, st.integers(-10 ** 320, 10 ** 320),
+              st.integers(1, 10 ** 10)),
+)
+_format_coeffs = st.one_of(
+    st.sampled_from([Qi(0), Qi(0), Qi(1), Qi(-1), Qi(0, 1), Qi(0, -1)]),
+    st.builds(Qi, _format_parts),
+    st.builds(lambda im: Qi(0, im), _format_parts),
+    st.builds(Qi, _format_parts, _format_parts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_format_coeffs, max_size=7), st.sampled_from("st"))
+def test_polynomial_text_equals_the_coefficient_text(coeffs, var):
+    p = CPoly(coeffs)
+    assert p.format(var) == oracles.cpoly_format(p, var)
+
+
+def test_polynomial_text_keeps_the_digit_limit_apart():
+    for p in (CPoly([1, 10 ** 5000]), CPoly([Qi(0, -(10 ** 5000))]),
+              CPoly([Fraction(1, 3), Fraction(10 ** 5000, 7)])):
+        with pytest.raises(DigitLimitError, match="limit of 4300 digits"):
+            p.format()
+        with pytest.raises(DigitLimitError):
+            oracles.cpoly_format(p, "s")
+
+
 def test_an_image_beyond_the_float_range_has_a_repr():
     # its coefficients reach 1e375 over powers of 3, and print at 12 digits
     r = to_rational(from_signal(parse("(t+1)^200*exp(-t/3)")))

@@ -29,9 +29,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .ratfield import Qi, _FrozenValue
-from .sigexpr import (Const, Mul, Sin, SignalExpr, EvaluationError,
-                      ParameterError, _jet, canonical)
+from .ratfield import _FrozenValue
+from .sigexpr import (Const, Sin, SignalExpr, EvaluationError,
+                      ParameterError, _jet, canonical, split_scale)
 
 __all__ = ["SampledSignal", "PhiTrace", "VilleComparison", "phi_symbolic",
            "phi_fitted", "phi_vs_ville_note"]
@@ -266,16 +266,11 @@ class VilleComparison(_FrozenValue):
 
 def _tone_parameters(e: SignalExpr) -> tuple[float, float]:
     e = canonical(e)
-    if isinstance(e, Const) and e.value == Qi(0):
+    if isinstance(e, Const) and not e.value:
         return 0.0, 0.0
-    if isinstance(e, Sin) and e.phase == 0:
-        return 1.0, float(e.omega)
-    if isinstance(e, Mul):
-        consts = [f for f in e.factors if isinstance(f, Const)]
-        rest = [f for f in e.factors if not isinstance(f, Const)]
-        if (len(consts) == 1 and len(rest) == 1 and consts[0].value.is_real
-                and isinstance(rest[0], Sin) and rest[0].phase == 0):
-            return float(consts[0].value.re), float(rest[0].omega)
+    scale, atom = split_scale(e)
+    if isinstance(atom, Sin) and atom.phase == 0 and scale.is_real:
+        return float(scale.re), float(atom.omega)
     raise ParameterError("comparison requires a pure tone A*sin(w*t)")
 
 

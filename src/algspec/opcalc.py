@@ -21,7 +21,7 @@ from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
                        _taylor_shift)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
-                      _is_exppoly, _jet)
+                      _is_exppoly, _jet, _unit_phase)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -48,18 +48,13 @@ class ExpPoly(_FrozenValue):
                 merged[rate] = merged[rate] + poly
             else:
                 merged[rate] = poly
-        out = [(r, p) for r, p in merged.items() if not p.is_zero]
-        out.sort(key=lambda rp: rp[0].order_key)
-        object.__setattr__(self, "terms", tuple(out))
+        object.__setattr__(self, "terms", _in_rate_order(merged))
 
     @classmethod
     def _from_terms(cls, terms: dict[Qi, CPoly]) -> "ExpPoly":
-        """The sum of these terms, keyed by their distinct rates, with zero
-        polynomials dropped and the rest in rate order."""
+        """The sum of these terms, keyed by their distinct rates."""
         x = object.__new__(cls)
-        out = [(r, p) for r, p in terms.items() if p]
-        out.sort(key=lambda rp: rp[0].order_key)
-        object.__setattr__(x, "terms", tuple(out))
+        object.__setattr__(x, "terms", _in_rate_order(terms))
         return x
 
     @property
@@ -91,6 +86,14 @@ class ExpPoly(_FrozenValue):
         return " + ".join(parts)
 
 
+def _in_rate_order(terms: dict[Qi, CPoly]) -> tuple:
+    """The (rate, poly) pairs of terms with a nonzero poly, in canonical
+    (Re, Im) rate order."""
+    out = [(r, p) for r, p in terms.items() if p]
+    out.sort(key=lambda rp: rp[0].order_key)
+    return tuple(out)
+
+
 _QI_HALF = Qi(Fraction(1, 2))
 _HALF_I = Qi(0, Fraction(1, 2))
 # The Euler pairs (c_plus, c_minus) of sin and cos at phase 0:
@@ -99,24 +102,11 @@ _SIN_PAIR = (-_HALF_I, _HALF_I)
 _COS_PAIR = (_QI_HALF, _QI_HALF)
 
 
-def _phase_factor(phase: Fraction) -> Qi:
-    # e^(i*phase); exact 1 when the phase is zero
-    if phase == 0:
-        return Qi(1)
-    f = float(phase)
-    return Qi(Fraction(math.cos(f)), Fraction(math.sin(f)))
-
-
-def _scalar_poly(c: Qi) -> CPoly:
-    """The constant polynomial c."""
-    return CPoly._make((c._a,), (c._b,), c._d) if c else CPoly.ZERO
-
-
 def _euler_pair(e: Sin | Cos) -> tuple[Qi, Qi]:
     """The coefficients of e^(iwt) and e^(-iwt) in e."""
     if not e.phase:
         return _SIN_PAIR if type(e) is Sin else _COS_PAIR
-    ph = _phase_factor(e.phase)
+    ph = _unit_phase(e.phase)
     if type(e) is Sin:
         return -_HALF_I * ph, _HALF_I * ph.conjugate()
     return ph * _QI_HALF, ph.conjugate() * _QI_HALF
@@ -126,7 +116,7 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
     """The terms rate -> polynomial of an exponential polynomial."""
     kind = type(e)
     if kind is Const:
-        return {_QI_ZERO: _scalar_poly(e.value)}
+        return {_QI_ZERO: CPoly.scalar(e.value)}
     if kind is TimeVar:
         return {_QI_ZERO: CPoly.S}
     if kind is Exp:
@@ -135,10 +125,10 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
         c_plus, c_minus = _euler_pair(e)
         w = e.omega
         if not w:
-            return {_QI_ZERO: _scalar_poly(c_plus + c_minus)}
+            return {_QI_ZERO: CPoly.scalar(c_plus + c_minus)}
         n, d = w.numerator, w.denominator
-        return {Qi._make(0, n, d): _scalar_poly(c_plus),
-                Qi._make(0, -n, d): _scalar_poly(c_minus)}
+        return {Qi._make(0, n, d): CPoly.scalar(c_plus),
+                Qi._make(0, -n, d): CPoly.scalar(c_minus)}
     if kind is Add:
         poly = _polynomial_sum(e.terms)
         if poly is not None:
@@ -357,4 +347,4 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
         raise ValueError("truncation order must be nonnegative")
     jet = CPoly(_jet(e, t0, order))        # in h = t - t0
     poly = CPoly(_taylor_shift(jet, Qi.coerce(-Fraction(t0)), order + 1))
-    return ExpPoly(((Qi(0), poly),))
+    return ExpPoly(((_QI_ZERO, poly),))

@@ -576,7 +576,12 @@ class CPoly:
 
     @classmethod
     def scalar(cls, c) -> "CPoly":
-        return cls([c])
+        """The constant polynomial c."""
+        if type(c) is not Qi:
+            c = Qi.coerce(c)
+        if c._a or c._b:
+            return cls._make((c._a,), (c._b,), c._d)
+        return cls.ZERO
 
     @property
     def degree(self) -> int:
@@ -637,7 +642,7 @@ class CPoly:
     def __mul__(self, other):
         if not isinstance(other, CPoly):
             try:
-                other = CPoly([other])   # a scalar
+                other = CPoly.scalar(other)
             except TypeError:
                 return NotImplemented
         if self.is_zero or other.is_zero:
@@ -855,12 +860,13 @@ def square_free_factors(p: CPoly) -> list[tuple[CPoly, int]]:
     p = p.monic()
     if p.degree <= 1:
         return [(p, 1)] if p.degree == 1 else []
-    g = poly_gcd(p, p.deriv())
+    dp = p.deriv()
+    g = poly_gcd(p, dp)
     if g.degree == 0:
         return [(p, 1)]
     out = []
     b = p // g
-    d = (p.deriv() // g) - b.deriv()
+    d = (dp // g) - b.deriv()
     i = 1
     while b.degree > 0:
         a = poly_gcd(b, d)
@@ -1032,7 +1038,9 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
     """Roots of a square-free polynomial: eigenvalue estimates refined by
     simultaneous (Aberth-style) iteration until each root z has backward
     error |p(z)| / sum |c_k| |z|^k <= 1e-12 (Bini, Numer. Algorithms 1996).
-    The bound scales with |z|^k, so large and small roots meet it alike."""
+    The bound scales with |z|^k, so large and small roots meet it alike.
+    An iterate whose residual or bound leaves the float range is refused,
+    and NumPy reports nothing on the way."""
     import numpy as np
 
     c = np.asarray(coeffs, dtype=complex)
@@ -1042,29 +1050,39 @@ def _aberth(coeffs: list[complex], max_iter: int = 120) -> list[complex]:
     polyval = np.polynomial.polynomial.polyval
     abs_c = np.abs(c)
     dc = c[1:] * np.arange(1, deg + 1)
-    z = np.roots(c[::-1]).astype(complex)
-    for _ in range(max_iter):
-        p = polyval(z, c)
-        if np.all(np.abs(p) <= _ABERTH_TOL * polyval(np.abs(z), abs_c)):
-            return [complex(v) for v in z]
-        dp = polyval(z, dc)
-        stale = np.abs(dp) == 0.0
-        if np.any(stale):
-            z[stale] += 1e-8 * (1.0 + np.abs(z[stale]))
-            continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        diff[diff == 0] = np.inf
-        coupling = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * coupling
-        denom[np.abs(denom) < 1e-300] = 1.0
-        z = z - w / denom
+
+    def residual(z):
+        p, scale = polyval(z, c), polyval(np.abs(z), abs_c)
+        if not (np.isfinite(p).all() and np.isfinite(scale).all()):
+            raise RootFindingError(
+                "root iteration left the float range: a residual or its "
+                "bound is not finite")
+        return p, scale
+
+    with np.errstate(all="ignore"):
+        z = np.roots(c[::-1]).astype(complex)
+        for _ in range(max_iter):
+            p, scale = residual(z)
+            if np.all(np.abs(p) <= _ABERTH_TOL * scale):
+                return [complex(v) for v in z]
+            dp = polyval(z, dc)
+            stale = np.abs(dp) == 0.0
+            if np.any(stale):
+                z[stale] += 1e-8 * (1.0 + np.abs(z[stale]))
+                continue
+            w = p / dp
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            diff[diff == 0] = np.inf
+            coupling = np.sum(1.0 / diff, axis=1)
+            denom = 1.0 - w * coupling
+            denom[np.abs(denom) < 1e-300] = 1.0
+            z = z - w / denom
+        p, scale = residual(z)
     # An exact root 0 of a polynomial with c_0 = 0 has scale 0 and
     # residual 0; it counts as backward error 0, not 0/0.
-    scale = polyval(np.abs(z), abs_c)
-    backward = float(np.max(np.divide(np.abs(polyval(z, c)), scale,
-                                      out=np.zeros(deg), where=scale > 0)))
+    backward = float(np.max(np.divide(np.abs(p), scale, out=np.zeros(deg),
+                                      where=scale > 0)))
     raise RootFindingError(
         f"root iteration stalled: backward error {backward:.3e} "
         f"above {_ABERTH_TOL:.0e} after {max_iter} iterations")
@@ -1148,7 +1166,7 @@ def _nearest_small(x: float) -> tuple[int, int]:
     return best
 
 
-def _certified_roots(p: CPoly, zs: list[complex], tried: set):
+def _certified_roots(p: CPoly, zs: list[complex]):
     """The roots in Q(i) of a monic p that the candidates of its float
     roots zs lead to, as (root, multiplicity) pairs; the float roots none of
     them accounts for; and the cofactor, p over prod (s - q)^m.
@@ -1157,10 +1175,10 @@ def _certified_roots(p: CPoly, zs: list[complex], tried: set):
     which also deflates it away, so nothing enters on float evidence.  A
     root of multiplicity m accounts for the m float roots still pending
     that lie nearest it: its float cluster, or, in a square-free p, the
-    one float root it is, whichever float root proposed it.  Candidates in
-    `tried` are skipped, and each one tried is added to it: none of them
-    is a root of the cofactor, or of any factor of it."""
+    one float root it is, whichever float root proposed it.  Each candidate
+    is tried once, however many members of a cluster propose it."""
     found: list[tuple[Qi, int]] = []
+    tried: set[Qi] = set()
     pending = dict(enumerate(zs))
     for k, z in enumerate(zs):
         if k not in pending:
@@ -1200,16 +1218,14 @@ def _quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
             Qi._canon(-u - br, -v - bi, 2 * d))
 
 
-def square_free_roots(f: CPoly, tried: set | None = None
-                      ) -> list[tuple[complex, Qi | None]]:
+def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
     """Roots of a monic square-free polynomial of positive degree, each as
     (location, exact), exact being the root when it lies in Q(i), else None.
 
     Degree 1 is exact, and degree 2 takes the square root of the
     discriminant in Q(i), without which it has no root there.  A higher
     degree runs one `_aberth` call and certifies the candidates of its roots
-    (`_certified_roots`) that are not in `tried`, the candidates already
-    refused for a multiple of f; the rest stay floats.
+    (`_certified_roots`); the rest stay floats.
     """
     if f.degree == 1:
         q = -f.coeffs[0]
@@ -1220,8 +1236,7 @@ def square_free_roots(f: CPoly, tried: set | None = None
     zs = _aberth(f.to_complex())
     if f.degree == 2:
         return [(z, None) for z in zs]
-    found, floats, _ = _certified_roots(
-        f, zs, set() if tried is None else tried)
+    found, floats, _ = _certified_roots(f, zs)
     return ([(complex(q), q) for q, _ in found]
             + [(z, None) for z in floats])
 
@@ -1233,15 +1248,14 @@ def _location_key(z: complex) -> tuple:
     return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
 
 
-def _root_points(factors, tried: set | None = None
-                 ) -> list[tuple[complex, Qi | None, object]]:
+def _root_points(factors) -> list[tuple[complex, Qi | None, object]]:
     """The roots of (factor, tag) pairs as (root, exact, tag) points, sorted
     by `_location_key`.  A factor is a monic square-free `CPoly`, or a `Qi`
-    q standing for s - q; `tried` goes to `square_free_roots`.  The roots
-    are raw: `_reported` gives where each one is reported."""
+    q standing for s - q.  The roots are raw: `_reported` gives where each
+    one is reported."""
     return sorted(((z, q, tag) for f, tag in factors
                    for z, q in (((complex(f), f),) if type(f) is Qi
-                                else square_free_roots(f, tried))),
+                                else square_free_roots(f))),
                   key=lambda r: _location_key(r[0]))
 
 
@@ -1251,25 +1265,23 @@ def _reported(z: complex, exact: Qi | None) -> complex:
     return z if exact is not None else snap_axes(z)
 
 
-def _exact_roots(p: CPoly) -> tuple[list[tuple[Qi, int]], CPoly, set]:
+def _exact_roots(p: CPoly) -> tuple[list[tuple[Qi, int]], CPoly]:
     """The roots of a monic p in Q(i) found before any split, as (root,
-    multiplicity) pairs, the cofactor left, and the candidates tried: the
-    certified candidates of one `np.roots` call (`_certified_roots`).  A
-    degree below 3, which `square_free_roots` solves exactly, and a p whose
-    coefficients exceed the float range keep all their roots for the
-    cofactor."""
-    tried: set[Qi] = set()
+    multiplicity) pairs, and the cofactor left: the certified candidates of
+    one `np.roots` call (`_certified_roots`).  A degree below 3, which
+    `square_free_roots` solves exactly, and a p whose coefficients exceed
+    the float range keep all their roots for the cofactor."""
     if p.degree < 3:
-        return [], p, tried
+        return [], p
     try:
         coeffs = p.to_complex()
     except OverflowError:
-        return [], p, tried
+        return [], p
     import numpy as np
 
     zs = [complex(z) for z in np.roots(coeffs[::-1]).tolist()]
-    found, _, rest = _certified_roots(p, zs, tried)
-    return found, rest, tried
+    found, _, rest = _certified_roots(p, zs)
+    return found, rest
 
 
 def poly_roots(p: CPoly) -> list[Pole]:
@@ -1278,11 +1290,11 @@ def poly_roots(p: CPoly) -> list[Pole]:
     The roots in Q(i) come first, each certified with its multiplicity by
     an exact Taylor shift and deflated (`_exact_roots`); only a cofactor
     left over goes through Yun's split (`square_free_factors`) and
-    `square_free_roots`, which skips the candidates already tried."""
-    found, rest, tried = _exact_roots(p.monic())
+    `square_free_roots`."""
+    found, rest = _exact_roots(p.monic())
     if rest.degree > 0:
         found += square_free_factors(rest)
-    return [Pole(z, mult, q) for z, q, mult in _root_points(found, tried)]
+    return [Pole(z, mult, q) for z, q, mult in _root_points(found)]
 
 
 def poles(r: RatFunc) -> list[Pole]:

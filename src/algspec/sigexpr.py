@@ -32,8 +32,8 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 
-from .ratfield import (CPoly, Qi, RatFunc, _FrozenValue, _int_text, _power,
-                       _series_quotient)
+from .ratfield import (CPoly, Qi, RatFunc, _FrozenValue, _QI_ONE, _QI_ZERO,
+                       _int_text, _power, _series_quotient)
 
 __all__ = [
     "SignalExpr", "Const", "TimeVar", "Add", "Mul", "Pow", "Exp", "Sin",
@@ -137,24 +137,23 @@ class Exp(SignalExpr):
         object.__setattr__(self, "rate", Qi.coerce(rate))
 
 
-class Sin(SignalExpr):
+class _Trig(SignalExpr):
+    """The fields of `Sin` and `Cos`: omega in rad/s, phase in rad.  The two
+    are siblings, so that a cosine is no instance of `Sin`."""
+
+    _fields = ("omega", "phase")
+
+    def __init__(self, omega: Fraction, phase: Fraction = Fraction(0)):
+        object.__setattr__(self, "omega", _as_fraction(omega))
+        object.__setattr__(self, "phase", _as_fraction(phase))
+
+
+class Sin(_Trig):
     """sin(omega*t + phase), omega in rad/s, phase in rad."""
 
-    _fields = ("omega", "phase")
 
-    def __init__(self, omega: Fraction, phase: Fraction = Fraction(0)):
-        object.__setattr__(self, "omega", _as_fraction(omega))
-        object.__setattr__(self, "phase", _as_fraction(phase))
-
-
-class Cos(SignalExpr):
+class Cos(_Trig):
     """cos(omega*t + phase)."""
-
-    _fields = ("omega", "phase")
-
-    def __init__(self, omega: Fraction, phase: Fraction = Fraction(0)):
-        object.__setattr__(self, "omega", _as_fraction(omega))
-        object.__setattr__(self, "phase", _as_fraction(phase))
 
 
 class Sinc(SignalExpr):
@@ -215,8 +214,8 @@ class TFrac(SignalExpr):
         object.__setattr__(self, "rat", rat)
 
 
-_T_POLY = CPoly([0, 1])
-_QI_ZERO, _QI_ONE, _QI_I = Qi(0), Qi(1), Qi(0, 1)
+_T_POLY = CPoly.S
+_QI_I = Qi(0, 1)
 
 
 def _rat_key(r: RatFunc):
@@ -297,7 +296,7 @@ def _tfrac(rat: RatFunc) -> SignalExpr:
     """Canonical node for an element of C(t): plain polynomial trees when the
     denominator cancels, a TFrac node otherwise."""
     if rat.is_zero:
-        return Const(Qi(0))
+        return Const(_QI_ZERO)
     if not rat.is_polynomial:
         return TFrac(rat)
     p = rat.num
@@ -311,7 +310,7 @@ def _tfrac(rat: RatFunc) -> SignalExpr:
             terms.append(Const(c))
             continue
         tpow = TimeVar() if k == 1 else Pow(TimeVar(), k)
-        terms.append(tpow if c == Qi(1) else Mul((Const(c), tpow)))
+        terms.append(tpow if c == _QI_ONE else Mul((Const(c), tpow)))
     if len(terms) == 1:
         return terms[0]
     terms.sort(key=_key)
@@ -422,7 +421,7 @@ def make_pow(base: SignalExpr, k: int) -> SignalExpr:
     if k < 0:
         raise ParameterError("power exponent must be a nonnegative integer")
     if k == 0:
-        return Const(Qi(1))
+        return Const(_QI_ONE)
     if k == 1:
         return base
     if isinstance(base, Const):
@@ -439,7 +438,7 @@ def make_pow(base: SignalExpr, k: int) -> SignalExpr:
 def make_exp(rate) -> SignalExpr:
     rate = Qi.coerce(rate)
     if not rate:
-        return Const(Qi(1))
+        return Const(_QI_ONE)
     return Exp(rate)
 
 
@@ -520,24 +519,18 @@ def classify(e: SignalExpr) -> SignalClass:
     """
     if _is_exppoly(e):
         return SignalClass.EXP_POLYNOMIAL
-    if isinstance(e, Dirac):
+    atom = split_scale(e)[1]
+    if isinstance(atom, Dirac):
         return SignalClass.DIRAC
-    if isinstance(e, _ODE_ATOMS):
+    if isinstance(atom, _ODE_ATOMS):
         return SignalClass.ODE_DEFINED
-    if isinstance(e, Mul):
-        others = [f for f in e.factors if not isinstance(f, Const)]
-        if len(others) == 1:
-            if isinstance(others[0], Dirac):
-                return SignalClass.DIRAC
-            if isinstance(others[0], _ODE_ATOMS):
-                return SignalClass.ODE_DEFINED
     return SignalClass.UNSUPPORTED
 
 
 def split_scale(e: SignalExpr) -> tuple[Qi, SignalExpr]:
     """Separate a leading scalar from a scaled atom: c*x -> (c, x)."""
     if isinstance(e, Mul):
-        scale = Qi(1)
+        scale = _QI_ONE
         rest = []
         for f in e.factors:
             if isinstance(f, Const):
@@ -546,7 +539,7 @@ def split_scale(e: SignalExpr) -> tuple[Qi, SignalExpr]:
                 rest.append(f)
         if len(rest) == 1:
             return scale, rest[0]
-    return Qi(1), e
+    return _QI_ONE, e
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +559,15 @@ def _cexp(z: complex) -> complex:
     """cmath.exp(z), refusing an angle z.imag that overflowed."""
     _angle(z.imag)
     return cmath.exp(z)
+
+
+def _unit_phase(phase: Fraction) -> Qi:
+    """e^(i*phase), the phase of a trigonometric atom or a chirp, as the
+    exact value of its float parts: exactly 1 at phase 0."""
+    if not phase:
+        return _QI_ONE
+    f = float(phase)
+    return Qi(math.cos(f), math.sin(f))
 
 
 def _finite(value: complex, t: float) -> complex:

@@ -24,11 +24,11 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 
-from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _gmul,
-                       _gsum, _reported, _rmul, _root_points, _spectrum,
-                       poly_gcd, square_free_factors)
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
+                       _gmul, _gsum, _reported, _rmul, _root_points,
+                       _spectrum, poly_gcd, square_free_factors)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalExpr,
-                      ExpressionError, split_scale)
+                      ExpressionError, _unit_phase, split_scale)
 
 __all__ = [
     "WeylOp", "OdeSystem", "SingularPoint", "apply", "mul_ops",
@@ -312,11 +312,6 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
                         for k in range(order + 1)))
 
 
-def _constant(q: Qi) -> CPoly:
-    """The constant polynomial q, for q nonzero."""
-    return CPoly._make((q._a,), (q._b,), q._d)
-
-
 def _sum_of_squares(w: Fraction) -> CPoly:
     """s^2 + w^2, which is monic and, for w = p/q in lowest terms, has the
     canonical form (p^2 + q^2 s^2)/q^2."""
@@ -334,7 +329,7 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
     if isinstance(atom, Sinc):
         w = atom.omega
         c = scale * Qi._make(-w.numerator, 0, w.denominator)
-        rhs = RatFunc._from_reduced(_constant(c), _sum_of_squares(w))
+        rhs = RatFunc._from_reduced(CPoly.scalar(c), _sum_of_squares(w))
         return OdeSystem(WeylOp.D, rhs)
     if isinstance(atom, RaisedCos):
         w = atom.omega
@@ -347,14 +342,10 @@ def catalog_equation(e: SignalExpr) -> OdeSystem:
         op = WeylOp((RatFunc(Qi(atom.lag)), RatFunc.ONE))
         return OdeSystem(op, RatFunc.ZERO)
     if isinstance(atom, Chirp):
-        r0 = RatFunc(CPoly([Qi(0, -atom.b), Qi(1)]))
+        r0 = RatFunc(CPoly([Qi(0, -atom.b), _QI_ONE]))
         r1 = RatFunc(Qi(0, 2 * atom.a))
-        f = float(atom.c)
-        if atom.c == 0:
-            rhs_scalar = Qi(1)
-        else:
-            rhs_scalar = Qi.coerce(complex(math.cos(f), math.sin(f)))
-        rhs = RatFunc._from_reduced(_constant(rhs_scalar * scale), CPoly.ONE)
+        rhs = RatFunc._from_reduced(
+            CPoly.scalar(_unit_phase(atom.c) * scale), CPoly.ONE)
         return OdeSystem(WeylOp((r0, r1)), rhs)
     raise ExpressionError("expression has no catalog equation")
 

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import typing
 import warnings
 from decimal import Decimal
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algspec
+import oracles
 from algspec import (cli, fouriercontrast, instfreq, opcalc, pipeline,
                      ratfield, selftest, sigexpr, weylode)
 from algspec.cli import CliConfig, main, run
@@ -499,6 +501,38 @@ def test_contrast_edge_inputs_end_in_one_line_without_warnings(text):
     assert len(proc.stderr.splitlines()) <= 1
     for stream in (proc.stdout, proc.stderr):
         assert "Warning" not in stream and "Traceback" not in stream
+
+
+_FUZZ_COMMANDS = st.sampled_from([
+    ("spectrum", None), ("opform", None), ("instfreq", 0.0),
+    ("instfreq", 0.75), ("instfreq", -2.5), ("contrast", None)])
+
+
+def test_expression_commands_end_in_one_line_on_any_text(capfd):
+    # every grammar text, well formed or not, exits 0, 1 or 2 within a
+    # budget, with a one-line message on failure and nothing on the real
+    # stderr or in the warnings
+    @settings(max_examples=300, deadline=None)
+    @given(oracles.signal_texts, _FUZZ_COMMANDS,
+           st.sampled_from(["text", "json"]))
+    def check(text, command, output):
+        name, at = command
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            start = time.perf_counter()
+            status, out, err = run(CliConfig(name, expr=text, output=output,
+                                             at=at))
+            elapsed = time.perf_counter() - start
+        assert status in (0, 1, 2)
+        if status:
+            assert out == "" and err and "\n" not in err
+        else:
+            assert err == ""
+        assert caught == []
+        assert capfd.readouterr() == ("", "")
+        assert elapsed <= 10.0
+
+    check()
 
 
 def test_closed_stdout_exits_without_a_traceback(tmp_path):

@@ -124,6 +124,26 @@ def _rat_close(a: RatFunc, b: RatFunc, tol=1e-9) -> bool:
 # --- expansion to canonical terms --------------------------------------------
 
 
+def test_a_repeated_rate_is_merged_and_a_zero_sum_dropped():
+    x = ExpPoly(((1, [1]), (1, [2]), (2, [1]), (2, [-1])))
+    assert x == ExpPoly(((1, [3]),))
+    assert x.terms == ((Qi(1), CPoly([3])),)
+
+
+def test_both_constructors_give_the_rate_order():
+    rates = [Qi(1, -1), Qi(0, 3), Qi(-2), Qi(0, -3), Qi(1, 1), Qi(0),
+             Qi(Fraction(-1, 2), 5)]
+    terms = {rate: CPoly([k + 1, 0, Qi(0, k)]) for k, rate in enumerate(rates)}
+    terms[Qi(7)] = CPoly.ZERO
+    for order in (rates, rates[::-1]):
+        items = tuple((rate, terms[rate]) for rate in order)
+        x = ExpPoly(items + ((Qi(7), CPoly.ZERO),))
+        assert x.terms == ExpPoly._from_terms(dict(items)).terms
+        assert [r for r, _ in x.terms] == sorted(
+            rates, key=lambda q: (q.re, q.im))
+    assert ExpPoly._from_terms(terms) == x
+
+
 def test_tone_terms_are_the_euler_pair():
     x = from_signal(parse("sin(3*t)"))
     assert len(x.terms) == 2
@@ -265,6 +285,9 @@ def test_a_polynomial_sum_makes_no_products(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(oracles.signal_texts)
+@example("sin(2*t + 1/3)")
+@example("cos(2*t - 1/3)*exp(-t)")
+@example("cos(0, 1/3) + sin(0, -2)*t")
 def test_expansion_equals_the_reference_expansion(text):
     try:
         e = parse(text)

@@ -7,6 +7,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -941,6 +942,24 @@ def test_roots_a_trillionth_apart_stay_two_exact_roots():
     assert to_exppoly(to_rational(x)) == x
 
 
+def test_roots_only_the_split_certifies_come_back_exact():
+    # the float roots of ((s - 1/1000)(s - 1/500)(s^3 - 2))^3 blur in
+    # clusters of three, so no candidate before Yun's split is a root; the
+    # pass over the square-free factors certifies 1/1000 and 1/500
+    s = CPoly([0, 1])
+    a, b = Qi(Fraction(1, 1000)), Qi(Fraction(1, 500))
+    p = ((s - CPoly.scalar(a)) * (s - CPoly.scalar(b))
+         * (s ** 3 - CPoly.scalar(2))) ** 3
+    assert ratfield._exact_roots(p)[0] == []
+    found = poly_roots(p)
+    assert {(q.exact, q.multiplicity) for q in found
+            if q.exact is not None} == {(a, 3), (b, 3)}
+    floats = [q for q in found if q.exact is None]
+    assert [q.multiplicity for q in floats] == [3, 3, 3]
+    for q in floats:
+        assert abs(q.location ** 3 - 2) <= 1e-12
+
+
 def test_a_clustered_quartic_keeps_its_roots_exact():
     # (s^2 + 1)(s^2 + w^2) with w = 1 + 10^-6: four roots in two tight pairs
     s, w = CPoly([0, 1]), Fraction(1) + Fraction(1, 10 ** 6)
@@ -1080,6 +1099,36 @@ def test_stall_message_reads_zero_backward_error_at_an_exact_zero_root():
         with pytest.raises(RootFindingError) as info:
             _aberth([0, 1, 0, 0, 0, 1], max_iter=0)
     assert "nan" not in str(info.value)
+
+
+def test_aberth_refines_estimates_the_eigenvalues_miss(monkeypatch):
+    # s^3 + 4000 s^2 + 5e6 s - 1/5 with every eigenvalue estimate off by a
+    # relative 1e-6: the iteration, not np.roots, meets the bound
+    coeffs = [-0.2, 5e6, 4000.0, 1.0]
+
+    def backward(zs):
+        return max(abs(sum(c * z ** k for k, c in enumerate(coeffs)))
+                   / sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+                   for z in zs)
+
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: roots(c) * (1 + 1e-6))
+    assert backward(np.roots(coeffs[::-1])) > 1e-7
+    assert backward(_aberth(coeffs)) <= 1e-12
+
+
+def test_roots_beyond_the_float_range_are_refused_quietly(capfd):
+    # s^3 - 10^300 s + 1 has roots near +-1e150, whose cubes overflow
+    s = CPoly([0, 1])
+    p = s ** 3 - CPoly.scalar(10 ** 300) * s + CPoly.ONE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RootFindingError) as info:
+            poles(RatFunc(CPoly.ONE, p))
+    assert caught == []
+    assert capfd.readouterr().err == ""
+    assert "float range" in str(info.value)
+    assert "backward error 0.000e+00" not in str(info.value)
 
 
 # --- spectra ------------------------------------------------------------------

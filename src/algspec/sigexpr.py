@@ -21,6 +21,12 @@ Parsing produces a canonical tree: sums and products are flattened, scalar
 factors are folded and kept leftmost, terms are sorted by a structural key,
 and trivial powers collapse.  pretty_print renders a canonical tree back to
 a string that reparses to an equal tree.
+
+The parser builds each node of that tree once.  A digit literal that leads
+a term, over a digit literal, is one fraction; t is one shared node and t^k
+a power of it; and a term that is a constant, alone or times one atom,
+takes the sign of a minus into that constant and is built as its node
+directly.  Everything else goes through the canonical constructors.
 """
 
 from __future__ import annotations
@@ -841,12 +847,15 @@ def evaluate(e: SignalExpr, t: float) -> complex:
 # Tokenizer and parser
 
 
-_LEXEME = re.compile(r"\s+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-                     r"|[A-Za-z_][A-Za-z_0-9]*|[-+*/^(),]")
+# The operators, the most frequent lexemes, are tried first; the three
+# kinds start with different characters, so the order picks no other match.
+_LEXEME = re.compile(r"\s*([-+*/^(),]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+                     r"|[A-Za-z_][A-Za-z_0-9]*)")
 
 _FUNCTIONS = frozenset(("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay",
                         "chirp"))
 _MINUS_ONE = Const(Qi(-1))
+_T = TimeVar()          # the one t of every parsed tree
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -857,29 +866,26 @@ def _tokenize(text: str) -> list[str]:
     """The token texts, whitespace dropped, then "" for the end.  The texts
     of different kinds never coincide, so a token is told by its text.
 
-    findall skips a character no lexeme starts at; when none is skipped,
-    the lexemes cover the text and each is the one a match at its start
-    takes."""
-    lexemes = _LEXEME.findall(text)
-    if sum(map(len, lexemes)) != len(text):
-        pos = 0
+    findall skips a character where no lexeme starts after whitespace; when
+    the lexemes hold all the text but its whitespace, none is skipped."""
+    words = _LEXEME.findall(text)
+    if "".join(words) != "".join(text.split()):
+        pos = 0     # the end of the matches that follow each other
         for m in _LEXEME.finditer(text):
             if m.start() != pos:
                 break
             pos = m.end()
+        while text[pos].isspace():
+            pos += 1
         raise SignalSyntaxError(f"unexpected character {text[pos]!r}",
                                 _byte_offset(text, pos))
-    words = [w for w in lexemes if not w[0].isspace()]
     words.append("")
     return words
 
 
 def _token_starts(text: str) -> list[int]:
     """The character position of each token of _tokenize(text)."""
-    starts = []
-    for m in _LEXEME.finditer(text):
-        if not m.group()[0].isspace():
-            starts.append(m.start())
+    starts = [m.start(1) for m in _LEXEME.finditer(text)]
     starts.append(len(text))
     return starts
 
@@ -892,143 +898,161 @@ def _has_tfrac(e: SignalExpr) -> bool:
     return type(e) is TFrac
 
 
+# The deepest nesting of parentheses and call arguments that parse accepts.
+# A level costs the parser two interpreter frames, and the budget keeps
+# every accepted tree shallow enough for the recursive walks over it.
+_MAX_NESTING = 100
+
+
 def _product(factors: list) -> SignalExpr:
     return factors[0] if len(factors) == 1 else make_mul(factors)
 
 
-# The deepest nesting of parentheses and call arguments that parse accepts.
-# A level costs the parser up to five interpreter frames, so the budget
-# leaves half of the default recursion limit to the caller and keeps every
-# accepted tree shallow enough for the recursive walks over it.
-_MAX_NESTING = 100
+def _fail(text: str, message: str, k: int):
+    """Refuse token k of text; its position is found only here."""
+    raise SignalSyntaxError(message,
+                            _byte_offset(text, _token_starts(text)[k]))
 
 
-class _Parser:
-    """Recursive descent over the token texts, read by index k.  Token
-    positions are found again only for an error message."""
+def _sum(text: str, words: list, k: int, depth: int) -> tuple:
+    """expr from token k, as (node, index of the token after it).
 
-    def __init__(self, text: str, words: list[str]):
-        self.text = text
-        self.words = words
-        self.k = 0
-        self.depth = 0
-
-    def _open(self, k: int):
-        """Enter the group that token k opens."""
-        self.depth += 1
-        if self.depth > _MAX_NESTING:
-            self._fail("expression nested too deeply", k)
-
-    def _offset(self, k: int) -> int:
-        return _byte_offset(self.text, _token_starts(self.text)[k])
-
-    def _fail(self, message: str, k: int):
-        raise SignalSyntaxError(message, self._offset(k))
-
-    def _expect_op(self, op: str):
-        k = self.k
-        self.k = k + 1
-        if self.words[k] != op:
-            self._fail(f"expected {op!r}", k)
-
-    def expr(self) -> SignalExpr:
-        # make_add flattens, so one call over all terms equals the left fold
-        words = self.words
-        terms = [self.term()]
-        while words[self.k] in ("+", "-"):
-            op = words[self.k]
-            self.k += 1
-            rhs = self.term()
-            terms.append(rhs if op == "+" else make_mul([_MINUS_ONE, rhs]))
-        return terms[0] if len(terms) == 1 else make_add(terms)
-
-    def term(self) -> SignalExpr:
+    Sums and terms are loops, and a factor is a call.  A term that starts
+    with a constant keeps its bare value while the term may be that constant
+    alone or times one atom, and builds its one Const, with the sign of a
+    binary minus in it, at the end.  A leading digit literal over a digit
+    literal is read as one fraction, unless the divisor is raised to a power
+    or either has more digits than int() converts."""
+    terms = []
+    negate = False
+    while True:
+        lead = None         # the term's leading constant, while it is kept
+        factors = []
+        j = k + 1 if words[k] == "-" else k
+        w = words[j]
+        if w.isdigit() and words[j + 1] != "^":
+            d, span = 1, 1
+            try:
+                n = int(w)
+                if (words[j + 1] == "/" and words[j + 2].isdigit()
+                        and words[j + 3] != "^"):
+                    d, span = int(words[j + 2]), 3
+            except ValueError:      # more digits than int() converts: the
+                pass                # literals are ordinary factors
+            else:
+                if not d:
+                    raise ParameterError("division by zero")
+                lead = Qi._canon(-n if j != k else n, 0, d)
+                k = j + span
+        if lead is None:
+            node, k = _factor(text, words, k, depth)
+            if type(node) is Const:
+                lead = node.value
+            else:
+                factors.append(node)
         # Factors free of rational functions of t are multiplied in one
         # make_mul, which equals the left fold there.  A TFrac folds every
         # rational-in-t factor into itself, so a product that holds one is
         # folded left, a factor at a time, as in (1/t*t)*(1 + t)^2.
-        words = self.words
-        factors = [self.factor()]
-        while words[self.k] in ("*", "/"):
-            k = self.k
-            self.k = k + 1
-            rhs = self.factor()
-            if words[k] == "/":
-                q = _quotient(_product(factors), rhs)
+        while True:
+            op = words[k]
+            if op != "*" and op != "/":
+                break
+            kop = k
+            node, k = _factor(text, words, k + 1, depth)
+            if lead is not None:
+                if op == "*" and not factors and type(node) in _ATOMS:
+                    factors.append(node)
+                    continue
+                factors.insert(0, Const(lead))
+                lead = None
+            if op == "/":
+                q = _quotient(_product(factors), node)
                 if q is None:
-                    self._fail("divisor must be constant or rational in t", k)
+                    _fail(text, "divisor must be constant or rational in t",
+                          kop)
                 factors = [q]
-            elif _has_tfrac(rhs) or _has_tfrac(factors[0]):
-                factors = [make_mul([_product(factors), rhs])]
+            elif _has_tfrac(node) or _has_tfrac(factors[0]):
+                factors = [make_mul([_product(factors), node])]
             else:
-                factors.append(rhs)
-        return _product(factors)
+                factors.append(node)
+        if lead is not None:
+            if negate:
+                lead = -lead
+            node = _scaled(lead, factors[0]) if factors else Const(lead)
+        else:
+            node = _product(factors)
+            if negate:
+                node = make_mul([_MINUS_ONE, node])
+        terms.append(node)
+        op = words[k]
+        if op != "+" and op != "-":
+            break
+        negate = op == "-"
+        k += 1
+    # make_add flattens, so one call over all terms equals the left fold
+    return (terms[0] if len(terms) == 1 else make_add(terms)), k
 
-    def factor(self) -> SignalExpr:
-        words = self.words
-        negate = words[self.k] == "-"
-        if negate:
-            self.k += 1
-        node = self.atom()
-        if words[self.k] == "^":
-            k = self.k + 1
-            self.k = k + 1
-            if not words[k].isdigit():
-                self._fail("expected a nonnegative integer exponent", k)
-            try:
-                exponent = int(words[k])
-            except ValueError:   # more digits than int() converts
-                self._fail("exponent too large", k)
-            node = make_pow(node, exponent)
-        if negate:
-            node = make_mul([_MINUS_ONE, node])
-        return node
 
-    def atom(self) -> SignalExpr:
-        k = self.k
-        self.k = k + 1
-        text = self.words[k]
-        if text.isdigit():
-            try:
-                return Const(Qi(int(text)))
-            except ValueError:   # more digits than int() converts
-                return Const(Qi(Fraction(Decimal(text))))
-        if text == "t":
-            return TimeVar()
-        if text == "(":
-            self._open(k)
-            node = self.expr()
-            self._expect_op(")")
-            self.depth -= 1
-            return node
-        if text in _FUNCTIONS:
-            return self.call(text)
-        if text == "i":
-            return Const(_QI_I)
-        head = text[:1]
-        if head.isdecimal() or head == ".":     # a number with a point or
-            return Const(Qi(Fraction(Decimal(text))))   # an exponent
-        if head.isalpha() or head == "_":
-            self._fail(f"unknown identifier {text!r}", k)
-        self._fail("expected a number, 'i', 't', a function call, or '('", k)
-
-    def call(self, name: str) -> SignalExpr:
-        self._expect_op("(")
-        self._open(self.k - 1)
+def _factor(text: str, words: list, k: int, depth: int) -> tuple:
+    """factor from token k, as (node, index of the token after it)."""
+    w = words[k]
+    minus = w == "-"
+    if minus:
+        k += 1
+        w = words[k]
+    k += 1
+    if w == "t":
+        node = _T
+    elif w.isdigit():
+        try:
+            node = Const(Qi(int(w)))
+        except ValueError:   # more digits than int() converts
+            node = Const(Qi(Fraction(Decimal(w))))
+    elif w == "(" or w in _FUNCTIONS:     # a group, or a call's arguments
+        call = w != "("
+        if call:
+            if words[k] != "(":
+                _fail(text, "expected '('", k)
+            k += 1
+        if depth >= _MAX_NESTING:
+            _fail(text, "expression nested too deeply", k - 1)
         args = []
-        if self.words[self.k] != ")":
-            args.append(self.expr())
-            while self.words[self.k] == ",":
-                self.k += 1
-                args.append(self.expr())
-        self._expect_op(")")
-        self.depth -= 1
-        return _build_call(name, args)
-
-    def done(self):
-        if self.words[self.k]:
-            self._fail(f"unexpected trailing input {self.words[self.k]!r}",
-                       self.k)
+        if not call or words[k] != ")":
+            node, k = _sum(text, words, k, depth + 1)
+            args.append(node)
+            while call and words[k] == ",":
+                node, k = _sum(text, words, k + 1, depth + 1)
+                args.append(node)
+        if words[k] != ")":
+            _fail(text, "expected ')'", k)
+        k += 1
+        if call:
+            node = _build_call(w, args)
+    elif w == "i":
+        node = Const(_QI_I)
+    else:
+        head = w[:1]
+        if head.isdecimal() or head == ".":     # a number with a point or
+            node = Const(Qi(Fraction(Decimal(w))))   # an exponent
+        elif head.isalpha() or head == "_":
+            _fail(text, f"unknown identifier {w!r}", k - 1)
+        else:
+            _fail(text, "expected a number, 'i', 't', a function call, or "
+                  "'('", k - 1)
+    if words[k] == "^":
+        w = words[k + 1]
+        if not w.isdigit():
+            _fail(text, "expected a nonnegative integer exponent", k + 1)
+        try:
+            e = int(w)
+        except ValueError:   # more digits than int() converts
+            _fail(text, "exponent too large", k + 1)
+        k += 2
+        node = Pow(_T, e) if node is _T and e > 1 else make_pow(node, e)
+    if minus:
+        node = make_mul([_MINUS_ONE, node])
+    return node, k
 
 
 def _arity_error(name: str, expected: str, got: int):
@@ -1132,9 +1156,10 @@ def parse(text: str) -> SignalExpr:
     including nesting deeper than `_MAX_NESTING` levels, and
     ParameterError for arity or parameter-domain violations.
     """
-    parser = _Parser(text, _tokenize(text))
-    node = parser.expr()
-    parser.done()
+    words = _tokenize(text)
+    node, k = _sum(text, words, 0, 0)
+    if words[k]:
+        _fail(text, f"unexpected trailing input {words[k]!r}", k)
     return node
 
 

@@ -11,7 +11,8 @@ with canonical constructors that sort by a structural key walked afresh on
 each call.  `terms_of` expands with isinstance dispatch and builds every
 polynomial through the `CPoly` constructor, where the library reads a sum
 of monomials as one polynomial.  `cpoly_format` prints a polynomial from
-its `Qi` coefficients, where the library prints from its integers.
+its `Qi` coefficients, where the library prints from its integers, and
+`exppoly_format` prints an exponential polynomial with it.
 `evaluate` walks the expression tree in floats, `diff_time` differentiates
 it symbolically, and `phi_symbolic` and `taylor_truncate` evaluate those
 derivatives, where the library reads values and derivatives off one
@@ -429,6 +430,17 @@ def cpoly_format(p: CPoly, var: str) -> str:
         else:
             parts.append(txt)
     return " ".join(parts)
+
+
+def exppoly_format(x: ExpPoly) -> str:
+    """The text of x, each polynomial printed by `cpoly_format`."""
+    parts = []
+    for rate, poly in x.terms:
+        txt = cpoly_format(poly, "t")
+        if poly.degree > 0:
+            txt = f"({txt})"
+        parts.append(f"{txt}*exp({rate}t)" if rate else txt)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

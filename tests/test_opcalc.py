@@ -283,6 +283,37 @@ def test_a_polynomial_sum_makes_no_products(monkeypatch):
     assert got == oracles.terms_of(e)
 
 
+@pytest.mark.parametrize("x, text", [
+    (ExpPoly(()), "0"),
+    (ExpPoly(((0, CPoly([3])),)), "3"),
+    (ExpPoly(((0, CPoly([Fraction(1, 2), 0, -1])),)), "(-t^2 + (1/2))"),
+    (ExpPoly(((Qi(Fraction(-1, 2), 2), CPoly([Qi(0, Fraction(-3, 4))])),)),
+     "(-3/4i)*exp((-1/2+2i)t)"),
+    (ExpPoly(((-1, CPoly([0, Fraction(2, 3), 1])), (Qi(0, 1), CPoly([1])))),
+     "(t^2 + (2/3)t)*exp(-1t) + 1*exp(it)"),
+    (ExpPoly(((-1, CPoly([Qi(1 / 3)])),)), "0.333333333333*exp(-1t)"),
+])
+def test_exppoly_text(x, text):
+    # the zero signal, a constant, a rate-0 polynomial, a complex rate with
+    # a constant polynomial, polynomials of degree > 0 in parentheses, and a
+    # float-origin coefficient at 12 significant digits
+    assert x.format() == text
+    assert oracles.exppoly_format(x) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.well_formed_texts)
+@example("3*sin(2*t + 1/3)*exp(-t)")
+def test_exppoly_text_equals_the_reference_text(text):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    if classify(e) == SignalClass.EXP_POLYNOMIAL:
+        x = from_signal(e)
+        assert x.format() == oracles.exppoly_format(x), text
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracles.signal_texts)
 @example("sin(2*t + 1/3)")

@@ -1117,6 +1117,35 @@ def test_aberth_refines_estimates_the_eigenvalues_miss(monkeypatch):
     assert backward(_aberth(coeffs)) <= 1e-12
 
 
+def test_aberth_moves_an_estimate_off_a_zero_of_the_derivative(monkeypatch):
+    # s^3 - 3s + 1 with the estimate of its root 2cos(2pi/9) = 1.532 put at
+    # 1, a zero of 3s^2 - 3: the step at a zero derivative moves it, and
+    # the iteration goes on to every root
+    coeffs = [1.0, -3.0, 0.0, 1.0]
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: np.sort_complex(roots(c))
+                        * np.array([1, 1, 0]) + np.array([0, 0, 1]))
+    assert list(np.roots(coeffs[::-1]))[-1] == 1.0
+    zero_derivative = []
+    polyval = np.polynomial.polynomial.polyval
+
+    def spying_polyval(z, c):
+        out = polyval(z, c)
+        if len(c) == 3:         # the derivative 3s^2 - 3
+            zero_derivative.append(bool(np.any(out == 0.0)))
+        return out
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", spying_polyval)
+    got = _aberth(coeffs)
+    assert zero_derivative[0] and not any(zero_derivative[1:])
+    for z in got:
+        backward = (abs(z ** 3 - 3 * z + 1)
+                    / (abs(z) ** 3 + 3 * abs(z) + 1))
+        assert backward <= 1e-12
+    want = [2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4)]
+    assert sorted(z.real for z in got) == pytest.approx(sorted(want))
+
+
 def test_roots_beyond_the_float_range_are_refused_quietly(capfd):
     # s^3 - 10^300 s + 1 has roots near +-1e150, whose cubes overflow
     s = CPoly([0, 1])

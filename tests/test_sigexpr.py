@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+from algspec import sigexpr
 from algspec.ratfield import Qi
 from algspec.sigexpr import (_key, _linear_coeffs, Add, Chirp, Const, Cos, Delay, Dirac,
                              EvaluationError, Exp, ExpressionError, Mul,
@@ -81,7 +82,7 @@ def _nesting_offset(text: str, frames: int) -> int:
 def test_the_nesting_budget_is_a_property_of_the_text():
     # the 101st "(" is refused, whatever the depth of the caller's stack
     parens = "(" * 250 + "t" + ")" * 250
-    calls = "exp(" * 150 + "t" + ")" * 150      # 5 frames a level
+    calls = "exp(" * 150 + "t" + ")" * 150
     for text, offset in ((parens, 100), (calls, 403)):
         assert _nesting_offset(text, 0) == offset
         assert _nesting_offset(text, 100) == offset
@@ -522,8 +523,32 @@ def _outcome(parse_fn, text):
         return type(err), str(err), getattr(err, "offset", None)
 
 
+# The texts where the parser's shortcuts (a literal fraction, a sign folded
+# into a scalar, t^k and c*atom built directly) must stop: a numerator that
+# is itself a divisor, a divisor raised to a power, a sign on -1*t, a zero
+# divisor or numerator, and a literal with more digits than int() converts.
+_SHORTCUT_TEXTS = [
+    "t/2/3", "2/3^2", "-2/3^2*t", "-0^0 - -t", "1/0*t", "0/2*t", "2*3/4*t",
+    "1/t*3/4", "3/2/t", "-(-t)", "- -t", "2^3/4",
+]
+_LONG_LITERAL_TEXT = "9" * 5000 + "/7*t"
+
+
 @settings(max_examples=400, deadline=None)
 @given(oracles.signal_texts)
+@example("t/2/3")
+@example("2/3^2")
+@example("-2/3^2*t")
+@example("-0^0 - -t")
+@example("1/0*t")
+@example("0/2*t")
+@example("2*3/4*t")
+@example("1/t*3/4")
+@example("3/2/t")
+@example("-(-t)")
+@example("- -t")
+@example("2^3/4")
+@example(_LONG_LITERAL_TEXT)
 def test_parse_equals_the_reference_parser(text):
     assert _outcome(parse, text) == _outcome(oracles.parse, text), text
 
@@ -534,9 +559,25 @@ def test_parse_equals_the_reference_parser(text):
     "1 - (2 - t)", "t - t", "0*sin(t)*t/(t + 1)", "2e3*t - 1.5E-2",
     "exp(-1/8*t)*(1/2 - 3/2*t)", "2*@", "sin(t", "t^t", "1/sin(t)",
     "1/(t - t)", "é + t", "1..5", "1.5.t", "t . 5", "sinc(0)",
-])
+] + _SHORTCUT_TEXTS + [pytest.param(_LONG_LITERAL_TEXT, id="9...9/7*t")])
 def test_parse_equals_the_reference_parser_on_edge_texts(text):
     assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+def test_a_polynomial_of_literal_fractions_makes_no_products(monkeypatch):
+    # every monomial's fraction, sign, t^k and scalar product is built as
+    # its node directly, with no quotient of two constants and no make_mul
+    text = "3/2 - 1/2*t + 5/2*t^2 - 1/2*t^3"
+    calls = []
+    for name in ("_quotient", "make_mul"):
+        def counting(*args, _name=name, _original=getattr(sigexpr, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(sigexpr, name, counting)
+    got = parse(text)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == oracles.parse(text)
 
 
 def test_a_rational_factor_keeps_the_product_folded_left():

@@ -10,6 +10,10 @@ once.  A CLI op contributes its (status, stdout, stderr), a library op the
 precision.  Each demo contributes its standard output.  The script prints
 one SHA-256 per workload, over all the seeds, and one for the demos, so two
 checkouts give the same lines exactly when their outputs are the same.
+
+It also prints one `trees` SHA-256 over `repr(parse(text))` of every text
+the op lists pass to `sigexpr.parse`, in call order, so a parser change that
+keeps every output but builds another tree shows too.
 """
 
 from __future__ import annotations
@@ -54,6 +58,37 @@ def workload_digest(name: str, make_ops, seeds, workdir: Path) -> str:
     return h.hexdigest()
 
 
+def recording_parse(texts: list[str]):
+    """The parser, after every algspec module that holds `sigexpr.parse`
+    was given a wrapper that appends each text it is called on to texts."""
+    import algspec.sigexpr
+
+    parse = algspec.sigexpr.parse
+
+    def recording(text):
+        texts.append(text)
+        return parse(text)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.partition(".")[0] == "algspec":
+            for key, value in list(vars(mod).items()):
+                if value is parse:
+                    setattr(mod, key, recording)
+    return parse
+
+
+def trees_digest(parse, texts: list[str]) -> str:
+    """The digest of the tree, or the failure, that each text parses to."""
+    h = hashlib.sha256()
+    for text in texts:
+        try:
+            out = repr(parse(text))
+        except Exception as exc:        # a refusal is an outcome too
+            out = f"raised {type(exc).__name__}: {exc}"
+        h.update(text.encode() + b"\0" + out.encode() + b"\0")
+    return h.hexdigest()
+
+
 def demos_digest() -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -74,10 +109,13 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(SRC), str(BENCH)]
     from workloads import WORKLOADS
 
+    texts = []
+    parse = recording_parse(texts)
     with tempfile.TemporaryDirectory() as tmp:
         for name, make_ops in WORKLOADS.items():
             digest = workload_digest(name, make_ops, args.seeds, Path(tmp))
             print(f"{name}  {digest}", flush=True)
+    print(f"trees  {trees_digest(parse, texts)}", flush=True)
     print(f"demos  {demos_digest()}")
     return 0
 

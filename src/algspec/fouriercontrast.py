@@ -217,8 +217,16 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
         # numpy's products and sums are the IEEE ones of Python floats, but
         # np.sin may differ from math.sin in the last place; the angles run
         # monotonically from the phase at t = 0, so the last overflows, and
-        # numpy would warn, exactly when any does
-        _angle(times.item(-1) * w + phase)
+        # numpy would warn, exactly when any does, and the largest in size
+        # is the first or the last
+        last = _angle(times.item(-1) * w + phase)
+        top = max(abs(phase), abs(last))
+        step = abs(w) * times.item(1)
+        if math.ulp(top) >= step:
+            raise ParameterError(
+                f"the float sample angles of the tone cannot follow it: "
+                f"their spacing at {top:g} is at least the step {step:g} "
+                f"between samples")
         phases = times * w + phase
         values = np.fromiter(map(math.sin, phases.tolist()), float,
                              len(phases))

@@ -307,20 +307,23 @@ def to_exppoly(r: RatFunc) -> ExpPoly:
     rationals of its floats."""
     if not r.is_strictly_proper:
         raise ValueError("inverse image requires a strictly proper input")
-    terms = []
+    terms: dict[Qi, CPoly] = {}    # the poles are distinct rates
     for pole, c in _local_terms(r)[1]:
         if pole.exact is None:
             rate, c = (Qi.coerce(pole.location),
                        [Qi.coerce(complex(x)) for x in c])
         else:
             rate = pole.exact
-        coeffs, fact = [], 1
-        for k, x in enumerate(reversed(c)):   # orders 1, ..., m
-            if k:
-                fact *= k
-            coeffs.append(Qi._canon(x._a, x._b, x._d * fact))
-        terms.append((rate, CPoly(coeffs)))
-    return ExpPoly(tuple(terms))
+        if len(c) == 1:
+            terms[rate] = CPoly.scalar(c[0])
+            continue
+        c = c[::-1]                           # orders 1, ..., m
+        ds = [x._d * math.factorial(k) for k, x in enumerate(c)]
+        d = math.lcm(*ds)
+        terms[rate] = CPoly._canon([x._a * (d // e) for x, e in zip(c, ds)],
+                                   [x._b * (d // e) for x, e in zip(c, ds)],
+                                   d)
+    return ExpPoly._from_terms(terms)
 
 
 def dirac_image() -> RatFunc:

@@ -10,20 +10,25 @@ sending i to a square root of -1 (W. S. Brown, JACM 1971).  The exact
 Euclidean algorithm runs only when the certificate does not apply: the
 images share a factor, a denominator is divisible by P, or a leading
 coefficient vanishes mod P.  The roots in Q(i) come first (`poly_roots`):
-candidates read off the float roots are each certified, with their
-multiplicity, by one exact Taylor shift on Gaussian integers and deflated
-away; only a cofactor left over is split by Yun's decomposition and solved
-per square-free factor (`square_free_roots`), whose roots outside Q(i) are
-floats, by Aberth's method.  The same shift gives the local Laurent series
-of partial fractions, and at a float pole the first-order step to the roots
-it stands for, which must be small at the pole's scale.  The package's
-immutable value classes share one base, `_FrozenValue`.
+each candidate read off the float roots is certified, with its
+multiplicity, by one exact Taylor shift of the whole polynomial on Gaussian
+integers (`_root_shift`), shifted once however often it is proposed, and
+the conjugate of a root of a real polynomial needs no shift.  Only when
+float roots remain is the polynomial divided, once, by the certified
+factors; that cofactor is split by Yun's decomposition and solved per
+square-free factor (`square_free_roots`), whose roots outside Q(i) are
+floats, by Aberth's method.  The shift that certifies a pole, run m more
+steps, gives the local Laurent series of partial fractions; at a float pole
+a shift of the denominator gives it, with the first-order step to the roots
+the pole stands for, which must be small at the pole's scale.  The
+package's immutable value classes share one base, `_FrozenValue`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Set
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import NamedTuple
@@ -726,7 +731,7 @@ class CPoly:
                             self._d)
 
     def monic(self) -> "CPoly":
-        if self.is_zero:
+        if self.is_zero or not self._im[-1] and self._re[-1] == self._d:
             return self
         cr, ci, n = self._inverse_lead()
         return CPoly._canon(*_gmul(self._re, self._im, cr, ci), n)
@@ -1113,22 +1118,32 @@ def _taylor_shift(p: CPoly, q: Qi, count: int) -> list[Qi]:
             else _QI_ZERO for k in range(count)]
 
 
-def _deflate(p: CPoly, q: Qi) -> tuple[int, CPoly]:
-    """(m, p/(s - q)^m) for the multiplicity m >= 0 of q = g/e as a root of
-    p: the number of zero coefficients that open the Taylor shift of p to
-    q (`_taylor_shift`).  After m synthetic divisions e^n F(y/e) is
-    (y - g)^m sum b_j y^j, so p/(s - q)^m = sum b_j e^j s^j / (d e^(n-m))."""
+def _root_shift(p: CPoly, q: Qi, series: bool = False):
+    """(m, b) for q = g/e: m >= 0 is the multiplicity of q as a root of p,
+    the number of zero remainders that open the Taylor shift of p to q
+    (`_taylor_shift`); b is None, or, when series and m > 0, the next
+    Taylor coefficients p^(k)(q)/k!, k = m, ..., 2m - 1, read off the same
+    shift run m more steps.  The first nonzero remainder is t_m, and the
+    quotient left by its division continues the shift from t_(m+1)."""
     gr, gi, e = q._a, q._b, q._d
     re, im = _scaled(p._re, p._im, e)
-    m = 0
-    while len(re) > 1:
-        qr, qi, tr, ti = _synthetic_division(re, im, gr, gi)
+    n = m = len(re) - 1
+    for k in range(n):
+        re, im, tr, ti = _synthetic_division(re, im, gr, gi)
         if tr or ti:
+            m = k
             break
-        re, im, m = qr, qi, m + 1
-    if not m:
-        return 0, p
-    return m, CPoly._canon(*_stretched(re, im, e), p._d * e ** (p.degree - m))
+    else:                            # p is its lead times (s - q)^n
+        tr, ti, re, im = re[0], im[0], [], []
+    if not (series and m):
+        return m, None
+    d = p._d
+    b = [Qi._canon(tr, ti, d * e ** (n - m))]
+    if m > 1:
+        rr, ri = _shift(re, im, gr, gi, m - 1)
+        b += [Qi._canon(rr[j], ri[j], d * e ** (n - m - 1 - j))
+              if m + 1 + j <= n else _QI_ZERO for j in range(m - 1)]
+    return m, b
 
 
 # Bound on the denominator of each part of a candidate root, tried when
@@ -1166,19 +1181,22 @@ def _nearest_small(x: float) -> tuple[int, int]:
     return best
 
 
-def _certified_roots(p: CPoly, zs: list[complex]):
+def _certified_roots(p: CPoly, zs: list[complex], tried: set[Qi],
+                     series: bool = False):
     """The roots in Q(i) of a monic p that the candidates of its float
-    roots zs lead to, as (root, multiplicity) pairs; the float roots none of
-    them accounts for; and the cofactor, p over prod (s - q)^m.
+    roots zs lead to, as (root, multiplicity, b) triples, b as from
+    `_root_shift`, and the float roots none of them accounts for.
 
-    Each candidate is certified by one exact Taylor shift (`_deflate`),
-    which also deflates it away, so nothing enters on float evidence.  A
-    root of multiplicity m accounts for the m float roots still pending
-    that lie nearest it: its float cluster, or, in a square-free p, the
-    one float root it is, whichever float root proposed it.  Each candidate
-    is tried once, however many members of a cluster propose it."""
-    found: list[tuple[Qi, int]] = []
-    tried: set[Qi] = set()
+    Each candidate not in tried is certified by one exact Taylor shift of
+    the whole p (`_root_shift`) and joins tried, so nothing enters on float
+    evidence and no candidate is shifted twice.  When p is real, the
+    conjugate of a non-real root is a root of the same multiplicity, and
+    its Taylor coefficients are the conjugates, so it is certified with no
+    shift.  A root of multiplicity m accounts for the m float roots still
+    pending that lie nearest it: its float cluster, or, in a square-free p,
+    the one float root it is, whichever float root proposed it."""
+    found: list[tuple[Qi, int, list[Qi] | None]] = []
+    real = not any(p._im)
     pending = dict(enumerate(zs))
     for k, z in enumerate(zs):
         if k not in pending:
@@ -1187,17 +1205,24 @@ def _certified_roots(p: CPoly, zs: list[complex]):
             if q in tried:
                 continue
             tried.add(q)
-            m, p = _deflate(p, q)
-            if m:
-                found.append((q, m))
-                w = complex(q)
+            m, b = _root_shift(p, q, series)
+            if not m:
+                continue
+            roots = [(q, b)]
+            if real and q._b:
+                twin = q.conjugate()
+                tried.add(twin)
+                roots.append((twin, b and [x.conjugate() for x in b]))
+            for r, rb in roots:
+                found.append((r, m, rb))
+                w = complex(r)
                 for _ in range(m):
                     del pending[min(pending, key=lambda j: abs(pending[j] - w))]
-                if k not in pending:
-                    break
-        if p.degree < 1:
+            if k not in pending:
+                break
+        if not pending:
             break
-    return found, list(pending.values()), p
+    return found, list(pending.values())
 
 
 def _quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
@@ -1227,6 +1252,12 @@ def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
     degree runs one `_aberth` call and certifies the candidates of its roots
     (`_certified_roots`); the rest stay floats.
     """
+    return _square_free_roots(f, set())
+
+
+def _square_free_roots(f: CPoly, tried: set[Qi]):
+    """`square_free_roots`, skipping the candidates in tried, which are
+    known not to be roots of f, and adding those it shifts."""
     if f.degree == 1:
         q = -f.coeffs[0]
         return [(complex(q), q)]
@@ -1236,8 +1267,8 @@ def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
     zs = _aberth(f.to_complex())
     if f.degree == 2:
         return [(z, None) for z in zs]
-    found, floats, _ = _certified_roots(f, zs)
-    return ([(complex(q), q) for q, _ in found]
+    found, floats = _certified_roots(f, zs, tried)
+    return ([(complex(q), q) for q, _, _ in found]
             + [(z, None) for z in floats])
 
 
@@ -1248,14 +1279,16 @@ def _location_key(z: complex) -> tuple:
     return (round(z.real, 9), round(z.imag, 9), z.real, z.imag)
 
 
-def _root_points(factors) -> list[tuple[complex, Qi | None, object]]:
+def _root_points(factors, refused: Set[Qi] = frozenset()
+                 ) -> list[tuple[complex, Qi | None, object]]:
     """The roots of (factor, tag) pairs as (root, exact, tag) points, sorted
     by `_location_key`.  A factor is a monic square-free `CPoly`, or a `Qi`
-    q standing for s - q.  The roots are raw: `_reported` gives where each
-    one is reported."""
+    q standing for s - q.  No candidate in refused, a set of points that
+    are roots of no factor, is shifted.  The roots are raw: `_reported`
+    gives where each one is reported."""
     return sorted(((z, q, tag) for f, tag in factors
                    for z, q in (((complex(f), f),) if type(f) is Qi
-                                else square_free_roots(f))),
+                                else _square_free_roots(f, set(refused)))),
                   key=lambda r: _location_key(r[0]))
 
 
@@ -1265,36 +1298,78 @@ def _reported(z: complex, exact: Qi | None) -> complex:
     return z if exact is not None else snap_axes(z)
 
 
-def _exact_roots(p: CPoly) -> tuple[list[tuple[Qi, int]], CPoly]:
+def _exact_roots(p: CPoly, series: bool = False):
     """The roots of a monic p in Q(i) found before any split, as (root,
-    multiplicity) pairs, and the cofactor left: the certified candidates of
-    one `np.roots` call (`_certified_roots`).  A degree below 3, which
-    `square_free_roots` solves exactly, and a p whose coefficients exceed
-    the float range keep all their roots for the cofactor."""
+    multiplicity, b) triples (`_certified_roots` on the eigenvalues of its
+    companion matrix, the roots `np.roots` gives, with less of its set-up),
+    the cofactor left, and the candidates shifted.  The cofactor is p over
+    prod (s - q)^m, one exact division made only when a float root is left
+    over, else 1.  A degree below 3, which `square_free_roots` solves
+    exactly, and a p whose coefficients exceed the float range keep all
+    their roots for the cofactor."""
+    tried: set[Qi] = set()
     if p.degree < 3:
-        return [], p
+        return [], p, tried
     try:
         coeffs = p.to_complex()
     except OverflowError:
-        return [], p
+        return [], p, tried
+    if not any(p._im):               # a real eigenvalue problem is cheaper
+        coeffs = [c.real for c in coeffs]
     import numpy as np
 
-    zs = [complex(z) for z in np.roots(coeffs[::-1]).tolist()]
-    found, _, rest = _certified_roots(p, zs)
-    return found, rest
+    # the companion matrix of the monic p, as np.roots builds it
+    a = np.eye(p.degree, k=-1, dtype=type(coeffs[0]))
+    a[0] = [-c for c in coeffs[-2::-1]]
+    zs = [complex(z) for z in np.linalg.eigvals(a).tolist()]
+    found, floats = _certified_roots(p, zs, tried, series)
+    if not floats:
+        return found, CPoly.ONE, tried
+    if found:                        # s - q is (d*s - g)/d for q = g/d
+        p //= math.prod((CPoly._make((-q._a, q._d), (-q._b, 0), q._d) ** m
+                         for q, m, _ in found), start=CPoly.ONE)
+    return found, p, tried
+
+
+def _roots(p: CPoly, series: bool = False) -> list[tuple]:
+    """The poles of `poly_roots`, each with b: None, or, when series and
+    the pole is exact of multiplicity m, the Taylor coefficients of p at
+    it from t_m to t_(2m-1) (`_root_shift`).  A root certified before the
+    split brings them from its certificate; for one found after it, p is
+    shifted once, or, when p is real and the conjugate root has them
+    already, they are its conjugates.  Candidates refused before the split
+    are not shifted again on the square-free factors."""
+    p = p.monic()
+    found, rest, tried = _exact_roots(p, series)
+    factors = [(q, (m, b)) for q, m, b in found]
+    if rest.degree > 0:
+        factors += [(f, (m, None)) for f, m in square_free_factors(rest)]
+    real = not any(p._im)
+    out: list[tuple] = []
+    shifted: dict[Qi, list[Qi]] = {}
+    for z, q, (m, b) in _root_points(factors, tried):
+        if series and q is not None:
+            if b is None:
+                twin = shifted.get(q.conjugate()) if real else None
+                if twin is not None:
+                    b = [x.conjugate() for x in twin]
+                else:
+                    k, b = _root_shift(p, q, True)
+                    if k != m:
+                        raise RootFindingError(
+                            f"degenerate local series at pole {z}")
+            shifted[q] = b
+        out.append((Pole(z, m, q), b))
+    return out
 
 
 def poly_roots(p: CPoly) -> list[Pole]:
     """All complex roots with exact multiplicities, sorted by (re, im).
 
     The roots in Q(i) come first, each certified with its multiplicity by
-    an exact Taylor shift and deflated (`_exact_roots`); only a cofactor
-    left over goes through Yun's split (`square_free_factors`) and
-    `square_free_roots`."""
-    found, rest = _exact_roots(p.monic())
-    if rest.degree > 0:
-        found += square_free_factors(rest)
-    return [Pole(z, mult, q) for z, q, mult in _root_points(found)]
+    an exact Taylor shift (`_exact_roots`); only a cofactor left over goes
+    through Yun's split (`square_free_factors`) and `square_free_roots`."""
+    return [pole for pole, _ in _roots(p)]
 
 
 def poles(r: RatFunc) -> list[Pole]:
@@ -1442,35 +1517,36 @@ def _hold_float_pole(p: Pole, t: list[Qi], ps) -> None:
             f"{_PF_TOL:.0e} of its scale")
 
 
-def _exact_local_terms(rem: CPoly, den: CPoly, ps) -> list[tuple]:
-    # (pole, c): c[l] is the coefficient of 1/(s - p)^(m - l), read exactly
-    # off the local series at the exact root, or at a float root read as its
-    # dyadic rational; dropping the den series' low terms divides by
-    # (s - p)^m, as they vanish up to the float root's error.  With real
+def _exact_local_terms(rem: CPoly, den: CPoly, points) -> list[tuple]:
+    # (pole, c): c[l] is the coefficient of 1/(s - p)^(m - l), the series
+    # quotient of rem's Taylor coefficients t_0..t_(m-1) at the pole by
+    # den's t_m..t_(2m-1), b: exact at an exact root, whose b comes with its
+    # certificate (`_roots`), or at a float root read as its dyadic
+    # rational, where den is shifted here and dropping its low terms divides
+    # by (s - p)^m, as they vanish up to the float root's error.  With real
     # rem and den, the series at the conjugate of an exact root is the
     # conjugate series.
     real = not (any(rem._im) or any(den._im))
+    ps = [p for p, _ in points]
     series: dict[Qi, list[Qi]] = {}
     terms: list[tuple] = []
-    for p in ps:
-        m = p.multiplicity
-        twin = (series.get(p.exact.conjugate())
-                if real and p.exact is not None else None)
+    for p, b in points:
+        m, q = p.multiplicity, p.exact
+        twin = series.get(q.conjugate()) if real and q is not None else None
         if twin is not None:
             terms.append((p, [x.conjugate() for x in twin]))
             continue
-        pq = Qi.coerce(p.location) if p.exact is None else p.exact
-        a = _taylor_shift(rem, pq, m)
-        t = _taylor_shift(den, pq, 2 * m)
-        b = t[m:]
-        if not b[0]:
-            raise RootFindingError(
-                "degenerate local series at pole {0}".format(p.location))
-        if p.exact is None:
+        if q is None:
+            q = Qi.coerce(p.location)
+            t = _taylor_shift(den, q, 2 * m)
+            b = t[m:]
+            if not b[0]:
+                raise RootFindingError(
+                    "degenerate local series at pole {0}".format(p.location))
             _hold_float_pole(p, t, ps)
-        c = _series_quotient(a, b, m)
+        c = _series_quotient(_taylor_shift(rem, q, m), b, m)
         if p.exact is not None:
-            series[p.exact] = c
+            series[q] = c
         terms.append((p, c))
     return terms
 
@@ -1483,9 +1559,9 @@ def _local_terms(r: RatFunc) -> tuple[CPoly, list[tuple]]:
     quot, rem = divmod(r.num, r.den)
     terms: list[tuple] = []
     if not rem.is_zero:
-        ps = poles(r)
-        terms = _exact_local_terms(rem, r.den, ps)
-        if any(p.exact is None for p in ps):
+        points = _roots(r.den, series=True)
+        terms = _exact_local_terms(rem, r.den, points)
+        if any(p.exact is None for p, _ in points):
             err = _backward_error(rem.to_complex(), terms)
             if err > _PF_TOL:
                 raise RootFindingError(

@@ -255,6 +255,23 @@ def test_a_tone_whose_sample_angles_stay_finite_answers(capsys):
     assert captured.out.endswith("dft dominant bins: -18.6532 18.6532\n")
 
 
+def test_a_tone_whose_float_angles_cannot_follow_it_is_refused(capsys):
+    # every sample angle of sin(2*t + 1e300) rounds to 1e300, whose float
+    # spacing, about 1.5e284, exceeds the step 2 * 0.05 between samples
+    assert main(["contrast", "sin(2*t+1e300)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: input: the float sample angles of the tone cannot follow "
+        "it: their spacing at 1e+300 is at least the step 0.1 between "
+        "samples\n")
+    # at 1e10 the spacing, about 1.9e-6, is far below the step
+    assert main(["contrast", "sin(2*t+1e10)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("dft dominant bins: -1.9635 1.9635\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["opform", "(t+1)^200*exp(-t/3)"],
     ["spectrum", "(t+1)^200*exp(-t/3)", "--explain"],

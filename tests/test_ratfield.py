@@ -13,10 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import algspec.ratfield as ratfield
 import oracles
-from algspec.opcalc import _convolve, from_signal, to_exppoly, to_rational
+from algspec.opcalc import (ExpPoly, _convolve, from_signal, to_exppoly,
+                            to_rational)
 from algspec.sigexpr import _cauchy, parse
-from algspec.ratfield import (CPoly, DigitLimitError, Qi, RatFunc,
-                              RootFindingError, _I_MOD,
+from algspec.ratfield import (CPoly, DigitLimitError, PartialFractions,
+                              PFTerm, Pole, Qi, RatFunc, RootFindingError,
+                              SingularitySource, Spectrum, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
                               _image_mod_p, _power, _series_quotient, _shift,
                               _stretched, alg_deriv, clean_frequencies,
@@ -987,6 +989,162 @@ def test_an_image_split_over_qi_makes_no_aberth_call(monkeypatch):
     # s^3 - 2 has no root in Q(i), so its cofactor does call it
     poles(RatFunc(CPoly.ONE, CPoly([-2, 0, 0, 1]) * CPoly([1, 1])))
     assert len(calls) == 1
+
+
+def _shift_spy(monkeypatch) -> list:
+    """The exact Taylor shifts made while installed, as (point, degree)
+    pairs: a shift scales its polynomial once (`_scaled`) and then divides
+    the scaled polynomial at the point (`_synthetic_division`)."""
+    shifts, scaling = [], []
+    scaled, divide = ratfield._scaled, ratfield._synthetic_division
+
+    def spy_scaled(re, im, e):
+        scaling[:] = [(len(re), e)]
+        return scaled(re, im, e)
+
+    def spy_divide(re, im, gr, gi):
+        if scaling and scaling[0][0] == len(re):
+            n, e = scaling.pop()
+            shifts.append((Qi(Fraction(gr, e), Fraction(gi, e)), n - 1))
+        return divide(re, im, gr, gi)
+
+    monkeypatch.setattr(ratfield, "_scaled", spy_scaled)
+    monkeypatch.setattr(ratfield, "_synthetic_division", spy_divide)
+    return shifts
+
+
+_NO_ROOT_IN_QI = [CPoly([-2, 0, 0, 1]), CPoly([-3, 0, 0, 1]),
+                  CPoly([-1, -1, 0, 0, 0, 1]), CPoly([1, 1, 1])]
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("f, g", [
+    pytest.param(f, g, id=f"{f.format()},{g.format()}".replace(" ", ""))
+    for k, f in enumerate(_NO_ROOT_IN_QI) for g in _NO_ROOT_IN_QI[k + 1:]])
+def test_a_refused_candidate_is_shifted_once(monkeypatch, f, g, a, b):
+    # every candidate the pass before the split refuses is a root of no
+    # square-free factor either, so the factors do not shift it again
+    r = RatFunc(CPoly.ONE, f ** a * g ** b)
+    shifts = _shift_spy(monkeypatch)
+    pf = partial_fractions(r)
+    assert len(pf.terms) == r.den.degree
+    points = [q for q, _ in shifts]
+    assert points and len(set(points)) == len(points)
+
+
+_NEAR = Qi(Fraction(1, 1000), Fraction(1, 500))
+
+
+@pytest.mark.parametrize("m, twin", [
+    (4, CPoly([0, 0, Qi(0, 1)])), (3, CPoly([1, 0, Qi(2, 1)]))])
+def test_roots_only_the_split_finds_keep_their_own_series(m, twin):
+    # t^(m-1) e^(qt) beside another polynomial at conj(q), q = 1/1000 +
+    # i/500: no candidate before the split is a root, and the twin, of
+    # another multiplicity (a complex image) or with a complex numerator
+    # (a real one), takes the conjugate of q's series only when the image
+    # is real, and then only for the denominator
+    x = ExpPoly(((_NEAR, CPoly([0] * (m - 1) + [1])),
+                 (_NEAR.conjugate(), twin)))
+    r = to_rational(x)
+    assert any(r.den._im) == (twin.degree != m - 1)
+    assert ratfield._exact_roots(r.den)[0] == []
+    assert to_exppoly(r) == x
+
+
+_SIGNAL = "exp(-t/8)*sin(t) + exp(-t/4)*cos(2*t) + t*exp(-t/2)*sin(3*t)"
+
+
+@pytest.mark.parametrize("scale, num_shifts", [(Qi(1), 3), (Qi(1, 1), 6)])
+def test_a_real_denominator_is_shifted_once_per_conjugate_pair(
+        monkeypatch, scale, num_shifts):
+    # three conjugate pairs, one of them double: the denominator is shifted
+    # once per pair, never at the twin, and no deflated cofactor is shifted;
+    # the numerator is shifted at each pole only when it is complex
+    x = from_signal(parse(_SIGNAL))
+    x = ExpPoly(tuple((rate, poly * scale) for rate, poly in x.terms))
+    r = to_rational(x)
+    assert r.den.degree == 8 and not any(r.den._im)
+    shifts = _shift_spy(monkeypatch)
+    assert to_exppoly(r) == x
+    den = [q for q, n in shifts if n == r.den.degree]
+    assert len(den) == 3
+    assert not {q.conjugate() for q in den} & set(den)
+    assert len(shifts) - len(den) == num_shifts
+    assert {n for _, n in shifts} == {r.den.degree, r.num.degree}
+
+
+def test_a_mixed_image_keeps_its_poles_and_terms():
+    # ((s + 1/8)^2 + 49/64)^2 (s^3 - 2): an exact double pair, whose
+    # series come from its certificate, beside three float poles
+    s = CPoly.S
+    damped = (s + CPoly.scalar(Fraction(1, 8))) ** 2 \
+        + CPoly.scalar(Fraction(49, 64))
+    r = RatFunc(CPoly.ONE, damped ** 2 * CPoly([-2, 0, 0, 1]))
+    lo, hi = Qi(Fraction(-1, 8), Fraction(-7, 8)), Qi(Fraction(-1, 8),
+                                                      Fraction(7, 8))
+    want = [Pole(-0.6299605249474369 - 1.091123635971722j, 1),
+            Pole(-0.6299605249474367 + 1.0911236359717218j, 1),
+            Pole(-0.125 - 0.875j, 2, lo), Pole(-0.125 + 0.875j, 2, hi),
+            Pole(1.2599210498948736 + 0j, 1)]
+    assert poles(r) == want
+    assert partial_fractions(r) == PartialFractions((
+        PFTerm(-0.6299605249474369 - 1.091123635971722j, 1,
+               0.12460286685353872 + 0.11404161587258001j),
+        PFTerm(-0.6299605249474367 + 1.0911236359717218j, 1,
+               0.12460286685353907 - 0.11404161587258042j),
+        PFTerm(-0.125 - 0.875j, 1, -0.13918148578304834 - 0.2851930848608136j),
+        PFTerm(-0.125 - 0.875j, 2, 0.16783973951267647 + 0.06155398191694969j),
+        PFTerm(-0.125 + 0.875j, 1, -0.13918148578304834 + 0.2851930848608136j),
+        PFTerm(-0.125 + 0.875j, 2, 0.16783973951267647 - 0.06155398191694969j),
+        PFTerm(1.2599210498948736 + 0j, 1, 0.029157237859018144 + 0j)),
+        CPoly.ZERO)
+    assert spectrum_of_rational(r) == Spectrum(
+        (-1.091123635971722, -0.875, 0.875, 1.091123635971722),
+        tuple(SingularitySource(p.location, "pole", p.multiplicity)
+              for p in want))
+
+
+_part = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 8))
+_coefficient = st.builds(Qi, st.builds(Fraction, st.integers(-5, 5),
+                                       st.integers(1, 8)),
+                         st.builds(Fraction, st.integers(-5, 5),
+                                   st.integers(1, 8)))
+
+
+@st.composite
+def _signals_of_rates_in_qi(draw):
+    """Exact signals of 1 to 6 distinct rates whose parts have denominators
+    up to 8, each with a polynomial of degree 0 to 3 (a pole of multiplicity
+    1 to 4).  A real one has real polynomials at real rates and the
+    conjugate polynomial at the conjugate of each non-real rate; a complex
+    one may leave a rate without its conjugate, or give the twin another
+    polynomial."""
+    real = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        rate = Qi(draw(_part), draw(_part))
+        if rate in terms or rate.conjugate() in terms:
+            continue
+        cs = draw(st.lists(_coefficient, min_size=1, max_size=4))
+        if real and not rate.im:
+            cs = [Qi(c.re) for c in cs]
+        if not cs[-1]:
+            cs[-1] = Qi(1)
+        terms[rate] = CPoly(cs)
+        if rate.im and len(terms) < 6 and (real or draw(st.booleans())):
+            terms[rate.conjugate()] = (
+                CPoly([c.conjugate() for c in cs]) if real
+                else CPoly(draw(st.lists(_coefficient, min_size=1,
+                                         max_size=4))) or CPoly.ONE)
+        if len(terms) == 6:
+            break
+    return ExpPoly(tuple(terms.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signals_of_rates_in_qi())
+def test_inverse_image_round_trips_signals_of_rates_in_qi(x):
+    assert to_exppoly(to_rational(x)) == x
 
 
 @pytest.mark.parametrize("den", [

@@ -13,7 +13,10 @@ checkouts give the same lines exactly when their outputs are the same.
 
 It also prints one `trees` SHA-256 over `repr(parse(text))` of every text
 the op lists pass to `sigexpr.parse`, in call order, so a parser change that
-keeps every output but builds another tree shows too.
+keeps every output but builds another tree shows too, and one `roots`
+SHA-256 over the poles, partial fractions, spectrum and, for a strictly
+proper image, inverse image of a fixed corpus of rational functions that
+no bench op reaches (`roots_corpus`).
 """
 
 from __future__ import annotations
@@ -89,6 +92,72 @@ def trees_digest(parse, texts: list[str]) -> str:
     return h.hexdigest()
 
 
+def roots_corpus(parse) -> list:
+    """Rational functions whose roots no bench op reaches: 1/(f^a g^b) for
+    pairs of s^3 - 2, s^3 - 3, s^5 - s - 1 and s^2 + s + 1, a and b in
+    {1, 2}; denominators with exact and float roots; complex images; a
+    degree-70 image with 70 exact poles; a quartic whose roots lie 1e-6
+    apart in two pairs."""
+    from fractions import Fraction as F
+
+    from algspec.opcalc import from_signal, to_rational
+    from algspec.ratfield import CPoly, Qi, RatFunc
+
+    s, one = CPoly.S, CPoly.ONE
+
+    def lin(q):                      # s - q
+        return s - CPoly.scalar(q)
+
+    base = [CPoly([-2, 0, 0, 1]), CPoly([-3, 0, 0, 1]),
+            CPoly([-1, -1, 0, 0, 0, 1]), CPoly([1, 1, 1])]
+    out = [RatFunc(one, f ** a * g ** b)
+           for k, f in enumerate(base) for g in base[k + 1:]
+           for a in (1, 2) for b in (1, 2)]
+    damped = lin(F(-1, 8)) ** 2 + CPoly.scalar(F(49, 64))
+    near = lin(F(1, 1000)) ** 2 + CPoly.scalar(F(1, 250000))
+    out += [
+        RatFunc(one, damped ** 2 * base[0]),
+        RatFunc(CPoly([1, 2, F(1, 3)]),
+                lin(F(1, 3)) ** 2 * CPoly([2, 0, 1]) * base[2]),
+        RatFunc(s ** 9 + one, damped * base[1] * lin(F(-5, 7))),
+        RatFunc(s + one, (near * base[0]) ** 3),
+        RatFunc(one, (lin(F(1, 1000)) * lin(F(1, 500)) * base[0]) ** 3),
+    ]
+    out += [
+        RatFunc(CPoly([Qi(1, 2), 1]),
+                lin(Qi(1, 2)) ** 2 * lin(Qi(0, -3)) * lin(F(-1, 2))),
+        RatFunc(one, CPoly([Qi(0, -2), 0, 0, 1])
+                * lin(Qi(F(1, 7), F(2, 7))) ** 3),
+        RatFunc(CPoly([Qi(0, 1), 1, Qi(2, -1)]), damped ** 3 * lin(Qi(0, 1))),
+        RatFunc(CPoly([Qi(F(1, 3), 1)]), damped * base[3] ** 2),
+    ]
+    out.append(to_rational(from_signal(parse(
+        "(sin(3/8*t)+cos(5/4*t)*exp(-3/8*t)+exp(1/8*t))^4"))))
+    w2 = CPoly.scalar((1 + F(1, 10 ** 6)) ** 2)
+    out.append(RatFunc(s * s + CPoly.scalar(3), (s * s + one) * (s * s + w2)))
+    return out
+
+
+def roots_digest(parse) -> str:
+    """The digest of `repr` of poles, partial fractions, spectrum and, for
+    a strictly proper image, inverse image over `roots_corpus`."""
+    from algspec.opcalc import to_exppoly
+    from algspec.ratfield import partial_fractions, poles, spectrum_of_rational
+
+    h = hashlib.sha256()
+    for r in roots_corpus(parse):
+        calls = [poles, partial_fractions, spectrum_of_rational]
+        if r.is_strictly_proper:
+            calls.append(to_exppoly)
+        for call in calls:
+            try:
+                out = repr(call(r))
+            except Exception as exc:    # a refusal is an outcome too
+                out = f"raised {type(exc).__name__}: {exc}"
+            h.update(out.encode() + b"\0")
+    return h.hexdigest()
+
+
 def demos_digest() -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -116,6 +185,7 @@ def main(argv=None) -> int:
             digest = workload_digest(name, make_ops, args.seeds, Path(tmp))
             print(f"{name}  {digest}", flush=True)
     print(f"trees  {trees_digest(parse, texts)}", flush=True)
+    print(f"roots  {roots_digest(parse)}", flush=True)
     print(f"demos  {demos_digest()}")
     return 0
 

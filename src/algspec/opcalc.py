@@ -21,7 +21,8 @@ from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
                        _taylor_shift)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
-                      _is_exppoly, _jet, _unit_phase)
+                      _is_exppoly, _jet, _poly_tree, _unit_phase, make_add,
+                      make_exp, make_mul, pretty_print)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -72,18 +73,11 @@ class ExpPoly(_FrozenValue):
         return _finite(acc, t)
 
     def format(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for rate, poly in self.terms:
-            ptxt = poly.format("t")
-            if poly.degree > 0:
-                ptxt = f"({ptxt})"
-            if not rate:
-                parts.append(ptxt)
-            else:
-                parts.append(f"{ptxt}*exp({rate}t)")
-        return " + ".join(parts)
+        """The text of the signal in the grammar `sigexpr.parse` reads,
+        which reads it back to this signal (`pretty_print` of its tree)."""
+        return pretty_print(make_add([make_mul([_poly_tree(poly),
+                                                make_exp(rate)])
+                                      for rate, poly in self.terms]))
 
 
 def _in_rate_order(terms: dict[Qi, CPoly]) -> tuple:

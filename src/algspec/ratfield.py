@@ -16,7 +16,7 @@ integers (`_root_shift`), shifted once however often it is proposed, and
 the conjugate of a root of a real polynomial needs no shift.  Only when
 float roots remain is the polynomial divided, once, by the certified
 factors; that cofactor is split by Yun's decomposition and solved per
-square-free factor (`square_free_roots`), whose roots outside Q(i) are
+square-free factor (`_square_free_roots`), whose roots outside Q(i) are
 floats, by Aberth's method.  The shift that certifies a pole, run m more
 steps, gives the local Laurent series of partial fractions; at a float pole
 a shift of the denominator gives it, with the first-order step to the roots
@@ -37,7 +37,6 @@ __all__ = [
     "Qi", "CPoly", "RatFunc", "Pole", "SingularitySource", "Spectrum",
     "RootFindingError", "DigitLimitError", "poles", "spectrum_of_rational",
     "partial_fractions", "PartialFractions", "alg_deriv", "snap_axes",
-    "square_free_roots",
 ]
 
 # Relative tolerance for merging conjugate-symmetric float noise in
@@ -760,10 +759,10 @@ class CPoly:
             raise OverflowError(
                 "a coefficient exceeds the float range") from None
 
-    def format(self, var: str = "s") -> str:
-        """The terms from the highest degree down, each coefficient printed
-        from its integers: 1 and -1 leave the power of var bare, and a
-        coefficient whose text is a fraction with no parentheses gets
+    def format(self) -> str:
+        """The terms in s from the highest degree down, each coefficient
+        printed from its integers: 1 and -1 leave the power of s bare, and
+        a coefficient whose text is a fraction with no parentheses gets
         them."""
         if self.is_zero:
             return "0"
@@ -773,7 +772,7 @@ class CPoly:
             a, b = self._re[k], self._im[k]
             if not (a or b):
                 continue
-            vtxt = "" if not k else var if k == 1 else f"{var}^{k}"
+            vtxt = "" if not k else "s" if k == 1 else f"s^{k}"
             if k and not b and (a == d or a == -d):
                 txt = vtxt if a > 0 else "-" + vtxt
             else:
@@ -1003,11 +1002,11 @@ class RatFunc:
     def __call__(self, z: complex) -> complex:
         return self.num(z) / self.den(z)
 
-    def format(self, var: str = "s") -> str:
+    def format(self) -> str:
         if self.is_polynomial:
-            return self.num.format(var)
-        ntxt = self.num.format(var)
-        dtxt = self.den.format(var)
+            return self.num.format()
+        ntxt = self.num.format()
+        dtxt = self.den.format()
         if self.num.degree > 0:
             ntxt = f"({ntxt})"
         return f"{ntxt} / ({dtxt})"
@@ -1243,21 +1242,17 @@ def _quadratic_roots(f: CPoly) -> tuple[Qi, Qi] | None:
             Qi._canon(-u - br, -v - bi, 2 * d))
 
 
-def square_free_roots(f: CPoly) -> list[tuple[complex, Qi | None]]:
+def _square_free_roots(f: CPoly, tried: set[Qi]
+                       ) -> list[tuple[complex, Qi | None]]:
     """Roots of a monic square-free polynomial of positive degree, each as
     (location, exact), exact being the root when it lies in Q(i), else None.
 
     Degree 1 is exact, and degree 2 takes the square root of the
     discriminant in Q(i), without which it has no root there.  A higher
     degree runs one `_aberth` call and certifies the candidates of its roots
-    (`_certified_roots`); the rest stay floats.
+    (`_certified_roots`), skipping those in tried, which are known not to
+    be roots of f, and adding those it shifts; the rest stay floats.
     """
-    return _square_free_roots(f, set())
-
-
-def _square_free_roots(f: CPoly, tried: set[Qi]):
-    """`square_free_roots`, skipping the candidates in tried, which are
-    known not to be roots of f, and adding those it shifts."""
     if f.degree == 1:
         q = -f.coeffs[0]
         return [(complex(q), q)]
@@ -1304,7 +1299,7 @@ def _exact_roots(p: CPoly, series: bool = False):
     companion matrix, the roots `np.roots` gives, with less of its set-up),
     the cofactor left, and the candidates shifted.  The cofactor is p over
     prod (s - q)^m, one exact division made only when a float root is left
-    over, else 1.  A degree below 3, which `square_free_roots` solves
+    over, else 1.  A degree below 3, which `_square_free_roots` solves
     exactly, and a p whose coefficients exceed the float range keep all
     their roots for the cofactor."""
     tried: set[Qi] = set()
@@ -1368,7 +1363,7 @@ def poly_roots(p: CPoly) -> list[Pole]:
 
     The roots in Q(i) come first, each certified with its multiplicity by
     an exact Taylor shift (`_exact_roots`); only a cofactor left over goes
-    through Yun's split (`square_free_factors`) and `square_free_roots`."""
+    through Yun's split (`square_free_factors`) and `_square_free_roots`."""
     return [pole for pole, _ in _roots(p)]
 
 

@@ -211,8 +211,8 @@ class Chirp(SignalExpr):
 
 
 class TFrac(SignalExpr):
-    """A rational function of t; produced by division and by differentiating
-    sinc and raised-cosine atoms."""
+    """A rational function of t that is not a polynomial; produced by
+    division."""
 
     _fields = ("rat",)
 
@@ -301,13 +301,14 @@ def as_ratfunc_in_t(e: SignalExpr) -> RatFunc | None:
 def _tfrac(rat: RatFunc) -> SignalExpr:
     """Canonical node for an element of C(t): plain polynomial trees when the
     denominator cancels, a TFrac node otherwise."""
-    if rat.is_zero:
-        return Const(_QI_ZERO)
-    if not rat.is_polynomial:
-        return TFrac(rat)
-    p = rat.num
-    if p.degree == 0:
-        return Const(p.coeffs[0])
+    return _poly_tree(rat.num) if rat.is_polynomial else TFrac(rat)
+
+
+def _poly_tree(p: CPoly) -> SignalExpr:
+    """The canonical tree of a polynomial in t: a constant, or the sorted
+    sum of its terms c*t^k."""
+    if p.degree <= 0:
+        return Const(p.coeffs[0] if p.degree == 0 else _QI_ZERO)
     terms = []
     for k, c in enumerate(p.coeffs):
         if not c:
@@ -1186,33 +1187,6 @@ def _pp_qi(q: Qi) -> str:
     return f"({_pp_frac(q.re)} {sign} {imtxt})"
 
 
-def _pp_poly_t(p: CPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if not c:
-            continue
-        if k == 0:
-            txt = _pp_qi(c)
-        else:
-            tvar = "t" if k == 1 else f"t^{k}"
-            if c == Qi(1):
-                txt = tvar
-            elif c == Qi(-1):
-                txt = f"-{tvar}"
-            else:
-                txt = f"{_pp_qi(c)}*{tvar}"
-        if not parts:
-            parts.append(txt)
-        elif txt.startswith("-"):
-            parts.append(f"- {txt[1:]}")
-        else:
-            parts.append(f"+ {txt}")
-    return " ".join(parts)
-
-
 def _pp_trig(name: str, omega: Fraction, phase: Fraction) -> str:
     if phase == 0:
         return f"{name}({_pp_frac(omega)}*t)"
@@ -1229,7 +1203,8 @@ def pretty_print(e: SignalExpr) -> str:
     if isinstance(e, TimeVar):
         return "t"
     if isinstance(e, TFrac):
-        return f"({_pp_poly_t(e.rat.num)})/({_pp_poly_t(e.rat.den)})"
+        return (f"({pretty_print(_poly_tree(e.rat.num))})/"
+                f"({pretty_print(_poly_tree(e.rat.den))})")
     if isinstance(e, Exp):
         if e.rate == Qi(1):
             return "exp(t)"

@@ -500,28 +500,16 @@ def spectrum_of_ode(sys: OdeSystem) -> Spectrum:
 # Display
 
 
-def _fully_wrapped(txt: str) -> bool:
-    if not (txt.startswith("(") and txt.endswith(")")):
-        return False
-    depth = 0
-    for pos, ch in enumerate(txt):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return pos == len(txt) - 1
-    return False
+def _coeff_text(r: RatFunc) -> str:
+    """A constant as it prints, bare or already wrapped; anything else
+    wrapped when its text holds a space or a fraction bar."""
+    txt = r.format()
+    if r.is_polynomial and r.num.degree <= 0:
+        return txt
+    return f"({txt})" if " " in txt or "/" in txt else txt
 
 
-def _coeff_text(r: RatFunc, var: str = "s") -> str:
-    txt = r.format(var)
-    if (" " in txt or "/" in txt) and not _fully_wrapped(txt):
-        return f"({txt})"
-    return txt
-
-
-def format_weylop(op: WeylOp, var: str = "s") -> str:
+def format_weylop(op: WeylOp) -> str:
     if op.is_zero:
         return "0"
     parts = []
@@ -530,15 +518,15 @@ def format_weylop(op: WeylOp, var: str = "s") -> str:
         if c.is_zero:
             continue
         if k == 0:
-            parts.append(_coeff_text(c, var))
+            parts.append(_coeff_text(c))
             continue
-        dtxt = f"d/d{var}" if k == 1 else f"(d/d{var})^{k}"
+        dtxt = "d/ds" if k == 1 else f"(d/ds)^{k}"
         if c == RatFunc.ONE:
             parts.append(dtxt)
         else:
-            parts.append(f"{_coeff_text(c, var)}*{dtxt}")
+            parts.append(f"{_coeff_text(c)}*{dtxt}")
     return " + ".join(parts)
 
 
-def format_equation(sys: OdeSystem, var: str = "s") -> str:
-    return f"[{format_weylop(sys.op, var)}] x = {sys.rhs.format(var)}"
+def format_equation(sys: OdeSystem) -> str:
+    return f"[{format_weylop(sys.op)}] x = {sys.rhs.format()}"

@@ -1,9 +1,9 @@
 """Plain reference implementations of the parser, of the expansion to
-exponential-polynomial terms, of the text of a polynomial, of the
-polynomial lcm, of pointwise values, of the derivatives behind Phi and the
-Taylor truncation, of the catalog equations and of the roots of a
-quadratic, kept as test oracles, and the random grammar texts the parser
-is compared on.
+exponential-polynomial terms, of the text of a polynomial and of an
+operator coefficient, of the polynomial lcm, of pointwise values, of the
+derivatives behind Phi and the Taylor truncation, of the catalog equations
+and of the roots of a quadratic, kept as test oracles, and the random
+grammar texts the parser is compared on.
 
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
@@ -12,7 +12,8 @@ each call.  `terms_of` expands with isinstance dispatch and builds every
 polynomial through the `CPoly` constructor, where the library reads a sum
 of monomials as one polynomial.  `cpoly_format` prints a polynomial from
 its `Qi` coefficients, where the library prints from its integers, and
-`exppoly_format` prints an exponential polynomial with it.
+`coeff_text` wraps a Weyl-operator coefficient by scanning its text for
+balanced parentheses, where the library decides from the value.
 `evaluate` walks the expression tree in floats, `diff_time` differentiates
 it symbolically, and `phi_symbolic` and `taylor_truncate` evaluate those
 derivatives, where the library reads values and derivatives off one
@@ -402,10 +403,10 @@ def _coeff_str(c: Qi) -> str:
     return s
 
 
-def _term_str(c: Qi, var: str, k: int) -> str:
+def _term_str(c: Qi, k: int) -> str:
     if k == 0:
         return _coeff_str(c)
-    vtxt = var if k == 1 else f"{var}^{k}"
+    vtxt = "s" if k == 1 else f"s^{k}"
     if c == Qi(1):
         return vtxt
     if c == Qi(-1):
@@ -413,8 +414,8 @@ def _term_str(c: Qi, var: str, k: int) -> str:
     return f"{_coeff_str(c)}{vtxt}"
 
 
-def cpoly_format(p: CPoly, var: str) -> str:
-    """The text of p in var, term by term from the `Qi` coefficients."""
+def cpoly_format(p: CPoly) -> str:
+    """The text of p, term by term from the `Qi` coefficients."""
     if p.is_zero:
         return "0"
     parts = []
@@ -422,7 +423,7 @@ def cpoly_format(p: CPoly, var: str) -> str:
         c = p.coeffs[k]
         if not c:
             continue
-        txt = _term_str(c, var, k)
+        txt = _term_str(c, k)
         if parts and not txt.startswith("-"):
             parts.append("+ " + txt)
         elif parts:
@@ -432,15 +433,28 @@ def cpoly_format(p: CPoly, var: str) -> str:
     return " ".join(parts)
 
 
-def exppoly_format(x: ExpPoly) -> str:
-    """The text of x, each polynomial printed by `cpoly_format`."""
-    parts = []
-    for rate, poly in x.terms:
-        txt = cpoly_format(poly, "t")
-        if poly.degree > 0:
-            txt = f"({txt})"
-        parts.append(f"{txt}*exp({rate}t)" if rate else txt)
-    return " + ".join(parts) or "0"
+def _fully_wrapped(txt: str) -> bool:
+    if not (txt.startswith("(") and txt.endswith(")")):
+        return False
+    depth = 0
+    for pos, ch in enumerate(txt):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return pos == len(txt) - 1
+    return False
+
+
+def coeff_text(r: RatFunc) -> str:
+    """The text of a Weyl-operator coefficient, read off its printed text:
+    in parentheses when it holds a space or a fraction bar, unless one pair
+    of parentheses already wraps all of it."""
+    txt = r.format()
+    if (" " in txt or "/" in txt) and not _fully_wrapped(txt):
+        return f"({txt})"
+    return txt
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,19 @@ def test_spectrum_explained_for_image_route():
     assert lines[5] == "infinite singularity: no"
 
 
+@pytest.mark.parametrize("expr, cls, image", [
+    ("dirac()", "dirac", "1"),
+    ("2*dirac()", "dirac", "2"),
+    ("0", "exponential-polynomial", "0"),
+])
+def test_spectrum_explained_with_no_poles(expr, cls, image):
+    status, out, err = run(CliConfig("spectrum", expr=expr, explain=True))
+    assert (status, err) == (0, "")
+    assert out == "\n".join([f"class: {cls}", f"operational image: {image}",
+                             "poles: (none)", "frequencies: (none)",
+                             "infinite singularity: no"])
+
+
 def test_spectrum_explained_poles_sit_on_the_exact_rates():
     status, out, _ = run(CliConfig("spectrum", expr="sin(t)", explain=True))
     assert status == 0
@@ -356,6 +369,21 @@ def test_instfreq_symbolic_point():
     assert data["method"] == "symbolic"
     assert len(data["times"]) == len(data["phi"]) == 1
     assert abs(data["phi"][0] - (-4.0)) <= 1e-12
+
+
+def test_instfreq_of_a_real_chirp_pair_follows_the_closed_form(capsys):
+    # chirp(1,2,3) + chirp(-1,-2,-3) = 2cos(theta), theta = t^2 + 2t + 3:
+    # x' = -2 sin(theta) theta' and x'' = -2 cos(theta) theta'^2
+    # - 2 sin(theta) theta'', with theta' = 3 and theta'' = 2 at t = 1/2
+    status = main(["instfreq", "chirp(1,2,3) + chirp(-1,-2,-3)",
+                   "--at", "0.5"])
+    out = capsys.readouterr().out
+    theta = 4.25
+    x1 = -2 * math.sin(theta) * 3
+    x2 = -2 * math.cos(theta) * 9 - 2 * math.sin(theta) * 2
+    assert status == 0
+    assert out.splitlines()[-1] == "0.5 2.12541070577"
+    assert format(x2 / math.sqrt(1 + x1 * x1), ".12g") == "2.12541070577"
 
 
 @pytest.mark.parametrize("expr, phi", [

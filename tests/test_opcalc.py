@@ -1,9 +1,12 @@
 """Exponential polynomials, their rational images, and the inverse map."""
 
+import functools
 import math
 import random
+import runpy
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +24,7 @@ from algspec.sigexpr import (Add, EvaluationError, ExpressionError, Pow,
                              SignalClass, classify, evaluate, parse)
 
 _S = CPoly([0, 1])
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest_outputs.py"
 
 
 def _rand_rate(rng, span=3):
@@ -286,32 +290,53 @@ def test_a_polynomial_sum_makes_no_products(monkeypatch):
 @pytest.mark.parametrize("x, text", [
     (ExpPoly(()), "0"),
     (ExpPoly(((0, CPoly([3])),)), "3"),
-    (ExpPoly(((0, CPoly([Fraction(1, 2), 0, -1])),)), "(-t^2 + (1/2))"),
+    (ExpPoly(((0, CPoly([Fraction(1, 2), 0, -1])),)), "1/2 - 1*t^2"),
     (ExpPoly(((Qi(Fraction(-1, 2), 2), CPoly([Qi(0, Fraction(-3, 4))])),)),
-     "(-3/4i)*exp((-1/2+2i)t)"),
+     "-3/4*i*exp((-1/2 + 2*i)*t)"),
     (ExpPoly(((-1, CPoly([0, Fraction(2, 3), 1])), (Qi(0, 1), CPoly([1])))),
-     "(t^2 + (2/3)t)*exp(-1t) + 1*exp(it)"),
-    (ExpPoly(((-1, CPoly([Qi(1 / 3)])),)), "0.333333333333*exp(-1t)"),
+     "exp(i*t) + exp(-t)*(t^2 + 2/3*t)"),
+    (ExpPoly(((-1, CPoly([Qi(1 / 3)])),)),
+     "6004799503160661/18014398509481984*exp(-t)"),
 ])
 def test_exppoly_text(x, text):
     # the zero signal, a constant, a rate-0 polynomial, a complex rate with
-    # a constant polynomial, polynomials of degree > 0 in parentheses, and a
-    # float-origin coefficient at 12 significant digits
+    # a constant polynomial, a polynomial of degree > 0 in parentheses, and
+    # a float-origin coefficient as its exact dyadic fraction: the text is
+    # pretty_print's, and it reads back to the signal
     assert x.format() == text
-    assert oracles.exppoly_format(x) == text
+    assert from_signal(parse(text)) == x
+
+
+_exppoly_parts = st.one_of(
+    st.builds(Fraction, st.integers(-45, 45), st.integers(1, 9)),
+    st.floats(-1e6, 1e6).map(Fraction),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+)
+_exppoly_scalars = st.builds(Qi, _exppoly_parts, _exppoly_parts)
+_drawn_exppolys = st.lists(
+    st.tuples(_exppoly_scalars,
+              st.lists(_exppoly_scalars, min_size=1, max_size=5)),
+    max_size=4,
+).map(lambda terms: ExpPoly(tuple((r, CPoly(c)) for r, c in terms)))
+
+
+@functools.cache
+def _corpus_signals() -> list:
+    """The inverse images of the strictly proper images of
+    tools/digest_outputs.py's `roots_corpus`: float-origin dyadic rates and
+    coefficients, and up to 70 terms."""
+    corpus = runpy.run_path(str(DIGEST))["roots_corpus"](parse)
+    return [to_exppoly(r) for r in corpus if r.is_strictly_proper]
 
 
 @settings(max_examples=200, deadline=None)
-@given(oracles.well_formed_texts)
-@example("3*sin(2*t + 1/3)*exp(-t)")
-def test_exppoly_text_equals_the_reference_text(text):
-    try:
-        e = parse(text)
-    except ExpressionError:
-        return
-    if classify(e) == SignalClass.EXP_POLYNOMIAL:
-        x = from_signal(e)
-        assert x.format() == oracles.exppoly_format(x), text
+@given(st.one_of(_drawn_exppolys, st.deferred(
+    lambda: st.sampled_from(_corpus_signals()))))
+@example(ExpPoly(()))
+def test_exppoly_text_reparses_to_the_signal(x):
+    # zero, complex rates and coefficients, degrees up to 4, float-origin
+    # coefficients, and the inverse images of the root corpus
+    assert from_signal(parse(x.format())) == x
 
 
 @settings(max_examples=300, deadline=None)

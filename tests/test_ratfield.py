@@ -282,10 +282,10 @@ _format_coeffs = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_format_coeffs, max_size=7), st.sampled_from("st"))
-def test_polynomial_text_equals_the_coefficient_text(coeffs, var):
+@given(st.lists(_format_coeffs, max_size=7))
+def test_polynomial_text_equals_the_coefficient_text(coeffs):
     p = CPoly(coeffs)
-    assert p.format(var) == oracles.cpoly_format(p, var)
+    assert p.format() == oracles.cpoly_format(p)
 
 
 def test_polynomial_text_keeps_the_digit_limit_apart():
@@ -294,7 +294,7 @@ def test_polynomial_text_keeps_the_digit_limit_apart():
         with pytest.raises(DigitLimitError, match="limit of 4300 digits"):
             p.format()
         with pytest.raises(DigitLimitError):
-            oracles.cpoly_format(p, "s")
+            oracles.cpoly_format(p)
 
 
 def test_an_image_beyond_the_float_range_has_a_repr():

@@ -1,6 +1,7 @@
 """Expression grammar, canonical AST, classification, evaluation, and the
 symbolic differentiation oracle."""
 
+import cmath
 import math
 import random
 import time
@@ -360,6 +361,21 @@ def test_evaluate_chirp_is_unimodular():
         assert abs(abs(evaluate(e, t)) - 1) <= 1e-12
 
 
+def test_chirp_jet_follows_the_closed_form():
+    # x = exp(g) with g = i(t^2 + 2t + 3): x' = g'x, x''/2 = (g'' + g'^2)x/2
+    # and x'''/6 = (3g'g'' + g'^3)x/6, at t = 1/2 in floats
+    t = 0.5
+    x = cmath.exp(1j * (t * t + 2 * t + 3))
+    g1, g2 = 1j * (2 * t + 2), 2j
+    want = [x, g1 * x, (g2 + g1 * g1) * x / 2,
+            (3 * g1 * g2 + g1 ** 3) * x / 6]
+    got = _jet(parse("chirp(1, 2, 3)"), t, 3)
+    assert all(abs(a - b) <= 1e-14 * abs(b) for a, b in zip(got, want))
+    # with no offset the jet at 0 is exact: g' = 2i, g'' = 2i
+    assert _jet(parse("chirp(1, 2, 0)"), 0, 3) \
+        == [Qi(1), Qi(0, 2), Qi(-2, 1), Qi(-2, Fraction(-4, 3))]
+
+
 def _value_or_class(fn, *args):
     """The value, or the class of the failure."""
     try:
@@ -477,6 +493,26 @@ def test_pretty_print_round_trip_on_parsed_text():
     for text in samples:
         e = parse(text)
         assert parse(pretty_print(e)) == e, text
+
+
+_pp_coeffs = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-5/3", "i",
+                              "-2*i", "(1 + i)", "(1/2 - 3*i)", "2.5e-3"])
+_pp_polys = st.lists(st.builds("{}*t^{}".format, _pp_coeffs,
+                               st.integers(0, 4)),
+                     min_size=1, max_size=4).map(" + ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds("({})/({}){}".format, _pp_polys, _pp_polys, st.sampled_from(
+    ["", "*sin(t)", "*exp(-t)", "*sinc(2)", " + t^2", " - cos(2*t - 1/3)",
+     "*(t + i)^2", "^2*exp((1 + i)*t)"])))
+@example("(t^2+1)/(t^3-2*t+1/2)*sin(t)")
+def test_pretty_print_round_trip_on_rational_functions_of_t(text):
+    try:
+        e = parse(text)
+    except ParameterError:          # a zero divisor
+        return
+    assert parse(pretty_print(e)) == e, text
 
 
 def test_canonical_is_idempotent():

@@ -715,3 +715,45 @@ def test_operator_rendering():
 def test_equation_rendering():
     sys = catalog_equation(parse("sinc(3)"))
     assert format_equation(sys) == "[d/ds] x = -3 / (s^2 + 9)"
+
+
+def _coefficient_parts(rng):
+    """Real parts of every kind a coefficient prints: 0 and +-1, small
+    fractions, float origins, and values of many digits, below and beyond
+    the float range."""
+    return ([Fraction(0)] * 8 + [Fraction(1), Fraction(-1)] * 2
+            + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+               for _ in range(16)]
+            + [Fraction(rng.uniform(-1e3, 1e3)) for _ in range(8)]
+            + [Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                        rng.randint(10 ** 9, 10 ** 12)) for _ in range(4)]
+            + [Fraction(rng.randint(1, 7), rng.randint(2 ** 1030, 2 ** 1040))
+               for _ in range(2)]
+            + [Fraction(rng.randint(-10 ** 320, 10 ** 320), rng.randint(1, 10))
+               for _ in range(2)])
+
+
+def test_coefficient_text_equals_the_text_scan():
+    # the wrapping decided from the value equals the scan of the printed
+    # text for balanced parentheses, on constants, polynomials and
+    # fractions with coefficients of every printed kind
+    rng = random.Random(3001)
+    parts = _coefficient_parts(rng)
+    scalars = [Qi(a, b) for a in parts for b in parts[:12] + parts[12::7]]
+
+    def poly(degree):
+        cs = [rng.choice(scalars) for _ in range(degree + 1)]
+        return CPoly(cs[:-1] + [cs[-1] or Qi(1)])
+
+    kinds = [0] * 4       # bare or in parentheses, constant or not
+    for k in range(100_000):
+        if k % 3 == 0:
+            r = RatFunc(rng.choice(scalars))
+        elif k % 3 == 1:
+            r = RatFunc(poly(rng.randint(1, 2)))
+        else:
+            r = RatFunc(poly(rng.randint(0, 1)), poly(rng.randint(1, 2)))
+        txt = weylode._coeff_text(r)
+        assert txt == oracles.coeff_text(r), r
+        kinds[2 * (r.num.degree == r.den.degree == 0) + (txt[0] == "(")] += 1
+    assert min(kinds) > 1000

@@ -16,7 +16,10 @@ the op lists pass to `sigexpr.parse`, in call order, so a parser change that
 keeps every output but builds another tree shows too, and one `roots`
 SHA-256 over the poles, partial fractions, spectrum and, for a strictly
 proper image, inverse image of a fixed corpus of rational functions that
-no bench op reaches (`roots_corpus`).
+no bench op reaches (`roots_corpus`).  A `texts` SHA-256 covers what the
+package prints in the signal grammar: `pretty_print` of each of those
+trees, and `ExpPoly.format` of each exponential polynomial among them and
+of each inverse image of the corpus (`printed_texts`).
 """
 
 from __future__ import annotations
@@ -80,15 +83,50 @@ def recording_parse(texts: list[str]):
     return parse
 
 
+def outcome(call, *args) -> str:
+    """`repr` of call(*args), or the failure it raises."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:            # a refusal is an outcome too
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def trees_digest(parse, texts: list[str]) -> str:
     """The digest of the tree, or the failure, that each text parses to."""
     h = hashlib.sha256()
     for text in texts:
+        h.update(text.encode() + b"\0" + outcome(parse, text).encode()
+                 + b"\0")
+    return h.hexdigest()
+
+
+def printed_texts(parse, texts: list[str]) -> list[str]:
+    """The signal-grammar text of every tree the texts parse to, then the
+    text of the exponential polynomial of each such tree that is one, and
+    of the inverse image of each strictly proper image of `roots_corpus`."""
+    from algspec.opcalc import from_signal, to_exppoly
+    from algspec.sigexpr import SignalClass, classify, pretty_print
+
+    trees, out = [], []
+    for text in texts:
         try:
-            out = repr(parse(text))
-        except Exception as exc:        # a refusal is an outcome too
-            out = f"raised {type(exc).__name__}: {exc}"
-        h.update(text.encode() + b"\0" + out.encode() + b"\0")
+            trees.append(parse(text))
+        except Exception:               # refusals are in the trees digest
+            pass
+    out += [outcome(pretty_print, e) for e in trees]
+    out += [outcome(lambda x: from_signal(x).format(), e) for e in trees
+            if classify(e) is SignalClass.EXP_POLYNOMIAL]
+    out += [outcome(lambda r: to_exppoly(r).format(), r)
+            for r in roots_corpus(parse) if r.is_strictly_proper]
+    return out
+
+
+def texts_digest(parse, texts: list[str]) -> str:
+    """The digest of `printed_texts`, so a printer change that keeps every
+    output moves this line alone."""
+    h = hashlib.sha256()
+    for text in printed_texts(parse, texts):
+        h.update(text.encode() + b"\0")
     return h.hexdigest()
 
 
@@ -150,11 +188,7 @@ def roots_digest(parse) -> str:
         if r.is_strictly_proper:
             calls.append(to_exppoly)
         for call in calls:
-            try:
-                out = repr(call(r))
-            except Exception as exc:    # a refusal is an outcome too
-                out = f"raised {type(exc).__name__}: {exc}"
-            h.update(out.encode() + b"\0")
+            h.update(outcome(call, r).encode() + b"\0")
     return h.hexdigest()
 
 
@@ -186,6 +220,7 @@ def main(argv=None) -> int:
             print(f"{name}  {digest}", flush=True)
     print(f"trees  {trees_digest(parse, texts)}", flush=True)
     print(f"roots  {roots_digest(parse)}", flush=True)
+    print(f"texts  {texts_digest(parse, texts)}", flush=True)
     print(f"demos  {demos_digest()}")
     return 0
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .ratfield import _FrozenValue
+from .ratfield import Qi, _FrozenValue
 from .sigexpr import (Const, Sin, SignalExpr, EvaluationError,
                       ParameterError, _jet, canonical, split_scale)
 
@@ -126,21 +126,26 @@ def _float_array(seq):
     return np.fromiter(map(float, seq), float)
 
 
-def _real_part(label: str, value: complex) -> float:
-    if abs(value.imag) > _IMAG_TOL * (1.0 + abs(value.real)):
+def _real_part(label: str, value) -> float:
+    """The real part of value, an exact `Qi` that must be real, or a
+    complex float whose imaginary part must be within _IMAG_TOL."""
+    z = complex(value)
+    if (value.im if type(value) is Qi
+            else abs(z.imag) > _IMAG_TOL * (1.0 + abs(z.real))):
         raise EvaluationError(
             f"{label} is complex-valued; the formula needs a real signal")
-    return value.real
+    return z.real
 
 
 def phi_symbolic(e: SignalExpr, t: float) -> float:
     """Exact Phi(t) from the 2-jet of e at t: x, x' and x'' = 2*c_2 are
     read off one truncated Taylor series (`sigexpr._jet`).  At t = 0 the
-    series is exact when every atom's value there is, so a pole of a
-    rational factor that the other factors cancel, as in sin(t)/t or
-    (sinc(2) - 2)/t^2, leaves a value; a pole that does not cancel is
-    refused."""
-    x, x1, c2 = map(complex, _jet(e, t, 2))
+    series is exact for every signal, phases read as the expansion reads
+    them, so a pole of a rational factor that the other factors cancel, as
+    in sin(t)/t, (sinc(2) - 2)/t^2 or (sin(t+1) - sin(0, 1))/t, leaves a
+    value; a pole that does not cancel is refused.  There the signal and
+    its derivatives must be exactly real; elsewhere within _IMAG_TOL."""
+    x, x1, c2 = _jet(e, t, 2)
     _real_part("signal", x)
     x1 = _real_part("first derivative", x1)
     x2 = _real_part("second derivative", 2 * c2)
@@ -182,8 +187,6 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
         raise ValueError("window must be an odd integer >= 5")
     if not 2 <= degree <= 4:
         raise ValueError("degree must be between 2 and 4")
-    if degree >= window:
-        raise ValueError("degree must be smaller than the window")
     if window > len(sig):
         raise ValueError("window exceeds the number of samples")
     dt = _uniform_step(sig)

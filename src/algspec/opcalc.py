@@ -337,8 +337,8 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
     The result has the single rate 0, hence an empty spectrum, regardless
     of the spectrum of e.  Its coefficients are those of one truncated
     Taylor series of e (`sigexpr._jet`), at O(order^2) per node; at t0 = 0
-    they are exact whenever every atom's value there lies in Q(i), so
-    polynomial and phase-free trigonometric inputs reproduce exactly.
+    they are exact for every signal, so an exponential polynomial gives the
+    Taylor coefficients of its expansion `from_signal(e)`, phases included.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")

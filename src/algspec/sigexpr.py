@@ -27,6 +27,12 @@ a term, over a digit literal, is one fraction; t is one shared node and t^k
 a power of it; and a term that is a constant, alone or times one atom,
 takes the sign of a minus into that constant and is built as its node
 directly.  Everything else goes through the canonical constructors.
+
+The series of a tree at a time t0 is walked node by node.  At t0 = 0 it is
+exact in Q(i) for every signal: the sine and cosine of a phase, and a
+chirp's offset, are read as the exact values of their float parts, as the
+expansion `opcalc.from_signal` reads them.  At any other time it is in
+complex floats.
 """
 
 from __future__ import annotations
@@ -363,19 +369,6 @@ def _scaled(c: Qi, x: SignalExpr) -> SignalExpr:
 
 
 def make_mul(factors) -> SignalExpr:
-    if type(factors) is list and len(factors) == 2:
-        a, b = factors
-        if type(b) is Const:
-            a, b = b, a
-        if type(a) is Const:
-            if type(b) is Const:
-                return Const(a.value * b.value)
-            if type(b) in _ATOMS:
-                return _scaled(a.value, b)
-            if (type(b) is Mul and len(b.factors) == 2
-                    and type(b.factors[0]) is Const
-                    and type(b.factors[1]) in _ATOMS):
-                return _scaled(a.value * b.factors[0].value, b.factors[1])
     scalar = _QI_ONE
     rest = []
     fold_rational = False
@@ -599,44 +592,6 @@ def _finite(value: complex, t: float) -> complex:
 _CANCEL_BUDGET = 64
 
 
-def _leaves(e: SignalExpr, order: int) -> list:
-    """The nodes of e under its sums, products and powers, in tree order.
-    A dirac or delay atom is refused: it has no value, asked for at order
-    0, and no derivative, asked for above it."""
-    out = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if tx is Add:
-            stack.extend(reversed(x.terms))
-        elif tx is Mul:
-            stack.extend(reversed(x.factors))
-        elif tx is Pow:
-            stack.append(x.base)
-        elif tx is Dirac:
-            if order:
-                raise ExpressionError("dirac impulse is not differentiable")
-            raise EvaluationError("dirac impulse has no pointwise value")
-        elif tx is Delay:
-            if order:
-                raise ExpressionError("delay atom is not differentiable")
-            raise EvaluationError(
-                "standalone delay atom has no pointwise value")
-        else:
-            out.append(x)
-    return out
-
-
-def _exact_at_zero(x: SignalExpr) -> bool:
-    """Whether the value of the atom x at t = 0 lies in Q(i)."""
-    if type(x) in (Sin, Cos):
-        return not x.phase
-    if type(x) is Chirp:
-        return not x.c
-    return True
-
-
 def _shifted(c: list, x0) -> list:
     """The coefficients of p(x0 + h) in h, for p with coefficients c, by
     repeated synthetic division."""
@@ -676,11 +631,16 @@ _INV_T2_PLUS_1 = RatFunc(CPoly.ONE, CPoly([1, 0, 1]))
 class _JetWalk:
     """One evaluation of series of n terms at t0.
 
-    Scalars are `Qi` when exact, which needs t0 = 0, else complex floats;
-    `conv` takes an exact `Qi` to a scalar.  A float series refuses a
+    Scalars are `Qi` when exact, at t0 = 0, else complex floats; `conv`
+    takes an exact `Qi` to a scalar.  The exact sine and cosine of a phase,
+    and a chirp's exact unit factor at 0, are those of `_unit_phase`, as in
+    the expansion and the catalog equation.  A float series refuses a
     rational factor with a pole at t0, found by exact evaluation of its
     denominator; an exact one keeps the pole as a negative valuation, for
-    another factor or a sum to cancel."""
+    another factor or a sum to cancel.  A dirac or delay atom is refused
+    where the walk meets it: with n = 1 it has no value, above that no
+    derivative.  A walk with more terms than the order asked follows one
+    of n = order + 1 terms, which met every atom."""
 
     def __init__(self, t0, n: int, exact: bool):
         self.t0 = t0
@@ -746,6 +706,15 @@ class _JetWalk:
             return 0, self._chirp(e)
         if tx is TFrac:
             return self._rational(e.rat)
+        if tx is Dirac:
+            if n > 1:
+                raise ExpressionError("dirac impulse is not differentiable")
+            raise EvaluationError("dirac impulse has no pointwise value")
+        if tx is Delay:
+            if n > 1:
+                raise ExpressionError("delay atom is not differentiable")
+            raise EvaluationError(
+                "standalone delay atom has no pointwise value")
         raise TypeError(f"not a signal expression: {e!r}")
 
     def _add(self, parts: list) -> tuple:
@@ -761,7 +730,8 @@ class _JetWalk:
         """Series of sin or cos(omega*t + phase): the k-th derivative steps
         round (s, c, -s, -c) from sin, or from cos a quarter turn on."""
         if self.exact:
-            s, c = self.zero, self.one
+            ph = _unit_phase(phase)
+            s, c = Qi.coerce(ph.im), Qi.coerce(ph.re)
         else:
             theta = _angle(float(omega) * self.t0 + float(phase))
             s, c = complex(math.sin(theta)), complex(math.cos(theta))
@@ -773,7 +743,7 @@ class _JetWalk:
         """exp(g) for g = i(a t^2 + b t + c), by k e_k = g_1 e_(k-1) +
         2 g_2 e_(k-2)."""
         g = _shifted([self.conv(Qi(0, x)) for x in (e.c, e.b, e.a)], self.x0)
-        out = [self.one if self.exact else _cexp(g[0])]
+        out = [_unit_phase(e.c) if self.exact else _cexp(g[0])]
         for k in range(1, self.n):
             acc = g[1] * out[k - 1]
             if k > 1:
@@ -806,17 +776,17 @@ def _jet(e: SignalExpr, t0, order: int) -> list:
     """The Taylor coefficients c_0..c_order of e at t0, so that
     e(t0 + h) = sum_k c_k h^k + O(h^(order + 1)).
 
-    They are exact `Qi` when t0 = 0 and every atom's value there lies in
-    Q(i) (no phase, no chirp offset), else complex floats.  A rational
+    They are exact `Qi` when t0 = 0, with each phase read as the
+    expansion reads it (`_unit_phase`), else complex floats.  A rational
     factor with a pole at t0 is refused with float coefficients; with exact
     ones the pole must cancel in the exact coefficients, within
     `_CANCEL_BUDGET` extra terms, or it is refused as well.  Dirac and delay
-    atoms are refused (`_leaves`), and so is a time that is not finite.
+    atoms are refused where the walk meets them, and so is a time that is
+    not finite.
     """
     if not math.isfinite(t0):
         raise EvaluationError(f"time must be finite, got {t0}")
-    leaves = _leaves(e, order)
-    exact = t0 == 0 and all(map(_exact_at_zero, leaves))
+    exact = t0 == 0
     pole = f"rational factor has a pole at t = {t0}"
     n = order + 1
     while True:

@@ -17,7 +17,9 @@ balanced parentheses, where the library decides from the value.
 `evaluate` walks the expression tree in floats, `diff_time` differentiates
 it symbolically, and `phi_symbolic` and `taylor_truncate` evaluate those
 derivatives, where the library reads values and derivatives off one
-truncated Taylor series (`sigexpr._jet`).  `catalog_equation` builds
+truncated Taylor series (`sigexpr._jet`); `exppoly_taylor` sums the
+series of each term of an exponential polynomial, which the exact series
+at t = 0 of its signal must equal.  `catalog_equation` builds
 every value through the generic constructors, where the library builds
 each in its canonical form, and `quadratic_roots` solves a monic quadratic
 by `Qi` arithmetic on its coefficients, where the library stays on its
@@ -628,6 +630,18 @@ def taylor_truncate(e: SignalExpr, t0: float, order: int) -> ExpPoly:
         if k < order:
             d = diff_time(d)
     return ExpPoly(((Qi(0), acc),))
+
+
+def exppoly_taylor(x: ExpPoly, order: int) -> list[Qi]:
+    """The Taylor coefficients c_0..c_order at t = 0 of the exponential
+    polynomial x, in Q(i): each term P(t) e^(rt) adds p_i r^j / j! to
+    c_(i+j)."""
+    out = [Qi(0)] * (order + 1)
+    for rate, poly in x.terms:
+        for i, p in enumerate(poly.coeffs[:order + 1]):
+            for j in range(order + 1 - i):
+                out[i + j] = out[i + j] + p * rate ** j / Qi(math.factorial(j))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,63 @@ def test_instfreq_complex_sinc_at_zero_is_refused(capsys):
                             "the formula needs a real signal\n")
 
 
+@pytest.mark.parametrize("expr, phi, want", [
+    # x = cos(1) - sin(1)/2 t - cos(1)/6 t^2 + ...
+    ("(sin(t+1) - sin(0, 1))/t", "-0.166006062482",
+     -math.cos(1) / 3 / math.sqrt(1 + math.sin(1) ** 2 / 4)),
+    # x = -2 sin(1/3) - 2 cos(1/3) t + 4/3 sin(1/3) t^2 + ...
+    ("(cos(2*t + 1/3) - cos(0, 1/3))/t", "0.40806804442",
+     8 / 3 * math.sin(1 / 3) / math.sqrt(1 + 4 * math.cos(1 / 3) ** 2)),
+    # x = -4 sin(3) - 4 cos(3) t + (8/3 sin(3) - 4 cos(3)) t^2 + ...
+    ("(chirp(1,2,3) - chirp(1,0,3))/t + (chirp(-1,-2,-3) - chirp(-1,0,-3))/t",
+     "2.12340364307",
+     (16 / 3 * math.sin(3) - 8 * math.cos(3))
+     / math.sqrt(1 + 16 * math.cos(3) ** 2)),
+], ids=["sin", "cos", "chirp"])
+def test_instfreq_at_zero_cancels_a_pole_under_a_phase(expr, phi, want,
+                                                       capsys):
+    # the series at 0 reads each phase exactly, so the constant terms of
+    # the numerator cancel and leave the limit
+    status = main(["instfreq", "--at", "0", "--", expr])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert captured.out == f"method: symbolic\nt phi\n0 {phi}\n"
+    assert abs(float(phi) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("expr, at, out", [
+    # exact at 0, so any imaginary part is refused; a float one within
+    # 1e-9 of the real part passes elsewhere
+    ("sin(t) + 1e-12*i", "0", None),
+    ("sin(t) + 1e-12*i", "0.5", "0.5 -0.360342916017"),
+    ("chirp(1,2,3) + chirp(-1,-2,-3)", "0", "0 6.40541229973"),
+])
+def test_instfreq_needs_an_exactly_real_signal_at_zero(expr, at, out,
+                                                       capsys):
+    status = main(["instfreq", "--at", at, "--", expr])
+    captured = capsys.readouterr()
+    if out is None:
+        assert (status, captured.out) == (1, "")
+        assert captured.err == ("error: input: signal is complex-valued; "
+                                "the formula needs a real signal\n")
+    else:
+        assert (status, captured.err) == (0, "")
+        assert captured.out == f"method: symbolic\nt phi\n{out}\n"
+
+
+@pytest.mark.parametrize("at", ["0", "1"])
+@pytest.mark.parametrize("expr, message", [
+    ("dirac()", "dirac impulse is not differentiable"),
+    ("delay(1)", "delay atom is not differentiable"),
+])
+def test_instfreq_refuses_an_impulse_or_delay_at_any_time(expr, message, at,
+                                                         capsys):
+    status = main(["instfreq", "--at", at, "--", expr])
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err == f"error: input: {message}\n"
+
+
 def _write_tone_csv(path, rate_hz=200, t_end=3.0):
     rows = ["t,x"]
     n = int(round(rate_hz * t_end)) + 1

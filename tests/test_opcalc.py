@@ -20,8 +20,10 @@ from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
     _shift, _stretched, alg_deriv, poles, spectrum_of_rational
-from algspec.sigexpr import (Add, EvaluationError, ExpressionError, Pow,
-                             SignalClass, classify, evaluate, parse)
+from algspec.sigexpr import (Add, Cos, EvaluationError, ExpressionError,
+                             Pow, SignalClass, Sin, _jet, _poly_tree,
+                             classify, evaluate, make_add, make_exp,
+                             make_mul, parse, pretty_print)
 
 _S = CPoly([0, 1])
 DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest_outputs.py"
@@ -888,3 +890,33 @@ def test_truncation_at_zero_is_exact():
     x = taylor_truncate(parse("exp(1/3*t)*cos(2*t) + sinc(2)"), 0.0, 2)
     assert x.terms[0][1].coeffs == (Qi(3), Qi(Fraction(1, 3)),
                                     Qi(Fraction(-35, 18) - Fraction(4, 3)))
+
+
+_phases = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 8]))
+
+
+@st.composite
+def _phased_exppolys(draw):
+    """Sums of one to three terms P(t)*exp(r*t) times up to two sines or
+    cosines of w*t + phi: complex rates r, rational phases phi and P of
+    degree up to 3."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [_poly_tree(draw(_polys)), make_exp(draw(_scalars))]
+        for _ in range(draw(st.integers(0, 2))):
+            trig = draw(st.sampled_from([Sin, Cos]))
+            factors.append(trig(draw(_q), draw(_phases)))
+        terms.append(make_mul(factors))
+    return make_add(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phased_exppolys(), st.integers(0, 6))
+@example(make_mul([Sin(2, Fraction(1, 3)), make_exp(Qi(-1, 1))]), 4)
+def test_the_jet_at_zero_is_the_taylor_series_of_the_expansion(e, order):
+    # the jet reads each phase as the expansion does, so the two agree in
+    # Q(i), with no rounding between them
+    want = oracles.exppoly_taylor(from_signal(e), order)
+    assert _jet(e, 0, order) == want, pretty_print(e)
+    assert taylor_truncate(e, 0.0, order) \
+        == ExpPoly(((Qi(0), CPoly(want)),))

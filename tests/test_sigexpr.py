@@ -298,6 +298,25 @@ def test_evaluate_rejects_impulse_and_delay():
         assert type(err.value) is ExpressionError
 
 
+@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("text, value, slope", [
+    ("dirac()", "dirac impulse has no pointwise value",
+     "dirac impulse is not differentiable"),
+    ("delay(1)", "standalone delay atom has no pointwise value",
+     "delay atom is not differentiable"),
+])
+def test_an_impulse_or_delay_is_refused_with_one_text_at_any_time(
+        text, value, slope, t):
+    # the exact walk at 0 and the float walk elsewhere refuse it alike
+    e = parse(text)
+    with pytest.raises(EvaluationError) as err:
+        evaluate(e, t)
+    assert str(err.value) == value
+    with pytest.raises(ExpressionError) as err:
+        _jet(e, t, 2)
+    assert (type(err.value), str(err.value)) == (ExpressionError, slope)
+
+
 def test_evaluate_rejects_fraction_pole():
     with pytest.raises(EvaluationError):
         evaluate(parse("1/t"), 0.0)

@@ -19,7 +19,10 @@ proper image, inverse image of a fixed corpus of rational functions that
 no bench op reaches (`roots_corpus`).  A `texts` SHA-256 covers what the
 package prints in the signal grammar: `pretty_print` of each of those
 trees, and `ExpPoly.format` of each exponential polynomial among them and
-of each inverse image of the corpus (`printed_texts`).
+of each inverse image of the corpus (`printed_texts`).  A `jets` SHA-256
+covers the order-2 series `sigexpr._jet` of each of those trees at
+t = 0.5 and 1.25, where it is in floats, and a `jets0` SHA-256 the same
+series at t = 0, where it is exact.
 """
 
 from __future__ import annotations
@@ -100,6 +103,18 @@ def trees_digest(parse, texts: list[str]) -> str:
     return h.hexdigest()
 
 
+def recorded_trees(parse, texts: list[str]) -> list:
+    """The tree of every text that parses, in call order; the refusals are
+    in the trees digest."""
+    trees = []
+    for text in texts:
+        try:
+            trees.append(parse(text))
+        except Exception:
+            pass
+    return trees
+
+
 def printed_texts(parse, texts: list[str]) -> list[str]:
     """The signal-grammar text of every tree the texts parse to, then the
     text of the exponential polynomial of each such tree that is one, and
@@ -107,13 +122,8 @@ def printed_texts(parse, texts: list[str]) -> list[str]:
     from algspec.opcalc import from_signal, to_exppoly
     from algspec.sigexpr import SignalClass, classify, pretty_print
 
-    trees, out = [], []
-    for text in texts:
-        try:
-            trees.append(parse(text))
-        except Exception:               # refusals are in the trees digest
-            pass
-    out += [outcome(pretty_print, e) for e in trees]
+    trees = recorded_trees(parse, texts)
+    out = [outcome(pretty_print, e) for e in trees]
     out += [outcome(lambda x: from_signal(x).format(), e) for e in trees
             if classify(e) is SignalClass.EXP_POLYNOMIAL]
     out += [outcome(lambda r: to_exppoly(r).format(), r)
@@ -127,6 +137,18 @@ def texts_digest(parse, texts: list[str]) -> str:
     h = hashlib.sha256()
     for text in printed_texts(parse, texts):
         h.update(text.encode() + b"\0")
+    return h.hexdigest()
+
+
+def jets_digest(parse, texts: list[str], times) -> str:
+    """The digest of the outcome of `_jet(e, t, 2)` for every tree e the
+    texts parse to and each t of times."""
+    from algspec.sigexpr import _jet
+
+    h = hashlib.sha256()
+    for e in recorded_trees(parse, texts):
+        for t in times:
+            h.update(outcome(_jet, e, t, 2).encode() + b"\0")
     return h.hexdigest()
 
 
@@ -221,6 +243,8 @@ def main(argv=None) -> int:
     print(f"trees  {trees_digest(parse, texts)}", flush=True)
     print(f"roots  {roots_digest(parse)}", flush=True)
     print(f"texts  {texts_digest(parse, texts)}", flush=True)
+    print(f"jets  {jets_digest(parse, texts, (0.5, 1.25))}", flush=True)
+    print(f"jets0  {jets_digest(parse, texts, (0.0,))}", flush=True)
     print(f"demos  {demos_digest()}")
     return 0
 

@@ -42,12 +42,19 @@ class DftResult(_FrozenValue):
 
 
 def _magnitudes(values):
-    """|fft(values)|, an iterator of Python's `abs` of each coefficient:
-    np.abs may differ from it in the last place, and so reorder near-equal
-    bins.  `dft` collects it into a tuple, the tone report into an array."""
+    """|fft(values)| as an array, bitwise Python's `abs` of each
+    coefficient: np.hypot of the parts calls the C hypot that `abs` calls,
+    where np.abs may differ from it in the last place, and so reorder
+    near-equal bins.  As `abs` does, a modulus that overflows from finite
+    parts raises OverflowError."""
     import numpy as np
 
-    return map(abs, np.fft.fft(values).tolist())
+    x = np.fft.fft(values)
+    try:
+        with np.errstate(over="raise"):
+            return np.hypot(x.real, x.imag)
+    except FloatingPointError:
+        raise OverflowError("absolute value too large") from None
 
 
 def _bins(n: int, dt: float):
@@ -90,7 +97,7 @@ def dft(sig: SampledSignal) -> DftResult:
     if dt is None:
         raise ValueError("sampling must be uniform")
     return DftResult(tuple(_bins(n, dt).tolist()),
-                     tuple(_magnitudes(sig.arrays[1])))
+                     tuple(_magnitudes(sig.arrays[1]).tolist()))
 
 
 def sinc_fourier_closed_form(omega: float, xi: float) -> float:
@@ -172,7 +179,8 @@ def _sinc_sweep() -> tuple:
 def _impulse_demo() -> str:
     """The Fourier line of the impulse, from the DFT magnitudes of a
     64-point unit impulse, computed once per process."""
-    flat = max(abs(m - 1.0) for m in _magnitudes([1.0] + [0.0] * 63))
+    mags = _magnitudes([1.0] + [0.0] * 63).tolist()
+    flat = max(abs(m - 1.0) for m in mags)
     return (f"flat: all frequencies present (impulse DFT magnitudes are 1 "
             f"to within {flat:.1e})")
 
@@ -233,7 +241,6 @@ def contrast_report(e: SignalExpr) -> ContrastReport:
         return ContrastReport(
             label, analyze(e).spectrum,
             f"line pair at -{abs(w):g} and {abs(w):g}",
-            dft_dominant=_dominant(
-                bins, np.fromiter(_magnitudes(values), float, len(bins)), 2))
+            dft_dominant=_dominant(bins, _magnitudes(values), 2))
     raise ParameterError(
         "contrast report covers dirac(), sinc(w), and sin(w*t) signals")

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
-                       _QI_ZERO, _conv, _gsum, _lincomb, _local_terms, _power,
-                       _rmul, _root_points, _shift, _spectrum, _stretched,
+                       _QI_ZERO, _conv, _gconv, _lincomb, _local_terms,
+                       _power, _root_points, _shift, _spectrum, _stretched,
                        _taylor_shift)
 from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
@@ -210,9 +210,9 @@ def _expand(e: SignalExpr) -> ExpPoly:
 def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
     """(l^m, Lambda) for l = L*s + c, c = -L*rate, and m = deg P + 1, where
     Lambda = G(l) for G(y) = sum_k g_k y^(m-1-k), g_k = C*p_k*k!*L^(k+1):
-    the image of P(t)*e^(rate*t) is Lambda/(C*l^m).  Both come as
-    (re, im, d), l^m over 1 and Lambda over C.  Each of G(L*s + c) and
-    (y^m)(L*s + c) is one shift by c and one stretch by L."""
+    the image of P(t)*e^(rate*t) is Lambda/(C*l^m).  Both come as the
+    Gaussian-integer lists (re, im), l^m over 1 and Lambda over C.  Each of
+    G(L*s + c) and (y^m)(L*s + c) is one shift by c and one stretch by L."""
     f = L // rate._d
     cr, ci = -rate._a * f, -rate._b * f
     gr, gi = [], []              # g_k, from the first nonzero one
@@ -225,9 +225,14 @@ def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
             gi.append(pi * g)
     m = len(poly._re)
     y_m = [0] * m + [1], [0] * (m + 1)
-    return ((*_stretched(*_shift(*y_m, cr, ci, m + 1), L), 1),
-            (*_stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L),
-             C))
+    return (_stretched(*_shift(*y_m, cr, ci, m + 1), L),
+            _stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L))
+
+
+def _gaussian(x: tuple) -> tuple:
+    """(re, im) of a numerator (re, im) whose im is None when it is real."""
+    re, im = x
+    return re, [0] * len(re) if im is None else im
 
 
 def to_rational(x: ExpPoly) -> RatFunc:
@@ -245,6 +250,10 @@ def to_rational(x: ExpPoly) -> RatFunc:
     numerator.  Any other rate is a term of its own.  Summed over the
     common denominator prod l_a^m_a = L^M prod (s-a)^m_a, M = sum m_a, the
     image is canonicalized once: numerator over C*L^M, denominator over L^M.
+    A pair's real step, or a real rate with a real polynomial, gives a real
+    term, and while the sum so far is real too, a step folds the real lists
+    alone: one `_conv` per product and one `_lincomb`.  So a real signal's
+    image is summed on real lists throughout.
 
     The sum needs no gcd.  At s = a the numerator equals L^M times
     (m_a-1)! times the leading coefficient of P_a, which is nonzero, times
@@ -257,7 +266,7 @@ def to_rational(x: ExpPoly) -> RatFunc:
     L = math.lcm(*(rate._d for rate, _ in x.terms))
     C = math.lcm(*(poly._d for _, poly in x.terms))
     rest = dict(x.terms)
-    num = den = None              # the sum so far, over its poles
+    num = den = None        # the sum so far over its poles, as in _gaussian
     while rest:
         rate, poly = rest.popitem()
         fac, lam = _local_numerator(rate, poly, L, C)
@@ -265,18 +274,25 @@ def to_rational(x: ExpPoly) -> RatFunc:
         if (twin is not None and twin._re == poly._re and twin._d == poly._d
                 and twin._im == tuple(-y for y in poly._im)):
             del rest[rate.conjugate()]
-            (fr, fi, _), (lr, li, _) = fac, lam
-            re = _lincomb(_conv(lr, fr), 2, _conv(li, fi), 2)
-            lam = re, [0] * len(re), C
-            re = _lincomb(_conv(fr, fr), 1, _conv(fi, fi), 1)
-            fac = re, [0] * len(re), 1
+            (fr, fi), (lr, li) = fac, lam
+            lam = _lincomb(_conv(lr, fr), 2, _conv(li, fi), 2), None
+            fac = _lincomb(_conv(fr, fr), 1, _conv(fi, fi), 1), None
+        elif not (rate._b or any(poly._im)):
+            fac, lam = (fac[0], None), (lam[0], None)
         if den is None:
             num, den = lam, fac
+        elif num[1] is None and lam[1] is None:
+            num = _lincomb(_conv(num[0], fac[0]), 1,
+                           _conv(lam[0], den[0]), 1), None
+            den = _conv(den[0], fac[0]), None
         else:
-            num = _gsum(_rmul(num, fac), _rmul(lam, den))
-            den = _rmul(den, fac)
+            (nr, ni), (fr, fi), (lr, li), (dr, di) = map(
+                _gaussian, (num, fac, lam, den))
+            (ar, ai), (br, bi) = _gconv(nr, ni, fr, fi), _gconv(lr, li, dr, di)
+            num = _lincomb(ar, 1, br, 1), _lincomb(ai, 1, bi, 1)
+            den = _gconv(dr, di, fr, fi)
     M = len(den[0]) - 1
-    (nr, ni, _), (dr, di, _) = num, den
+    (nr, ni), (dr, di) = _gaussian(num), _gaussian(den)
     return RatFunc._from_reduced(CPoly._canon(nr, ni, C * L ** M),
                                  CPoly._canon(dr, di, L ** M))
 
@@ -298,7 +314,10 @@ def to_exppoly(r: RatFunc) -> ExpPoly:
     The term c/(s-a)^(k+1) gives c/k! * t^k at the rate a, so each pole
     gives the polynomial of its rate at once.  A pole in Q(i) gives its rate
     and coefficients exactly; a float pole gives them as the dyadic
-    rationals of its floats."""
+    rationals of its floats, and its leading one may vanish.  Each c/k! is
+    reduced by its own gcd, so the polynomial is canonical over the lcm of
+    the reduced denominators, with no gcd over all of it: for a canonical c
+    over d, gcd(Re c*d, Im c*d, d*k!) = gcd(Re c*d, Im c*d, k!)."""
     if not r.is_strictly_proper:
         raise ValueError("inverse image requires a strictly proper input")
     terms: dict[Qi, CPoly] = {}    # the poles are distinct rates
@@ -312,11 +331,17 @@ def to_exppoly(r: RatFunc) -> ExpPoly:
             terms[rate] = CPoly.scalar(c[0])
             continue
         c = c[::-1]                           # orders 1, ..., m
-        ds = [x._d * math.factorial(k) for k, x in enumerate(c)]
-        d = math.lcm(*ds)
-        terms[rate] = CPoly._canon([x._a * (d // e) for x, e in zip(c, ds)],
-                                   [x._b * (d // e) for x, e in zip(c, ds)],
-                                   d)
+        while c and not c[-1]:
+            c.pop()
+        parts, f = [], 1                      # (Re, Im, denominator), k!
+        for k, x in enumerate(c):
+            if k:
+                f *= k
+            g = math.gcd(x._a, x._b, f)
+            parts.append((x._a // g, x._b // g, x._d * (f // g)))
+        d = math.lcm(*(e for _, _, e in parts))
+        terms[rate] = CPoly._make(tuple(a * (d // e) for a, _, e in parts),
+                                  tuple(b * (d // e) for _, b, e in parts), d)
     return ExpPoly._from_terms(terms)
 
 

@@ -644,6 +644,8 @@ class CPoly:
         return self._combine(other, -1)
 
     def __mul__(self, other):
+        """The product; a factor of degree 0 scales the other's integers
+        (`_gmul`), with no convolution."""
         if not isinstance(other, CPoly):
             try:
                 other = CPoly.scalar(other)
@@ -655,7 +657,12 @@ class CPoly:
             return self
         if self is CPoly.ONE:
             return other
-        re, im = _gconv(self._re, self._im, other._re, other._im)
+        if len(self._re) == 1:
+            self, other = other, self
+        if len(other._re) == 1:
+            re, im = _gmul(self._re, self._im, other._re[0], other._im[0])
+        else:
+            re, im = _gconv(self._re, self._im, other._re, other._im)
         return CPoly._canon(re, im, self._d * other._d)
 
     __rmul__ = __mul__
@@ -1186,9 +1193,13 @@ def _certified_roots(p: CPoly, zs: list[complex], tried: set[Qi],
     roots zs lead to, as (root, multiplicity, b) triples, b as from
     `_root_shift`, and the float roots none of them accounts for.
 
-    Each candidate not in tried is certified by one exact Taylor shift of
-    the whole p (`_root_shift`) and joins tried, so nothing enters on float
-    evidence and no candidate is shifted twice.  When p is real, the
+    Each candidate q = g/e not in tried joins tried and is first evaluated
+    in GF(P), under the map of `_image_mod_p` with 1/e taken mod P: a
+    nonzero value proves that q is no root, since p(q) = 0 maps to 0.  Only
+    a zero value, or an e or a denominator of p that P divides, leads to
+    one exact Taylor shift of the whole p (`_root_shift`), which certifies
+    the root and its multiplicity, so nothing enters on float evidence and
+    no candidate is shifted twice.  When p is real, the
     conjugate of a non-real root is a root of the same multiplicity, and
     its Taylor coefficients are the conjugates, so it is certified with no
     shift.  A root of multiplicity m accounts for the m float roots still
@@ -1196,6 +1207,7 @@ def _certified_roots(p: CPoly, zs: list[complex], tried: set[Qi],
     the one float root it is, whichever float root proposed it."""
     found: list[tuple[Qi, int, list[Qi] | None]] = []
     real = not any(p._im)
+    image = _image_mod_p(p)
     pending = dict(enumerate(zs))
     for k, z in enumerate(zs):
         if k not in pending:
@@ -1204,6 +1216,13 @@ def _certified_roots(p: CPoly, zs: list[complex], tried: set[Qi],
             if q in tried:
                 continue
             tried.add(q)
+            if image is not None and q._d % _P:
+                x = (q._a + q._b * _I_MOD) * pow(q._d, -1, _P) % _P
+                v = 0
+                for c in reversed(image):
+                    v = (v * x + c) % _P
+                if v:
+                    continue
             m, b = _root_shift(p, q, series)
             if not m:
                 continue

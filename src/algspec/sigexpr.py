@@ -825,6 +825,8 @@ _LEXEME = re.compile(r"\s*([-+*/^(),]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 _FUNCTIONS = frozenset(("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay",
                         "chirp"))
+# The calls whose argument `_linear_call` may read off the tokens
+_LINEAR_CALLS = frozenset(("exp", "sin", "cos"))
 _MINUS_ONE = Const(Qi(-1))
 _T = TimeVar()          # the one t of every parsed tree
 
@@ -891,31 +893,19 @@ def _sum(text: str, words: list, k: int, depth: int) -> tuple:
     Sums and terms are loops, and a factor is a call.  A term that starts
     with a constant keeps its bare value while the term may be that constant
     alone or times one atom, and builds its one Const, with the sign of a
-    binary minus in it, at the end.  A leading digit literal over a digit
-    literal is read as one fraction, unless the divisor is raised to a power
-    or either has more digits than int() converts."""
+    binary minus in it, at the end.  A leading literal is read by
+    `_literal`."""
     terms = []
     negate = False
     while True:
         lead = None         # the term's leading constant, while it is kept
         factors = []
-        j = k + 1 if words[k] == "-" else k
-        w = words[j]
-        if w.isdigit() and words[j + 1] != "^":
-            d, span = 1, 1
-            try:
-                n = int(w)
-                if (words[j + 1] == "/" and words[j + 2].isdigit()
-                        and words[j + 3] != "^"):
-                    d, span = int(words[j + 2]), 3
-            except ValueError:      # more digits than int() converts: the
-                pass                # literals are ordinary factors
-            else:
-                if not d:
-                    raise ParameterError("division by zero")
-                lead = Qi._canon(-n if j != k else n, 0, d)
-                k = j + span
-        if lead is None:
+        minus = words[k] == "-"
+        literal = _literal(words, k + 1 if minus else k)
+        if literal is not None:
+            n, d, k = literal
+            lead = Qi._canon(-n if minus else n, 0, d)
+        else:
             node, k = _factor(text, words, k, depth)
             if type(node) is Const:
                 lead = node.value
@@ -965,6 +955,68 @@ def _sum(text: str, words: list, k: int, depth: int) -> tuple:
     return (terms[0] if len(terms) == 1 else make_add(terms)), k
 
 
+def _literal(words: list, j: int) -> tuple[int, int, int] | None:
+    """(n, d, k) for the literal n/d at token j, k being the index of the
+    token after it: the integer literal n, over the next digit literal d
+    when a '/' joins them and d is not raised to a power, else over 1.
+    None when token j is no digit literal or is raised to a power, or when
+    a literal has more digits than int() converts.  A divisor 0 raises
+    ParameterError."""
+    w = words[j]
+    if not w.isdigit() or words[j + 1] == "^":
+        return None
+    d, k = 1, j + 1
+    try:
+        n = int(w)
+        if (words[k] == "/" and words[k + 1].isdigit()
+                and words[k + 2] != "^"):
+            d, k = int(words[k + 1]), k + 2
+    except ValueError:      # more digits than int() converts: the literals
+        return None         # are ordinary factors
+    if not d:
+        raise ParameterError("division by zero")
+    return n, d, k
+
+
+def _linear_call(name: str, words: list, k: int) -> tuple | None:
+    """(node, index of the token after the ')') for the call of sin, cos or
+    exp whose arguments start at token k, when the argument is c1*t or t,
+    either negated, followed for sin and cos by an optional + c0 or - c0,
+    each c a `_literal`; None for any other argument, which goes through
+    `_sum` and `_build_call`.  The node equals theirs: as there, sin(c0)
+    with c1 = 0 reads c0 as the frequency."""
+    minus = words[k] == "-"
+    j = k + 1 if minus else k
+    if words[j] == "t":
+        n1, d1, j = 1, 1, j + 1
+    else:
+        literal = _literal(words, j)
+        if literal is None:
+            return None
+        n1, d1, j = literal
+        if words[j] != "*" or words[j + 1] != "t":
+            return None
+        j += 2
+    if minus:
+        n1 = -n1
+    n0, d0, sign = 0, 1, words[j]
+    if name != "exp" and (sign == "+" or sign == "-"):
+        literal = _literal(words, j + 1)
+        if literal is None:
+            return None
+        n0, d0, j = literal
+        if sign == "-":
+            n0 = -n0
+    if words[j] != ")":
+        return None
+    if name == "exp":
+        return make_exp(Qi._canon(n1, 0, d1)), j + 1
+    node = Sin if name == "sin" else Cos
+    if not n1:
+        return node(Fraction(n0, d0)), j + 1
+    return node(Fraction(n1, d1), Fraction(n0, d0)), j + 1
+
+
 def _factor(text: str, words: list, k: int, depth: int) -> tuple:
     """factor from token k, as (node, index of the token after it)."""
     w = words[k]
@@ -988,18 +1040,22 @@ def _factor(text: str, words: list, k: int, depth: int) -> tuple:
             k += 1
         if depth >= _MAX_NESTING:
             _fail(text, "expression nested too deeply", k - 1)
-        args = []
-        if not call or words[k] != ")":
-            node, k = _sum(text, words, k, depth + 1)
-            args.append(node)
-            while call and words[k] == ",":
-                node, k = _sum(text, words, k + 1, depth + 1)
+        linear = _linear_call(w, words, k) if w in _LINEAR_CALLS else None
+        if linear is not None:
+            node, k = linear
+        else:
+            args = []
+            if not call or words[k] != ")":
+                node, k = _sum(text, words, k, depth + 1)
                 args.append(node)
-        if words[k] != ")":
-            _fail(text, "expected ')'", k)
-        k += 1
-        if call:
-            node = _build_call(w, args)
+                while call and words[k] == ",":
+                    node, k = _sum(text, words, k + 1, depth + 1)
+                    args.append(node)
+            if words[k] != ")":
+                _fail(text, "expected ')'", k)
+            k += 1
+            if call:
+                node = _build_call(w, args)
     elif w == "i":
         node = Const(_QI_I)
     else:

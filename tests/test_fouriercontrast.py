@@ -60,6 +60,46 @@ def test_dft_tuples_are_the_per_element_float_conversions(lengths):
             float(f).hex() for f in freqs]
 
 
+def _abs_outcome(values):
+    """Python's `abs` of each DFT coefficient, or the overflow it raises."""
+    try:
+        return [abs(c) for c in np.fft.fft(values).tolist()]
+    except OverflowError as err:
+        return str(err)
+
+
+def _magnitudes_outcome(values):
+    try:
+        return [float(m) for m in fouriercontrast._magnitudes(values)]
+    except OverflowError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(-1.0, 1.0),
+    st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 2.5e-310,
+                     1e300, -1e300, 1.7e308, -1.7e308])),
+    min_size=1, max_size=17))
+@example([1.7e308, -1.7e308, 0.0, 0.0])
+@example([5e-324, 2.5e-310, math.nan, math.inf])
+def test_magnitudes_equal_pythons_abs_bitwise(values):
+    # np.hypot of the parts is Python's abs of each coefficient to the bit,
+    # nan for nan, and refuses a modulus beyond the float range as abs does
+    with np.errstate(all="ignore"):
+        want, got = _abs_outcome(values), _magnitudes_outcome(values)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            assert math.isnan(g)
+        else:
+            assert g.hex() == w.hex()
+
+
 def test_impulse_spectrum_is_flat():
     values = [0.0] * 64
     values[0] = 1.0

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 
+import algspec.ratfield as ratfield
 from algspec import opcalc
 from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
                             from_signal, mult_by_minus_t,
@@ -509,6 +510,27 @@ def test_a_twin_other_than_the_conjugate_is_a_rate_of_its_own(
     assert r == _image_term_by_term(x)
 
 
+def test_a_real_image_is_folded_on_real_lists(monkeypatch):
+    # two conjugate pairs and a real rate with a real polynomial: every
+    # term is real, so the sum takes no complex product and no complex sum
+    x = from_signal(parse("(1 - t)*sin(3/4*t)*exp(-1/8*t) + cos(5/2*t)"
+                          " + t^2*exp(-1/2*t)"))
+    assert len(x.terms) == 5
+    calls = []
+    for module in (opcalc, ratfield):
+        for name in ("_gconv", "_gsum"):
+            if hasattr(module, name):
+                def counting(*args, _name=name,
+                             _original=getattr(module, name)):
+                    calls.append(_name)
+                    return _original(*args)
+                monkeypatch.setattr(module, name, counting)
+    r = to_rational(x)
+    assert calls == []
+    monkeypatch.undo()
+    assert r == _image_by_running_products(x)
+
+
 @pytest.mark.parametrize("text", [
     "t^3000", "t^1400*exp(-t)", "(t+1)^200*exp(-t/3)"])
 def test_large_images_equal_the_running_products(text):
@@ -722,6 +744,25 @@ def test_round_trip_of_a_high_power_of_t():
     assert r == RatFunc(CPoly([math.factorial(1400)]),
                         CPoly([1, 1]) ** 1401)
     assert to_exppoly(r) == x
+
+
+def test_round_trip_at_multiplicity_401():
+    x = from_signal(parse("t^400*exp(-t)"))
+    assert to_exppoly(to_rational(x)) == x
+
+
+def test_a_vanishing_leading_coefficient_at_a_float_pole_is_dropped():
+    # the numerator vanishes at a float pole of the double factor s^2 - 2,
+    # read as its dyadic rational, so that pole's polynomial loses its
+    # t term and stays canonical
+    s, two = CPoly.S, CPoly.scalar(2)
+    den = (s * s - two) ** 2
+    z = poles(RatFunc(CPoly.ONE, den))[0].location
+    r = RatFunc((s - CPoly.scalar(Qi.coerce(z))) * (s + CPoly.ONE), den)
+    x = to_exppoly(r)
+    assert complex(x.terms[0][0]) == z
+    assert [poly.degree for _, poly in x.terms] == [0, 1]
+    assert all(poly == CPoly(poly.coeffs) for _, poly in x.terms)
 
 
 def test_round_trip_keeps_rates_off_the_dyadic_grid():

@@ -20,8 +20,8 @@ from algspec.ratfield import (CPoly, DigitLimitError, PartialFractions,
                               PFTerm, Pole, Qi, RatFunc, RootFindingError,
                               SingularitySource, Spectrum, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
-                              _image_mod_p, _power, _series_quotient, _shift,
-                              _stretched, alg_deriv, clean_frequencies,
+                              _gconv, _image_mod_p, _power, _series_quotient,
+                              _shift, _stretched, alg_deriv, clean_frequencies,
                               partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
@@ -242,6 +242,19 @@ def test_qi_matches_the_fraction_pair_oracle(a, b, c, d, k):
     _assert_same_scalar(x * Fraction(1, 3), ox * _OQi(Fraction(1, 3)))
     _assert_same_scalar(_outcome(lambda: 1 / x), _outcome(lambda: _OQi(1) / ox))
     assert (x == a) == (ox == _OQi(a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Qi, _parts, _parts), min_size=1, max_size=6),
+       st.one_of(st.just(Qi(0)), st.builds(Qi, _parts),
+                 st.builds(Qi, _parts, _parts)))
+def test_a_product_by_a_constant_equals_the_convolution(coeffs, c):
+    # a factor of degree 0 scales the other one's integers: the product is
+    # the canonical convolution product, either way round
+    p, k = CPoly(coeffs), CPoly.scalar(c)
+    want = (CPoly._canon(*_gconv(p._re, p._im, k._re, k._im), p._d * k._d)
+            if p and k else CPoly.ZERO)
+    assert p * k == want and k * p == want and p * c == want
 
 
 def test_qi_display_keeps_the_digit_limit_apart():
@@ -1030,6 +1043,41 @@ def test_a_refused_candidate_is_shifted_once(monkeypatch, f, g, a, b):
     assert len(pf.terms) == r.den.degree
     points = [q for q, _ in shifts]
     assert points and len(set(points)) == len(points)
+
+
+def _counting_root_shifts(monkeypatch) -> list:
+    """The candidates `_root_shift` is called on, from now on."""
+    calls = []
+    shift = ratfield._root_shift
+
+    def counting(p, q, *args):
+        calls.append(q)
+        return shift(p, q, *args)
+
+    monkeypatch.setattr(ratfield, "_root_shift", counting)
+    return calls
+
+
+def test_a_denominator_with_no_root_in_qi_is_never_shifted(monkeypatch):
+    # each candidate of the 24 images is refused by its value in GF(P)
+    calls = _counting_root_shifts(monkeypatch)
+    for k, f in enumerate(_NO_ROOT_IN_QI):
+        for g in _NO_ROOT_IN_QI[k + 1:]:
+            for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                r = RatFunc(CPoly.ONE, f ** a * g ** b)
+                assert len(partial_fractions(r).terms) == r.den.degree
+    assert calls == []
+
+
+def test_only_the_root_is_shifted_in_a_high_multiplicity_cluster(
+        monkeypatch):
+    # (s + 1/3)^61: the float cluster proposes many candidates, and the
+    # root -1/3 is the one shifted; its shift gives the whole series
+    x = from_signal(parse("(t+1)^60*exp(-t/3)"))
+    r = to_rational(x)
+    calls = _counting_root_shifts(monkeypatch)
+    assert to_exppoly(r) == x
+    assert calls == [Qi(Fraction(-1, 3))]
 
 
 _NEAR = Qi(Fraction(1, 1000), Fraction(1, 500))

@@ -587,6 +587,17 @@ _SHORTCUT_TEXTS = [
     "1/t*3/4", "3/2/t", "-(-t)", "- -t", "2^3/4",
 ]
 _LONG_LITERAL_TEXT = "9" * 5000 + "/7*t"
+# The call arguments where reading c1*t + c0 off the tokens must stop, or
+# must give what the general path gives: a sign, a zero rate, spaces, a
+# phase in either order or sign, unreduced fractions, a sign on a sign, a
+# power, a divisor raised to a power or 0, exp with a constant or a divisor,
+# and a literal with more digits than int() converts.
+_CALL_TEXTS = [
+    "sin(-t)", "sin(0*t)", "sin(2 * t)", "cos(2*t + 1/3)", "sin(1/3 + 2*t)",
+    "cos(-3/4*t - 5/2)", "sin(-2/4*t + 6/8)", "sin(t - -1)", "sin(2*t^2)",
+    "sin(2/3^2*t)", "sin(3/0*t)", "exp(0*t)", "exp(t+1)", "exp(-t/2)",
+]
+_LONG_RATE_TEXT = "sin(" + "7" * 5000 + "*t)"
 
 
 @settings(max_examples=400, deadline=None)
@@ -614,9 +625,27 @@ def test_parse_equals_the_reference_parser(text):
     "1 - (2 - t)", "t - t", "0*sin(t)*t/(t + 1)", "2e3*t - 1.5E-2",
     "exp(-1/8*t)*(1/2 - 3/2*t)", "2*@", "sin(t", "t^t", "1/sin(t)",
     "1/(t - t)", "é + t", "1..5", "1.5.t", "t . 5", "sinc(0)",
-] + _SHORTCUT_TEXTS + [pytest.param(_LONG_LITERAL_TEXT, id="9...9/7*t")])
+] + _SHORTCUT_TEXTS + _CALL_TEXTS + [
+    pytest.param(_LONG_LITERAL_TEXT, id="9...9/7*t"),
+    pytest.param(_LONG_RATE_TEXT, id="sin(7...7*t)")])
 def test_parse_equals_the_reference_parser_on_edge_texts(text):
     assert _outcome(parse, text) == _outcome(oracles.parse, text)
+
+
+def test_linear_call_arguments_are_read_off_the_tokens(monkeypatch):
+    # c1*t and c1*t + c0 in sin, cos and exp build their atom directly, with
+    # no argument node read back as a rational function of t
+    text = "(1/2 - 3/2*t)*sin(7/8*t - 1/3)*exp(-5/8*t)"
+    calls = []
+    for name in ("_linear_coeffs", "as_ratfunc_in_t"):
+        def counting(*args, _name=name, _original=getattr(sigexpr, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(sigexpr, name, counting)
+    got = parse(text)
+    assert calls == []
+    monkeypatch.undo()
+    assert got == oracles.parse(text)
 
 
 def test_a_polynomial_of_literal_fractions_makes_no_products(monkeypatch):

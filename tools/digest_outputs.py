@@ -157,7 +157,8 @@ def roots_corpus(parse) -> list:
     pairs of s^3 - 2, s^3 - 3, s^5 - s - 1 and s^2 + s + 1, a and b in
     {1, 2}; denominators with exact and float roots; complex images; a
     degree-70 image with 70 exact poles; a quartic whose roots lie 1e-6
-    apart in two pairs."""
+    apart in two pairs; the image of (t+1)^60*exp(-t/3), one exact pole of
+    multiplicity 61 among many float candidates."""
     from fractions import Fraction as F
 
     from algspec.opcalc import from_signal, to_rational
@@ -195,6 +196,7 @@ def roots_corpus(parse) -> list:
         "(sin(3/8*t)+cos(5/4*t)*exp(-3/8*t)+exp(1/8*t))^4"))))
     w2 = CPoly.scalar((1 + F(1, 10 ** 6)) ** 2)
     out.append(RatFunc(s * s + CPoly.scalar(3), (s * s + one) * (s * s + w2)))
+    out.append(to_rational(from_signal(parse("(t+1)^60*exp(-t/3)"))))
     return out
 
 

@@ -46,10 +46,13 @@ def _magnitudes(values):
     coefficient: np.hypot of the parts calls the C hypot that `abs` calls,
     where np.abs may differ from it in the last place, and so reorder
     near-equal bins.  As `abs` does, a modulus that overflows from finite
-    parts raises OverflowError."""
+    parts raises OverflowError.  The FFT runs with its overflow ignored, so
+    it prints no warning, and a part that overflows in it is inf, as in
+    the (inf, 0.0) that `abs` gives for [1.7e308, 1.7e308]."""
     import numpy as np
 
-    x = np.fft.fft(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.fft.fft(values)
     try:
         with np.errstate(over="raise"):
             return np.hypot(x.real, x.imag)

@@ -179,7 +179,9 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
     that it stays well conditioned at any width.  Rank deficiency is then
     one decision for all windows, made as lstsq makes it: on the singular
     values of the Vandermonde matrix in local time k*dt, with lstsq's
-    default cutoff.  Non-uniform samples are fit window by window.
+    default cutoff.  Non-uniform samples are fit window by window.  A Phi
+    that is not finite, from samples near the float limit, raises
+    OverflowError on both routes.
     """
     import numpy as np
 
@@ -208,6 +210,8 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
         x1 = np.correlate(values, weights[1], "valid") / scale
         x2 = 2.0 * np.correlate(values, weights[2], "valid") / (scale * scale)
         phi = x2 / np.sqrt(1.0 + x1 * x1)
+    if not np.isfinite(phi).all():
+        raise OverflowError("a Phi exceeds the float range")
     return PhiTrace._of_arrays(times, phi, "fitted")
 
 
@@ -232,8 +236,10 @@ def _phi_fitted_per_window(sig: SampledSignal, window: int,
             out_phi.append(None)
             continue
         x1 = float(coef[1])
-        x2 = 2.0 * float(coef[2])
-        out_phi.append(x2 / math.sqrt(1.0 + x1 * x1))
+        phi = 2.0 * float(coef[2]) / math.sqrt(1.0 + x1 * x1)
+        if not math.isfinite(phi):
+            raise OverflowError("a Phi exceeds the float range")
+        out_phi.append(phi)
     return PhiTrace(tuple(out_t), tuple(out_phi), "fitted")
 
 

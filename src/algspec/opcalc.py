@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
-                       _QI_ZERO, _conv, _gconv, _lincomb, _local_terms,
-                       _power, _root_points, _shift, _spectrum, _stretched,
+from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ZERO,
+                       _conv, _gconv, _lincomb, _local_terms, _power,
+                       _root_points, _shift, _spectrum, _stretched,
                        _taylor_shift)
-from .sigexpr import (Add, Const, Cos, EvaluationError, Exp, Mul, Pow, Sin,
-                      SignalExpr, TimeVar, ExpressionError, _cexp, _finite,
-                      _is_exppoly, _jet, _poly_tree, _unit_phase, make_add,
-                      make_exp, make_mul, pretty_print)
+from .sigexpr import (Add, Cos, EvaluationError, Exp, Mul, Pow, Sin,
+                      SignalExpr, ExpressionError, _cexp, _finite,
+                      _is_exppoly, _jet, _poly_tree, _polynomial,
+                      _unit_phase, make_add, make_exp, make_mul,
+                      pretty_print)
 
 __all__ = ["ExpPoly", "from_signal", "to_rational", "to_exppoly",
            "spectrum_of_exppoly", "dirac_image", "mult_by_minus_t",
@@ -107,12 +108,16 @@ def _euler_pair(e: Sin | Cos) -> tuple[Qi, Qi]:
 
 
 def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
-    """The terms rate -> polynomial of an exponential polynomial."""
+    """The terms rate -> polynomial of an exponential polynomial.  A
+    polynomial in t, a sum of monomials included, is read as one `CPoly`
+    (`sigexpr._polynomial`)."""
     kind = type(e)
-    if kind is Const:
-        return {_QI_ZERO: CPoly.scalar(e.value)}
-    if kind is TimeVar:
-        return {_QI_ZERO: CPoly.S}
+    if kind is Mul:
+        acc = None
+        for factor in e.factors:
+            terms = _terms_of(factor)
+            acc = terms if acc is None else _convolve(acc, terms)
+        return acc
     if kind is Exp:
         return {e.rate: CPoly.ONE}
     if kind is Sin or kind is Cos:
@@ -123,62 +128,21 @@ def _terms_of(e: SignalExpr) -> dict[Qi, CPoly]:
         n, d = w.numerator, w.denominator
         return {Qi._make(0, n, d): CPoly.scalar(c_plus),
                 Qi._make(0, -n, d): CPoly.scalar(c_minus)}
+    poly = _polynomial(e)
+    if poly is not None:
+        return {_QI_ZERO: poly}
     if kind is Add:
-        poly = _polynomial_sum(e.terms)
-        if poly is not None:
-            return {_QI_ZERO: poly}
         out: dict[Qi, CPoly] = {}
         for term in e.terms:
             for rate, poly in _terms_of(term).items():
                 prev = out.get(rate)
                 out[rate] = poly if prev is None else prev + poly
         return out
-    if kind is Mul:
-        acc = None
-        for factor in e.factors:
-            terms = _terms_of(factor)
-            acc = terms if acc is None else _convolve(acc, terms)
-        return acc
     if kind is Pow:
-        k = e.k
-        if type(e.base) is TimeVar:          # the monomial t^k
-            return {_QI_ZERO: CPoly._make((0,) * k + (1,), (0,) * (k + 1), 1)}
-        return _power(_terms_of(e.base), k, _convolve,
+        return _power(_terms_of(e.base), e.k, _convolve,
                       {_QI_ZERO: CPoly.ONE})
     raise ExpressionError(
         "expression is not an exponential polynomial")
-
-
-def _polynomial_sum(terms) -> CPoly | None:
-    """The polynomial that a sum of the canonical monomials c, t^k and
-    c*t^k spells, like terms summed, or None when a term has another
-    shape."""
-    coeffs: dict[int, Qi] = {}
-    for term in terms:
-        kind = type(term)
-        if kind is Const:
-            k, c = 0, term.value
-        else:
-            c = _QI_ONE
-            if kind is Mul and len(term.factors) == 2:
-                scale, term = term.factors
-                if type(scale) is not Const:
-                    return None
-                c, kind = scale.value, type(term)
-            if kind is TimeVar:
-                k = 1
-            elif kind is Pow and type(term.base) is TimeVar:
-                k = term.k
-            else:
-                return None
-        prev = coeffs.get(k)
-        coeffs[k] = c if prev is None else prev + c
-    d = math.lcm(*(c._d for c in coeffs.values()))
-    n = max(coeffs) + 1
-    re, im = [0] * n, [0] * n
-    for k, c in coeffs.items():
-        re[k], im[k] = c._a * (d // c._d), c._b * (d // c._d)
-    return CPoly._canon(re, im, d)
 
 
 def _convolve(a: dict[Qi, CPoly], b: dict[Qi, CPoly]) -> dict[Qi, CPoly]:
@@ -211,8 +175,9 @@ def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
     """(l^m, Lambda) for l = L*s + c, c = -L*rate, and m = deg P + 1, where
     Lambda = G(l) for G(y) = sum_k g_k y^(m-1-k), g_k = C*p_k*k!*L^(k+1):
     the image of P(t)*e^(rate*t) is Lambda/(C*l^m).  Both come as the
-    Gaussian-integer lists (re, im), l^m over 1 and Lambda over C.  Each of
-    G(L*s + c) and (y^m)(L*s + c) is one shift by c and one stretch by L."""
+    Gaussian-integer lists (re, im), l^m over 1 and Lambda over C.  l^m is
+    the binomial row (y + c)^m, C(m, k)*c^(m-k) from k = m down, stretched
+    by L; G(L*s + c) is one shift of G by c and one stretch by L."""
     f = L // rate._d
     cr, ci = -rate._a * f, -rate._b * f
     gr, gi = [], []              # g_k, from the first nonzero one
@@ -224,8 +189,13 @@ def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
             gr.append(pr * g)
             gi.append(pi * g)
     m = len(poly._re)
-    y_m = [0] * m + [1], [0] * (m + 1)
-    return (_stretched(*_shift(*y_m, cr, ci, m + 1), L),
+    lr, li = [0] * (m + 1), [0] * (m + 1)
+    b, pr, pi = 1, 1, 0          # C(m, k) and c^(m-k)
+    for k in range(m, -1, -1):
+        lr[k], li[k] = b * pr, b * pi
+        pr, pi = pr * cr - pi * ci, pr * ci + pi * cr
+        b = b * k // (m - k + 1)
+    return (_stretched(lr, li, L),
             _stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L))
 
 

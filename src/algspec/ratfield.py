@@ -467,23 +467,12 @@ def _shift(re, im, gr: int, gi: int, count: int):
     F^(k)(g)/k!, the remainder of the k-th repeated synthetic division by
     y - g (von zur Gathen and Gerhard, ISSAC 1997), the n-th the leading
     coefficient left after n divisions, and 0 beyond.  A shift by 0 is the
-    identity, with no division, and a monomial a*y^n shifts to the
-    coefficients a*C(n, k)*g^(n-k), from k = n down, in n steps."""
+    identity, with no division."""
     n = len(re) - 1
     if not (gr or gi):
         pad = [0] * (count - n - 1)
         return list(re[:count]) + pad, list(im[:count]) + pad
     outr, outi = [0] * count, [0] * count
-    if n > 0 and not (any(re[:n]) or any(im[:n])):
-        ar, ai = re[n], im[n]
-        c, pr, pi = 1, 1, 0          # C(n, k) and g^(n-k)
-        for k in range(n, -1, -1):
-            if k < count:
-                outr[k] = c * (ar * pr - ai * pi)
-                outi[k] = c * (ar * pi + ai * pr)
-            pr, pi = pr * gr - pi * gi, pr * gi + pi * gr
-            c = c * k // (n - k + 1)
-        return outr, outi
     for k in range(min(count, n)):
         re, im, outr[k], outi[k] = _synthetic_division(re, im, gr, gi)
     if count > n >= 0:

@@ -12,8 +12,10 @@ Signals live on t >= 0 and are written in a small grammar:
 
 Numbers are decimal literals with optional scientific notation and are kept
 exact (no float rounding at parse time).  sin/cos accept a single argument
-that is constant or linear in t, or an explicit (omega, phase) pair; exp
-takes a constant rate times t, written exp(a*t).  Division is restricted to
+that is constant or linear in t, or an explicit (omega, phase) pair; a
+single argument whose text names no t is the frequency, so sin(3) is
+sin(3*t), while sin(0*t + 3) is the constant sin(3); exp takes a constant
+rate times t, written exp(a*t).  Division is restricted to
 divisors that are rational in t; a quotient of two constants is a constant,
 and any other quotient folds into a dedicated rational-in-t node.
 
@@ -275,11 +277,13 @@ def _key(e: SignalExpr):
 
 
 def as_ratfunc_in_t(e: SignalExpr) -> RatFunc | None:
-    """Read e as an element of C(t) if it is one, else None."""
-    if isinstance(e, Const):
-        return RatFunc(e.value)
-    if isinstance(e, TimeVar):
-        return RatFunc(_T_POLY)
+    """Read e as an element of C(t) if it is one, else None.  A canonical
+    polynomial tree is read whole by `_polynomial`; a fraction, and a sum,
+    product or power of other shapes, by `RatFunc` arithmetic on its
+    parts."""
+    poly = _polynomial(e)
+    if poly is not None:
+        return RatFunc._from_reduced(poly, CPoly.ONE)
     if isinstance(e, TFrac):
         return e.rat
     if isinstance(e, Add):
@@ -330,6 +334,38 @@ def _poly_tree(p: CPoly) -> SignalExpr:
     return Add(tuple(terms))
 
 
+def _polynomial(e: SignalExpr) -> CPoly | None:
+    """The polynomial that a canonical monomial c, t^k or c*t^k, or a sum
+    of them, spells, like terms summed; None for a tree of another shape.
+    It reads back every tree `_poly_tree` builds."""
+    coeffs: dict[int, Qi] = {}
+    for term in e.terms if type(e) is Add else (e,):
+        kind = type(term)
+        if kind is Const:
+            k, c = 0, term.value
+        else:
+            c = _QI_ONE
+            if kind is Mul and len(term.factors) == 2:
+                scale, term = term.factors
+                if type(scale) is not Const:
+                    return None
+                c, kind = scale.value, type(term)
+            if kind is TimeVar:
+                k = 1
+            elif kind is Pow and type(term.base) is TimeVar:
+                k = term.k
+            else:
+                return None
+        prev = coeffs.get(k)
+        coeffs[k] = c if prev is None else prev + c
+    d = math.lcm(*(c._d for c in coeffs.values()))
+    n = max(coeffs) + 1
+    re, im = [0] * n, [0] * n
+    for k, c in coeffs.items():
+        re[k], im[k] = c._a * (d // c._d), c._b * (d // c._d)
+    return CPoly._canon(re, im, d)
+
+
 def make_add(terms) -> SignalExpr:
     const = _QI_ZERO
     rest = []
@@ -369,6 +405,10 @@ def _scaled(c: Qi, x: SignalExpr) -> SignalExpr:
 
 
 def make_mul(factors) -> SignalExpr:
+    """The canonical product: products flattened, constants folded into one
+    scalar kept leftmost, and, when a factor is a `TFrac`, every factor
+    that is rational in t folded into one `_tfrac`, whose scalar
+    `split_scale` takes off."""
     scalar = _QI_ONE
     rest = []
     fold_rational = False
@@ -395,16 +435,10 @@ def make_mul(factors) -> SignalExpr:
                 rat = rat * r
         if rat.is_zero:
             return Const(_QI_ZERO)
-        scalar, rest = _QI_ONE, others
-        folded = _tfrac(rat)
-        if isinstance(folded, Const):
+        rest = others
+        scalar, folded = split_scale(_tfrac(rat))
+        if type(folded) is Const:
             scalar = folded.value
-        elif isinstance(folded, Mul):
-            for sub in folded.factors:
-                if isinstance(sub, Const):
-                    scalar = scalar * sub.value
-                else:
-                    rest.append(sub)
         else:
             rest.append(folded)
     if not rest:
@@ -983,8 +1017,8 @@ def _linear_call(name: str, words: list, k: int) -> tuple | None:
     exp whose arguments start at token k, when the argument is c1*t or t,
     either negated, followed for sin and cos by an optional + c0 or - c0,
     each c a `_literal`; None for any other argument, which goes through
-    `_sum` and `_build_call`.  The node equals theirs: as there, sin(c0)
-    with c1 = 0 reads c0 as the frequency."""
+    `_sum` and `_build_call`.  The node equals theirs: the argument holds
+    t, so c1 is the frequency, 0 included."""
     minus = words[k] == "-"
     j = k + 1 if minus else k
     if words[j] == "t":
@@ -1012,8 +1046,6 @@ def _linear_call(name: str, words: list, k: int) -> tuple | None:
     if name == "exp":
         return make_exp(Qi._canon(n1, 0, d1)), j + 1
     node = Sin if name == "sin" else Cos
-    if not n1:
-        return node(Fraction(n0, d0)), j + 1
     return node(Fraction(n1, d1), Fraction(n0, d0)), j + 1
 
 
@@ -1044,7 +1076,7 @@ def _factor(text: str, words: list, k: int, depth: int) -> tuple:
         if linear is not None:
             node, k = linear
         else:
-            args = []
+            start, args = k, []
             if not call or words[k] != ")":
                 node, k = _sum(text, words, k, depth + 1)
                 args.append(node)
@@ -1055,7 +1087,7 @@ def _factor(text: str, words: list, k: int, depth: int) -> tuple:
                 _fail(text, "expected ')'", k)
             k += 1
             if call:
-                node = _build_call(w, args)
+                node = _build_call(w, args, "t" in words[start:k])
     elif w == "i":
         node = Const(_QI_I)
     else:
@@ -1115,7 +1147,12 @@ def _const_real(name: str, arg: SignalExpr) -> Fraction:
     return value.re
 
 
-def _linear_in_t(name: str, arg: SignalExpr) -> tuple[Fraction, Fraction]:
+def _linear_in_t(name: str, arg: SignalExpr,
+                 timed: bool) -> tuple[Fraction, Fraction]:
+    """(omega, phase) of the one argument c0 + c1*t of sin or cos.  An
+    argument whose text names no t (timed false) is a constant c0, read as
+    the frequency, so that sin(3) is sin(3*t); one whose text names t is
+    read as written, so that sin(0*t + 3) is the constant sin(3)."""
     parts = _linear_coeffs(arg)
     if parts is None:
         raise ParameterError(
@@ -1123,8 +1160,8 @@ def _linear_in_t(name: str, arg: SignalExpr) -> tuple[Fraction, Fraction]:
     c0, c1 = parts
     if not (c0.is_real and c1.is_real):
         raise ParameterError(f"{name} argument must have real coefficients")
-    if not c1:
-        return c0.re, Fraction(0)   # single constant reads as the frequency
+    if not timed:
+        return c0.re, Fraction(0)
     return c1.re, c0.re
 
 
@@ -1135,7 +1172,9 @@ def _rate_times_t(arg: SignalExpr) -> Qi:
     return parts[1]
 
 
-def _build_call(name: str, args: list) -> SignalExpr:
+def _build_call(name: str, args: list, timed: bool) -> SignalExpr:
+    """The node of a call; timed tells whether the text of its arguments
+    names t (`_linear_in_t`)."""
     n = len(args)
     if name == "exp":
         if n != 1:
@@ -1144,7 +1183,7 @@ def _build_call(name: str, args: list) -> SignalExpr:
     if name in ("sin", "cos"):
         node = Sin if name == "sin" else Cos
         if n == 1:
-            omega, phase = _linear_in_t(name, args[0])
+            omega, phase = _linear_in_t(name, args[0], timed)
         elif n == 2:
             omega = _const_real(name, args[0])
             phase = _const_real(name, args[1])

@@ -300,9 +300,7 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
             continue
         (re, im, d), e = base.over(ak)
         for l in range(k + 1):
-            c = math.comb(k, l)
-            scaled = (re, im, d) if c == 1 else (
-                [x * c for x in re], [y * c for y in im], d)
+            scaled = (*_gmul(re, im, math.comb(k, l), 0), d)
             for j, (dn, de) in enumerate(derivs[l]):
                 if _nonzero(dn):
                     terms.setdefault(k - l + j, []).append(
@@ -362,9 +360,8 @@ def _normalized(sys: OdeSystem) -> tuple[list[RatFunc], RatFunc]:
         return cs, sys.rhs
     if rn.is_polynomial and rn.num.degree == 0:
         q = 1 / rn.num.coeffs[0]
-        *qs, g = [RatFunc._from_reduced(CPoly._canon(
-            *_gmul(r.num._re, r.num._im, q._a, q._b), r.num._d * q._d), r.den)
-            for r in (*cs, sys.rhs)]
+        *qs, g = [RatFunc._from_reduced(r.num * q, r.den)
+                  for r in (*cs, sys.rhs)]
         return qs, g
     return [c / rn for c in cs], sys.rhs / rn
 
@@ -464,24 +461,32 @@ def _lah(k: int, j: int) -> int:
 
 def _chirp_like(sys: OdeSystem, finite: Sequence[SingularPoint],
                 infinity: SingularPoint | None) -> bool:
+    """Whether infinity is irregular, there is no finite point, and some
+    r_k/r_n, k < n, has positive degree.  With no finite point every r_k/r_n
+    is a polynomial, as a factor of its denominator would give one, so its
+    degree is deg r_k - deg r_n, for deg r = deg num - deg den."""
     if finite or infinity is None or infinity.kind != "irregular":
         return False
-    qs = _normalized(sys)[0]
-    return (all(q.is_polynomial for q in qs)
-            and max(q.num.degree for q in qs) >= 1)
+    *cs, rn = sys.op.coeffs
+    top = rn.num.degree - rn.den.degree
+    return any(c.num and c.num.degree - c.den.degree > top for c in cs)
 
 
 def spectrum_of_points(sys: OdeSystem, finite: Sequence[SingularPoint],
                        infinity: SingularPoint | None) -> Spectrum:
-    """Spectrum of a system from its classified singular points.
+    """Spectrum of a system from its classified singular points: finite
+    must be `finite_singularities(sys)` and infinity
+    `singularity_at_infinity(sys)`, as `spectrum_of_ode` and
+    `pipeline.analyze` pass them.
 
     Frequencies are the distinct nonzero imaginary parts of the finite
     points, merged at FREQ_TOL for float points.  The infinity flag is
     raised for one pattern, on catalog and hand-built systems alike: an
-    irregular point at infinity, no finite point, and polynomial normalized
-    coefficients of positive degree.  Of the catalog families only the
-    chirp has it: sinc and rcos have finite points, and a delay's
-    normalized coefficient is constant.
+    irregular point at infinity, no finite point, and a normalized
+    coefficient r_k/r_n of positive degree, read off the operator's own
+    degrees as deg r_k > deg r_n.  Of the catalog families only the chirp
+    has it: sinc and rcos have finite points, and a delay's normalized
+    coefficient is constant.
     """
     return _spectrum([(p.location, p.exact, "none", 0)
                       if p.refinement == "unclassified" else

@@ -1,4 +1,5 @@
-"""Plain reference implementations of the parser, of the expansion to
+"""Plain reference implementations of the parser, of the reading of a tree
+as a rational function of t, of the expansion to
 exponential-polynomial terms, of the text of a polynomial and of an
 operator coefficient, of the polynomial lcm, of pointwise values, of the
 derivatives behind Phi and the Taylor truncation, of the catalog equations
@@ -8,10 +9,13 @@ grammar texts the parser is compared on.
 `parse` tokenizes one match at a time, walks the tokens through peek and
 next calls, and folds every sum and product left, two operands at a time,
 with canonical constructors that sort by a structural key walked afresh on
-each call.  `terms_of` expands with isinstance dispatch and builds every
-polynomial through the `CPoly` constructor, where the library reads a sum
-of monomials as one polynomial.  `cpoly_format` prints a polynomial from
-its `Qi` coefficients, where the library prints from its integers, and
+each call, and reads a tree as a rational function of t by `RatFunc`
+arithmetic on every node (`ratfunc_in_t`), where the library reads a
+polynomial tree whole.  `terms_of` expands with isinstance dispatch and
+builds every polynomial through the `CPoly` constructor, where the library
+reads a polynomial in t as one `CPoly`.  `cpoly_format` prints a
+polynomial from its `Qi` coefficients, where the library prints from its
+integers, and
 `coeff_text` wraps a Weyl-operator coefficient by scanning its text for
 balanced parentheses, where the library decides from the value.
 `evaluate` walks the expression tree in floats, `diff_time` differentiates
@@ -49,13 +53,44 @@ from algspec.sigexpr import (Add, Chirp, Const, Cos, Delay, Dirac, Exp, Mul,
                              SignalClass, SignalExpr, SignalSyntaxError, Sin,
                              Sinc, TFrac, TimeVar, ExpressionError, _T_POLY,
                              _angle, _build_call, _cexp, _finite, _rat_key,
-                             _tfrac, as_ratfunc_in_t, classify, make_add,
-                             make_mul, make_pow, split_scale)
+                             _tfrac, classify, make_add, make_mul, make_pow,
+                             split_scale)
 from algspec.weylode import OdeSystem, WeylOp
 
 
 # ---------------------------------------------------------------------------
 # Canonical constructors
+
+
+def ratfunc_in_t(e: SignalExpr) -> RatFunc | None:
+    """e as an element of C(t), by `RatFunc` arithmetic on every node, or
+    None when it is not one."""
+    if isinstance(e, Const):
+        return RatFunc(e.value)
+    if isinstance(e, TimeVar):
+        return RatFunc(_T_POLY)
+    if isinstance(e, TFrac):
+        return e.rat
+    if isinstance(e, Add):
+        acc = RatFunc.ZERO
+        for t in e.terms:
+            r = ratfunc_in_t(t)
+            if r is None:
+                return None
+            acc = acc + r
+        return acc
+    if isinstance(e, Mul):
+        acc = RatFunc.ONE
+        for f in e.factors:
+            r = ratfunc_in_t(f)
+            if r is None:
+                return None
+            acc = acc * r
+        return acc
+    if isinstance(e, Pow):
+        r = ratfunc_in_t(e.base)
+        return None if r is None else r ** e.k
+    return None
 
 
 def key(e: SignalExpr):
@@ -130,7 +165,7 @@ def mul(factors) -> SignalExpr:
             scalar = scalar * f.value
             continue
         if fold_rational:
-            r = as_ratfunc_in_t(f)
+            r = ratfunc_in_t(f)
             if r is not None:
                 rat = r if rat is None else rat * r
                 continue
@@ -169,13 +204,13 @@ def div(num: SignalExpr, den: SignalExpr, offset: int) -> SignalExpr:
             raise ParameterError("division by zero")
         if isinstance(num, Const):
             return Const(num.value / den.value)
-    dr = as_ratfunc_in_t(den)
+    dr = ratfunc_in_t(den)
     if dr is None:
         raise SignalSyntaxError("divisor must be constant or rational in t",
                                 offset)
     if dr.is_zero:
         raise ParameterError("division by zero")
-    nr = as_ratfunc_in_t(num)
+    nr = ratfunc_in_t(num)
     if nr is not None:
         return _tfrac(nr / dr)
     return mul([num, _tfrac(RatFunc.ONE / dr)])
@@ -305,14 +340,19 @@ class _Parser:
 
     def call(self, name: str) -> SignalExpr:
         self._expect_op("(")
+        start = self.k
         args = []
         if not (self._peek()[0] == "op" and self._peek()[1] == ")"):
             args.append(self.expr())
             while self._peek()[0] == "op" and self._peek()[1] == ",":
                 self._next()
                 args.append(self.expr())
+        # whether the arguments' text names t: sin(3) reads 3 as the
+        # frequency, sin(0*t + 3) is the constant sin(3)
+        timed = any(tok[:2] == ("ident", "t")
+                    for tok in self.toks[start:self.k])
         self._expect_op(")")
-        return _build_call(name, args)
+        return _build_call(name, args, timed)
 
     def done(self):
         tok = self._peek()

@@ -688,6 +688,41 @@ def test_instfreq_csv_rejects_non_finite_values(tmp_path, content, line):
     assert err == f"error: input: csv line {line}: non-finite value"
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("jitter", [0.0, 0.003])
+def test_instfreq_csv_refuses_a_phi_beyond_the_float_range(tmp_path, capsys,
+                                                          jitter, output):
+    # samples alternating +-1.7e308 fit to a Phi that is not finite, on the
+    # uniform route and, with every third time shifted, window by window
+    times = [0.1 * k + (jitter if k % 3 == 0 else 0.0) for k in range(30)]
+    p = tmp_path / "huge.csv"
+    p.write_text("t,x\n" + "".join(f"{t!r},{(-1) ** k * 1.7e308!r}\n"
+                                   for k, t in enumerate(times)))
+    sig = SampledSignal(tuple(times), (0.0,) * 30)
+    assert (instfreq._uniform_step(sig) is None) is bool(jitter)
+    status = main(["instfreq", "--csv", str(p)]
+                  + (["--json"] if output == "json" else []))
+    captured = capsys.readouterr()
+    assert (status, captured.out) == (1, "")
+    assert captured.err == "error: input: a value exceeds the float range\n"
+
+
+@pytest.mark.parametrize("expr, out", [
+    ("sin(0*t + 3)", "frequencies: (none)\ninfinite singularity: no"),
+    ("sin(t - t + 3)", "frequencies: (none)\ninfinite singularity: no"),
+    ("sin(3)", "frequencies: -3 3\ninfinite singularity: no"),
+])
+def test_a_zero_slope_trig_argument_is_a_constant(expr, out):
+    assert run(CliConfig("spectrum", expr=expr)) == (0, out, "")
+
+
+def test_a_zero_slope_tone_is_a_constant_in_instfreq_and_contrast():
+    assert run(CliConfig("instfreq", expr="sin(0*t + 3)", at=2.0)) == (
+        0, "method: symbolic\nt phi\n2 0", "")
+    assert run(CliConfig("contrast", expr="sin(0*t + 3)")) == (
+        1, "", "error: input: contrast tone frequency must be nonzero")
+
+
 def test_instfreq_error_names_the_offending_line(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("t,x\n0.0,1.0\n0.1,oops\n")

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 from fractions import Fraction
 
@@ -98,6 +99,15 @@ def test_magnitudes_equal_pythons_abs_bitwise(values):
             assert math.isnan(g)
         else:
             assert g.hex() == w.hex()
+
+
+def test_an_overflowing_dft_raises_without_a_warning():
+    # the FFT overflows with no RuntimeWarning, then the modulus beyond the
+    # float range raises as abs does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            dft(_uniform([1.7e308, -1.7e308, 0.0, 0.0]))
 
 
 def test_impulse_spectrum_is_flat():

@@ -14,13 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 
 import algspec.ratfield as ratfield
-from algspec import opcalc
+from algspec import opcalc, sigexpr
 from algspec.opcalc import (ExpPoly, _convolve, _terms_of, dirac_image,
                             from_signal, mult_by_minus_t,
                             spectrum_of_exppoly, taylor_truncate, to_exppoly,
                             to_rational)
 from algspec.ratfield import CPoly, Qi, RatFunc, RootFindingError, \
-    _shift, _stretched, alg_deriv, poles, spectrum_of_rational
+    alg_deriv, poles, spectrum_of_rational
 from algspec.sigexpr import (Add, Cos, EvaluationError, ExpressionError,
                              Pow, SignalClass, Sin, _jet, _poly_tree,
                              classify, evaluate, make_add, make_exp,
@@ -269,7 +269,7 @@ def test_polynomial_sums_expand_as_the_reference(text):
     assert from_signal(e) == ExpPoly(tuple(oracles.terms_of(e).items()))
     for node in (e, *getattr(e, "factors", ())):
         if type(node) is Add:
-            whole = opcalc._polynomial_sum(node.terms)
+            whole = sigexpr._polynomial(node)
             assert (whole is None) == (text == "t^3 + sin(t)")
 
 
@@ -541,15 +541,15 @@ def test_large_images_equal_the_running_products(text):
 @pytest.mark.parametrize("rate", [
     Qi(0), Qi(-2), Qi(Fraction(3, 8)), Qi(0, 1), Qi(Fraction(-1, 3), 5)])
 def test_linear_power_equals_repeated_products(rate):
-    # (L*s + c)^m is y^m shifted by c, then stretched by L
+    # the l^m of _local_numerator, (L*s + c)^m from its binomial row, for a
+    # polynomial of degree m - 1
     big = 24                        # L: a multiple of each denominator
     lin = CPoly([-rate * big, big])
-    cr, ci = -rate._a * (big // rate._d), -rate._b * (big // rate._d)
-    want = CPoly.ONE
-    for m in range(8):
-        if m in (0, 1, 7):
-            y_m = [0] * m + [1], [0] * (m + 1)
-            got = _stretched(*_shift(*y_m, cr, ci, m + 1), big)
+    want = lin
+    for m in range(1, 62):
+        if m in (1, 2, 7, 61):
+            poly = CPoly([Qi(m, 1)] * m)
+            got = opcalc._local_numerator(rate, poly, big, poly._d)[0]
             assert CPoly._canon(*got, 1) == want
         want = want * lin
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 
 from algspec import sigexpr
-from algspec.ratfield import Qi
+from algspec.ratfield import CPoly, Qi
 from algspec.sigexpr import (_key, _linear_coeffs, Add, Chirp, Const, Cos, Delay, Dirac,
                              EvaluationError, Exp, ExpressionError, Mul,
                              ParameterError, Pow, RaisedCos, SignalClass,
@@ -121,6 +121,17 @@ def test_parse_call_forms():
     assert parse("dirac()") == Dirac()
 
 
+@pytest.mark.parametrize("text, want", [
+    ("sin(0*t + 3)", "sin(0, 3)"), ("sin(t - t + 3)", "sin(0, 3)"),
+    ("cos(2*t - 2*t)", "cos(0, 0)"), ("sin((t - t)*5 + 2)", "sin(0, 2)"),
+    ("cos(0*t - 1/2)", "cos(0, -1/2)"), ("sin(exp(0*t))", "sin(0, 1)"),
+    ("sin(3)", "sin(3*t)"), ("cos(1/2 + 1/4)", "cos(3/4*t)"),
+])
+def test_a_trig_argument_naming_t_is_read_as_written(text, want):
+    # only an argument whose text names no t is read as the frequency
+    assert parse(text) == parse(want)
+
+
 def test_parse_arity_and_form_errors():
     with pytest.raises(ParameterError):
         parse("sin()")
@@ -165,7 +176,7 @@ def test_digit_literals_parse_exactly_at_any_length():
 
 
 def _linear_coeffs_by_ratfunc(e):
-    r = as_ratfunc_in_t(e)
+    r = oracles.ratfunc_in_t(e)
     if r is None or not r.is_polynomial or r.num.degree > 1:
         return None
     coeffs = list(r.num.coeffs) + [Qi(0), Qi(0)]
@@ -182,6 +193,62 @@ def test_linear_arguments_read_off_the_node_match_the_ratfunc_route():
     shapes += [_rand_expr(rng, rng.randint(0, 2)) for _ in range(300)]
     for e in shapes:
         assert _linear_coeffs(e) == _linear_coeffs_by_ratfunc(e), e
+
+
+_q = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 8]))
+_scalars = st.one_of(st.builds(Qi, _q), st.builds(Qi, _q, _q),
+                     st.floats(-1e3, 1e3).map(Qi))
+_drawn_polys = st.one_of(st.just(CPoly.ZERO), _scalars.map(CPoly.scalar),
+                         st.lists(_scalars, min_size=1, max_size=6).map(CPoly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_polys)
+def test_the_polynomial_reader_inverts_the_tree_builder(p):
+    assert sigexpr._polynomial(sigexpr._poly_tree(p)) == p
+
+
+def test_the_polynomial_reader_reads_polynomial_trees_alone():
+    # a canonical tree is read exactly when it is the tree of its polynomial
+    rng = random.Random(3501)
+    trees = [_rand_expr(rng, rng.randint(0, 3)) for _ in range(400)]
+    trees += [parse(text) for text in (
+        "t/(t^2 + 1)", "sin(t) + t", "t*sin(t)", "(t + 1)^2", "t*exp(t)",
+        "2*(1 + t)^2", "2*(1 + t)", "dirac()", "3*t^2*exp(-t) + 1")]
+    read = 0
+    for e in trees:
+        r = oracles.ratfunc_in_t(e)
+        if (r is not None and r.is_polynomial
+                and sigexpr._poly_tree(r.num) == e):
+            assert sigexpr._polynomial(e) == r.num, e
+            read += 1
+        else:
+            assert sigexpr._polynomial(e) is None, e
+    assert 20 < read < len(trees) - 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracles.signal_texts)
+def test_rational_reading_equals_the_reference_on_parsed_trees(text):
+    try:
+        e = parse(text)
+    except ExpressionError:
+        return
+    for node in (e, *getattr(e, "terms", ()), *getattr(e, "factors", ())):
+        assert as_ratfunc_in_t(node) == oracles.ratfunc_in_t(node), text
+
+
+def test_rational_reading_equals_the_reference_on_other_trees():
+    # random and non-canonical trees: factors out of order, a product of
+    # constants, a sum inside a sum, t^0
+    rng = random.Random(3502)
+    trees = [_rand_expr(rng, rng.randint(0, 3)) for _ in range(400)]
+    trees += [Mul((TimeVar(), Const(Qi(2)))), Mul((Const(Qi(2)), Const(Qi(3)))),
+              Add((Add((TimeVar(), Const(Qi(1)))), TimeVar())),
+              Pow(TimeVar(), 0), Mul((Const(Qi(0)), TimeVar())),
+              Add((Mul((Const(Qi(2)), Pow(TimeVar(), 3))), Sin(1, 0)))]
+    for e in trees:
+        assert as_ratfunc_in_t(e) == oracles.ratfunc_in_t(e), e
 
 
 def test_scalars_collect_leftmost_in_products():

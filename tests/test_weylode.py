@@ -576,6 +576,45 @@ def test_untagged_systems_use_shape_of_coefficients():
     assert spectrum_of_ode(sinc_like).infinite_singularity is False
 
 
+def _flag_by_normalizing(sys):
+    """The infinity flag by its definition: irregular infinity, no finite
+    point, and every r_k/r_n, k < n, a polynomial, one of positive degree."""
+    *cs, rn = sys.op.coeffs
+    qs = [c / rn for c in cs]
+    infinity = singularity_at_infinity(sys)
+    return (not finite_singularities(sys) and infinity is not None
+            and infinity.kind == "irregular"
+            and all(q.is_polynomial for q in qs)
+            and max(q.num.degree for q in qs) >= 1)
+
+
+def test_the_infinity_flag_equals_its_definition():
+    # first- and second-order systems with polynomial and rational
+    # coefficients and right sides, with and without finite points
+    s = RatFunc(_S)
+    coeffs = [RatFunc.ZERO, RatFunc.ONE, RatFunc(Qi(0, 2)), s, -3 * s * s,
+              s * s * s + Qi(1, 1), RatFunc(Qi(1, 2)) / s,
+              RatFunc(Qi(2, 0)) / (s * s), s * s * s / (s - 1),
+              s / (s * s + 1), (s * s + 4) / (s * s)]
+    rhss = [RatFunc.ZERO, RatFunc.ONE, s, RatFunc.ONE / s]
+    rng = random.Random(3503)
+    ops = []
+    for _ in range(400):
+        order = rng.randint(1, 2)
+        op = [rng.choice(coeffs) for _ in range(order)]
+        ops.append(op + [rng.choice(coeffs[1:])])
+    # x'' + x' = g over r_n = 2/s^2: a zero r_0 has no degree to compare
+    c = RatFunc(Qi(2)) / (s * s)
+    ops += [[RatFunc.ZERO, c, c], [RatFunc.ZERO, 3 * c, c]]
+    seen = set()
+    for op in ops:
+        sys = OdeSystem(WeylOp(tuple(op)), rng.choice(rhss))
+        want = _flag_by_normalizing(sys)
+        assert spectrum_of_ode(sys).infinite_singularity is want, sys
+        seen.add((want, bool(finite_singularities(sys))))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
 def test_quadrature_poles_carry_their_order():
     # x' = 1/(s^2+1)^3: x has poles of order 2 at -i and i
     sys = OdeSystem(WeylOp.D, RatFunc(CPoly.ONE, CPoly([1, 0, 1]) ** 3))

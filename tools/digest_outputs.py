@@ -22,7 +22,11 @@ trees, and `ExpPoly.format` of each exponential polynomial among them and
 of each inverse image of the corpus (`printed_texts`).  A `jets` SHA-256
 covers the order-2 series `sigexpr._jet` of each of those trees at
 t = 0.5 and 1.25, where it is in floats, and a `jets0` SHA-256 the same
-series at t = 0, where it is exact.
+series at t = 0, where it is exact.  A `parsed` SHA-256 covers
+`repr(parse(text))`, or the failure, of a fixed list of texts that no
+bench op writes (`PARSED_TEXTS`): rational functions of t, which reach
+`as_ratfunc_in_t` and the rational fold of `make_mul`, and call arguments
+that `_linear_call` does not read off the tokens.
 """
 
 from __future__ import annotations
@@ -92,6 +96,19 @@ def outcome(call, *args) -> str:
         return repr(call(*args))
     except Exception as exc:            # a refusal is an outcome too
         return f"raised {type(exc).__name__}: {exc}"
+
+
+# Texts that no bench op writes: products and quotients of polynomials in
+# t, call arguments of other shapes, and arguments whose slope in t is 0.
+PARSED_TEXTS = [
+    "t/(t^2 + 1)*sin(t)", "(t^2 + 1)/(t^3 - 2*t + 1/2)*sin(t)",
+    "1/t*t*(1 + t)^2", "t*(1 + t)^2/t", "(1/2 - t^2)/(t + 3)",
+    "(2*t + 1)^2/(t - 1)*exp(-t)",
+    "sin(2.5*t + 0.25)", "exp(-0.5*t)*cos(t*2)", "cos(1e-9*t - 1/3)",
+    "sin((t + 1)/2)",
+    "sin(0*t + 3)", "sin(t - t + 3)", "cos(2*t - 2*t)", "sin(3)",
+    "exp(t - t)",
+]
 
 
 def trees_digest(parse, texts: list[str]) -> str:
@@ -247,6 +264,7 @@ def main(argv=None) -> int:
     print(f"texts  {texts_digest(parse, texts)}", flush=True)
     print(f"jets  {jets_digest(parse, texts, (0.5, 1.25))}", flush=True)
     print(f"jets0  {jets_digest(parse, texts, (0.0,))}", flush=True)
+    print(f"parsed  {trees_digest(parse, PARSED_TEXTS)}", flush=True)
     print(f"demos  {demos_digest()}")
     return 0
 

@@ -257,11 +257,6 @@ class VilleComparison(_FrozenValue):
         object.__setattr__(self, "ville", ville)
         object.__setattr__(self, "rows", rows)
 
-    def as_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "omega": self.omega,
-                "ville": self.ville,
-                "rows": [{"t": t, "phi": p} for t, p in self.rows]}
-
     def to_text(self) -> str:
         lines = [
             f"tone: {self.amplitude:g}*sin({self.omega:g}*t)",

@@ -324,14 +324,9 @@ class Qi:
             return NotImplemented
         if k < 0:
             return _QI_ONE / (self ** (-k))
-        a, b = 1, 0                  # (x + iy)^k by binary powering
-        x, y = self._a, self._b
-        n = k
-        while n:
-            if n & 1:
-                a, b = a * x - b * y, a * y + b * x
-            x, y = x * x - y * y, 2 * x * y
-            n >>= 1
+        a, b = _power((self._a, self._b), k,
+                      lambda x, y: (x[0] * y[0] - x[1] * y[1],
+                                    x[0] * y[1] + x[1] * y[0]), (1, 0))
         return Qi._canon(a, b, self._d ** k)
 
     def __complex__(self):

@@ -857,10 +857,20 @@ def evaluate(e: SignalExpr, t: float) -> complex:
 _LEXEME = re.compile(r"\s*([-+*/^(),]|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
                      r"|[A-Za-z_][A-Za-z_0-9]*)")
 
-_FUNCTIONS = frozenset(("exp", "sin", "cos", "sinc", "rcos", "dirac", "delay",
-                        "chirp"))
 # The calls whose argument `_linear_call` may read off the tokens
 _LINEAR_CALLS = frozenset(("exp", "sin", "cos"))
+# The calls whose parameters are real constants, in their node's field
+# order: name -> (parameter count, that count in the arity error's words,
+# node class).  The parser, the printer and the tokenizer read this table.
+_CONST_CALLS = {
+    "sinc": (1, "1 argument", Sinc),
+    "rcos": (1, "1 argument", RaisedCos),
+    "dirac": (0, "no arguments", Dirac),
+    "delay": (1, "1 argument", Delay),
+    "chirp": (3, "3 arguments", Chirp),
+}
+_CALL_NAME = {node: name for name, (_, _, node) in _CONST_CALLS.items()}
+_FUNCTIONS = _LINEAR_CALLS.union(_CONST_CALLS)
 _MINUS_ONE = Const(Qi(-1))
 _T = TimeVar()          # the one t of every parsed tree
 
@@ -1173,8 +1183,9 @@ def _rate_times_t(arg: SignalExpr) -> Qi:
 
 
 def _build_call(name: str, args: list, timed: bool) -> SignalExpr:
-    """The node of a call; timed tells whether the text of its arguments
-    names t (`_linear_in_t`)."""
+    """The node of a call: exp, sin and cos by their own rules, any other
+    name by its row of `_CONST_CALLS`; timed tells whether the text of its
+    arguments names t (`_linear_in_t`)."""
     n = len(args)
     if name == "exp":
         if n != 1:
@@ -1190,29 +1201,10 @@ def _build_call(name: str, args: list, timed: bool) -> SignalExpr:
         else:
             raise _arity_error(name, "1 or 2 arguments", n)
         return node(omega, phase)
-    if name == "sinc":
-        if n != 1:
-            raise _arity_error("sinc", "1 argument", n)
-        return Sinc(_const_real("sinc", args[0]))
-    if name == "rcos":
-        if n != 1:
-            raise _arity_error("rcos", "1 argument", n)
-        return RaisedCos(_const_real("rcos", args[0]))
-    if name == "dirac":
-        if n != 0:
-            raise _arity_error("dirac", "no arguments", n)
-        return Dirac()
-    if name == "delay":
-        if n != 1:
-            raise _arity_error("delay", "1 argument", n)
-        return Delay(_const_real("delay", args[0]))
-    if name == "chirp":
-        if n != 3:
-            raise _arity_error("chirp", "3 arguments", n)
-        return Chirp(_const_real("chirp", args[0]),
-                     _const_real("chirp", args[1]),
-                     _const_real("chirp", args[2]))
-    raise ParameterError(f"unknown function {name!r}")
+    count, words, node = _CONST_CALLS[name]
+    if n != count:
+        raise _arity_error(name, words, n)
+    return node(*[_const_real(name, a) for a in args])
 
 
 def parse(text: str) -> SignalExpr:
@@ -1280,16 +1272,9 @@ def pretty_print(e: SignalExpr) -> str:
         return _pp_trig("sin", e.omega, e.phase)
     if isinstance(e, Cos):
         return _pp_trig("cos", e.omega, e.phase)
-    if isinstance(e, Sinc):
-        return f"sinc({_pp_frac(e.omega)})"
-    if isinstance(e, RaisedCos):
-        return f"rcos({_pp_frac(e.omega)})"
-    if isinstance(e, Dirac):
-        return "dirac()"
-    if isinstance(e, Delay):
-        return f"delay({_pp_frac(e.lag)})"
-    if isinstance(e, Chirp):
-        return f"chirp({_pp_frac(e.a)}, {_pp_frac(e.b)}, {_pp_frac(e.c)})"
+    name = _CALL_NAME.get(type(e))
+    if name is not None:
+        return f"{name}({', '.join(map(_pp_frac, e._astuple()))})"
     if isinstance(e, Pow):
         base = pretty_print(e.base)
         if isinstance(e.base, (Add, Mul)):

@@ -545,7 +545,8 @@ exact = [CliConfig("spectrum", "sin(3*t)"),
          CliConfig("spectrum", "delay(1)"),
          CliConfig("spectrum", "sinc(2)"),
          CliConfig("spectrum", "rcos(3)", explain=True),
-         CliConfig("contrast", "sinc(2)")]
+         CliConfig("contrast", "sinc(2)"),
+         CliConfig("contrast", "dirac()")]
 print([cli.run(c)[0] for c in exact], "numpy" in sys.modules)
 numeric = [CliConfig("contrast", "sin(2*t)")]
 print([cli.run(c)[0] for c in numeric], "numpy" in sys.modules)
@@ -559,7 +560,7 @@ def test_the_exact_commands_start_without_numpy():
                           text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
-        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[0] True"]
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[0] True"]
 
 
 def test_the_exact_commands_start_without_dataclasses_or_inspect():
@@ -572,7 +573,7 @@ def test_the_exact_commands_start_without_dataclasses_or_inspect():
                           text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
-        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[]"]
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] False", "[]"]
 
 
 @pytest.mark.parametrize("module", [cli, fouriercontrast, instfreq, ratfield,

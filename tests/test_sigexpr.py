@@ -4,6 +4,7 @@ symbolic differentiation oracle."""
 import cmath
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -145,6 +146,24 @@ def test_parse_arity_and_form_errors():
         parse("exp(1 + t)")
     with pytest.raises(ParameterError):
         parse("sin(i*t)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exp()", "exp takes 1 argument, got 0 argument(s)"),
+    ("sin(1, 2, 3)", "sin takes 1 or 2 arguments, got 3 argument(s)"),
+    ("cos()", "cos takes 1 or 2 arguments, got 0 argument(s)"),
+    ("sinc(1, 2)", "sinc takes 1 argument, got 2 argument(s)"),
+    ("rcos()", "rcos takes 1 argument, got 0 argument(s)"),
+    ("dirac(1)", "dirac takes no arguments, got 1 argument(s)"),
+    ("delay(1, 2)", "delay takes 1 argument, got 2 argument(s)"),
+    ("chirp(1, 2)", "chirp takes 3 arguments, got 2 argument(s)"),
+    ("sinc(t)", "sinc parameter must be a constant"),
+    ("delay(i)", "delay parameter must be real"),
+])
+def test_a_call_refuses_its_arguments_in_its_own_words(text, message):
+    with pytest.raises(ParameterError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_division_folds_into_a_single_fraction():
@@ -470,12 +489,43 @@ def _value_or_class(fn, *args):
         return type(err)
 
 
+# The float walk of `oracles.evaluate` rounds at each sum and product, so
+# its error is a multiple of eps times `_rounding_scale`, and where the
+# exact value cancels to 0 its value is that residue.  The check allows 64
+# roundings at that scale.
+_RESIDUE_ULPS = 64
+
+
+def _rounding_scale(e, t: float) -> float:
+    """The walk of `oracles.evaluate` over magnitudes: a sum of the scales
+    of the terms, a product of those of the factors, a rational factor its
+    numerator's coefficients by magnitude at |t| over its denominator, and
+    any other atom the magnitude of its value; inf where a float overflows.
+    """
+    try:
+        if isinstance(e, Add):
+            return math.fsum(_rounding_scale(x, t) for x in e.terms)
+        if isinstance(e, Mul):
+            return math.prod(_rounding_scale(x, t) for x in e.factors)
+        if isinstance(e, Pow):
+            return _rounding_scale(e.base, t) ** e.k
+        if isinstance(e, TFrac):
+            size = math.fsum(abs(complex(c)) * abs(t) ** k
+                             for k, c in enumerate(e.rat.num.coeffs))
+            return size / abs(e.rat.den(complex(t)))
+        return abs(oracles.evaluate(e, t))
+    except OverflowError:
+        return math.inf
+
+
 @settings(max_examples=300, deadline=None)
 @given(oracles.well_formed_texts,
        st.sampled_from([0.0, 0.5, 1.25, -0.75, 3.0, 1e308, 1e-300]))
 @example("sin(t)/t", 0.0)
 @example("-sin(0)/t", 0.0)
 @example("(1-cos(t))/t^2", 0.0)
+@example("-i + i/1*1*(1 + t)^2/.14*.14*(1 + t)^2", 0.0)
+@example("-i + -t/.6 + -i*-t", 1e308)
 def test_evaluate_equals_the_tree_walk(text, t):
     try:
         e = parse(text)
@@ -508,7 +558,18 @@ def test_evaluate_equals_the_tree_walk(text, t):
         assert got is want, text
     else:
         assert isinstance(got, complex), text
-        assert abs(got - want) <= 1e-12 * abs(want), text
+        # both values over 4, which is exact, so that no modulus of finite
+        # parts overflows; the bound is the same
+        got, want = got / 4, want / 4
+        if abs(got - want) > 1e-12 * abs(want):
+            # admitted only where the oracle's value is within its own
+            # rounding residue of 0, and the walk's within that of it; a
+            # scale beyond the float range admits nothing
+            residue = (_RESIDUE_ULPS * sys.float_info.epsilon
+                       * _rounding_scale(e, t) / 4)
+            assert residue < math.inf, text
+            assert abs(want) <= residue, text
+            assert abs(got - want) <= residue, text
 
 
 # --- canonical form and round trip ----------------------------------------------

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ZERO,
-                       _conv, _gconv, _lincomb, _local_terms, _power,
-                       _root_points, _shift, _spectrum, _stretched,
+                       _conv, _gaussian, _gconv, _lincomb, _local_terms,
+                       _power, _root_points, _shift, _spectrum, _stretched,
                        _taylor_shift)
 from .sigexpr import (Add, Cos, EvaluationError, Exp, Mul, Pow, Sin,
                       SignalExpr, ExpressionError, _cexp, _finite,
@@ -199,12 +199,6 @@ def _local_numerator(rate: Qi, poly: CPoly, L: int, C: int):
             _stretched(*_shift(gr[::-1], gi[::-1], cr, ci, len(gr)), L))
 
 
-def _gaussian(x: tuple) -> tuple:
-    """(re, im) of a numerator (re, im) whose im is None when it is real."""
-    re, im = x
-    return re, [0] * len(re) if im is None else im
-
-
 def to_rational(x: ExpPoly) -> RatFunc:
     """Operational image in C(s): c*t^k at rate a -> c*k!/(s-a)^(k+1).
 
@@ -236,7 +230,7 @@ def to_rational(x: ExpPoly) -> RatFunc:
     L = math.lcm(*(rate._d for rate, _ in x.terms))
     C = math.lcm(*(poly._d for _, poly in x.terms))
     rest = dict(x.terms)
-    num = den = None        # the sum so far over its poles, as in _gaussian
+    num = den = None        # the sum so far over its poles; im None if real
     while rest:
         rate, poly = rest.popitem()
         fac, lam = _local_numerator(rate, poly, L, C)
@@ -256,13 +250,13 @@ def to_rational(x: ExpPoly) -> RatFunc:
                            _conv(lam[0], den[0]), 1), None
             den = _conv(den[0], fac[0]), None
         else:
-            (nr, ni), (fr, fi), (lr, li), (dr, di) = map(
-                _gaussian, (num, fac, lam, den))
+            (nr, ni), (fr, fi), (lr, li), (dr, di) = (
+                _gaussian(*part) for part in (num, fac, lam, den))
             (ar, ai), (br, bi) = _gconv(nr, ni, fr, fi), _gconv(lr, li, dr, di)
             num = _lincomb(ar, 1, br, 1), _lincomb(ai, 1, bi, 1)
             den = _gconv(dr, di, fr, fi)
     M = len(den[0]) - 1
-    (nr, ni), (dr, di) = _gaussian(num), _gaussian(den)
+    (nr, ni), (dr, di) = _gaussian(*num), _gaussian(*den)
     return RatFunc._from_reduced(CPoly._canon(nr, ni, C * L ** M),
                                  CPoly._canon(dr, di, L ** M))
 

@@ -352,11 +352,13 @@ _QI_ONE = Qi(1)
 
 
 def _gmul(re, im, gr: int, gi: int):
-    """The coefficients (re + i*im) times the Gaussian integer gr + i*gi."""
+    """The coefficients (re + i*im) times the Gaussian integer gr + i*gi;
+    an im of None, an all-zero imaginary part, stays None under a real
+    factor."""
     if not gi:
         if gr == 1:
             return re, im
-        return [x * gr for x in re], [y * gr for y in im]
+        return [x * gr for x in re], im and [y * gr for y in im]
     return ([x * gr - y * gi for x, y in zip(re, im)],
             [x * gi + y * gr for x, y in zip(re, im)])
 
@@ -374,24 +376,42 @@ def _lincomb(x, mx: int, y, my: int) -> list[int]:
     return out
 
 
-def _gsum(x, y, sign: int = 1) -> tuple[list[int], list[int], int]:
+def _gsum(x, y, sign: int = 1) -> tuple:
     """x + sign*y for Gaussian-integer coefficient sequences over integer
-    denominators, given as (re, im, d), over the lcm of the two d."""
+    denominators, given as (re, im, d), over the lcm of the two d.  An im
+    of None stands for an all-zero imaginary part: a sum of two real
+    numerators is real, one `_lincomb`, and its im stays None."""
     (xr, xi, dx), (yr, yi, dy) = x, y
     if dx == dy:
         mx, my = 1, sign
     else:
         g = math.gcd(dx, dy)
         mx, my, dx = dy // g, sign * (dx // g), dx * (dy // g)
-    return _lincomb(xr, mx, yr, my), _lincomb(xi, mx, yi, my), dx
+    re = _lincomb(xr, mx, yr, my)
+    if xi is None and yi is None:
+        return re, None, dx
+    return re, _lincomb(xi or [0] * len(xr), mx, yi or [0] * len(yr), my), dx
 
 
 def _rmul(x: tuple, y: tuple) -> tuple:
-    """Product of two numerators given as (re, im, d); an empty one is
-    zero."""
-    if not (x[0] and y[0]):
-        return (), (), 1
-    return (*_gconv(x[0], x[1], y[0], y[1]), x[2] * y[2])
+    """Product of two numerators given as (re, im, d), an im of None
+    standing for an all-zero imaginary part: one `_conv` for two real
+    factors, two for a real and a complex one, `_gconv` for two complex
+    ones.  An empty numerator is zero."""
+    (xr, xi, dx), (yr, yi, dy) = x, y
+    if not (xr and yr):
+        return (), None, 1
+    if xi is None:
+        return _conv(xr, yr), None if yi is None else _conv(xr, yi), dx * dy
+    if yi is None:
+        return _conv(xr, yr), _conv(xi, yr), dx * dy
+    return (*_gconv(xr, xi, yr, yi), dx * dy)
+
+
+def _gaussian(re, im) -> tuple:
+    """(re, im) with an im of None, an all-zero imaginary part, spelled
+    out as zeros, as `_gconv` and `CPoly._canon` take it."""
+    return re, [0] * len(re) if im is None else im
 
 
 def _conv(a, b) -> list[int]:
@@ -503,6 +523,19 @@ def _power(x, k: int, mul, one):
         if k:
             x = mul(x, x)
     return one if out is None else out
+
+
+def _scaled_value(p: "CPoly", q: Qi) -> tuple[int, int]:
+    """The Gaussian integer (a, b) with a + i*b = d*e^n*p(q), for p of
+    degree n over the integer d and q = g/e: Horner's rule on Gaussian
+    integers, h_j = h_(j+1)*g + c_j*e^(n-j), with no `Qi` built."""
+    gr, gi, e = q._a, q._b, q._d
+    hr = hi = 0
+    k = 1                    # e^(n-j) at c_j
+    for r, i in zip(reversed(p._re), reversed(p._im)):
+        hr, hi = hr * gr - hi * gi + r * k, hr * gi + hi * gr + i * k
+        k *= e
+    return hr, hi
 
 
 class CPoly:
@@ -727,14 +760,9 @@ class CPoly:
         return CPoly._canon(*_gmul(self._re, self._im, cr, ci), n)
 
     def at(self, q: Qi) -> Qi:
-        """Exact value at q = g/e, by Horner's rule on Gaussian integers."""
-        gr, gi, e = q._a, q._b, q._d
-        hr = hi = 0              # e^(n-j) times Horner's sum after c_j
-        k = 1                    # e^(n-j+1) after c_j
-        for r, i in zip(reversed(self._re), reversed(self._im)):
-            hr, hi = hr * gr - hi * gi + r * k, hr * gi + hi * gr + i * k
-            k *= e
-        return Qi._canon(hr * e, hi * e, self._d * k)
+        """Exact value at q, by Horner's rule on Gaussian integers."""
+        a, b = _scaled_value(self, q)
+        return Qi._canon(a, b, self._d * q._d ** max(self.degree, 0))
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -851,10 +879,17 @@ def poly_gcd(a: CPoly, b: CPoly) -> CPoly:
 
 
 def square_free_factors(p: CPoly) -> list[tuple[CPoly, int]]:
-    """Yun's decomposition: [(factor, multiplicity)], factors monic."""
+    """Yun's decomposition: [(factor, multiplicity)], factors monic.  A
+    quadratic (n*s^2 + b*s + c)/n is split by its discriminant, with no
+    gcd: it is square-free when b^2 != 4*c*n, and (s + b/(2n))^2 when not."""
     p = p.monic()
     if p.degree <= 1:
         return [(p, 1)] if p.degree == 1 else []
+    if p.degree == 2:
+        (cr, br, n), (ci, bi, _) = p._re, p._im
+        if br * br - bi * bi != 4 * n * cr or br * bi != 2 * n * ci:
+            return [(p, 1)]
+        return [(CPoly._canon((br, 2 * n), (bi, 0), 2 * n), 2)]
     dp = p.deriv()
     g = poly_gcd(p, dp)
     if g.degree == 0:

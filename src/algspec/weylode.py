@@ -8,13 +8,17 @@ candidates are the poles of the normalized coefficients r_k/r_n and rhs/r_n,
 each factor of a coprime base of their denominators is classified once by
 the Fuchs criterion, and infinity from the degrees of the same coefficients,
 scaled by powers of s and Lah numbers.  Operator products and actions
-hold every coefficient as a Gaussian-integer numerator over one integer
-and an exponent vector over one coprime base of the operands'
-denominators: products add exponents, derivatives raise them, and sums
-meet at their elementwise maximum, with no gcd and no canonical form.
-Each output coefficient is canonicalized once and reduced over the base,
-one factor at a time: a linear factor by evaluating the numerator at its
-root, any other by gcds with that factor alone.
+hold every coefficient as a Gaussian-integer numerator over one integer,
+whose imaginary half is None while it is real, and an exponent vector
+over one coprime base of the operands' denominators: products add
+exponents, derivatives raise them, and sums meet at their elementwise
+maximum, with no gcd and no canonical form.  Real numerators multiply
+and add on their real lists alone.  Each product is added, as it is
+made, into the sum of its output order and exponent vector; each output
+coefficient is then lifted to one denominator in one loop, canonicalized
+once and reduced over the base, one factor at a time: a linear factor by
+an integer Horner sum at its root, any other by gcds with that factor
+alone.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .ratfield import (CPoly, Qi, RatFunc, Spectrum, _FrozenValue, _QI_ONE,
-                       _gmul, _gsum, _reported, _rmul, _root_points,
-                       _spectrum, poly_gcd, square_free_factors)
+                       _gaussian, _gmul, _gsum, _reported, _rmul,
+                       _root_points, _scaled_value, _spectrum, poly_gcd,
+                       square_free_factors)
 from .sigexpr import (Chirp, Delay, RaisedCos, Sinc, SignalExpr,
                       ExpressionError, _unit_phase, split_scale)
 
@@ -162,19 +167,26 @@ def _coprime_base(dens) -> tuple[list[CPoly], dict[CPoly, tuple[int, ...]]]:
 
 
 def _raw(p: CPoly) -> tuple:
-    """p as (re, im, d): Gaussian-integer coefficients over one integer."""
-    return p._re, p._im, p._d
+    """p as (re, im, d): Gaussian-integer coefficients over one integer,
+    im None when p is real."""
+    return p._re, p._im if any(p._im) else None, p._d
+
+
+def _canon(x: tuple) -> CPoly:
+    """The polynomial of a raw numerator."""
+    return CPoly._canon(*_gaussian(x[0], x[1]), x[2])
 
 
 def _nonzero(x: tuple) -> bool:
-    return any(x[0]) or any(x[1])
+    return any(x[0]) or x[1] is not None and any(x[1])
 
 
 class _Base:
     """Rational functions N/prod(B_i^e_i) held as (N, e) over a coprime
-    base B of their denominators, N a raw (re, im, d) numerator that no
-    product, derivative or sum canonicalizes; `total` canonicalizes and
-    reduces once.  Caches last for one operation."""
+    base B of their denominators, N a raw (re, im, d) numerator, a
+    Gaussian-integer numerator over one integer whose im is None while it
+    is real, that no product, derivative or sum canonicalizes; `total`
+    canonicalizes and reduces once.  Caches last for one operation."""
 
     def __init__(self, dens):
         self.factors, self._exps = _coprime_base(dens)
@@ -202,7 +214,7 @@ class _Base:
         (N/P)' = (N'R - N*sum(e_i B_i' R/B_i)) / (P R)."""
         (re, im, d), e = term
         dre = [k * x for k, x in enumerate(re)][1:]
-        dim = [k * y for k, y in enumerate(im)][1:]
+        dim = None if im is None else [k * y for k, y in enumerate(im)][1:]
         if not (re and any(e)):
             return (dre, dim, d), e
         rad = self._rads.get(e)
@@ -222,30 +234,28 @@ class _Base:
     def common(self, terms) -> tuple[list[tuple], tuple]:
         """The raw numerators of (N, e) terms over one denominator
         prod(B_i^E_i), E the elementwise max of the e, and E."""
-        top = tuple(max(col) for col in zip(*(e for _, e in terms)))
+        top = tuple(map(max, zip(*(e for _, e in terms))))
         return [num if e == top else
-                _rmul(num, self.power(tuple(x - y for x, y in zip(top, e))))
+                _rmul(num, self.power(tuple(map(int.__sub__, top, e))))
                 for num, e in terms], top
 
-    def total(self, terms) -> RatFunc:
-        """The sum of (N, e) terms over their common denominator, the
-        numerators of equal e added first, canonicalized and reduced
+    def total(self, sums: dict) -> RatFunc:
+        """The sum of the numerators sums[e] over prod(B_i^e_i), each
+        lifted to the elementwise max of the e, canonicalized and reduced
         once."""
-        grouped: dict[tuple, tuple] = {}
-        for num, e in terms:
-            grouped[e] = _gsum(grouped[e], num) if e in grouped else num
-        if not grouped:
+        if not sums:
             return RatFunc.ZERO
-        nums, top = self.common([(num, e) for e, num in grouped.items()])
-        return self._reduced(CPoly._canon(*reduce(_gsum, nums)), top)
+        nums, top = self.common([(num, e) for e, num in sums.items()])
+        return self._reduced(_canon(reduce(_gsum, nums)), top)
 
     def _reduced(self, num: CPoly, top: tuple) -> RatFunc:
         """num / prod(B_i^top_i) in lowest terms.  The B_i are monic,
         square-free and pairwise coprime, so the gcd of num and the product
         is the product of the gcd(num, B_i^top_i): a linear B_i = s - b
-        divides num as often as num(b) = 0, and for any other B_i the
-        chain g_1 = gcd(num, B_i), g_(j+1) = gcd(num/(g_1...g_j), g_j)
-        collects it in at most top_i steps."""
+        divides num as often as num(b) = 0, an integer Horner sum, and for
+        any other B_i the chain g_1 = gcd(num, B_i),
+        g_(j+1) = gcd(num/(g_1...g_j), g_j) collects it in at most top_i
+        steps."""
         if not num:
             return RatFunc.ZERO
         e, rest = list(top), CPoly.ONE
@@ -254,7 +264,7 @@ class _Base:
                 continue
             b, root = self.factors[i], self._roots[i]
             if root is not None:
-                while e[i] and not num.at(root):
+                while e[i] and _scaled_value(num, root) == (0, 0):
                     num, e[i] = num // b, e[i] - 1
                 continue
             part, g = CPoly.ONE, b
@@ -265,7 +275,7 @@ class _Base:
                 num, part = num // g, part * g
             if part.degree:
                 e[i], rest = 0, rest * (b ** k // part)
-        den = CPoly._canon(*self.power(tuple(e)))
+        den = _canon(self.power(tuple(e)))
         return RatFunc._from_reduced(num, den * rest)
 
 
@@ -273,18 +283,23 @@ def _add(e: tuple, f: tuple) -> tuple:
     return tuple(map(int.__add__, e, f))
 
 
+def _accumulate(sums: dict, e: tuple, num: tuple) -> None:
+    """Add num over prod(B_i^e_i) into sums[e]."""
+    sums[e] = _gsum(sums[e], num) if e in sums else num
+
+
 def apply(op: WeylOp, r: RatFunc) -> RatFunc:
     """Act on a rational function: sum of r_k times the k-th d/ds of r."""
     base = _Base([c.den for c in op.coeffs] + [r.den])
-    terms = []
+    sums: dict[tuple, tuple] = {}
     dn, de = base.over(r)   # the k-th derivative of r
     for k, c in enumerate(op.coeffs):
         if c and _nonzero(dn):
             num, e = base.over(c)
-            terms.append((_rmul(num, dn), _add(e, de)))
+            _accumulate(sums, _add(e, de), _rmul(num, dn))
         if k < op.order:
             dn, de = base.deriv((dn, de))
-    return base.total(terms)
+    return base.total(sums)
 
 
 def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -294,7 +309,7 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
     derivs = [[base.over(c) for c in b.coeffs]]   # derivs[l][j]: b_j^(l)
     while len(derivs) <= a.order:
         derivs.append([base.deriv(d) for d in derivs[-1]])
-    terms: dict[int, list] = {}
+    sums = [{} for _ in range(a.order + b.order + 1)]   # by output order
     for k, ak in enumerate(a.coeffs):
         if not ak:
             continue
@@ -303,11 +318,9 @@ def mul_ops(a: WeylOp, b: WeylOp) -> WeylOp:
             scaled = (*_gmul(re, im, math.comb(k, l), 0), d)
             for j, (dn, de) in enumerate(derivs[l]):
                 if _nonzero(dn):
-                    terms.setdefault(k - l + j, []).append(
-                        (_rmul(scaled, dn), _add(e, de)))
-    order = max(terms, default=0)
-    return WeylOp(tuple(base.total(terms.get(k, ()))
-                        for k in range(order + 1)))
+                    _accumulate(sums[k - l + j], _add(e, de),
+                                _rmul(scaled, dn))
+    return WeylOp(tuple(map(base.total, sums)))
 
 
 def _sum_of_squares(w: Fraction) -> CPoly:
@@ -431,7 +444,7 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     n = sys.op.order
     base = _Base([r.den for r in sys.op.coeffs])
     ps, top = base.common([base.over(r) for r in sys.op.coeffs])
-    pn = CPoly._canon(*ps[n])
+    pn = _canon(ps[n])
     m_degree = sum(k * b.degree for k, b in zip(top, base.factors))
     chart = []   # Q_j times p_n, summed on the raw numerators
     for j in range(n):
@@ -442,9 +455,9 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
             if c and re:
                 pad = [0] * (2 * n - k - j)
                 terms.append((pad + [x * c for x in re],
+                              None if im is None else
                               pad + [y * c for y in im], d))
-        chart.append(CPoly._canon(*reduce(_gsum, terms)) if terms
-                     else CPoly.ZERO)
+        chart.append(_canon(reduce(_gsum, terms)) if terms else CPoly.ZERO)
     orders = [max(0, p.degree - pn.degree) for p in chart]
     g = sys.rhs   # deg G = 2n + deg g - deg r_n
     orders.append(max(0, 2 * n + g.num.degree - g.den.degree

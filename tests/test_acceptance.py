@@ -22,6 +22,7 @@ from algspec.ratfield import (CPoly, Qi, RatFunc, alg_deriv,
                               spectrum_of_rational)
 from algspec.sigexpr import parse
 from algspec.weylode import WeylOp, mul_ops
+from test_cli import _env_with_src
 
 FREQ_TOL = 1e-9
 
@@ -267,7 +268,8 @@ def test_criterion_7_fourier_contrast():
 
 def _cli(*argv) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "algspec.cli", *argv],
-                          capture_output=True, timeout=120)
+                          env=_env_with_src(), capture_output=True,
+                          timeout=120)
 
 
 def test_criterion_8_cli_determinism_and_selftest():

@@ -20,8 +20,9 @@ from algspec.ratfield import (CPoly, DigitLimitError, PartialFractions,
                               PFTerm, Pole, Qi, RatFunc, RootFindingError,
                               SingularitySource, Spectrum, _I_MOD,
                               _P, _aberth, _conv, _coprime_mod_p, _euclid_gcd,
-                              _gconv, _image_mod_p, _power, _series_quotient,
-                              _shift, _stretched, alg_deriv, clean_frequencies,
+                              _gaussian, _gconv, _gsum, _image_mod_p, _power,
+                              _rmul, _scaled_value, _series_quotient, _shift,
+                              _stretched, alg_deriv, clean_frequencies,
                               partial_fractions,
                               poles, poly_gcd, poly_roots, snap_axes,
                               spectrum_of_rational, square_free_factors)
@@ -545,6 +546,101 @@ def test_conv_is_the_naive_double_sum(a, b):
     assert _conv(b, a) == want
 
 
+def _raw_numerator(rng, real, length=None):
+    """A seeded (re, im, d): im None when real, d in 1..6."""
+    n = length or rng.randint(1, 5)
+    re = [rng.randint(-9, 9) for _ in range(n)]
+    im = None if real else [rng.randint(-9, 9) for _ in range(n)]
+    return re, im, rng.randint(1, 6)
+
+
+def _zero_filled(x):
+    """The all-zero list form of a raw numerator."""
+    return (*_gaussian(x[0], x[1]), x[2])
+
+
+def _value(x):
+    return CPoly._canon(*_zero_filled(x))
+
+
+def _same_raw(got, want):
+    # equal as lists, once both imaginary parts are spelled out
+    (gr, gi, gd), (wr, wi, wd) = _zero_filled(got), _zero_filled(want)
+    assert (list(gr), list(gi), gd) == (list(wr), list(wi), wd)
+
+
+def test_the_kernels_real_form_equals_the_all_zero_form():
+    # real x real, real x complex, complex x real and complex x complex,
+    # at unequal lengths and unequal denominators, with both signs
+    rng = random.Random(3701)
+    for _ in range(200):
+        for real_x in (True, False):
+            for real_y in (True, False):
+                x, y = (_raw_numerator(rng, real_x),
+                        _raw_numerator(rng, real_y))
+                both_real = real_x and real_y
+                got = _rmul(x, y)
+                _same_raw(got, _rmul(_zero_filled(x), _zero_filled(y)))
+                assert (got[1] is None) == both_real
+                assert _value(got) == _value(x) * _value(y)
+                for sign in (1, -1):
+                    got = _gsum(x, y, sign)
+                    _same_raw(got, _gsum(_zero_filled(x), _zero_filled(y),
+                                         sign))
+                    assert (got[1] is None) == both_real
+                    assert len(got[0]) == len(got[1] or got[0])
+                    assert _value(got) == _value(x) + sign * _value(y)
+
+
+def test_the_kernels_take_a_zero_operand_and_a_cancelling_sum():
+    rng = random.Random(3702)
+    for real in (True, False):
+        x = _raw_numerator(rng, real)
+        for zero in (((), None, 1), ((), (), 1), ((), None, 4)):
+            assert _rmul(x, zero) == _rmul(zero, x) == ((), None, 1)
+            for sign in (1, -1):
+                _same_raw(_gsum(x, zero, sign),
+                          _gsum(_zero_filled(x), _zero_filled(zero), sign))
+                assert _value(_gsum(x, zero, sign)) == _value(x)
+                assert _value(_gsum(zero, x, sign)) == sign * _value(x)
+    # complex numerators whose imaginary parts cancel: the sum is real
+    # in value, its im a list of zeros
+    for _ in range(50):
+        x = _raw_numerator(rng, False, 4)
+        y = (_raw_numerator(rng, True, 4)[0], x[1], x[2])
+        got = _gsum(x, y, -1)
+        assert got[1] == [0] * 4
+        _same_raw(got, _gsum((x[0], None, x[2]), (y[0], None, y[2]), -1))
+        assert _value(got) == _value(x) - _value(y)
+
+
+def _qi_horner(p, q):
+    acc = Qi(0)
+    for c in reversed(p.coeffs):
+        acc = acc * q + c
+    return acc
+
+
+def test_the_value_at_a_point_is_the_qi_horner_sum():
+    # seeded polynomials with a planted root, at the root, at other points
+    # and at the root's conjugate; the integer zero test agrees with `at`
+    rng = random.Random(3703)
+    s = CPoly([0, 1])
+    zeros = 0
+    for _ in range(200):
+        root = _rand_qi(rng)
+        p = _rand_poly(rng) * (s - CPoly.scalar(root)) ** rng.randint(0, 2)
+        for q in (root, root.conjugate(), _rand_qi(rng), Qi(0),
+                  Qi(Fraction(rng.randint(-5, 5), rng.randint(1, 9)))):
+            value = p.at(q)
+            assert value == _qi_horner(p, q)
+            assert (_scaled_value(p, q) == (0, 0)) == (value == 0)
+            zeros += value == 0
+    assert zeros >= 100
+    assert CPoly.ZERO.at(Qi(3)) == 0 and _scaled_value(CPoly.ZERO, Qi(3)) \
+        == (0, 0)
+
+
 @pytest.mark.parametrize("p, r", [
     ([Qi(1, -2), Qi(Fraction(1, 3)), Qi(0, 1)], [Qi(2), Qi(0)]),
     ([Qi(-1), Qi(0), Qi(1)], [Qi(Fraction(2, 7)), Qi(1)]),
@@ -710,6 +806,43 @@ def test_square_free_factors_recover_multiplicities():
         for factor, mult in square_free_factors(p):
             expanded = expanded * factor ** mult
         assert expanded.monic() == p.monic()
+
+
+def _quadratic_cases():
+    """Seeded (p, split) for quadratics built from their roots, in turn a
+    double root, two real roots, a conjugate pair and two Gaussian roots,
+    under a Gaussian leading coefficient, monic one time in five."""
+    rng = random.Random(3704)
+    s = CPoly([0, 1])
+    for k in range(60):
+        a = _rand_qi(rng)
+        b = [a, _rand_qi(rng).re, a.conjugate(), _rand_qi(rng)][k % 4]
+        if k % 4 == 1:
+            a = Qi(a.re)
+        if k % 4 and a == b:
+            b = a + 1
+        lead = Qi(1) if k % 5 == 0 else _rand_qi(rng) or Qi(1, 1)
+        p = CPoly.scalar(lead) * (s - CPoly.scalar(a)) * (s - CPoly.scalar(b))
+        yield p, ([(s - CPoly.scalar(a), 2)] if a == b
+                  else [(p.monic(), 1)])
+
+
+def test_a_quadratic_is_split_by_its_discriminant(monkeypatch):
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(None)
+        return _euclid_gcd(a, b)
+
+    monkeypatch.setattr(ratfield, "poly_gcd", counting_gcd)
+    cases = list(_quadratic_cases())
+    assert sum(want[0][1] == 2 for _, want in cases) == 15
+    for p, want in cases:
+        assert square_free_factors(p) == want
+    for w in (Fraction(3), Fraction(1, 2), Fraction(-7, 3)):
+        p = CPoly([w * w, 0, 1])
+        assert square_free_factors(p) == [(p, 1)]
+    assert calls == []
 
 
 # --- rational functions -----------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from algspec import ratfield, weylode
+from algspec.pipeline import analyze
 from algspec.cli import _c12, _g12
 from algspec.ratfield import (CPoly, Qi, RatFunc, _aberth, _location_key,
                               alg_deriv, poly_gcd, snap_axes,
@@ -399,6 +400,65 @@ def test_bench_shaped_commutators_equal_the_oracle(a0, a1, b):
     assert got == (_mul_ops_by_terms(WeylOp.D, x)
                    - _mul_ops_by_terms(x, WeylOp.D))
     assert got == WeylOp((r.deriv(),))
+
+
+# the same shapes with a complex scale on some coefficients, so that real
+# and complex numerators meet in products, derivatives and sums
+_bench_scales = st.lists(st.sampled_from([Qi(1), Qi(1), _i, Qi(1, 1)]),
+                         min_size=4, max_size=4)
+
+
+def _scaled_op(op, scales):
+    return WeylOp(tuple(c * RatFunc(z) for c, z in zip(op.coeffs, scales)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_values, _bench_orders, _bench_scales,
+       _bench_values, _bench_orders, _bench_scales)
+def test_complex_scaled_compositions_equal_the_oracle(va, oa, za, vb, ob, zb):
+    a = _scaled_op(_bench_shaped_op(va, oa), za)
+    b = _scaled_op(_bench_shaped_op(vb, ob), zb)
+    assert mul_ops(a, b) == _mul_ops_by_terms(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bench_values, _bench_orders, _bench_scales, st.sampled_from(_HALVES),
+       st.sampled_from(_HALVES), st.sampled_from(_HALVES),
+       st.sampled_from([Qi(1), _i, Qi(1, 1)]))
+def test_complex_scaled_actions_equal_the_oracle(va, order, z, a0, a1, b, c):
+    op = _scaled_op(_bench_shaped_op(va, order), z)
+    r = _bench_shaped_rat(a0, a1, b) * RatFunc(c)
+    assert apply(op, r) == _apply_by_terms(op, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_HALVES), st.sampled_from(_HALVES),
+       st.sampled_from(_HALVES), st.sampled_from([_i, Qi(1, 1)]))
+def test_complex_scaled_commutators_equal_the_oracle(a0, a1, b, c):
+    r = _bench_shaped_rat(a0, a1, b) * RatFunc(c)
+    x = WeylOp((r,))
+    got = mul_ops(WeylOp.D, x) - mul_ops(x, WeylOp.D)
+    assert got == (_mul_ops_by_terms(WeylOp.D, x)
+                   - _mul_ops_by_terms(x, WeylOp.D))
+    assert got == WeylOp((r.deriv(),))
+
+
+def test_catalog_analyses_make_no_gcd(monkeypatch):
+    # the one denominator s^2 + w^2 of a sinc or rcos is split by its
+    # discriminant, and a base of one factor refines nothing
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append(None)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfield, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(weylode, "poly_gcd", counting_gcd)
+    texts = ("sinc(3)", "rcos(2)", "-3/2*rcos(1/2)")
+    spectra = [analyze(parse(text)).spectrum for text in texts]
+    assert len(calls) == 0
+    assert [s.frequencies for s in spectra] == [(-3.0, 3.0), (-2.0, 2.0),
+                                                (-0.5, 0.5)]
 
 
 def test_system_validation():

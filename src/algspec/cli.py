@@ -162,31 +162,46 @@ def _cmd_opform(cfg: CliConfig) -> str:
     return r.format()
 
 
+# the suffixes by which numpy's loader decompresses a file it opens by name
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_csv(path: str) -> SampledSignal:
     """The samples of a 't,x' file, parsed in one array pass.
 
     A file the array pass does not take whole goes to `_read_csv_rows`,
     which accepts the same files, gives the same samples, and names the
     offending line of any other file.
+
+    numpy is given the file's path, not an open handle: a path it opens
+    itself and reads in chunks in C, with universal newlines and `open`'s
+    default encoding, as the row reader decodes; a handle it reads one
+    line at a time through Python.  By name, numpy would also decompress
+    a file by its suffix and fetch a URL, so a name with a compressed
+    suffix goes to the row reader, which reads every file as plain text,
+    and numpy gets the absolute path, which is never a URL.
     """
     import numpy as np
 
-    if _loadtxt_reads_like_csv(path):
+    if (not path.lower().endswith(_COMPRESSED_SUFFIXES)
+            and _loadtxt_reads_like_csv(path)):
         with open(path, newline="") as fh:
-            # csv splits a line without quotes at its commas, as here
-            if [c.strip() for c in fh.readline().split(",")] == ["t", "x"]:
-                with warnings.catch_warnings():
-                    # a header-only file is reported by the row reader
-                    warnings.filterwarnings("ignore", "loadtxt: input "
-                                            "contained no data", UserWarning)
-                    try:
-                        data = np.loadtxt(fh, delimiter=",", comments=None,
-                                          dtype=float, ndmin=2)
-                    except ValueError:
-                        data = None
-                if (data is not None and data.shape[0] and data.shape[1] == 2
-                        and np.isfinite(data).all()):
-                    return SampledSignal(data[:, 0], data[:, 1])
+            header = fh.readline()
+        # csv splits a line without quotes at its commas, as here
+        if [c.strip() for c in header.split(",")] == ["t", "x"]:
+            with warnings.catch_warnings():
+                # a header-only file is reported by the row reader
+                warnings.filterwarnings("ignore", "loadtxt: input "
+                                        "contained no data", UserWarning)
+                try:
+                    data = np.loadtxt(os.path.abspath(path), delimiter=",",
+                                      comments=None, dtype=float, ndmin=2,
+                                      skiprows=1)
+                except ValueError:
+                    data = None
+            if (data is not None and data.shape[0] and data.shape[1] == 2
+                    and np.isfinite(data).all()):
+                return SampledSignal(data[:, 0], data[:, 1])
     return _read_csv_rows(path)
 
 

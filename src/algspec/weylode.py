@@ -181,6 +181,15 @@ def _nonzero(x: tuple) -> bool:
     return any(x[0]) or x[1] is not None and any(x[1])
 
 
+def _degree(x: tuple) -> int:
+    """The degree of the polynomial of a raw numerator, -1 for zero."""
+    re, im, _ = x
+    k = len(re)
+    while k and not re[k - 1] and not (im and im[k - 1]):
+        k -= 1
+    return k - 1
+
+
 class _Base:
     """Rational functions N/prod(B_i^e_i) held as (N, e) over a coprime
     base B of their denominators, N a raw (re, im, d) numerator, a
@@ -439,14 +448,15 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
     Equations, 1926) is a test on degrees.  Over a common denominator M of
     the r_k, from their coprime base, q_k = p_k/p_n for the polynomials
     p_k = r_k M, so each Q_j is a polynomial sum over p_n: no quotient
-    needs reducing, as a common factor lowers both degrees alike.
+    needs reducing, as a common factor lowers both degrees alike, and only
+    the degrees of the raw sums are read, with no canonical form.
     """
     n = sys.op.order
     base = _Base([r.den for r in sys.op.coeffs])
     ps, top = base.common([base.over(r) for r in sys.op.coeffs])
-    pn = _canon(ps[n])
+    pn = _degree(ps[n])
     m_degree = sum(k * b.degree for k, b in zip(top, base.factors))
-    chart = []   # Q_j times p_n, summed on the raw numerators
+    orders = []   # the degree excess of Q_j, from Q_j p_n summed raw
     for j in range(n):
         terms = []
         for k in range(j, n + 1):
@@ -457,12 +467,13 @@ def singularity_at_infinity(sys: OdeSystem) -> SingularPoint | None:
                 terms.append((pad + [x * c for x in re],
                               None if im is None else
                               pad + [y * c for y in im], d))
-        chart.append(_canon(reduce(_gsum, terms)) if terms else CPoly.ZERO)
-    orders = [max(0, p.degree - pn.degree) for p in chart]
+        orders.append(max(0, _degree(reduce(_gsum, terms)) - pn)
+                      if terms else 0)
     g = sys.rhs   # deg G = 2n + deg g - deg r_n
     orders.append(max(0, 2 * n + g.num.degree - g.den.degree
-                      - (pn.degree - m_degree)) if g else 0)
-    return _classify(chart, orders)
+                      - (pn - m_degree)) if g else 0)
+    # r_k = q_k r_n: a common nonzero multiple of the q_k, k < n
+    return _classify(sys.op.coeffs[:n], orders)
 
 
 def _lah(k: int, j: int) -> int:

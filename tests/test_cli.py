@@ -825,6 +825,52 @@ def test_csv_reader_takes_plain_files_in_one_array_pass(tmp_path,
     assert cli._read_csv(str(p)) == want
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+def test_a_plain_file_under_a_compressed_suffix_reads_as_text(
+        tmp_path, capsys, monkeypatch, suffix):
+    # numpy decompresses a file it opens by name by its suffix
+    p = tmp_path / f"samples{suffix}"
+    p.write_text("t,x\n" + _rows())
+    got = _read_outcome(cli._read_csv, str(p))
+    assert got == (_read_outcome(cli._read_csv_rows, str(p))[0], [])
+    assert main(["instfreq", "--csv", str(p)]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_read_csv", cli._read_csv_rows)
+    assert main(["instfreq", "--csv", str(p)]) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_the_array_pass_gives_numpy_a_path_that_is_never_a_url(
+        tmp_path, monkeypatch):
+    # numpy reads a file it opens by name in chunks, but a handle line by
+    # line; a name that parses as a URL it would fetch
+    import urllib.request
+
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("numpy read the path as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "y.csv").write_text("t,x\n" + _rows())
+    monkeypatch.chdir(tmp_path)
+    want = cli._read_csv_rows("http://localhost/y.csv")
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        sources.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    def refused(path):
+        raise AssertionError("row reader called")
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    monkeypatch.setattr(cli, "_read_csv_rows", refused)
+    assert cli._read_csv("http://localhost/y.csv") == want
+    assert [type(s) for s in sources] == [str]
+    assert sources == [str(tmp_path / "http:" / "localhost" / "y.csv")]
+
+
 _CSV_PIECES = ["0", "1", "7", ".", "e", "-", "+", "_", ",", ",", '"', " ",
                "\t", "\n", "\n", "\r\n", "\r", "#", "nan", "inf", "1e400",
                "١", "\x00", "\x0b", "\x1c", "\x85"]

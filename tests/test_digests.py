@@ -1,6 +1,6 @@
 """Byte identity of every output the digest tool covers.
 
-`tests/digests.txt` holds the ten lines of
+`tests/digests.txt` holds the eleven lines of
 `tools/digest_outputs.py --seeds 1 2 3 4 5`.  A change that moves an output
 on purpose rewrites that file with the tool's new lines and names each
 changed line in its change notes.
@@ -17,7 +17,7 @@ def test_every_output_matches_the_recorded_digests():
     # The `roots` line is pinned too.  Its float poles start from LAPACK's
     # eigenvalues of a companion matrix, so on a host whose LAPACK rounds
     # them otherwise that line alone may differ while the program is right;
-    # the other nine do not depend on it.
+    # the other ten do not depend on it.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "digest_outputs.py"),
          "--seeds", "1", "2", "3", "4", "5"],

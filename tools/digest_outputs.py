@@ -26,7 +26,9 @@ series at t = 0, where it is exact.  A `parsed` SHA-256 covers
 `repr(parse(text))`, or the failure, of a fixed list of texts that no
 bench op writes (`PARSED_TEXTS`): rational functions of t, which reach
 `as_ratfunc_in_t` and the rational fold of `make_mul`, and call arguments
-that `_linear_call` does not read off the tokens.
+that `_linear_call` does not read off the tokens.  A `csv` SHA-256 covers
+`instfreq --csv` in text and in JSON, its output or its error line, over a
+fixed corpus of files (`csv_corpus`).
 """
 
 from __future__ import annotations
@@ -233,6 +235,50 @@ def roots_digest(parse) -> str:
     return h.hexdigest()
 
 
+def _csv_rows(n=15, sep="\n", fmt="{t},{x}") -> str:
+    return "".join(fmt.format(t=k / 10, x=(k / 10) ** 3 - k / 7) + sep
+                   for k in range(n))
+
+
+def csv_corpus() -> dict[str, str]:
+    """File name -> text: the shapes the array pass of `cli._read_csv`
+    takes whole (CRLF, blank lines, padded fields and header, negative
+    zeros, extreme values), a CR-only file, plain files under compressed
+    suffixes, and one cubic of 20,000 samples."""
+    t = [-1 + 2 * k / 19999 for k in range(20000)]
+    cubic = "".join(f"{tk!r},{0.5 + tk * (1.25 - tk * (0.75 + tk))!r}\n"
+                    for tk in t)
+    return {
+        "crlf.csv": "t,x\r\n" + _csv_rows(sep="\r\n"),
+        "blank_lines.csv": "t,x\n\n" + _csv_rows(sep="\n\n"),
+        "spaces.csv": "t,x\n" + _csv_rows(fmt=" {t} ,\t{x} "),
+        "header_spaces.csv": " t , x \n" + _csv_rows(),
+        "negative_zero.csv": "t,x\n-0.0,-0.0\n" + _csv_rows(fmt="{t}1,-0.0"),
+        "extremes.csv": "t,x\n" + _csv_rows(fmt="{t},1e-300") + "2,1.7e308\n",
+        "carriage_returns.csv": "t,x\r" + _csv_rows(sep="\r"),
+        "plain.xz": "t,x\n" + _csv_rows(),
+        "plain.gz": "t,x\n" + _csv_rows(),
+        "cubic-20000.csv": "t,x\n" + cubic,
+    }
+
+
+def csv_digest() -> str:
+    """The digest of `instfreq --csv`, text then JSON, over `csv_corpus`:
+    (status, stdout, stderr) of each, with the work directory masked."""
+    from algspec.cli import CliConfig, run
+
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in csv_corpus().items():
+            path = Path(tmp, name)
+            path.write_text(text, newline="")
+            for output in ("text", "json"):
+                got = run(CliConfig("instfreq", csv_path=str(path),
+                                    output=output))
+                h.update(repr(got).replace(tmp, "<work>").encode() + b"\0")
+    return h.hexdigest()
+
+
 def demos_digest() -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -265,7 +311,8 @@ def main(argv=None) -> int:
     print(f"jets  {jets_digest(parse, texts, (0.5, 1.25))}", flush=True)
     print(f"jets0  {jets_digest(parse, texts, (0.0,))}", flush=True)
     print(f"parsed  {trees_digest(parse, PARSED_TEXTS)}", flush=True)
-    print(f"demos  {demos_digest()}")
+    print(f"demos  {demos_digest()}", flush=True)
+    print(f"csv  {csv_digest()}")
     return 0
 
 

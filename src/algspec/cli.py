@@ -7,13 +7,15 @@ parameters, unreadable CSV, a value beyond the float range), a number with
 more digits than the interpreter prints, or standard output closed before
 the output was written, 2 numerical failure (root finding or partial
 fractions did not converge).  All output is deterministic: floats are
-rendered with 12 significant digits and JSON keys are fixed.
+rendered with 12 significant digits, byte for byte as `%.12g` prints them,
+and JSON keys are fixed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -263,27 +265,152 @@ def _trace_text(trace: PhiTrace) -> str:
         rows = "".join(f"\n{_g12(t)} {'none' if p is None else _g12(p)}"
                        for t, p in zip(trace.times, trace.phi))
     else:
-        # one format call over the interleaved floats; adding 0.0 turns
-        # -0.0 into 0.0, which %g prints as 0, as _g12 does
-        import numpy as np
-
-        flat = np.column_stack(trace.arrays)
-        flat += 0.0
-        rows = ("\n%.12g %.12g" * len(flat)) % tuple(flat.ravel().tolist())
+        rows = _g12_join(trace.arrays, "\n ")
     return f"method: {trace.method}\nt phi{rows}"
 
 
 def _float_list(values) -> str:
-    """A JSON list of floats and None, as `_json_value` renders it, in one
-    format call; adding 0.0 turns -0.0 into 0.0, which %g prints as 0, as
-    _g12 does.  `values` is a tuple or list, or a float64 array."""
-    if isinstance(values, (tuple, list)):
-        fmt = ",".join(["null" if v is None else "%.12g" for v in values])
-        flat = [v + 0.0 for v in values if v is not None]
-    else:
-        fmt = ",".join(["%.12g"] * len(values))
-        flat = (values + 0.0).tolist()
+    """A JSON list of floats and None, as `_json_value` renders it.  A
+    tuple or list is printed in one format call, where adding 0.0 turns
+    -0.0 into 0.0, which %g prints as 0, as _g12 does; a float64 array by
+    `_g12_join`."""
+    if not isinstance(values, (tuple, list)):
+        return "[" + _g12_join((values,), ",")[1:] + "]"
+    fmt = ",".join(["null" if v is None else "%.12g" for v in values])
+    flat = [v + 0.0 for v in values if v is not None]
     return "[" + fmt % tuple(flat) + "]"
+
+
+# cells per block of `_g12_join`; its uint16 byte offsets into the block's
+# 16-byte cell sources then reach 16 * 4096 - 1 at most
+_G12_BLOCK = 4096
+
+
+@functools.cache
+def _g12_tables() -> tuple:
+    """The read-only tables of `_g12_join`, built on its first call:
+
+    - digits: the four ASCII digits of each group 0..9999, as one uint32;
+    - zeros: the trailing zero digits of each group, 4 for 0;
+    - slots, chars: per layout key, the 19 bytes of a cell (separator,
+      sign and up to 17 characters of %g's text), each a byte of the
+      cell's source (slots) plus a constant (chars) where that byte is
+      empty.  The key of a cell with exponent e in [-11, 34] and s
+      significant digits is 12 * (e + 11) + s - 1; the last two keys print
+      0 and the placeholder of a cell written on its own;
+    - up, down: 10**p = up[i] / down[i] for i = 350 + p, one of them 1,
+      so that a * up[i] / down[i] is rounded once; nan for |p| > 22,
+      where 10**p is inexact.  p from -350 to 350 covers 11 - e for the
+      exponent e of every float.
+    """
+    import numpy as np
+
+    g = np.arange(10000)
+    places = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], 1)
+    digits = (places + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = sum((g % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+    # a cell's source bytes: 0-11 the digits of its mantissa, 12 the
+    # separator, 13 the sign, 14 and 15 empty
+    keys = 12 * 46 + 2
+    slots = np.full((keys, 19), 14, np.uint16)
+    chars = np.zeros((keys, 19), np.uint8)
+    for e in range(-11, 35):
+        for s in range(1, 13):
+            # %g: digits of the mantissa by place, and constant characters
+            if -4 <= e < 0:
+                text = ["0", "."] + ["0"] * (-e - 1) + list(range(s))
+            elif 0 <= e < 12:
+                text = list(range(max(s, e + 1)))
+                if s > e + 1:
+                    text.insert(e + 1, ".")
+            else:
+                text = [0] + (["."] + list(range(1, s)) if s > 1 else [])
+                text += "e%+03d" % e
+            for slot, x in enumerate([12, 13] + text):
+                if isinstance(x, str):
+                    chars[12 * (e + 11) + s - 1, slot] = ord(x)
+                else:
+                    slots[12 * (e + 11) + s - 1, slot] = x
+    slots[-2:, 0] = 12
+    chars[-2:, 1] = [ord("0"), 1]
+    p = np.arange(-350, 351)
+    up = np.where(np.abs(p) <= 22, 10.0 ** np.clip(p, 0, 22), np.nan)
+    down = 10.0 ** np.clip(-p, 0, 22)
+    tables = (digits, zeros, slots, chars, up, down)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _g12_join(columns, seps: str) -> str:
+    """The float64 arrays `columns`, row by row, each cell after its
+    column's one-character separator in `seps`; byte for byte
+    "".join(sep + "%.12g" % (x + 0.0) for row in rows for x, sep in
+    zip(row, seps)), rendered in numpy over blocks of `_G12_BLOCK` cells.
+
+    A finite nonzero |x| is read at e = floor(log10 |x|) as
+    q = |x| * 10**(11 - e), in [1e11, 1e12].  For |11 - e| <= 22 the power
+    of ten is exact, so q is rounded once; rounding is monotonic and each
+    n + 1/2 is a float at this scale, so q lies on the side of it that the
+    exact product lies on, or on it.  rint(q) is then the correctly
+    rounded 12-digit mantissa unless q is exactly a half.  A mantissa of
+    10**12 is 10**11 with e + 1.  The digits and the layout %g gives them
+    are looked up in `_g12_tables`.  A cell whose q is a half or outside
+    [1e11, 1e12], with |11 - e| > 22, or not finite is written on its own
+    by `%`.
+    """
+    import numpy as np
+
+    digits, zeros, slots, chars, up, down = _g12_tables()
+    zero_key, own_key = len(slots) - 2, len(slots) - 1
+    rows = _G12_BLOCK // len(columns)
+    offsets = (16 * np.arange(rows * len(columns), dtype=np.uint16))[:, None]
+    out = []
+    for lo in range(0, len(columns[0]), rows):
+        x = np.stack([col[lo:lo + rows] for col in columns], 1).ravel()
+        src = np.zeros((len(x), 4), np.uint32)
+        src8 = src.view(np.uint8)
+        src8.reshape(-1, len(seps), 16)[:, :, 12] = [ord(c) for c in seps]
+        src8[:, 13] = (x < 0) * ord("-")
+        a = np.abs(x)
+        finite = (a > 0) & (a < np.inf)
+        a[~finite] = 1.0
+        # i = 350 + 11 - e; next to a power of ten, where log10 may miss e
+        # by one, q falls outside [1e11, 1e12] and the cell is left to `%`
+        i = 361 - np.floor(np.log10(a)).astype(np.intp)
+        q = a * up.take(i) / down.take(i)
+        m = np.rint(q)
+        ok = finite & (q >= 1e11) & (q <= 1e12) & (np.abs(q - m) != 0.5)
+        carry = m == 1e12
+        m[~ok | carry] = 1e11
+        # m < 1e12, so m / 1e8 and then m / 1e4 are never rounded up to
+        # the next integer
+        g0 = np.floor(m / 1e8)
+        m -= 1e8 * g0
+        g1 = np.floor(m / 1e4)
+        m -= 1e4 * g1
+        g0, g1, g2 = (g.astype(np.intp) for g in (g0, g1, m))
+        digits.take(g0, out=src[:, 0])
+        digits.take(g1, out=src[:, 1])
+        digits.take(g2, out=src[:, 2])
+        z = zeros.take(g2)
+        z += (g2 == 0) * (zeros.take(g1) + (g1 == 0) * zeros.take(g0))
+        # 12 * (e + 11) + s - 1, for s = 12 - z significant digits
+        key = 12 * (372 - i + carry) + 11 - z
+        key[~ok] = own_key
+        key[x == 0] = zero_key
+        at = slots.take(key, axis=0)
+        at += offsets[:len(x)]
+        cells = src8.ravel().take(at)
+        cells += chars.take(key, axis=0)
+        text = cells.tobytes().translate(None, b"\0").decode("ascii")
+        alone = x[key == own_key].tolist()
+        if alone:
+            parts = text.split("\x01")
+            text = parts[0] + "".join("%.12g" % v + part
+                                      for v, part in zip(alone, parts[1:]))
+        out.append(text)
+    return "".join(out)
 
 
 def _trace_json(trace: PhiTrace) -> str:

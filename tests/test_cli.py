@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import algspec
 import oracles
@@ -951,6 +952,83 @@ def test_trace_text_matches_the_per_row_rendering(trace):
 @pytest.mark.parametrize("trace", _TRACES)
 def test_trace_json_matches_the_per_value_rendering(trace):
     assert cli._trace_json(trace) == cli._json_value(trace.as_dict())
+
+
+@pytest.mark.parametrize("trace", [t for t in _TRACES if t.arrays is not None])
+def test_array_traces_render_without_warnings(trace):
+    # the extreme cells are the ones the array renderer leaves to `%`
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._trace_text(trace)
+        cli._trace_json(trace)
+
+
+@pytest.mark.parametrize("name", ["extremes", "uniform_extremes"])
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_instfreq_csv_on_extreme_samples_prints_no_warning(tmp_path, name,
+                                                           output):
+    # a fresh interpreter, so a numpy warning is printed on stderr; the
+    # uniform file takes the array renderer, with cells it leaves to `%`
+    files = {**_ARRAY_CSV,
+             "uniform_extremes": "t,x\n" + _rows(fmt="{t},{x}e-300")}
+    csv_path = tmp_path / f"{name}.csv"
+    csv_path.write_text(files[name])
+    proc = subprocess.run(
+        [sys.executable, "-m", "algspec.cli", "instfreq", "--csv",
+         str(csv_path), *output],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _g12_join_by_percent(columns, seps):
+    """The reference of `cli._g12_join`: one `%` format per cell."""
+    return "".join(sep + "%.12g" % (x + 0.0)
+                   for row in zip(*(col.tolist() for col in columns))
+                   for x, sep in zip(row, seps))
+
+
+def _columns(values, seps):
+    """One column per separator: the values, then the values reversed."""
+    return (values, values[::-1])[:len(seps)]
+
+
+_G12_EDGES = [
+    100000000000.5, 999999999999.5,     # exact ties, rounded to even
+    9.9999999999995,                    # a mantissa carried to 10
+    1e-5, 9.99999999999e-5, 1e-4,       # the switch of %g at 1e-4
+    99999999999.95, 1e12,               # and at 1e12
+    5e-324, 1.7976931348623157e308, 1e300, 1e-300,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 2 * cli._G12_BLOCK + 1)),
+       st.sampled_from([",", "\n "]))
+@example(np.array(_G12_EDGES), ",")
+@example(-np.array(_G12_EDGES), "\n ")
+# a value just below a power of ten, where log10 rounds up to the power
+@example(np.array([10.0 ** k * (1 - 2 ** -53) for k in range(-30, 40)]),
+         ",")
+def test_g12_join_matches_the_percent_join(values, seps):
+    columns = _columns(values, seps)
+    assert cli._g12_join(columns, seps) == _g12_join_by_percent(columns,
+                                                                seps)
+
+
+@pytest.mark.parametrize("seps", [",", "\n "])
+def test_g12_join_matches_the_percent_join_on_random_bits(seps):
+    rng = np.random.default_rng(2718)
+    bits = rng.integers(-2 ** 63, 2 ** 63, 20_000, dtype=np.int64)
+    # 12-digit mantissas a half from an integer, at every exponent the
+    # array renderer reaches, and every power of ten
+    ties = ((rng.integers(10 ** 11, 10 ** 12, 5_000) + 0.5)
+            * 10.0 ** rng.integers(-22, 23, 5_000))
+    powers = 10.0 ** np.arange(-323, 309)
+    values = np.concatenate([bits.view(np.float64), ties, -ties, powers,
+                             -powers])
+    columns = _columns(values, seps)
+    assert cli._g12_join(columns, seps) == _g12_join_by_percent(columns,
+                                                                seps)
 
 
 def test_mixed_trace_holds_none_and_floats():

@@ -27,8 +27,8 @@ series at t = 0, where it is exact.  A `parsed` SHA-256 covers
 bench op writes (`PARSED_TEXTS`): rational functions of t, which reach
 `as_ratfunc_in_t` and the rational fold of `make_mul`, and call arguments
 that `_linear_call` does not read off the tokens.  A `csv` SHA-256 covers
-`instfreq --csv` in text and in JSON, its output or its error line, over a
-fixed corpus of files (`csv_corpus`).
+`instfreq --csv` in text and in JSON at degrees 3 and 2, its output or its
+error line, over a fixed corpus of files (`csv_corpus`).
 """
 
 from __future__ import annotations
@@ -240,11 +240,22 @@ def _csv_rows(n=15, sep="\n", fmt="{t},{x}") -> str:
                    for k in range(n))
 
 
+def _grid_csv(t0: float, dt: float, n: int, scale: float = 1.0) -> str:
+    """A 't,x' file of n uniform samples from t0, of the cubic of
+    `_csv_rows` in the sample number, times scale."""
+    return "t,x\n" + "".join(
+        f"{t0 + k * dt!r},{scale * ((k / 10) ** 3 - k / 7)!r}\n"
+        for k in range(n))
+
+
 def csv_corpus() -> dict[str, str]:
     """File name -> text: the shapes the array pass of `cli._read_csv`
     takes whole (CRLF, blank lines, padded fields and header, negative
     zeros, extreme values), a CR-only file, plain files under compressed
-    suffixes, and one cubic of 20,000 samples."""
+    suffixes, and one cubic of 20,000 samples; then uniform files whose
+    printed cells cross the boundaries of 12-digit text: times that are
+    all ties, times k*1e-6 across the 1e-5 and 1e-4 switches of `%g`,
+    times across 1e11, 1e12 and 1e13, and a Phi with 3-digit exponents."""
     t = [-1 + 2 * k / 19999 for k in range(20000)]
     cubic = "".join(f"{tk!r},{0.5 + tk * (1.25 - tk * (0.75 + tk))!r}\n"
                     for tk in t)
@@ -259,12 +270,20 @@ def csv_corpus() -> dict[str, str]:
         "plain.xz": "t,x\n" + _csv_rows(),
         "plain.gz": "t,x\n" + _csv_rows(),
         "cubic-20000.csv": "t,x\n" + cubic,
+        "ties.csv": _grid_csv(100000000000.5, 1.0, 40),
+        "micro.csv": _grid_csv(0.0, 1e-6, 200),
+        "near-1e11.csv": _grid_csv(99999999998.0, 0.125, 40),
+        "near-1e12.csv": _grid_csv(999999999990.25, 0.5, 40),
+        "near-1e13.csv": _grid_csv(9999999999980.0, 1.0, 40),
+        "tiny-phi.csv": _grid_csv(0.0, 0.1, 40, scale=1e-200),
     }
 
 
 def csv_digest() -> str:
-    """The digest of `instfreq --csv`, text then JSON, over `csv_corpus`:
-    (status, stdout, stderr) of each, with the work directory masked."""
+    """The digest of `instfreq --csv`, text then JSON, at degree 3 and at
+    degree 2, over `csv_corpus`: (status, stdout, stderr) of each, with the
+    work directory masked.  Degree 2 fits windows 1e-6 wide, which degree 3
+    finds rank deficient."""
     from algspec.cli import CliConfig, run
 
     h = hashlib.sha256()
@@ -272,10 +291,12 @@ def csv_digest() -> str:
         for name, text in csv_corpus().items():
             path = Path(tmp, name)
             path.write_text(text, newline="")
-            for output in ("text", "json"):
-                got = run(CliConfig("instfreq", csv_path=str(path),
-                                    output=output))
-                h.update(repr(got).replace(tmp, "<work>").encode() + b"\0")
+            for degree in (3, 2):
+                for output in ("text", "json"):
+                    got = run(CliConfig("instfreq", csv_path=str(path),
+                                        degree=degree, output=output))
+                    h.update(repr(got).replace(tmp, "<work>").encode()
+                             + b"\0")
     return h.hexdigest()
 
 

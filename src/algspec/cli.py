@@ -171,9 +171,13 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 def _read_csv(path: str) -> SampledSignal:
     """The samples of a 't,x' file, parsed in one array pass.
 
-    A file the array pass does not take whole goes to `_read_csv_rows`,
-    which accepts the same files, gives the same samples, and names the
-    offending line of any other file.
+    `_loadtxt_reads_like_csv` scans the file's bytes once and reads the
+    header off its first chunk.  A file it passes, and from which loadtxt
+    and `SampledSignal` build a signal, is read whole by numpy; any other
+    file goes to `_read_csv_rows`, which accepts the same files, gives the
+    same samples, and names the offending line of any other file.  So the
+    file is opened twice, by the scan and by numpy, and its only
+    finiteness test is `SampledSignal`'s.
 
     numpy is given the file's path, not an open handle: a path it opens
     itself and reads in chunks in C, with universal newlines and `open`'s
@@ -187,38 +191,45 @@ def _read_csv(path: str) -> SampledSignal:
 
     if (not path.lower().endswith(_COMPRESSED_SUFFIXES)
             and _loadtxt_reads_like_csv(path)):
-        with open(path, newline="") as fh:
-            header = fh.readline()
-        # csv splits a line without quotes at its commas, as here
-        if [c.strip() for c in header.split(",")] == ["t", "x"]:
-            with warnings.catch_warnings():
-                # a header-only file is reported by the row reader
-                warnings.filterwarnings("ignore", "loadtxt: input "
-                                        "contained no data", UserWarning)
-                try:
-                    data = np.loadtxt(os.path.abspath(path), delimiter=",",
-                                      comments=None, dtype=float, ndmin=2,
-                                      skiprows=1)
-                except ValueError:
-                    data = None
-            if (data is not None and data.shape[0] and data.shape[1] == 2
-                    and np.isfinite(data).all()):
-                return SampledSignal(data[:, 0], data[:, 1])
+        with warnings.catch_warnings():
+            # a header-only file is reported by the row reader
+            warnings.filterwarnings("ignore", "loadtxt: input "
+                                    "contained no data", UserWarning)
+            try:
+                data = np.loadtxt(os.path.abspath(path), delimiter=",",
+                                  comments=None, dtype=float, ndmin=2,
+                                  skiprows=1)
+                if data.shape[0] and data.shape[1] == 2:
+                    return SampledSignal(data[:, 0], data[:, 1])
+            except ValueError:
+                pass
     return _read_csv_rows(path)
 
 
 def _loadtxt_reads_like_csv(path: str) -> bool:
-    """Whether loadtxt gives the row reader's samples wherever it parses
-    the file.  Two things would differ: a line longer than csv's field
-    size limit, which the row reader refuses, and the separators 0x1c-0x1f,
-    which loadtxt strips around a number and `float` refuses.  Lines are
-    measured in bytes, never fewer than their characters; a quote, which
-    could join lines into one csv field, is a non-numeric field to
-    loadtxt."""
+    """Whether the file has the 't,x' header and loadtxt gives the row
+    reader's samples wherever it parses the file.
+
+    The header is the bytes of the first chunk before its first b"\r" or
+    b"\n", which the chunk must hold, split at b"," and stripped of ASCII
+    whitespace; it must be exactly [b"t", b"x"].  `bytes.strip` strips a
+    subset of what the row reader's `str.strip` does, so every header
+    taken here is one the row reader takes.  Two things would differ in
+    the rest: a line longer than csv's field size limit, which the row
+    reader refuses, and the separators 0x1c-0x1f, which loadtxt strips
+    around a number and `float` refuses.  Lines are measured in bytes,
+    never fewer than their characters; a quote, which could join lines
+    into one csv field, is a non-numeric field to loadtxt."""
     limit = csv.field_size_limit()
+    size = min(limit, 1 << 16)
     with open(path, "rb") as raw:
+        chunk = raw.read(size)
+        header = re.match(rb"[^\r\n]*[\r\n]", chunk)
+        if not header or ([c.strip() for c in header[0].split(b",")]
+                          != [b"t", b"x"]):
+            return False
         pos, newline = 0, -1    # offsets of this chunk and of the last b"\n"
-        while chunk := raw.read(min(limit, 1 << 16)):
+        while chunk:
             if any(bytes([c]) in chunk for c in range(0x1C, 0x20)):
                 return False
             # the line ending at the chunk's first b"\n" may have begun in
@@ -230,6 +241,7 @@ def _loadtxt_reads_like_csv(path: str) -> bool:
             if first >= 0:
                 newline = pos + chunk.rfind(b"\n")
             pos += len(chunk)
+            chunk = raw.read(size)
     return pos - newline <= limit + 1
 
 

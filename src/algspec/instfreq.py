@@ -11,11 +11,14 @@ truncated Taylor series (x, x', x''/2) at the point, propagated node by
 node without differentiating the tree (exact in Q(i) at t = 0, so a
 removable singularity there takes its limit); and a sliding least-squares
 polynomial fit for sampled data (uniform weights, centered windows; edge
-points are not estimated).  On uniform samples every window shares one set
-of fit weights, the Savitzky-Golay construction (Savitzky and Golay, Anal.
-Chem. 1964), applied to the whole signal by correlation.  Non-uniform
-samples are fit window by window; that loop is also the reference the
-uniform route is tested against.
+points are not estimated).  Both fits work in the window's time scaled to
+about [-1, 1], so no verdict depends on the time unit.  On uniform samples
+every window shares one set of fit weights, the Savitzky-Golay
+construction (Savitzky and Golay, Anal. Chem. 1964), applied to the whole
+signal by correlation; its matrix is well conditioned at every window, so
+it always gives a float.  Non-uniform samples are fit window by window,
+and a window whose times fall into too few clusters for the degree reads
+None; that loop is also the reference the uniform route is tested against.
 
 Sampled data stays in float64 arrays: `SampledSignal` holds its samples as
 arrays, both fits read them, and the uniform route returns a `PhiTrace`
@@ -77,14 +80,14 @@ class SampledSignal(_FrozenValue):
 
 
 class PhiTrace(_FrozenValue):
-    """Instantaneous-frequency estimates; phi entries are floats or None
-    where a window fit was ill conditioned, and `method` is "symbolic" or
-    "fitted".
+    """Instantaneous-frequency estimates; phi entries are floats, or None
+    where a window of non-uniform samples was rank deficient (only the
+    per-window route reports None), and `method` is "symbolic" or "fitted".
 
     `arrays` is None for a trace built from sequences, which `times` and
-    `phi` then hold as given.  `phi_fitted` builds a trace whose entries
-    are all floats over the float64 arrays (times, phi), and `times` and
-    `phi` are then tuples built from them on first read.
+    `phi` then hold as given.  On uniform samples `phi_fitted` builds a
+    trace over the float64 arrays (times, phi), and `times` and `phi` are
+    then tuples built from them on first read.
     """
 
     _fields = ("times", "phi", "method")
@@ -170,18 +173,22 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
 
     Each interior point gets a centered window of the given odd width; a
     polynomial of the given degree (2 to 4) is fit with uniform weights in
-    local time, and its first two derivatives at the center feed the Phi
-    formula.  Points whose fit is rank deficient report None.
+    the window's time scaled to about [-1, 1], and its first two
+    derivatives at the center, rescaled to the signal's time, feed the Phi
+    formula.  Rank is decided in that scaled variable, so the verdict does
+    not depend on the time unit.
 
     On uniform samples the fit is linear in the window's values with the
-    same weights everywhere: the rows of the pseudo-inverse of the window's
-    Vandermonde matrix, taken here on the grid k/half (k = -half..half) so
-    that it stays well conditioned at any width.  Rank deficiency is then
-    one decision for all windows, made as lstsq makes it: on the singular
-    values of the Vandermonde matrix in local time k*dt, with lstsq's
-    default cutoff.  Non-uniform samples are fit window by window.  A Phi
-    that is not finite, from samples near the float limit, raises
-    OverflowError on both routes.
+    same weights everywhere: the rows of the pseudo-inverse of the
+    Vandermonde matrix on the grid k/half (k = -half..half), with x' and
+    x'' rescaled by half*dt.  That matrix has window >= 5 >= degree + 1
+    distinct nodes in [-1, 1], and its condition number stays below 24 at
+    every window, so this route never needs a rank test and every Phi is
+    a float.  Non-uniform samples are fit window by window
+    (`_phi_fitted_per_window`), where a window whose nodes fall into
+    degree or fewer tight clusters reports None.  A Phi that is not
+    finite, from samples near the float limit, raises OverflowError on
+    both routes.
     """
     import numpy as np
 
@@ -196,29 +203,34 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
         return _phi_fitted_per_window(sig, window, degree)
     half = window // 2
     times, values = sig.arrays
-    times = times[half:len(sig) - half]
     k = np.arange(-half, half + 1)
-    sv = np.linalg.svd(np.vander(k * dt, degree + 1, increasing=True),
-                       compute_uv=False)
-    if sv[-1] <= np.finfo(float).eps * max(window, degree + 1) * sv[0]:
-        return PhiTrace(tuple(times.tolist()), (None,) * len(times),
-                        "fitted")
     weights = np.linalg.pinv(np.vander(k / half, degree + 1, increasing=True))
     scale = half * dt
-    # samples near the float limit overflow to inf or nan, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # samples near the float limit, or a step whose scale squared
+    # underflows, give inf or nan, without a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x1 = np.correlate(values, weights[1], "valid") / scale
         x2 = 2.0 * np.correlate(values, weights[2], "valid") / (scale * scale)
         phi = x2 / np.sqrt(1.0 + x1 * x1)
     if not np.isfinite(phi).all():
         raise OverflowError("a Phi exceeds the float range")
-    return PhiTrace._of_arrays(times, phi, "fitted")
+    return PhiTrace._of_arrays(times[half:len(sig) - half], phi, "fitted")
 
 
 def _phi_fitted_per_window(sig: SampledSignal, window: int,
                            degree: int) -> PhiTrace:
     """phi_fitted by one lstsq solve per window: the route for non-uniform
-    samples, and the reference for the uniform one."""
+    samples, and the reference for the uniform one.
+
+    Each window is fit in u = tau/h, with tau the local time and h the
+    window's half-width rounded up to a power of two, so that the nodes
+    fill about [-1, 1] at any time unit and scaling by h, and the rescale
+    x' = c1/h, x'' = 2/h*c2/h, are exact in the normal range; in that
+    order no step of x'' overflows unless x'' does, and h*h, which would
+    underflow, is never formed.  lstsq's rank verdict on u is then the
+    same at every unit: None only where the nodes fall into degree or
+    fewer clusters.  h is a Python float, so an overflowing slope is inf
+    without a numpy warning."""
     import numpy as np
 
     times, values = sig.arrays
@@ -228,15 +240,16 @@ def _phi_fitted_per_window(sig: SampledSignal, window: int,
     out_phi = []
     for j in centers:
         tau = times[j - half:j + half + 1] - times[j]
-        v = np.vander(tau, degree + 1, increasing=True)
+        h = math.ldexp(1.0, math.frexp(max(-tau[0], tau[-1]))[1])
+        v = np.vander(tau / h, degree + 1, increasing=True)
         coef, _, rank, _ = np.linalg.lstsq(v, values[j - half:j + half + 1],
                                            rcond=None)
         out_t.append(float(times[j]))
         if rank < degree + 1:
             out_phi.append(None)
             continue
-        x1 = float(coef[1])
-        phi = 2.0 * float(coef[2]) / math.sqrt(1.0 + x1 * x1)
+        x1 = float(coef[1]) / h
+        phi = 2.0 / h * float(coef[2]) / h / math.sqrt(1.0 + x1 * x1)
         if not math.isfinite(phi):
             raise OverflowError("a Phi exceeds the float range")
         out_phi.append(phi)

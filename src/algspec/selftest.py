@@ -23,7 +23,7 @@ from .sigexpr import ParameterError, SignalClass, classify, parse
 from .weylode import WeylOp, catalog_equation, finite_singularities, \
     singularity_at_infinity
 
-__all__ = ["run_all", "main"]
+__all__ = ["run_all"]
 
 _CHECKS: list = []
 
@@ -353,12 +353,3 @@ def run_all() -> tuple[list[str], int]:
     lines.append(f"{len(_CHECKS) - failures} of {len(_CHECKS)} checks passed")
     return lines, failures
 
-
-def main() -> int:
-    lines, failures = run_all()
-    print("\n".join(lines))
-    return 0 if failures == 0 else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -872,6 +872,49 @@ def test_the_array_pass_gives_numpy_a_path_that_is_never_a_url(
     assert sources == [str(tmp_path / "http:" / "localhost" / "y.csv")]
 
 
+def test_the_array_pass_opens_the_file_once_before_numpy(tmp_path,
+                                                         monkeypatch):
+    # the byte scan also reads the header; numpy's own open is not counted
+    p = tmp_path / "samples.csv"
+    p.write_text(" t , x \r\n" + _rows(sep="\r\n"))
+    want = cli._read_csv_rows(str(p))
+    opens, at_loadtxt = [], []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        opens.append(args[0])
+        return open(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        at_loadtxt.append(len(opens))
+        return loadtxt(*args, **kwargs)
+
+    def refused(path):
+        raise AssertionError("row reader called")
+
+    monkeypatch.setattr(cli, "open", counting, raising=False)
+    monkeypatch.setattr(np, "loadtxt", recording)
+    monkeypatch.setattr(cli, "_read_csv_rows", refused)
+    assert cli._read_csv(str(p)) == want
+    assert at_loadtxt == [1]
+    assert opens == [str(p)]
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]])
+def test_instfreq_csv_at_a_megahertz_prints_every_phi(tmp_path, output):
+    # windows 1e-5 wide, whose rank is decided in their scaled time
+    csv_path = tmp_path / "one-mhz.csv"
+    csv_path.write_text("t,x\n" + "".join(
+        f"{k * 1e-6!r},{(k / 10) ** 3 - k / 7!r}\n" for k in range(40)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "algspec.cli", "instfreq",
+         "--csv", str(csv_path), *output],
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == (1 if output else 32)
+    assert "none" not in proc.stdout and "null" not in proc.stdout
+
+
 _CSV_PIECES = ["0", "1", "7", ".", "e", "-", "+", "_", ",", ",", '"', " ",
                "\t", "\n", "\n", "\r\n", "\r", "#", "nan", "inf", "1e400",
                "١", "\x00", "\x0b", "\x1c", "\x85"]
@@ -906,7 +949,8 @@ def _trace_text_per_row(trace):
 
 
 def _mixed_trace():
-    # the first windows are 1e-7 wide, below lstsq's cutoff at degree 4
+    # the windows across the jump from 2e-6 to 1 hold one cluster of times
+    # 1e-7 apart and one or two lone times, too few for degree 4
     rng = random.Random(2509)
     times = [1e-7 * k for k in range(20)] + [
         1.0 + 0.01 * (k + rng.uniform(-0.2, 0.2)) for k in range(40)]

@@ -315,11 +315,13 @@ def test_fit_error_shrinks_with_sampling_step():
     assert fine <= coarse / 2.0
 
 
-def _cubic_samples(rng, t):
+def _cubic_samples(rng, t, unit=1.0):
+    """Samples of a random cubic in t/unit, and its exact Phi in t."""
     a = [rng.uniform(-2, 2) for _ in range(4)]
-    x = a[0] + t * (a[1] + t * (a[2] + t * a[3]))
-    x1 = a[1] + t * (2 * a[2] + 3 * a[3] * t)
-    x2 = 2 * a[2] + 6 * a[3] * t
+    u = t / unit
+    x = a[0] + u * (a[1] + u * (a[2] + u * a[3]))
+    x1 = (a[1] + u * (2 * a[2] + 3 * a[3] * u)) / unit
+    x2 = (2 * a[2] + 6 * a[3] * u) / unit / unit
     sig = SampledSignal(tuple(t.tolist()), tuple(x.tolist()))
     return sig, x, x2 / np.sqrt(1.0 + x1 * x1)
 
@@ -378,22 +380,78 @@ def test_overflowing_slope_reads_zero_without_a_warning():
     assert got.phi == (0.0,) * 6
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-3])
-def test_rank_deficient_windows_read_none(jitter):
-    # degree 4 in local time: tau^4 falls below lstsq's cutoff as dt shrinks
-    rng = random.Random(2506)
-    steps = np.logspace(-6, -4, 41)
-    for j, dt in enumerate(steps):
-        times = [dt * (k + rng.uniform(-jitter, jitter)) for k in range(60)]
-        sig = SampledSignal(tuple(times),
-                            tuple(math.sin(1e3 * t) for t in times))
-        got = [p is None for p in phi_fitted(sig, window=11, degree=4).phi]
-        want = _phi_fitted_per_window(sig, 11, 4)
-        assert got == [p is None for p in want.phi]
-        if j == 0:
-            assert got == [True] * 50
-        if j == len(steps) - 1:
-            assert got == [False] * 50
+def test_a_step_whose_scale_squared_underflows_prints_no_warning():
+    # half*dt squared is 0 at this step; the fit may refuse, but silently
+    times = 1e-165 * np.arange(20)
+    sig = SampledSignal(times, 0.5 * np.arange(20.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            phi_fitted(sig)
+        except OverflowError:
+            pass
+
+
+@pytest.mark.parametrize("power", range(-9, 10))
+def test_the_fit_verdict_does_not_depend_on_the_time_unit(power):
+    # a cubic in t/(30*dt): the same samples at every unit, so every fit
+    # must give a float at every unit
+    dt = 10.0 ** power
+    rng = random.Random(2506 + power)
+    k = np.arange(-30, 30)
+    jitter = np.array([rng.uniform(-1e-3, 1e-3) for _ in k])
+    for window in (5, 11, 15):
+        half = window // 2
+        for degree in (2, 3, 4):
+            sig, x, exact = _cubic_samples(rng, dt * k, 30 * dt)
+            got = phi_fitted(sig, window=window, degree=degree)
+            assert got.arrays is not None
+            want = _phi_fitted_per_window(sig, window, degree)
+            assert None not in want.phi
+            exact = exact[half:len(k) - half]
+            bound = _rounding_bound(x, dt, window, degree, exact)
+            assert np.all(np.abs(got.arrays[1] - want.phi) <= bound)
+            if degree >= 3:
+                assert np.all(np.abs(got.arrays[1] - exact) <= bound)
+            sig, _, exact = _cubic_samples(rng, dt * (k + jitter), 30 * dt)
+            got = phi_fitted(sig, window=window, degree=degree)
+            assert got.arrays is None and None not in got.phi
+            assert np.all(np.isfinite(got.phi))
+            if degree >= 3:
+                exact = exact[half:len(k) - half]
+                err = np.abs(np.array(got.phi) - exact)
+                assert np.max(err) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_the_uniform_weights_are_well_conditioned_at_every_window():
+    # why the uniform route needs no rank test: its one matrix has
+    # window >= degree + 1 distinct nodes in [-1, 1]
+    worst = 0.0
+    for window in range(5, 2002, 2):
+        half = window // 2
+        u = np.arange(-half, half + 1) / half
+        for degree in (2, 3, 4):
+            worst = max(worst, np.linalg.cond(
+                np.vander(u, degree + 1, increasing=True)))
+    assert worst < 30
+
+
+@pytest.mark.parametrize("unit", [1e-6, 1.0, 1e6, 1e9])
+def test_clustered_times_read_none_at_any_unit(unit):
+    # eleven times in three clusters a few ulps wide: degree 3 cannot be
+    # told from degree 2 there, while degree 2 is fit
+    right = [unit]
+    for _ in range(3):
+        right.append(np.nextafter(right[-1], np.inf))
+    ulp = np.spacing(unit)
+    times = np.array([-t for t in reversed(right)] + [-ulp, 0.0, ulp]
+                     + right)
+    sig = SampledSignal(times, np.cos(times / unit))
+    assert phi_fitted(sig, window=11, degree=3).phi == (None,)
+    assert phi_fitted(sig, window=11, degree=4).phi == (None,)
+    (phi,) = phi_fitted(sig, window=11, degree=2).phi
+    assert phi * unit * unit == pytest.approx(2 * (math.cos(1.0) - 1.0),
+                                              rel=1e-9)
 
 
 # --- tone comparison table ---------------------------------------------------

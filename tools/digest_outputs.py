@@ -255,7 +255,9 @@ def csv_corpus() -> dict[str, str]:
     suffixes, and one cubic of 20,000 samples; then uniform files whose
     printed cells cross the boundaries of 12-digit text: times that are
     all ties, times k*1e-6 across the 1e-5 and 1e-4 switches of `%g`,
-    times across 1e11, 1e12 and 1e13, and a Phi with 3-digit exponents."""
+    times across 1e11, 1e12 and 1e13, and a Phi with 3-digit exponents;
+    and uniform files sampled every 1e-9 and every 1e5, whose fits must
+    not depend on the time unit."""
     t = [-1 + 2 * k / 19999 for k in range(20000)]
     cubic = "".join(f"{tk!r},{0.5 + tk * (1.25 - tk * (0.75 + tk))!r}\n"
                     for tk in t)
@@ -276,14 +278,16 @@ def csv_corpus() -> dict[str, str]:
         "near-1e12.csv": _grid_csv(999999999990.25, 0.5, 40),
         "near-1e13.csv": _grid_csv(9999999999980.0, 1.0, 40),
         "tiny-phi.csv": _grid_csv(0.0, 0.1, 40, scale=1e-200),
+        "nano.csv": _grid_csv(0.0, 1e-9, 200),
+        "mega.csv": _grid_csv(0.0, 1e5, 200),
     }
 
 
 def csv_digest() -> str:
     """The digest of `instfreq --csv`, text then JSON, at degree 3 and at
     degree 2, over `csv_corpus`: (status, stdout, stderr) of each, with the
-    work directory masked.  Degree 2 fits windows 1e-6 wide, which degree 3
-    finds rank deficient."""
+    work directory masked.  Both degrees run on every file, so a change
+    to either fit, or to the rank verdict of its per-window route, shows."""
     from algspec.cli import CliConfig, run
 
     h = hashlib.sha256()

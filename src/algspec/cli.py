@@ -164,85 +164,64 @@ def _cmd_opform(cfg: CliConfig) -> str:
     return r.format()
 
 
-# the suffixes by which numpy's loader decompresses a file it opens by name
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# bytes per block of `_read_csv`, which completes each to a line end
+_CSV_BLOCK = 1 << 18
 
 
 def _read_csv(path: str) -> SampledSignal:
     """The samples of a 't,x' file, parsed in one array pass.
 
-    `_loadtxt_reads_like_csv` scans the file's bytes once and reads the
-    header off its first chunk.  A file it passes, and from which loadtxt
-    and `SampledSignal` build a signal, is read whole by numpy; any other
-    file goes to `_read_csv_rows`, which accepts the same files, gives the
-    same samples, and names the offending line of any other file.  So the
-    file is opened twice, by the scan and by numpy, and its only
-    finiteness test is `SampledSignal`'s.
-
-    numpy is given the file's path, not an open handle: a path it opens
-    itself and reads in chunks in C, with universal newlines and `open`'s
-    default encoding, as the row reader decodes; a handle it reads one
-    line at a time through Python.  By name, numpy would also decompress
-    a file by its suffix and fetch a URL, so a name with a compressed
-    suffix goes to the row reader, which reads every file as plain text,
-    and numpy gets the absolute path, which is never a URL.
+    The file is opened once and read in binary: the header by `readline`,
+    then the body in blocks of about `_CSV_BLOCK` bytes, each completed to
+    a line end and parsed by `_csv_cells`.  A file whose every block it
+    takes, and from whose samples `SampledSignal` builds a signal, is read
+    there; any other file goes to `_read_csv_rows`, which accepts the same
+    files, gives the same samples, and names the offending line of any
+    other file.  So the only finiteness test of the array pass is
+    `SampledSignal`'s.
     """
-    import numpy as np
-
-    if (not path.lower().endswith(_COMPRESSED_SUFFIXES)
-            and _loadtxt_reads_like_csv(path)):
-        with warnings.catch_warnings():
-            # a header-only file is reported by the row reader
-            warnings.filterwarnings("ignore", "loadtxt: input "
-                                    "contained no data", UserWarning)
-            try:
-                data = np.loadtxt(os.path.abspath(path), delimiter=",",
-                                  comments=None, dtype=float, ndmin=2,
-                                  skiprows=1)
-                if data.shape[0] and data.shape[1] == 2:
-                    return SampledSignal(data[:, 0], data[:, 1])
-            except ValueError:
-                pass
+    with open(path, "rb") as raw:
+        samples = _csv_samples(raw, csv.field_size_limit())
+    if samples is not None and len(samples):
+        try:
+            return SampledSignal(samples[0::2], samples[1::2])
+        except ValueError:
+            pass
     return _read_csv_rows(path)
 
 
-def _loadtxt_reads_like_csv(path: str) -> bool:
-    """Whether the file has the 't,x' header and loadtxt gives the row
-    reader's samples wherever it parses the file.
+def _csv_samples(raw, limit: int):
+    """The cells of the binary file `raw` after its header, in one float64
+    array, or None where the row reader could read the file otherwise.
 
-    The header is the bytes of the first chunk before its first b"\r" or
-    b"\n", which the chunk must hold, split at b"," and stripped of ASCII
-    whitespace; it must be exactly [b"t", b"x"].  `bytes.strip` strips a
-    subset of what the row reader's `str.strip` does, so every header
-    taken here is one the row reader takes.  Two things would differ in
-    the rest: a line longer than csv's field size limit, which the row
-    reader refuses, and the separators 0x1c-0x1f, which loadtxt strips
-    around a number and `float` refuses.  Lines are measured in bytes,
-    never fewer than their characters; a quote, which could join lines
-    into one csv field, is a non-numeric field to loadtxt."""
-    limit = csv.field_size_limit()
-    size = min(limit, 1 << 16)
-    with open(path, "rb") as raw:
-        chunk = raw.read(size)
-        header = re.match(rb"[^\r\n]*[\r\n]", chunk)
-        if not header or ([c.strip() for c in header[0].split(b",")]
-                          != [b"t", b"x"]):
-            return False
-        pos, newline = 0, -1    # offsets of this chunk and of the last b"\n"
-        while chunk:
-            if any(bytes([c]) in chunk for c in range(0x1C, 0x20)):
-                return False
-            # the line ending at the chunk's first b"\n" may have begun in
-            # an earlier chunk; a later one is shorter than the chunk
-            first = chunk.find(b"\n")
-            end = pos + (len(chunk) if first < 0 else first)
-            if end - newline > limit + 1:
-                return False
-            if first >= 0:
-                newline = pos + chunk.rfind(b"\n")
-            pos += len(chunk)
-            chunk = raw.read(size)
-    return pos - newline <= limit + 1
+    The header is the bytes before the first line end, which must be
+    b"\n" or b"\r\n" and come within csv's field size `limit`, split at
+    b"," and stripped of ASCII whitespace; it must be exactly [b"t", b"x"].
+    `bytes.strip` strips a subset of what the row reader's `str.strip`
+    does, so every header taken here is one the row reader takes.  A line
+    longer than `limit` or than a block is left to the row reader."""
+    import numpy as np
+
+    longest = min(limit, _CSV_BLOCK) + 1    # bytes of a line, with b"\n"
+    line = raw.readline(longest + 1)
+    head = line[:-2] if line[-2:] == b"\r\n" else line[:-1]
+    if (line[-1:] != b"\n" or len(head) > limit or b"\r" in head
+            or [c.strip() for c in head.split(b",")] != [b"t", b"x"]):
+        return None
+    parts = []
+    while block := raw.read(_CSV_BLOCK):
+        if block[-1:] != b"\n":
+            rest = raw.readline(longest)
+            block += rest
+            if block[-1:] != b"\n":
+                if len(rest) == longest:
+                    return None
+                block += b"\n"     # the last line ends the file
+        cells = _csv_cells(block, limit)
+        if cells is None:
+            return None
+        parts.append(cells)
+    return np.concatenate(parts) if parts else None
 
 
 def _read_csv_rows(path: str) -> SampledSignal:
@@ -423,6 +402,160 @@ def _g12_join(columns, seps: str) -> str:
                                       for v, part in zip(alone, parts[1:]))
         out.append(text)
     return "".join(out)
+
+
+# the kind `_csv_cells` gives each byte that is not a digit: a dot, a
+# minus, a mark of an exponent ("e", "E" or "+"), the two separators, and
+# any other byte
+_DOT, _MINUS, _EXP, _COMMA, _NEWLINE, _OTHER = range(1, 7)
+_CSV_KINDS = bytes({46: _DOT, 45: _MINUS, 101: _EXP, 69: _EXP, 43: _EXP,
+                    44: _COMMA, 10: _NEWLINE}.get(b, 0 if 48 <= b <= 57
+                                                  else _OTHER)
+                   for b in range(256))
+# blanks inside a cell, and a line of blanks
+_CSV_INNER_BLANK = rb"[^ \t,\n][ \t]+[^ \t,\n]|(?:^|\n)[ \t]+\n"
+_CSV_SCAN = bytes.maketrans(b"\n", b",")
+_POW10 = tuple(float(10 ** q) for q in range(23))
+
+
+def _csv_cells(block: bytes, limit: int):
+    """The cells of `block`, whole lines each ending in b"\n", as one
+    float64 array in file order, each with the bits of `float` of its
+    text; or None where the row reader could read the block otherwise.
+
+    A line is two cells and a comma; a cell is a decimal [-]d*[.d*] with a
+    digit, or any text of digits, ".", "-", "e", "E" and "+" with an
+    exponent mark, which `float` reads.  CRLF ends, blank lines, and
+    spaces and tabs around a cell are dropped first, as the row reader
+    drops them; a lone CR, a blank inside a cell or a line of blanks, a
+    line that may be longer than csv's field size `limit` (its length here
+    plus every byte dropped from the block), or any other byte refuses the
+    block.
+
+    The dots and minus signs deleted and the lines joined by commas, numpy
+    scans each decimal's digits as an int64 m, and its dot gives q digits
+    after it.  For q <= 22 the power of ten p is exact, so where m is a
+    float too, x = m / p is rounded once, as `float` rounds it; elsewhere
+    `_nearest_quotient` corrects x.  A cell with an exponent mark, with
+    q > 22 or m >= 2**62 (the scanner clamps an overflow to 2**63 - 1), or
+    left undecided is read by `float` on its own.  The scan raises on a
+    partial read in numpy 2 and warns in 1.x; both refuse the block.
+    """
+    import numpy as np
+
+    size = len(block)
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):
+            return None
+        block = block.replace(b"\r\n", b"\n")
+    if b" " in block or b"\t" in block:
+        if re.search(_CSV_INNER_BLANK, block):
+            return None
+        block = block.translate(None, b" \t")
+    if block[:1] == b"\n" or b"\n\n" in block:
+        block = b"".join(line + b"\n" for line in block.split(b"\n") if line)
+    a = np.frombuffer(block, np.uint8)
+    # each mark, a byte that is not a digit, after a line end at -1
+    marks = np.flatnonzero((a < 48) | (a > 57))
+    pos = np.empty(len(marks) + 1, np.intp)
+    pos[0], pos[1:] = -1, marks
+    kind = np.empty(len(pos), np.uint8)
+    kind[0] = _NEWLINE
+    np.frombuffer(_CSV_KINDS, np.uint8).take(a.take(marks), out=kind[1:])
+    if (kind == _OTHER).any():
+        return None
+    # cell k runs from ends[k] + 1 to ends[k + 1]; its marks lie between
+    # cut[k] and cut[k + 1]
+    cut = np.flatnonzero(kind >= _COMMA)
+    ends = pos.take(cut)
+    n = len(cut) - 1
+    sep = kind.take(cut[1:])
+    if n % 2 or (sep[0::2] != _COMMA).any() or (sep[1::2] != _NEWLINE).any():
+        return None
+    # no line of the block as read is longer than its line here plus
+    # every byte dropped from the block
+    if n and (int(np.diff(ends[0::2]).max()) + size - len(block)
+              > limit + 1):
+        return None
+    count = np.diff(cut) - 1
+    neg = ((kind.take(cut[:-1] + 1) == _MINUS)
+           & (pos.take(cut[:-1] + 1) == ends[:-1] + 1))
+    dot = kind.take(cut[1:] - 1) == _DOT
+    q = np.where(dot, ends[1:] - pos.take(cut[1:] - 1) - 1, 0)
+    own = np.zeros(n, bool)
+    own[np.searchsorted(cut, np.flatnonzero(kind == _EXP)) - 1] = True
+    if ((count != neg.astype(np.intp) + dot)
+            | (np.diff(ends) - 1 <= count))[~own].any():
+        return None
+    text = block
+    if own.any():
+        # a zero in each byte of a cell `float` reads
+        buf = bytearray(block)
+        for k in np.flatnonzero(own).tolist():
+            buf[ends[k] + 1:ends[k + 1]] = b"0" * (ends[k + 1] - ends[k] - 1)
+        text = bytes(buf)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            m = np.fromstring(text.translate(_CSV_SCAN, b".-"), np.int64,
+                              sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(m) != n:
+        return None
+    own |= (m >= 1 << 62) | (q > 22)
+    m[own] = 0
+    q[own] = 0
+    p = np.array(_POW10).take(q)
+    mf = m.astype(np.float64)
+    x = mf / p
+    near = np.flatnonzero(mf.astype(np.int64) != m)
+    if len(near):
+        x[near], undecided = _nearest_quotient(x[near], m[near], p[near])
+        own[near[undecided]] = True
+    np.negative(x, out=x, where=neg)
+    try:
+        for k in np.flatnonzero(own).tolist():
+            x[k] = float(block[ends[k] + 1:ends[k + 1]])
+    except ValueError:
+        return None
+    return x
+
+
+def _nearest_quotient(x, m, p):
+    """(m / p rounded to nearest, the cells it leaves undecided), for
+    int64 m in (2**53, 2**62), powers of ten p <= 1e22 and x = m / p
+    with m and the quotient each rounded, so that x is within 1.5 ulps of
+    m / p: the first rounding moves m / p less than an ulp of x, the
+    second half an ulp.
+
+    Dekker's product (Numer. Math. 18, 1971) splits x * p into hi + lo
+    exactly; hi is within a few ulps of m, so an integer, and m - hi is
+    exact in int64.  The residual m - x * p is then rounded once, and its
+    ratio d to p * ulp(x), the distance of m / p from x in ulps, is known
+    to about 2**-52.  x moves rint(d) ulps, to the float nearest m / p,
+    unless it is a power of two, below which the ulp halves, or moves down
+    to one at d < -1.  Such a cell, and one within 2**-30 of a half ulp
+    or of 1.5 ulps, is undecided.
+    """
+    import numpy as np
+
+    c = 134217729.0 * x             # Veltkamp's split at 2**27 + 1
+    xh = c - (c - x)
+    xl = x - xh
+    c = 134217729.0 * p
+    ph = c - (c - p)
+    pl = p - ph
+    hi = x * p
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    ulp = np.spacing(x)
+    d = ((m - hi.astype(np.int64)).astype(np.float64) - lo) / (p * ulp)
+    step = np.rint(d)
+    out = x + step * ulp
+    undecided = ((np.abs(np.abs(d) - 0.5) < 2.0 ** -30)
+                 | (np.abs(d) > 1.5 - 2.0 ** -30) | (np.frexp(x)[0] == 0.5)
+                 | ((d < -1) & (np.frexp(out)[0] == 0.5)))
+    return out, undecided
 
 
 def _trace_json(trace: PhiTrace) -> str:

@@ -206,11 +206,15 @@ def phi_fitted(sig: SampledSignal, window: int = 11,
     k = np.arange(-half, half + 1)
     weights = np.linalg.pinv(np.vander(k / half, degree + 1, increasing=True))
     scale = half * dt
-    # samples near the float limit, or a step whose scale squared
-    # underflows, give inf or nan, without a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # scale = s * 2**e: x'' is scaled by 2**-2e, exactly in the normal
+    # range, then divided by s*s in [1/4, 1), so scale*scale, which
+    # underflows at small steps, is never formed; samples near the float
+    # limit give inf or nan, without a warning
+    s, e = math.frexp(scale)
+    with np.errstate(over="ignore", invalid="ignore"):
         x1 = np.correlate(values, weights[1], "valid") / scale
-        x2 = 2.0 * np.correlate(values, weights[2], "valid") / (scale * scale)
+        x2 = np.ldexp(2.0 * np.correlate(values, weights[2], "valid"),
+                      -2 * e) / (s * s)
         phi = x2 / np.sqrt(1.0 + x1 * x1)
     if not np.isfinite(phi).all():
         raise OverflowError("a Phi exceeds the float range")

@@ -1,5 +1,6 @@
 """Command-line front end: parsing, rendering, exit codes."""
 
+import csv
 import functools
 import inspect
 import json
@@ -743,6 +744,58 @@ def test_instfreq_csv_field_over_the_csv_limit(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("zeros", [300_000, 600_000])
+def test_long_lines_under_a_raised_csv_limit(tmp_path, zeros):
+    # a line within a block and its completion reaches the kernel, a
+    # longer one the row reader; both give the row reader's samples
+    p = tmp_path / "long.csv"
+    p.write_text("t,x\n0.0,1.0\n0.1,0." + "0" * zeros + "1\n0.2,3.0\n")
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        got = _read_outcome(cli._read_csv, str(p))
+        assert got == (_read_outcome(cli._read_csv_rows, str(p))[0], [])
+    finally:
+        csv.field_size_limit(limit)
+    assert got[0][1] == [1.0.hex(), 0.0.hex(), 3.0.hex()]
+
+
+@pytest.mark.parametrize("cell", ["1.2.3", "-", ".", "-.", "1-2", "--1",
+                                  "5.-", "", "1e", "e5", "1e+", "+", "1e5e5",
+                                  "--1e5", "1.e-", "1e5.5"])
+def test_a_cell_that_float_refuses_is_named_by_the_row_reader(tmp_path,
+                                                              cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"t,x\n0.0,1.0\n0.1,{cell}\n")
+    got = _read_outcome(cli._read_csv, str(p))
+    assert got == ("csv line 3: non-numeric value", [])
+
+
+@pytest.mark.parametrize("scan", ["warns", "raises", "stops short"])
+def test_a_scan_that_stops_early_sends_the_file_to_the_row_reader(
+        tmp_path, monkeypatch, scan):
+    # numpy 1.x warns on a partial read and 2.x raises
+    p = tmp_path / "samples.csv"
+    p.write_text("t,x\n" + _rows())
+    fromstring = np.fromstring
+
+    def partial(text, dtype, sep):
+        if scan == "warns":
+            warnings.warn("string or file could not be read to its end",
+                          DeprecationWarning)
+        if scan == "raises":
+            raise ValueError("string or file could not be read to its end")
+        return fromstring(text, dtype, sep=sep)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", partial)
+    rows, read = [], object()
+    monkeypatch.setattr(cli, "_read_csv_rows",
+                        lambda path: rows.append(path) or read)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli._read_csv(str(p)) is read
+    assert rows == [str(p)]
+
+
 def _rows(n=15, sep="\n", fmt="{t},{x}"):
     return "".join(fmt.format(t=k / 10, x=(k / 10) ** 3 - k / 7) + sep
                    for k in range(n))
@@ -841,62 +894,45 @@ def test_a_plain_file_under_a_compressed_suffix_reads_as_text(
     assert out == capsys.readouterr().out
 
 
-def test_the_array_pass_gives_numpy_a_path_that_is_never_a_url(
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+def test_the_array_pass_reads_a_url_shaped_path_as_a_local_file(
         tmp_path, monkeypatch):
-    # numpy reads a file it opens by name in chunks, but a handle line by
-    # line; a name that parses as a URL it would fetch
+    # a name that parses as a URL is a file name like any other
     import urllib.request
 
-    def no_fetch(*args, **kwargs):
-        raise AssertionError("numpy read the path as a URL")
-
-    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.setattr(urllib.request, "urlopen", _refuse("urlopen"))
     (tmp_path / "http:" / "localhost").mkdir(parents=True)
     (tmp_path / "http:" / "localhost" / "y.csv").write_text("t,x\n" + _rows())
     monkeypatch.chdir(tmp_path)
     want = cli._read_csv_rows("http://localhost/y.csv")
-    sources = []
-    loadtxt = np.loadtxt
-
-    def recording(fname, *args, **kwargs):
-        sources.append(fname)
-        return loadtxt(fname, *args, **kwargs)
-
-    def refused(path):
-        raise AssertionError("row reader called")
-
-    monkeypatch.setattr(np, "loadtxt", recording)
-    monkeypatch.setattr(cli, "_read_csv_rows", refused)
+    monkeypatch.setattr(np, "loadtxt", _refuse("np.loadtxt"))
+    monkeypatch.setattr(cli, "_read_csv_rows", _refuse("the row reader"))
     assert cli._read_csv("http://localhost/y.csv") == want
-    assert [type(s) for s in sources] == [str]
-    assert sources == [str(tmp_path / "http:" / "localhost" / "y.csv")]
 
 
-def test_the_array_pass_opens_the_file_once_before_numpy(tmp_path,
-                                                         monkeypatch):
-    # the byte scan also reads the header; numpy's own open is not counted
+def test_the_array_pass_opens_the_file_once(tmp_path, monkeypatch):
+    # the header and the body are read from one binary handle
+    import urllib.request
+
     p = tmp_path / "samples.csv"
     p.write_text(" t , x \r\n" + _rows(sep="\r\n"))
     want = cli._read_csv_rows(str(p))
-    opens, at_loadtxt = [], []
-    loadtxt = np.loadtxt
+    opens = []
 
     def counting(*args, **kwargs):
         opens.append(args[0])
         return open(*args, **kwargs)
 
-    def recording(*args, **kwargs):
-        at_loadtxt.append(len(opens))
-        return loadtxt(*args, **kwargs)
-
-    def refused(path):
-        raise AssertionError("row reader called")
-
     monkeypatch.setattr(cli, "open", counting, raising=False)
-    monkeypatch.setattr(np, "loadtxt", recording)
-    monkeypatch.setattr(cli, "_read_csv_rows", refused)
+    monkeypatch.setattr(urllib.request, "urlopen", _refuse("urlopen"))
+    monkeypatch.setattr(np, "loadtxt", _refuse("np.loadtxt"))
+    monkeypatch.setattr(cli, "_read_csv_rows", _refuse("the row reader"))
     assert cli._read_csv(str(p)) == want
-    assert at_loadtxt == [1]
     assert opens == [str(p)]
 
 
@@ -939,6 +975,110 @@ def test_csv_reader_matches_the_row_reader_on_generated_files(
             fh.write(header + "".join(lines))
         got = _read_outcome(cli._read_csv, p)
         assert got == (_read_outcome(cli._read_csv_rows, p)[0], [])
+
+
+def _plain(value: Fraction, digits: int, nudge: int = 0) -> str:
+    """A positive value rounded to `digits` significant digits, then moved
+    `nudge` units in the last of them, written without an exponent."""
+    e = 0
+    while Fraction(10) ** e > value:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= value:
+        e += 1
+    q = max(digits - 1 - e, 0)
+    text = str(round(value * 10 ** q) + nudge).rjust(q + 1, "0")
+    return text[:len(text) - q] + "." + text[len(text) - q:]
+
+
+def _half_ulp(x: float) -> Fraction:
+    """The midpoint of x and the next float up."""
+    return (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+
+
+# decimals at and next to the midpoints of neighbouring floats, where the
+# first quotient of the kernel is most often an ulp off
+_HALF_ULP_TEXTS = [sign + _plain(_half_ulp(x), digits, nudge)
+                   for x in [math.pi * 10.0 ** k for k in range(-6, 16)]
+                   + [1 / 3, 2 / 3, 0.1, 0.7, 1 - 2 ** -40, 12345.678]
+                   for digits in (17, 18, 19) for nudge in (-1, 0, 1)
+                   for sign in ("", "-")]
+_FIELD_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda x, digits: "%.*g" % (digits, x),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(15, 19)),
+    st.builds(lambda x, digits, nudge, sign: sign + _plain(_half_ulp(x),
+                                                           digits, nudge),
+              st.floats(1e-6, 1e16), st.integers(17, 19),
+              st.integers(-1, 1), st.sampled_from(["", "-"])),
+    # leading zeros, and up to 25 digits after the dot
+    st.builds(lambda digits, q, zeros, sign: sign + "0" * zeros
+              + (digits[:len(digits) - q] + "." + digits[len(digits) - q:]
+                 if q else digits),
+              st.integers(0, 10 ** 20).map(str).map(lambda s: s.zfill(25)),
+              st.integers(0, 25), st.integers(0, 3),
+              st.sampled_from(["", "-"])),
+    st.sampled_from(["-0.0", "0", "-0", "5.", ".5", "-.5", "-5.", "007.50",
+                     "1e5", "1E+5", "+1.5", "+0", "-2.5e-3", "1.7e308",
+                     "-1e-320", "4.9406564584124654e-324",
+                     "9223372036854775807", "9223372036854775808",
+                     "4611686018427387904", "4611686018427387903.5",
+                     "0.0000000000000000000000001234"]),
+)
+
+
+def _cells_as_hex(pairs) -> list:
+    block = "".join(f"{a},{b}\n" for a, b in pairs).encode()
+    return [x.hex() for x in
+            cli._csv_cells(block, csv.field_size_limit()).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FIELD_TEXTS, _FIELD_TEXTS), max_size=30))
+@example(list(zip(_HALF_ULP_TEXTS[0::2], _HALF_ULP_TEXTS[1::2])))
+def test_every_cell_text_reads_as_the_bits_float_gives(pairs):
+    assert _cells_as_hex(pairs) == [float(s).hex()
+                                    for pair in pairs for s in pair]
+
+
+def test_the_half_ulp_texts_need_the_residual_step(monkeypatch):
+    # without its correction the first quotient misses some of them
+    pairs = list(zip(_HALF_ULP_TEXTS[0::2], _HALF_ULP_TEXTS[1::2]))
+    want = [float(s).hex() for pair in pairs for s in pair]
+    assert _cells_as_hex(pairs) == want
+    monkeypatch.setattr(cli, "_nearest_quotient",
+                        lambda x, m, p: (x, np.zeros(len(x), bool)))
+    assert _cells_as_hex(pairs) != want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["t,x\n", " t , x \r\n", "t,x\r\n"]),
+       st.lists(st.tuples(st.sampled_from(["%r", "%.17g", "%.19g", "%.6f"]),
+                          _FIELD_TEXTS, st.sampled_from(_CSV_PADS[:4]),
+                          st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])),
+                min_size=1, max_size=30))
+def test_csv_reader_matches_the_row_reader_on_generated_decimals(header,
+                                                                 rows):
+    # increasing times, so most files reach the array pass's samples
+    lines = [f"{pad}{fmt % (k / 3)},{pad}{x}{pad}{end}"
+             for k, (fmt, x, pad, end) in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = os.path.join(tmp, "gen.csv")
+        with open(p, "w", newline="") as fh:
+            fh.write(header + "".join(lines))
+        got = _read_outcome(cli._read_csv, p)
+        assert got == (_read_outcome(cli._read_csv_rows, p)[0], [])
+
+
+@pytest.mark.parametrize("step", [1e-160, 1e-170])
+def test_a_flat_line_at_a_tiny_step_prints_phi_zero(tmp_path, step):
+    # (half*step)**2 is subnormal or 0 at these steps
+    p = tmp_path / "flat.csv"
+    p.write_text("t,x\n" + "".join(f"{k * step!r},0.0\n" for k in range(30)))
+    status, out, err = run(CliConfig("instfreq", csv_path=str(p)))
+    assert (status, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert len(rows) == 20 and {r.split(" ")[1] for r in rows} == {"0"}
 
 
 def _trace_text_per_row(trace):
@@ -1007,21 +1147,30 @@ def test_array_traces_render_without_warnings(trace):
         cli._trace_json(trace)
 
 
-@pytest.mark.parametrize("name", ["extremes", "uniform_extremes"])
+_WARNING_CSV = {**_ARRAY_CSV, **_ROW_CSV,
+                "uniform_extremes": "t,x\n" + _rows(fmt="{t},{x}e-300")}
+
+
+@pytest.mark.parametrize("name", sorted(_WARNING_CSV))
 @pytest.mark.parametrize("output", [[], ["--json"]])
 def test_instfreq_csv_on_extreme_samples_prints_no_warning(tmp_path, name,
                                                            output):
-    # a fresh interpreter, so a numpy warning is printed on stderr; the
-    # uniform file takes the array renderer, with cells it leaves to `%`
-    files = {**_ARRAY_CSV,
-             "uniform_extremes": "t,x\n" + _rows(fmt="{t},{x}e-300")}
+    # a fresh interpreter, so a numpy warning is printed on stderr: both
+    # readers and the array renderer, with the cells it leaves to `%`;
+    # the array files and the uniform one succeed with an empty stderr,
+    # a row file gives `run`'s status and its one error line, or nothing
     csv_path = tmp_path / f"{name}.csv"
-    csv_path.write_text(files[name])
+    csv_path.write_bytes(_WARNING_CSV[name].encode())
+    expected = (0, "")
+    if name in _ROW_CSV:
+        status, _, err = run(CliConfig("instfreq", csv_path=str(csv_path),
+                                       output="json" if output else "text"))
+        expected = (status, err + "\n" if err else "")
     proc = subprocess.run(
         [sys.executable, "-m", "algspec.cli", "instfreq", "--csv",
          str(csv_path), *output],
         env=_env_with_src(), capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == expected
 
 
 def _g12_join_by_percent(columns, seps):

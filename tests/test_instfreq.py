@@ -392,6 +392,23 @@ def test_a_step_whose_scale_squared_underflows_prints_no_warning():
             pass
 
 
+@pytest.mark.parametrize("shift", [-520, -560, -600])
+def test_phi_scales_by_a_power_of_two_where_the_step_squared_underflows(
+        shift):
+    # times and values scaled by 2**shift: x' keeps its bits and x''
+    # scales by 2**-shift, exactly, though (half*dt)**2 is subnormal or 0
+    times = np.arange(40.0) / 3
+    sig = SampledSignal(times, 0.5 + times * (1.25 - times * (0.75 + times)))
+    want = phi_fitted(sig).arrays[1]
+    small = SampledSignal(np.ldexp(times, shift),
+                          np.ldexp(sig.arrays[1], shift))
+    assert (5 / 3 * 2.0 ** shift) ** 2 < 2.0 ** -1022
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = phi_fitted(small).arrays[1]
+    assert got.tolist() == np.ldexp(want, -shift).tolist()
+
+
 @pytest.mark.parametrize("power", range(-9, 10))
 def test_the_fit_verdict_does_not_depend_on_the_time_unit(power):
     # a cubic in t/(30*dt): the same samples at every unit, so every fit
